@@ -8,10 +8,10 @@ up.
 
 from repro.analysis.report import format_table
 from repro.mitigation.augmentation import (
-    _FootprintRouter,
     candidate_new_edges,
     improvement_curve,
 )
+from tests.oracles.mitigation import _FootprintRouter
 
 ISPS = ("Tata", "NTT", "TeliaSonera", "Sprint")
 

@@ -9,8 +9,8 @@ shared-risk reduction per added hop.
 import networkx as nx
 
 from repro.analysis.report import format_table
-from repro.mitigation.robustness import _risk_graph
 from repro.risk.metrics import most_shared_conduits
+from tests.oracles.mitigation import _risk_graph
 
 
 def _evaluate(scenario, weight_key):

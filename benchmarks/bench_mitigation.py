@@ -1,55 +1,92 @@
-"""Benchmark: the §5 mitigation sweep on vs off the routing substrate.
+"""Benchmark: the §5 mitigation sweep on the routing substrate vs the
+NetworkX reference oracles.
 
 Times Figure 10 (robustness), Figure 11 (augmentation), and Figure 12
 (latency) end-to-end on the compiled CSR substrate and on the NetworkX
-reference path, asserts the results agree, and reports the speedup in
-``BENCH_mitigation.json`` — the acceptance number for the substrate
-(target: >= 5x on the combined sweep).
+reference implementations kept in ``tests/oracles``, asserts the
+results agree, and reports the speedup in ``BENCH_mitigation.json`` —
+the acceptance number for the substrate (target: >= 5x on the combined
+sweep).
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.experiments import fig10, fig11, fig12
-from repro.mitigation.augmentation import candidate_new_edges, improvement_curves
+from repro.mitigation.augmentation import (
+    candidate_new_edges,
+    improvement_curves,
+)
 from repro.mitigation.latency import latency_study
 from repro.mitigation.robustness import optimize_all_isps
+from tests.oracles.mitigation import (
+    improvement_curve_reference,
+    latency_study_reference,
+    optimize_all_isps_reference,
+)
 
 
-def _run_sweep(scenario, substrate):
-    """One full §5 sweep; ``substrate=False`` forces the NetworkX path."""
+def _timed(steps):
+    """Run ``(key, thunk)`` steps in order; per-step and total seconds."""
+    timings, results = {}, []
+    for key, step in steps:
+        started = time.perf_counter()
+        results.append(step())
+        timings[key] = time.perf_counter() - started
+    timings["total"] = sum(timings.values())
+    return timings, tuple(results)
+
+
+def _substrate_sweep(scenario):
     fiber_map = scenario.constructed_map
     network = scenario.network
-    timings = {}
-    started = time.perf_counter()
-    suggestions = optimize_all_isps(
-        fiber_map, scenario.risk_matrix, substrate=substrate
-    )
-    timings["fig10"] = time.perf_counter() - started
-    started = time.perf_counter()
-    curves = improvement_curves(
-        fiber_map,
-        network,
-        list(scenario.isps),
-        candidates=candidate_new_edges(fiber_map, network),
-        substrate=substrate,
-    )
-    timings["fig11"] = time.perf_counter() - started
-    started = time.perf_counter()
-    study = latency_study(fiber_map, network, substrate=substrate)
-    timings["fig12"] = time.perf_counter() - started
-    timings["total"] = sum(timings.values())
-    return timings, (suggestions, curves, study)
+    substrate = scenario.substrate
+    return _timed([
+        ("fig10", lambda: optimize_all_isps(
+            fiber_map, scenario.risk_matrix, substrate=substrate
+        )),
+        ("fig11", lambda: improvement_curves(
+            fiber_map,
+            network,
+            list(scenario.isps),
+            candidates=candidate_new_edges(fiber_map, network),
+            substrate=substrate,
+        )),
+        ("fig12", lambda: latency_study(
+            fiber_map, network, substrate=substrate
+        )),
+    ])
+
+
+def _reference_sweep(scenario):
+    fiber_map = scenario.constructed_map
+    network = scenario.network
+
+    def curves():
+        candidates = candidate_new_edges(fiber_map, network)
+        return {
+            isp: improvement_curve_reference(
+                fiber_map, network, isp, candidates=candidates
+            )
+            for isp in dict.fromkeys(scenario.isps)
+        }
+
+    return _timed([
+        ("fig10", lambda: optimize_all_isps_reference(
+            fiber_map, scenario.risk_matrix
+        )),
+        ("fig11", curves),
+        ("fig12", lambda: latency_study_reference(fiber_map, network)),
+    ])
 
 
 def test_mitigation(scenario, report_output):
     # Warm the shared stages so the timings isolate the analyses.
     scenario.constructed_map
     scenario.risk_matrix
-    substrate = scenario.substrate
-    fast, fast_results = _run_sweep(scenario, substrate)
-    reference, reference_results = _run_sweep(scenario, False)
+    scenario.substrate
+    fast, fast_results = _substrate_sweep(scenario)
+    reference, reference_results = _reference_sweep(scenario)
     assert fast_results[0] == reference_results[0]
     assert fast_results[1] == reference_results[1]
     assert fast_results[2] == reference_results[2]

@@ -19,7 +19,7 @@ ever colliding with (or shadowing) the default family's.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.engine import StageContext, StageDef
 from repro.families.base import DEFAULT_FAMILY, MapFamily, get_family
@@ -28,7 +28,7 @@ from repro.fibermap.pipeline import ConstructionReport, MapConstructionPipeline
 from repro.fibermap.publish import ProviderMap, publish_provider_maps
 from repro.fibermap.records import RecordsCorpus, generate_records
 from repro.fibermap.synthesis import GroundTruth
-from repro.perf.substrate import RoutingSubstrate, build_substrate
+from repro.perf.substrate import RoutingSubstrate
 from repro.risk.matrix import RiskMatrix
 from repro.traceroute.campaign import CampaignConfig, run_campaign
 from repro.traceroute.columns import TraceColumns
@@ -124,9 +124,9 @@ def _build_risk_matrix(ctx: StageContext) -> RiskMatrix:
     )
 
 
-def _build_substrate(ctx: StageContext) -> Optional[RoutingSubstrate]:
+def _build_substrate(ctx: StageContext) -> RoutingSubstrate:
     fiber_map, _ = ctx.dep("constructed_map")
-    return build_substrate(
+    return RoutingSubstrate(
         fiber_map,
         network=ctx.dep("ground_truth").network,
         row_kinds=_family_of(ctx).row_kinds,

@@ -21,21 +21,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
+import numpy as np
 
 from repro.fibermap.elements import FiberMap
-from repro.perf.substrate import (
-    HAVE_SCIPY,
-    ConduitSubstrate,
-    GraphView,
-    resolve_substrate,
-)
-from repro.transport.network import EdgeKey, TransportationNetwork, canonical_edge
-
-if HAVE_SCIPY:
-    import numpy as np
+from repro.perf.substrate import ConduitSubstrate, GraphView
+from repro.transport.network import EdgeKey, TransportationNetwork
 
 #: Length contribution to routing weight (prefers short when risk ties).
 LENGTH_EPSILON = 1.0 / 2000.0
@@ -100,52 +92,6 @@ def candidate_new_edges(
     return result
 
 
-class _FootprintRouter:
-    """Minimum-risk routing over one provider's (augmentable) footprint."""
-
-    def __init__(self, fiber_map: FiberMap, isp: str):
-        self.graph = nx.Graph()
-        for cid, conduit in sorted(fiber_map.conduits.items()):
-            if isp not in conduit.tenants:
-                continue
-            a, b = conduit.edge
-            weight = conduit.num_tenants + LENGTH_EPSILON * conduit.length_km
-            data = self.graph.get_edge_data(a, b)
-            if data is None or weight < data["w"]:
-                self.graph.add_edge(
-                    a, b, w=weight, risk=conduit.num_tenants
-                )
-
-    def add_private_conduit(self, edge: EdgeKey, length_km: float) -> None:
-        weight = 1.0 + LENGTH_EPSILON * length_km
-        data = self.graph.get_edge_data(*edge)
-        if data is None or weight < data["w"]:
-            self.graph.add_edge(edge[0], edge[1], w=weight, risk=1)
-
-    def route_exposure(self, demands: Sequence[EdgeKey]) -> float:
-        """Traffic-weighted average shared risk over all demands."""
-        total_risk = 0.0
-        total_hops = 0
-        for a, b in demands:
-            try:
-                path = nx.shortest_path(self.graph, a, b, weight="w")
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                continue
-            for u, v in zip(path, path[1:]):
-                total_risk += self.graph[u][v]["risk"]
-                total_hops += 1
-        if total_hops == 0:
-            return 0.0
-        return total_risk / total_hops
-
-    def dijkstra_risk(self, source: str) -> Dict[str, float]:
-        if source not in self.graph:
-            return {}
-        return nx.single_source_dijkstra_path_length(
-            self.graph, source, weight="w"
-        )
-
-
 def candidate_gain(
     du,
     dv,
@@ -179,6 +125,36 @@ def candidate_gain(
         # bit-identical to the reference ``+=`` loop.
         return float((costs[better] - via[better]).cumsum()[-1])
     return 0.0
+
+
+def _demand_costs(
+    view: GraphView, dist, row_of: Dict[str, int], demands: Sequence[EdgeKey]
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """The :func:`candidate_gain` demand arrays ``(ai, bi, costs)``.
+
+    *dist*/*row_of* come from one :meth:`GraphView.dijkstra` whose
+    sources include every demand's first endpoint.  Demands whose source
+    is off the footprint or whose current cost is infinite are dropped;
+    the rest keep *demands* order, so gains accumulate in that order.
+    """
+    index = view.index
+    cost_a: List[int] = []
+    cost_b: List[int] = []
+    cost_v: List[float] = []
+    for a, b in demands:
+        if not view.present(a):
+            continue
+        cost = dist[row_of[a], index[b]]
+        if not np.isfinite(cost):
+            continue
+        cost_a.append(index[a])
+        cost_b.append(index[b])
+        cost_v.append(float(cost))
+    return (
+        np.asarray(cost_a, dtype=np.int64),
+        np.asarray(cost_b, dtype=np.int64),
+        np.asarray(cost_v, dtype=float),
+    )
 
 
 def _footprint_view(conduits: ConduitSubstrate, isp: str) -> GraphView:
@@ -233,8 +209,7 @@ def improvement_curve(
     candidates by the exposure drop of rerouting the provider's links
     with the candidate added, applies the best, and measures exactly.
     On the routing substrate the step is one batched Dijkstra plus
-    vectorized scoring; without scipy (or with ``substrate=False``) the
-    NetworkX reference answers instead.
+    vectorized scoring.
 
     *driver* may be any name registered in
     :data:`repro.mitigation.drivers.DRIVERS` (``greedy``, ``anneal``,

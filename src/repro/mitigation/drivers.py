@@ -3,9 +3,9 @@
 The paper answers "which new conduits cut risk the most" with one fixed
 greedy search.  This module generalizes that search into an
 ArchGym-style driver interface: an :class:`AugmentationEnv` wraps one
-provider's routing state (the substrate's batched-Dijkstra scoring, or
-the NetworkX reference without scipy) and exposes evaluate/estimate
-primitives, and a :class:`Driver` proposes candidate *plans* — ordered
+provider's routing state (the substrate's batched-Dijkstra scoring) and
+exposes evaluate/estimate primitives, and a :class:`Driver` proposes
+candidate *plans* — ordered
 tuples of pool indices — observes their measured exposures, and reports
 the best plan it found.
 
@@ -26,7 +26,7 @@ results are stable across processes and ``PYTHONHASHSEED`` values.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple, Union
+from typing import List, Optional, Protocol, Sequence, Set, Tuple, Union
 
 from repro.fibermap.elements import FiberMap
 from repro.mitigation import augmentation as _aug
@@ -34,18 +34,15 @@ from repro.mitigation.augmentation import (
     COST_PENALTY_PER_KM,
     LENGTH_EPSILON,
     AugmentationResult,
-    _FootprintRouter,
+    _demand_costs,
     _footprint_view,
     _route_exposure,
     candidate_gain,
     candidate_new_edges,
 )
 from repro.obs.tracer import get_tracer
-from repro.perf.substrate import HAVE_SCIPY, resolve_substrate
+from repro.perf.substrate import resolve_substrate
 from repro.transport.network import EdgeKey, TransportationNetwork
-
-if HAVE_SCIPY:
-    import numpy as np
 
 Plan = Tuple[int, ...]
 
@@ -84,7 +81,6 @@ class _SubstrateEngine:
         view = self.view
         demands = self.demands
         pool = self.pool
-        index = view.index
         # One scipy call answers every source this step needs: all
         # demand endpoints plus both endpoints of every candidate.
         all_sources = sorted(
@@ -93,21 +89,7 @@ class _SubstrateEngine:
             | {e for edge, _ in pool for e in edge}
         )
         dist, _pred, row_of = view.dijkstra(all_sources, "w")
-        cost_a: List[int] = []
-        cost_b: List[int] = []
-        cost_v: List[float] = []
-        for a, b in demands:
-            if not view.present(a):
-                continue
-            cost = dist[row_of[a], index[b]]
-            if not np.isfinite(cost):
-                continue
-            cost_a.append(index[a])
-            cost_b.append(index[b])
-            cost_v.append(float(cost))
-        ai = np.asarray(cost_a, dtype=np.int64)
-        bi = np.asarray(cost_b, dtype=np.int64)
-        costs = np.asarray(cost_v, dtype=float)
+        ai, bi, costs = _demand_costs(view, dist, row_of, demands)
         scores: List[Optional[float]] = []
         for pos, (edge, length) in enumerate(pool):
             if pos in applied:
@@ -130,79 +112,6 @@ class _SubstrateEngine:
             payload={"conduit": -1},
         )
         return _route_exposure(self.view, self.demands)
-
-
-class _ReferenceEngine:
-    """NetworkX reference state (two dict Dijkstras per candidate per
-    estimate); the scipy-absent and cross-check path."""
-
-    def __init__(
-        self,
-        fiber_map: FiberMap,
-        isp: str,
-        candidates: List[Tuple[EdgeKey, float]],
-    ):
-        self._fiber_map = fiber_map
-        self._isp = isp
-        self.router = _FootprintRouter(fiber_map, isp)
-        self.demands = sorted(
-            {link.endpoints for link in fiber_map.links_of(isp)}
-        )
-        footprint_cities = set(self.router.graph.nodes)
-        eligible = [
-            (edge, length)
-            for edge, length in candidates
-            if edge[0] in footprint_cities and edge[1] in footprint_cities
-        ]
-        self.pool = eligible[: _aug.MAX_CANDIDATES]
-        self.pool_truncated = len(eligible) - len(self.pool)
-        self.baseline = self.router.route_exposure(self.demands)
-
-    def reset(self) -> None:
-        self.router = _FootprintRouter(self._fiber_map, self._isp)
-
-    def estimate_scores(self, applied: Set[int]) -> List[Optional[float]]:
-        router = self.router
-        demands = self.demands
-        # Current demand costs, computed once per estimate: one Dijkstra
-        # per distinct demand source.
-        sources = sorted({a for a, _ in demands} | {b for _, b in demands})
-        dist_from: Dict[str, Dict[str, float]] = {
-            s: router.dijkstra_risk(s) for s in sources
-        }
-        current_cost: Dict[EdgeKey, float] = {}
-        for a, b in demands:
-            cost = dist_from.get(a, {}).get(b)
-            if cost is not None:
-                current_cost[(a, b)] = cost
-        inf = float("inf")
-        scores: List[Optional[float]] = []
-        for pos, (edge, length) in enumerate(self.pool):
-            if pos in applied:
-                scores.append(None)
-                continue
-            # Estimated gain: links that would reroute through the new
-            # conduit save (old path cost) - (cost via new conduit).
-            from_u = dist_from.get(edge[0], router.dijkstra_risk(edge[0]))
-            from_v = dist_from.get(edge[1], router.dijkstra_risk(edge[1]))
-            new_weight = 1.0 + LENGTH_EPSILON * length
-            gain = 0.0
-            for (a, b), cost in current_cost.items():
-                # Inf-safe on both orientations, mirroring the kernel's
-                # mask-on-the-min (see candidate_gain).
-                via_new = min(
-                    from_u.get(a, inf) + new_weight + from_v.get(b, inf),
-                    from_v.get(a, inf) + new_weight + from_u.get(b, inf),
-                )
-                if via_new < cost:
-                    gain += cost - via_new
-            scores.append(gain - COST_PENALTY_PER_KM * length)
-        return scores
-
-    def apply(self, pos: int) -> float:
-        edge, length = self.pool[pos]
-        self.router.add_private_conduit(edge, length)
-        return self.router.route_exposure(self.demands)
 
 
 class AugmentationEnv:
@@ -228,13 +137,7 @@ class AugmentationEnv:
     ):
         if candidates is None:
             candidates = candidate_new_edges(fiber_map, network)
-        resolved = resolve_substrate(fiber_map, substrate)
-        if resolved is None:
-            self._engine = _ReferenceEngine(fiber_map, isp, candidates)
-        else:
-            self._engine = _SubstrateEngine(
-                fiber_map, isp, candidates, resolved
-            )
+        self._engine = self._make_engine(fiber_map, isp, candidates, substrate)
         self.isp = isp
         self.max_k = max_k
         self.pool = self._engine.pool
@@ -248,6 +151,12 @@ class AugmentationEnv:
                 "mitigation.augmentation.candidates_truncated",
                 self.pool_truncated,
             )
+
+    @staticmethod
+    def _make_engine(fiber_map, isp, candidates, substrate) -> _SubstrateEngine:
+        return _SubstrateEngine(
+            fiber_map, isp, candidates, resolve_substrate(fiber_map, substrate)
+        )
 
     @property
     def num_candidates(self) -> int:

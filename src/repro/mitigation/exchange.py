@@ -18,9 +18,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.fibermap.elements import FiberMap
 from repro.mitigation.augmentation import (
     LENGTH_EPSILON,
-    _FootprintRouter,
+    _demand_costs,
+    _footprint_view,
+    candidate_gain,
     candidate_new_edges,
 )
+from repro.perf.substrate import substrate_for
 from repro.transport.network import EdgeKey, TransportationNetwork
 
 #: Construction cost per conduit kilometer (arbitrary cost units; only
@@ -65,33 +68,6 @@ class ExchangeConduit:
         return self.length_km * COST_PER_KM
 
 
-def _estimated_gain(
-    router: _FootprintRouter,
-    demands: Sequence[EdgeKey],
-    dist_cache: Dict[str, Dict[str, float]],
-    edge: EdgeKey,
-    length_km: float,
-) -> float:
-    """Exposure-cost drop for one provider if *edge* existed (estimate)."""
-    if edge[0] not in router.graph or edge[1] not in router.graph:
-        return 0.0
-    from_u = dist_cache.setdefault(edge[0], router.dijkstra_risk(edge[0]))
-    from_v = dist_cache.setdefault(edge[1], router.dijkstra_risk(edge[1]))
-    new_weight = 1.0 + LENGTH_EPSILON * length_km
-    gain = 0.0
-    for a, b in demands:
-        current = dist_cache.setdefault(a, router.dijkstra_risk(a)).get(b)
-        if current is None:
-            continue
-        via = min(
-            from_u.get(a, float("inf")) + new_weight + from_v.get(b, float("inf")),
-            from_v.get(a, float("inf")) + new_weight + from_u.get(b, float("inf")),
-        )
-        if via < current:
-            gain += current - via
-    return gain
-
-
 def plan_exchange(
     fiber_map: FiberMap,
     network: TransportationNetwork,
@@ -101,36 +77,49 @@ def plan_exchange(
 ) -> List[ExchangeConduit]:
     """Plan the *num_conduits* most beneficial jointly funded conduits.
 
-    Benefit per provider is the §5.2 exposure-gain estimate; cost shares
-    are proportional to benefit (providers that gain nothing pay
-    nothing and stay out).
+    Benefit per provider is the §5.2 exposure-gain estimate
+    (:func:`~repro.mitigation.augmentation.candidate_gain` over the
+    provider's footprint on the routing substrate); cost shares are
+    proportional to benefit (providers that gain nothing pay nothing and
+    stay out).
     """
     if num_conduits <= 0:
         raise ValueError("num_conduits must be positive")
     if candidates is None:
         candidates = candidate_new_edges(fiber_map, network)
-    routers: Dict[str, _FootprintRouter] = {}
-    demands: Dict[str, List[EdgeKey]] = {}
-    caches: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for isp in isps:
-        routers[isp] = _FootprintRouter(fiber_map, isp)
-        demands[isp] = sorted({l.endpoints for l in fiber_map.links_of(isp)})
-        caches[isp] = {}
-    scored: List[Tuple[EdgeKey, float, float, Dict[str, float]]] = []
-    for edge, length in candidates:
-        gains = {}
-        for isp in isps:
-            gain = _estimated_gain(
-                routers[isp], demands[isp], caches[isp], edge, length
+    conduits = substrate_for(fiber_map).conduits
+    # Provider-outer: one batched Dijkstra per provider answers every
+    # candidate, and each candidate's gains fill in *isps* order.
+    gains: List[Dict[str, float]] = [{} for _ in candidates]
+    for isp in dict.fromkeys(isps):
+        view = _footprint_view(conduits, isp)
+        demands = sorted({l.endpoints for l in fiber_map.links_of(isp)})
+        usable = [
+            pos
+            for pos, (edge, _length) in enumerate(candidates)
+            if view.present(edge[0]) and view.present(edge[1])
+        ]
+        sources = [a for a, _ in demands] + [
+            e for pos in usable for e in candidates[pos][0]
+        ]
+        dist, _pred, row_of = view.dijkstra(sources, "w")
+        ai, bi, costs = _demand_costs(view, dist, row_of, demands)
+        for pos in usable:
+            (u, v), length = candidates[pos]
+            gain = candidate_gain(
+                dist[row_of[u]], dist[row_of[v]], ai, bi, costs,
+                1.0 + LENGTH_EPSILON * length,
             )
             if gain > MIN_GAIN:
-                gains[isp] = gain
-        total = sum(gains.values())
+                gains[pos][isp] = gain
+    scored: List[Tuple[EdgeKey, float, float, Dict[str, float]]] = []
+    for (edge, length), member_gains in zip(candidates, gains):
+        total = sum(member_gains.values())
         if total > MIN_GAIN:
-            scored.append((edge, length, total, gains))
+            scored.append((edge, length, total, member_gains))
     scored.sort(key=lambda item: (-item[2], item[0]))
     result = []
-    for edge, length, total, gains in scored[:num_conduits]:
+    for edge, length, total, member_gains in scored[:num_conduits]:
         cost = length * COST_PER_KM
         members = tuple(
             ExchangeMember(
@@ -139,7 +128,7 @@ def plan_exchange(
                 cost_share=cost * gain / total,
                 solo_cost=cost,
             )
-            for isp, gain in sorted(gains.items())
+            for isp, gain in sorted(member_gains.items())
         )
         result.append(
             ExchangeConduit(

@@ -19,12 +19,9 @@ LOS-vs-ROW differences are under ~100 us for half the pairs but exceed
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 from repro.fibermap.elements import FiberMap
 from repro.geo.coords import fiber_delay_ms
@@ -90,7 +87,7 @@ class LatencyStudy:
 
 
 def _alternative_paths_mean_km(
-    graph: nx.Graph,
+    view: GraphView,
     a: str,
     b: str,
     best_km: float,
@@ -99,34 +96,9 @@ def _alternative_paths_mean_km(
 ) -> float:
     """Mean length of distinct physical paths between two cities.
 
-    Enumerates shortest simple paths until the slack bound or path-count
-    cap is hit; always includes the best path.
+    Enumerates shortest simple paths (array-walk Yen) until the slack
+    bound or path-count cap is hit; always includes the best path.
     """
-    lengths: List[float] = []
-    generator = nx.shortest_simple_paths(graph, a, b, weight="length_km")
-    for path in generator:
-        km = sum(
-            graph[u][v]["length_km"] for u, v in zip(path, path[1:])
-        )
-        if km > best_km * slack and lengths:
-            break
-        lengths.append(km)
-        if len(lengths) >= max_paths:
-            break
-    return sum(lengths) / len(lengths)
-
-
-def _alternative_paths_mean_km_view(
-    view: GraphView,
-    a: str,
-    b: str,
-    best_km: float,
-    max_paths: int,
-    slack: float,
-) -> float:
-    """Substrate twin of :func:`_alternative_paths_mean_km`: the Yen
-    enumeration yields the same non-decreasing length sequence, so the
-    mean is bit-identical."""
     lengths: List[float] = []
     for _path, km in view.shortest_simple_paths(a, b, "length_km"):
         if km > best_km * slack and lengths:
@@ -137,48 +109,7 @@ def _alternative_paths_mean_km_view(
     return sum(lengths) / len(lengths)
 
 
-def _pair_delays_reference(
-    fiber_map: FiberMap,
-    network: TransportationNetwork,
-    ordered: Sequence[EdgeKey],
-    los_of: Dict[EdgeKey, float],
-    max_paths: int,
-    slack: float,
-    row_kinds: Tuple[str, ...],
-) -> List[PairDelays]:
-    """NetworkX reference: per-pair graph solves (and a per-call ROW
-    subgraph rebuild inside ``row_shortest_path``)."""
-    conduit_graph = fiber_map.simple_conduit_graph()
-    results: List[PairDelays] = []
-    for a, b in ordered:
-        if a not in conduit_graph or b not in conduit_graph:
-            continue
-        try:
-            best_km = nx.shortest_path_length(
-                conduit_graph, a, b, weight="length_km"
-            )
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            continue
-        avg_km = _alternative_paths_mean_km(
-            conduit_graph, a, b, best_km, max_paths, slack
-        )
-        try:
-            _, row_km = network.row_shortest_path(a, b, kinds=row_kinds)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            continue
-        results.append(
-            PairDelays(
-                pair=(a, b),
-                best_ms=fiber_delay_ms(best_km),
-                avg_ms=fiber_delay_ms(avg_km),
-                row_ms=fiber_delay_ms(row_km),
-                los_ms=fiber_delay_ms(los_of[(a, b)]),
-            )
-        )
-    return results
-
-
-def _pair_delays_substrate(
+def _pair_delays(
     substrate: RoutingSubstrate,
     network: TransportationNetwork,
     ordered: Sequence[EdgeKey],
@@ -187,9 +118,9 @@ def _pair_delays_substrate(
     slack: float,
     row_kinds: Tuple[str, ...],
 ) -> List[PairDelays]:
-    """Substrate fast path: best/ROW distances come from two batched
-    Dijkstras (one per weight view, all sources at once) and the
-    alternative-path means from the array-walk Yen enumeration."""
+    """The four delays of every studied pair: best/ROW distances come
+    from two batched Dijkstras (one per weight view, all sources at once)
+    and the alternative-path means from the array-walk Yen enumeration."""
     conduit_view = substrate.conduits.conduit_view()
     row_view = substrate.row_view(row_kinds)
     if row_view is None:
@@ -207,7 +138,7 @@ def _pair_delays_substrate(
         best_km = float(c_dist[c_row[a], conduit_view.index[b]])
         if not np.isfinite(best_km):
             continue
-        avg_km = _alternative_paths_mean_km_view(
+        avg_km = _alternative_paths_mean_km(
             conduit_view, a, b, best_km, max_paths, slack
         )
         if not row_view.present(a) or not row_view.present(b):
@@ -259,6 +190,28 @@ def latency_study(
     resolved = resolve_substrate(
         fiber_map, substrate, network=network, row_kinds=(row_kinds,)
     )
+    ordered, los_of = _study_pairs(
+        fiber_map, network, min_km, max_km, max_pairs, seed
+    )
+    return LatencyStudy(
+        pairs=tuple(
+            _pair_delays(
+                resolved, network, ordered, los_of, max_paths, slack,
+                row_kinds,
+            )
+        )
+    )
+
+
+def _study_pairs(
+    fiber_map: FiberMap,
+    network: TransportationNetwork,
+    min_km: float,
+    max_km: float,
+    max_pairs: Optional[int],
+    seed: int,
+) -> Tuple[List[EdgeKey], Dict[EdgeKey, float]]:
+    """The sorted studied pairs and the LOS distance of every link pair."""
     los_of: Dict[EdgeKey, float] = {}
     pairs: Set[EdgeKey] = set()
     for link in fiber_map.links.values():
@@ -276,12 +229,4 @@ def latency_study(
     if max_pairs is not None and len(ordered) > max_pairs:
         rng = random.Random(seed)
         ordered = sorted(rng.sample(ordered, max_pairs))
-    if resolved is None:
-        results = _pair_delays_reference(
-            fiber_map, network, ordered, los_of, max_paths, slack, row_kinds
-        )
-    else:
-        results = _pair_delays_substrate(
-            resolved, network, ordered, los_of, max_paths, slack, row_kinds
-        )
-    return LatencyStudy(pairs=tuple(results))
+    return ordered, los_of

@@ -18,8 +18,7 @@ conduit is a property of the conduit graph alone — so
 :func:`optimize_all_isps` computes each conduit's optimum once on the
 shared routing substrate (see :mod:`repro.perf.substrate`) and reuses it
 across every tenant, optionally fanning the per-conduit solves out over
-a thread pool.  Without scipy the NetworkX reference implementation
-below answers instead.
+a thread pool.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro.fibermap.elements import FiberMap
 from repro.perf.substrate import RoutingSubstrate, resolve_substrate
@@ -94,50 +91,12 @@ class RobustnessSuggestion:
         return sum(values) / len(values) if values else 0.0
 
 
-def _risk_graph(fiber_map: FiberMap, exclude: Optional[str] = None) -> nx.Graph:
-    """Conduit graph weighted by shared risk (tenant count).
-
-    Parallel conduits collapse to the least-shared one; the conduit being
-    optimized away is excluded so the alternate path cannot use it.
-    """
-    graph = nx.Graph()
-    for cid, conduit in sorted(fiber_map.conduits.items()):
-        if cid == exclude:
-            continue
-        a, b = conduit.edge
-        data = graph.get_edge_data(a, b)
-        if data is None or conduit.num_tenants < data["risk"]:
-            graph.add_edge(
-                a, b, conduit_id=cid, risk=conduit.num_tenants,
-                length_km=conduit.length_km,
-            )
-    return graph
-
-
-def _optimized_path_reference(
-    fiber_map: FiberMap, conduit_id: str
-) -> Optional[Tuple[Tuple[str, ...], int]]:
-    """NetworkX reference: the min-shared-risk alternate path around one
-    conduit, as ``(conduit_ids, max_risk)``."""
-    conduit = fiber_map.conduit(conduit_id)
-    graph = _risk_graph(fiber_map, exclude=conduit_id)
-    a, b = conduit.edge
-    try:
-        path = nx.shortest_path(graph, a, b, weight="risk")
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
-        return None
-    conduits = tuple(
-        graph[u][v]["conduit_id"] for u, v in zip(path, path[1:])
-    )
-    max_risk = max(graph[u][v]["risk"] for u, v in zip(path, path[1:]))
-    return conduits, max_risk
-
-
-def _optimized_path_substrate(
+def _optimized_path(
     fiber_map: FiberMap, conduit_id: str, substrate: RoutingSubstrate
 ) -> Optional[Tuple[Tuple[str, ...], int]]:
-    """Substrate fast path: exclusion is an array patch of the cached
-    collapsed conduit view, the solve one CSR Dijkstra."""
+    """The min-shared-risk alternate path around one conduit, as
+    ``(conduit_ids, max_risk)``: exclusion is an array patch of the
+    cached collapsed conduit view, the solve one CSR Dijkstra."""
     cs = substrate.conduits
     view = cs.conduit_view_excluding(conduit_id)
     a, b = fiber_map.conduit(conduit_id).edge
@@ -155,15 +114,6 @@ def _optimized_path_substrate(
     return conduits, max_risk
 
 
-def _optimized_path(
-    fiber_map: FiberMap, conduit_id: str, substrate
-) -> Optional[Tuple[Tuple[str, ...], int]]:
-    resolved = resolve_substrate(fiber_map, substrate)
-    if resolved is None:
-        return _optimized_path_reference(fiber_map, conduit_id)
-    return _optimized_path_substrate(fiber_map, conduit_id, resolved)
-
-
 def optimize_conduit_for_isp(
     fiber_map: FiberMap,
     matrix: RiskMatrix,
@@ -176,7 +126,9 @@ def optimize_conduit_for_isp(
     Returns ``None`` when the conduit's endpoints have no alternate
     connection (a true bridge in the conduit graph).
     """
-    result = _optimized_path(fiber_map, conduit_id, substrate)
+    result = _optimized_path(
+        fiber_map, conduit_id, resolve_substrate(fiber_map, substrate)
+    )
     if result is None:
         return None
     conduits, max_risk = result
@@ -226,6 +178,7 @@ def _solve_conduits(
     """Each conduit's optimum, solved once (optionally thread-fanned —
     the CSR Dijkstras release the GIL)."""
     unique = list(dict.fromkeys(conduit_ids))
+    substrate = resolve_substrate(fiber_map, substrate)
     if workers and workers > 1 and len(unique) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(

@@ -8,26 +8,18 @@ answers the same queries with :func:`scipy.sparse.csgraph.dijkstra` —
 batched over every destination a campaign touches — after which each
 path is just a predecessor-array walk.
 
-The NetworkX implementation stays available as the reference
-(`ProbeEngine(use_array_core=False)`) and the test suite cross-checks
-the two on random (src, dst) pairs.  When scipy is absent,
-:func:`build_routing_core` returns ``None`` and callers silently fall
-back to the reference path.
+scipy is a hard dependency; the NetworkX route walk survives only as
+the test oracle (``tests/oracles/probe.py``), which the test suite
+cross-checks against this core on random (src, dst) pairs.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional
 
-try:  # scipy is an optional accelerator, never a hard dependency.
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    np = None
-    HAVE_SCIPY = False
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 #: scipy's sentinel for "no predecessor" in predecessor matrices.
 _NO_PREDECESSOR = -9999
@@ -44,8 +36,6 @@ class RoutingCore:
     """
 
     def __init__(self, graph, weight: str = "ms"):
-        if not HAVE_SCIPY:  # pragma: no cover - guarded by build_routing_core
-            raise RuntimeError("scipy is required for the array routing core")
         nodes = sorted(graph.nodes)
         index = {node: i for i, node in enumerate(nodes)}
         rows: List[int] = []
@@ -161,9 +151,3 @@ class RoutingCore:
         self._rows_for(d)
         return float(self._dist[d][s])
 
-
-def build_routing_core(graph, weight: str = "ms") -> Optional[RoutingCore]:
-    """A :class:`RoutingCore` over *graph*, or ``None`` without scipy."""
-    if not HAVE_SCIPY:
-        return None
-    return RoutingCore(graph, weight=weight)

@@ -27,10 +27,10 @@ masks) and derives cheap *views* from them:
   targeted-attack step costs one reverse union sweep instead of a full
   per-step graph rebuild.
 
-As with the routing core, scipy is an optional accelerator: without it
-:func:`build_substrate` returns ``None`` and every consumer falls back
-to its NetworkX reference implementation, which the parity suite
-cross-checks against the substrate on randomized fiber maps.
+As with the routing core, scipy is a hard dependency and the substrate
+is the only implementation in the package.  The NetworkX references
+live in ``tests/oracles/``, where the parity suite cross-checks them
+against the substrate on randomized fiber maps.
 """
 
 from __future__ import annotations
@@ -47,15 +47,9 @@ from typing import (
     Tuple,
 )
 
-try:  # scipy/numpy are optional accelerators, never hard dependencies.
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    np = None
-    HAVE_SCIPY = False
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 #: scipy's sentinel for "no predecessor" in predecessor matrices.
 _NO_PREDECESSOR = -9999
@@ -71,9 +65,6 @@ class UnionFind:
     remove conduits) are therefore processed in reverse, adding each
     step's severed conduits back while answering that step's
     connectivity queries (offline decremental connectivity).
-
-    Pure python on ints — no scipy required — so the montecarlo fast
-    path can use it even when the CSR machinery is unavailable.
     """
 
     def __init__(self, size: int):
@@ -124,8 +115,6 @@ class GraphView:
         weights: Dict[str, "np.ndarray"],
         payload: Optional[Dict[str, "np.ndarray"]] = None,
     ):
-        if not HAVE_SCIPY:  # pragma: no cover - guarded by build_substrate
-            raise RuntimeError("scipy is required for substrate graph views")
         self.nodes = nodes
         self.index = index
         self.eu = np.asarray(eu, dtype=np.int32)
@@ -139,7 +128,6 @@ class GraphView:
             for i, (u, v) in enumerate(zip(self.eu, self.ev))
         }
         self._incident: Optional["np.ndarray"] = None
-        self._matrices: Dict[str, "csr_matrix"] = {}
         self._structs: Dict[str, tuple] = {}
 
     # -- structure -----------------------------------------------------
@@ -218,38 +206,10 @@ class GraphView:
                 self.payload[name] = np.append(self.payload[name], value)
             self._edge_of[pair] = self.num_edges - 1
             self._incident = None
-        self._matrices.clear()
         self._structs.clear()
         return True
 
     # -- shortest paths ------------------------------------------------
-    def matrix(
-        self, weight: str, edge_mask: Optional["np.ndarray"] = None
-    ) -> "csr_matrix":
-        """The symmetric CSR adjacency for one weight view.
-
-        Unmasked matrices are cached; masked ones (Yen spur calls) are
-        rebuilt from the filtered arrays, which at conduit-graph scale
-        is tens of microseconds.
-        """
-        if edge_mask is None and weight in self._matrices:
-            return self._matrices[weight]
-        eu, ev = self.eu, self.ev
-        data = self.weights[weight]
-        if edge_mask is not None:
-            eu, ev, data = eu[edge_mask], ev[edge_mask], data[edge_mask]
-        n = self.num_nodes
-        mat = csr_matrix(
-            (
-                np.concatenate([data, data]),
-                (np.concatenate([eu, ev]), np.concatenate([ev, eu])),
-            ),
-            shape=(n, n),
-        )
-        if edge_mask is None:
-            self._matrices[weight] = mat
-        return mat
-
     def dijkstra(
         self,
         source_keys: Sequence[str],
@@ -445,8 +405,6 @@ class ConduitSubstrate:
     """
 
     def __init__(self, fiber_map):
-        if not HAVE_SCIPY:  # pragma: no cover - guarded by build_substrate
-            raise RuntimeError("scipy is required for the routing substrate")
         self.nodes: List[str] = sorted(fiber_map.nodes)
         self.index: Dict[str, int] = {k: i for i, k in enumerate(self.nodes)}
         self.cids: List[str] = sorted(fiber_map.conduits)
@@ -620,8 +578,6 @@ def compile_transport_view(network, kinds: Optional[Iterable[str]]) -> GraphView
     the shortest covering geometry among the allowed kinds — which the
     NetworkX path rebuilt on *every* ``row_shortest_path`` call.
     """
-    if not HAVE_SCIPY:  # pragma: no cover - guarded by build_substrate
-        raise RuntimeError("scipy is required for the routing substrate")
     nodes = sorted(network.graph.nodes)
     index = {k: i for i, k in enumerate(nodes)}
     kind_set = frozenset(kinds) if kinds is not None else None
@@ -699,18 +655,6 @@ class RoutingSubstrate:
         return bool(self._row_views)
 
 
-def build_substrate(
-    fiber_map, network=None, row_kinds=None
-) -> Optional[RoutingSubstrate]:
-    """A :class:`RoutingSubstrate` over *fiber_map*, or ``None`` without
-    scipy (callers then take their NetworkX reference path).  *row_kinds*
-    selects which right-of-way kind sets are compiled on attach (default:
-    the US family's road/rail)."""
-    if not HAVE_SCIPY:
-        return None
-    return RoutingSubstrate(fiber_map, network=network, row_kinds=row_kinds)
-
-
 #: One substrate per live fiber map: analyses that are handed a bare
 #: ``FiberMap`` (tests, examples, CLI one-offs) share the compiled
 #: arrays without any scenario plumbing.
@@ -719,15 +663,13 @@ _SUBSTRATES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 def substrate_for(
     fiber_map, network=None, row_kinds=None
-) -> Optional[RoutingSubstrate]:
-    """The memoized substrate for a fiber map (``None`` without scipy).
+) -> RoutingSubstrate:
+    """The memoized substrate for a fiber map.
 
     If a cached substrate lacks transport views for the requested kind
     sets and a network is now available, the missing views are compiled
     and attached in place.
     """
-    if not HAVE_SCIPY:
-        return None
     substrate = _SUBSTRATES.get(fiber_map)
     if substrate is None:
         substrate = RoutingSubstrate(
@@ -749,15 +691,10 @@ def substrate_for(
 
 def resolve_substrate(
     fiber_map, substrate, network=None, row_kinds=None
-) -> Optional[RoutingSubstrate]:
-    """The substrate a §5/resilience entry point should use.
-
-    ``None`` (the default) auto-builds via :func:`substrate_for`;
-    ``False`` forces the NetworkX reference implementation (used by the
-    parity suite); an explicit instance is passed through.
-    """
+) -> RoutingSubstrate:
+    """The substrate a §5/resilience entry point should use: an explicit
+    instance is passed through, ``None`` (the default) auto-builds via
+    :func:`substrate_for`."""
     if substrate is None:
         return substrate_for(fiber_map, network=network, row_kinds=row_kinds)
-    if substrate is False:
-        return None
     return substrate

@@ -9,17 +9,15 @@ quantifies how much probe traffic crossed the cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.fibermap.elements import FiberMap
 from repro.geo.coords import fiber_delay_ms
 from repro.perf.substrate import RoutingSubstrate, resolve_substrate
 from repro.resilience.cuts import CutEvent
 from repro.traceroute.overlay import TrafficOverlay
-from repro.transport.network import EdgeKey
 
 
 @dataclass(frozen=True)
@@ -69,19 +67,6 @@ class CutImpact:
         return None
 
 
-def _surviving_graph(fiber_map: FiberMap, isp: str, event: CutEvent) -> nx.Graph:
-    """The provider's conduit graph with the severed conduits removed."""
-    graph = nx.Graph()
-    for cid, conduit in sorted(fiber_map.conduits.items()):
-        if isp not in conduit.tenants or cid in event.conduit_ids:
-            continue
-        a, b = conduit.edge
-        data = graph.get_edge_data(a, b)
-        if data is None or conduit.length_km < data["length_km"]:
-            graph.add_edge(a, b, length_km=conduit.length_km)
-    return graph
-
-
 def probes_crossing(traffic: Dict[str, object], conduit_ids) -> int:
     """Probe traffic that crossed the given conduits (overlay units)."""
     probes = 0
@@ -92,46 +77,42 @@ def probes_crossing(traffic: Dict[str, object], conduit_ids) -> int:
     return probes
 
 
+#: Rerouted distance (km) between two POPs over a provider's surviving
+#: footprint, ``None`` when the cut disconnects them.
+Rerouter = Callable[[str, str], Optional[float]]
+
+
+def _substrate_rerouter(
+    substrate: RoutingSubstrate, event: CutEvent, isp: str, hit_links
+) -> Rerouter:
+    """One batched Dijkstra over the provider's surviving-footprint view
+    answers every hit link's reroute distance."""
+    conduits = substrate.conduits
+    dead_rows = {
+        conduits.row_of[cid]
+        for cid in event.conduit_ids
+        if cid in conduits.row_of
+    }
+    view = conduits.surviving_footprint_view(isp, dead_rows)
+    dist, _pred, row_of = view.dijkstra(
+        [link.endpoints[0] for link in hit_links], "length_km"
+    )
+
+    def rerouted(a: str, b: str) -> Optional[float]:
+        if not view.present(a) or not view.present(b):
+            return None
+        km = float(dist[row_of[a], view.index[b]])
+        if km == float("inf"):
+            return None
+        return km
+
+    return rerouted
+
+
 def _reroute_stats(
-    fiber_map: FiberMap,
-    isp: str,
-    event: CutEvent,
-    hit_links,
-    substrate: Optional[RoutingSubstrate],
+    fiber_map: FiberMap, hit_links, rerouted: Rerouter
 ) -> Tuple[int, List[float]]:
     """Disconnected-pair count and reroute delays for one provider."""
-    if substrate is None:
-        survivors = _surviving_graph(fiber_map, isp, event)
-
-        def rerouted(a: str, b: str) -> Optional[float]:
-            try:
-                return nx.shortest_path_length(
-                    survivors, a, b, weight="length_km"
-                )
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                return None
-
-    else:
-        conduits = substrate.conduits
-        dead_rows = {
-            conduits.row_of[cid]
-            for cid in event.conduit_ids
-            if cid in conduits.row_of
-        }
-        view = conduits.surviving_footprint_view(isp, dead_rows)
-        dist_pack = view.dijkstra(
-            [link.endpoints[0] for link in hit_links], "length_km"
-        )
-
-        def rerouted(a: str, b: str) -> Optional[float]:
-            if not view.present(a) or not view.present(b):
-                return None
-            dist, _pred, row_of = dist_pack
-            km = float(dist[row_of[a], view.index[b]])
-            if km == float("inf"):
-                return None
-            return km
-
     disconnected = 0
     delays: List[float] = []
     for link in hit_links:
@@ -157,11 +138,23 @@ def assess_cut(
 ) -> CutImpact:
     """Assess one cut event across every tenant of the severed conduits.
 
-    On the routing substrate each provider's reroute distances come from
-    one batched Dijkstra over its surviving-footprint view; without
-    scipy the per-link NetworkX solves answer instead.
+    Each provider's reroute distances come from one batched Dijkstra
+    over its surviving-footprint view on the routing substrate.
     """
     resolved = resolve_substrate(fiber_map, substrate)
+    return _assess_cut(
+        fiber_map, event, overlay, partial(_substrate_rerouter, resolved, event)
+    )
+
+
+def _assess_cut(
+    fiber_map: FiberMap,
+    event: CutEvent,
+    overlay: Optional[TrafficOverlay],
+    rerouter_for: Callable[[str, list], Rerouter],
+) -> CutImpact:
+    """:func:`assess_cut` with the per-provider rerouter supplied by the
+    caller (the test oracle supplies a NetworkX one)."""
     tenants = set()
     for conduit_id in event.conduit_ids:
         tenants |= fiber_map.conduit(conduit_id).tenants
@@ -176,7 +169,7 @@ def assess_cut(
             per_isp.append(IspImpact(isp, 0, 0, 0.0, 0.0))
             continue
         disconnected, delays = _reroute_stats(
-            fiber_map, isp, event, hit_links, resolved
+            fiber_map, hit_links, rerouter_for(isp, hit_links)
         )
         per_isp.append(
             IspImpact(

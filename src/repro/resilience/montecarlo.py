@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.fibermap.elements import FiberMap
 from repro.perf.substrate import UnionFind, resolve_substrate
 from repro.resilience.cuts import CutEvent, edge_cut
-from repro.resilience.impact import CutImpact, assess_cut, probes_crossing
+from repro.resilience.impact import probes_crossing
 from repro.risk.matrix import RiskMatrix
 from repro.traceroute.overlay import TrafficOverlay
 from repro.transport.network import EdgeKey
@@ -37,52 +37,7 @@ class AttackResult:
     probes_affected: Tuple[int, ...]
 
 
-def _apply_sequence_reference(
-    fiber_map: FiberMap,
-    edges: Sequence[EdgeKey],
-    overlay: Optional[TrafficOverlay],
-) -> AttackResult:
-    """Assess a sequence of ROW cuts with cumulative conduit removal.
-
-    One :func:`assess_cut` per step; the per-step probe count comes from
-    the overlay's traffic table directly instead of a second full
-    assessment of the single-edge event.
-    """
-    traffic = overlay.traffic() if overlay is not None else None
-    events: List[CutEvent] = []
-    dead: set = set()
-    cumulative_disconnected: List[int] = []
-    cumulative_isps: List[int] = []
-    probes: List[int] = []
-    for edge in edges:
-        event = edge_cut(fiber_map, *edge)
-        # Accumulate: everything severed so far goes dark together.
-        dead |= event.conduit_ids
-        combined = CutEvent(
-            description=f"cumulative cuts through {event.description}",
-            conduit_ids=frozenset(dead),
-            location=event.location,
-        )
-        impact = assess_cut(fiber_map, combined, substrate=False)
-        events.append(event)
-        cumulative_disconnected.append(impact.total_pairs_disconnected)
-        cumulative_isps.append(
-            sum(1 for i in impact.per_isp if i.pairs_disconnected > 0)
-        )
-        probes.append(
-            probes_crossing(traffic, event.conduit_ids)
-            if traffic is not None
-            else 0
-        )
-    return AttackResult(
-        events=tuple(events),
-        cumulative_disconnected=tuple(cumulative_disconnected),
-        cumulative_isps_harmed=tuple(cumulative_isps),
-        probes_affected=tuple(probes),
-    )
-
-
-def _apply_sequence_substrate(
+def _apply_sequence(
     fiber_map: FiberMap,
     edges: Sequence[EdgeKey],
     overlay: Optional[TrafficOverlay],
@@ -185,19 +140,6 @@ def _apply_sequence_substrate(
     )
 
 
-def _apply_sequence(
-    fiber_map: FiberMap,
-    edges: Sequence[EdgeKey],
-    overlay: Optional[TrafficOverlay],
-    substrate=None,
-) -> AttackResult:
-    """Assess a sequence of ROW cuts with cumulative conduit removal."""
-    resolved = resolve_substrate(fiber_map, substrate)
-    if resolved is None:
-        return _apply_sequence_reference(fiber_map, edges, overlay)
-    return _apply_sequence_substrate(fiber_map, edges, overlay, resolved)
-
-
 def targeted_attack(
     fiber_map: FiberMap,
     matrix: RiskMatrix,
@@ -206,6 +148,18 @@ def targeted_attack(
     substrate=None,
 ) -> AttackResult:
     """Sever the most-shared rights-of-way, worst first."""
+    return _apply_sequence(
+        fiber_map,
+        _targeted_edges(fiber_map, matrix, cuts),
+        overlay,
+        resolve_substrate(fiber_map, substrate),
+    )
+
+
+def _targeted_edges(
+    fiber_map: FiberMap, matrix: RiskMatrix, cuts: int
+) -> List[EdgeKey]:
+    """The *cuts* most-shared rights-of-way, worst first."""
     if cuts <= 0:
         raise ValueError("cuts must be positive")
     by_edge: Dict[EdgeKey, int] = {}
@@ -213,8 +167,7 @@ def targeted_attack(
         count = matrix.sharing_count(conduit.conduit_id)
         by_edge[conduit.edge] = max(by_edge.get(conduit.edge, 0), count)
     ranked = sorted(by_edge.items(), key=lambda kv: (-kv[1], kv[0]))
-    edges = [edge for edge, _ in ranked[:cuts]]
-    return _apply_sequence(fiber_map, edges, overlay, substrate=substrate)
+    return [edge for edge, _ in ranked[:cuts]]
 
 
 def random_cut_study(
@@ -226,17 +179,25 @@ def random_cut_study(
     substrate=None,
 ) -> List[AttackResult]:
     """Repeated random ROW cut sequences, for baseline comparison."""
+    resolved = resolve_substrate(fiber_map, substrate)
+    return [
+        _apply_sequence(fiber_map, edges, overlay, resolved)
+        for edges in _random_edge_sequences(fiber_map, cuts, trials, seed)
+    ]
+
+
+def _random_edge_sequences(
+    fiber_map: FiberMap, cuts: int, trials: int, seed: int
+) -> List[List[EdgeKey]]:
+    """*trials* uniform samples of *cuts* rights-of-way each."""
     if cuts <= 0 or trials <= 0:
         raise ValueError("cuts and trials must be positive")
     rng = random.Random(seed)
     all_edges = sorted({c.edge for c in fiber_map.conduits.values()})
-    results = []
-    for _ in range(trials):
-        edges = rng.sample(all_edges, min(cuts, len(all_edges)))
-        results.append(
-            _apply_sequence(fiber_map, edges, overlay, substrate=substrate)
-        )
-    return results
+    return [
+        rng.sample(all_edges, min(cuts, len(all_edges)))
+        for _ in range(trials)
+    ]
 
 
 def mean_final_disconnected(results: Sequence[AttackResult]) -> float:

@@ -291,10 +291,9 @@ class Scenario:
         return self.graph.materialize("risk_matrix")
 
     @property
-    def substrate(self) -> Optional[RoutingSubstrate]:
+    def substrate(self) -> RoutingSubstrate:
         """The compiled routing substrate the §5 mitigation and
-        resilience analyses run on (``None`` without scipy — the
-        analyses then take their NetworkX reference paths)."""
+        resilience analyses run on."""
         return self.graph.materialize("substrate")
 
     @property

@@ -140,41 +140,6 @@ def _require_city(fiber_map, key: str, field: str) -> None:
         )
 
 
-def _nx_latency(scenario, request: LatencyRequest) -> LatencyResponse:
-    """NetworkX reference path (no scipy): same collapse, same answer."""
-    import networkx as nx
-
-    graph = scenario.constructed_map.simple_conduit_graph()
-    unreachable = LatencyResponse(
-        city_a=request.city_a, city_b=request.city_b,
-        reachable=False, delay_ms=None, length_km=None,
-        hops=0, path=(), conduit_ids=(),
-    )
-    if request.city_a not in graph or request.city_b not in graph:
-        return unreachable
-    try:
-        path = nx.shortest_path(
-            graph, request.city_a, request.city_b, weight="length_km"
-        )
-    except nx.NetworkXNoPath:
-        return unreachable
-    km = 0.0
-    conduit_ids = []
-    for u, v in zip(path, path[1:]):
-        km += graph[u][v]["length_km"]
-        conduit_ids.append(graph[u][v]["conduit_id"])
-    return LatencyResponse(
-        city_a=request.city_a,
-        city_b=request.city_b,
-        reachable=True,
-        delay_ms=fiber_delay_ms(km),
-        length_km=km,
-        hops=len(conduit_ids),
-        path=tuple(path),
-        conduit_ids=tuple(conduit_ids),
-    )
-
-
 def solve_latency_batch(
     scenario, requests: Sequence[LatencyRequest]
 ) -> List[LatencyOutcome]:
@@ -200,10 +165,6 @@ def solve_latency_batch(
             continue
         valid.append(i)
     substrate = scenario.substrate
-    if substrate is None:
-        for i in valid:
-            outcomes[i] = _nx_latency(scenario, requests[i])
-        return outcomes  # type: ignore[return-value]
     view = substrate.conduits.conduit_view()
     sources = [requests[i].city_a for i in valid]
     dist, pred, row_of = view.dijkstra(sources, "length_km")
@@ -265,12 +226,6 @@ def _handle_add(scenario, request: AddConduitRequest) -> AddConduitResponse:
             "invalid_field", "length_km must be positive", field="length_km"
         )
     substrate = scenario.substrate
-    if substrate is None:
-        raise QueryError(
-            "unsupported",
-            "the 'add' what-if requires the scipy routing substrate",
-            status=501,
-        )
     if request.length_km is not None:
         length_km = float(request.length_km)
     else:

@@ -26,6 +26,7 @@ uses, so an HTTP answer is byte-identical to ``repro ... --json``.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -70,6 +71,13 @@ class ServiceApp:
         self.tracer = tracer
         self.requests = 0
         self.errors = 0
+        # Handler threads share these counters (and every entry's
+        # ``queries``); ``+=`` is not atomic, so all bumps take the lock.
+        self._counter_lock = threading.Lock()
+
+    def _count_queries(self, entry, n: int = 1) -> None:
+        with self._counter_lock:
+            entry.queries += n
 
     # -- routes --------------------------------------------------------
     def healthz(self) -> _Result:
@@ -114,7 +122,7 @@ class ServiceApp:
         else:
             with entry.lock:
                 response = handle_query(entry.scenario, request)
-        entry.queries += 1
+        self._count_queries(entry)
         return 200, response.to_json()
 
     def batch(self, payload: Any) -> _Result:
@@ -155,7 +163,7 @@ class ServiceApp:
                         ).to_json()
                 except QueryError as error:
                     results[i] = error.to_json()
-                entry.queries += 1
+                self._count_queries(entry)
         for name, slots in sorted(latency.items()):
             entry = self.registry.get(name)
             requests = [parsed[i] for i in slots]
@@ -165,7 +173,7 @@ class ServiceApp:
             outcomes = solve_latency_batch(entry.scenario, requests)
             for slot, outcome in zip(slots, outcomes):
                 results[slot] = outcome.to_json()
-                entry.queries += 1
+            self._count_queries(entry, len(slots))
         return 200, {
             "v": SCHEMA_VERSION,
             "kind": "batch.result",
@@ -178,7 +186,8 @@ class ServiceApp:
     ) -> _Result:
         """Route one HTTP request; never raises."""
         started = time.perf_counter()
-        self.requests += 1
+        with self._counter_lock:
+            self.requests += 1
         try:
             status, payload = self._route(method, path, body)
         except QueryError as error:
@@ -189,7 +198,8 @@ class ServiceApp:
                 "internal", f"{type(error).__name__}: {error}", status=500
             ).to_json()
         if status >= 400:
-            self.errors += 1
+            with self._counter_lock:
+                self.errors += 1
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.record_span(
                 f"service.http.{method} {path}",

@@ -507,9 +507,7 @@ def run_campaign(
         # inherits the batched predecessor arrays instead of recomputing.
         core_factory = getattr(topology, "routing_core", None)
         if core_factory is not None:
-            core = core_factory()
-            if core is not None:
-                core.prepare(plan.dest_nodes)
+            core_factory().prepare(plan.dest_nodes)
         chunk = max(_MIN_CHUNK, -(-config.num_traces // (n_workers * 4)))
         bounds = [
             (start, min(start + chunk, config.num_traces))

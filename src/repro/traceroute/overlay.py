@@ -18,7 +18,7 @@ import networkx as nx
 from repro.data.cities import city_by_name
 from repro.fibermap.elements import FiberMap
 from repro.obs.tracer import get_tracer
-from repro.perf.routing import RoutingCore, build_routing_core
+from repro.perf.routing import RoutingCore
 from repro.traceroute.columns import ColumnSchema, TraceColumns
 from repro.traceroute.geolocate import GeolocationDatabase, resolve_hop_city
 from repro.traceroute.probe import TracerouteRecord
@@ -67,8 +67,8 @@ class TrafficOverlay:
         self._generic_graph = fiber_map.simple_conduit_graph()
         self._isp_graphs: Dict[str, nx.Graph] = {}
         #: One compiled array routing core per conduit graph ("*" =
-        #: generic); None entries mean scipy is unavailable.
-        self._cores: Dict[str, Optional[RoutingCore]] = {}
+        #: generic).
+        self._cores: Dict[str, RoutingCore] = {}
         self._path_cache: Dict[Tuple[str, str, str], Optional[Tuple[str, ...]]] = {}
         self._traces_processed = 0
         self._hops_unresolved = 0
@@ -111,27 +111,16 @@ class TrafficOverlay:
         else:
             core_key = isp or "*"
         result: Optional[Tuple[str, ...]] = None
-        if core_key not in self._cores:
-            self._cores[core_key] = build_routing_core(
+        core = self._cores.get(core_key)
+        if core is None:
+            core = self._cores[core_key] = RoutingCore(
                 graph, weight="length_km"
             )
-        core = self._cores[core_key]
-        if core is not None:
-            path = core.path(city_a, city_b)
-            if path is not None and len(path) > 1:
-                result = tuple(
-                    graph[u][v]["conduit_id"] for u, v in zip(path, path[1:])
-                )
-        else:  # scipy unavailable: NetworkX reference path
-            try:
-                path = nx.shortest_path(
-                    graph, city_a, city_b, weight="length_km"
-                )
-                result = tuple(
-                    graph[u][v]["conduit_id"] for u, v in zip(path, path[1:])
-                )
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                result = None
+        path = core.path(city_a, city_b)
+        if path is not None and len(path) > 1:
+            result = tuple(
+                graph[u][v]["conduit_id"] for u, v in zip(path, path[1:])
+            )
         self._path_cache[key] = result
         return result
 

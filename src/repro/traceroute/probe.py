@@ -13,10 +13,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
-from repro.perf.routing import RoutingCore, build_routing_core
+from repro.perf.routing import RoutingCore
 from repro.traceroute.columns import ColumnSchema, ColumnWriter
 from repro.traceroute.topology import InternetTopology
 
@@ -78,25 +77,15 @@ class ProbeEngine:
     """Simulates traceroutes over an :class:`InternetTopology`.
 
     Shortest paths come from the compiled array routing core
-    (:mod:`repro.perf.routing`) when scipy is available; the original
-    per-destination NetworkX Dijkstra stays as the reference
-    implementation (``use_array_core=False``) and either way the
-    per-destination computation is cached, so large campaigns re-use it
-    across thousands of traces.
+    (:mod:`repro.perf.routing`), whose per-destination predecessor rows
+    are cached, so large campaigns re-use each Dijkstra across
+    thousands of traces.  (The NetworkX route walk it replaced is the
+    test oracle in ``tests/oracles/probe.py``.)
     """
 
-    def __init__(
-        self,
-        topology: InternetTopology,
-        seed: int = 31,
-        use_array_core: Optional[bool] = None,
-    ):
+    def __init__(self, topology: InternetTopology, seed: int = 31):
         self._topology = topology
         self._rng = random.Random(seed)
-        # Per-destination shortest-path predecessor maps (reference
-        # implementation): campaigns probe few destinations from many
-        # sources, so one Dijkstra per destination amortizes.
-        self._pred_cache: Dict[Tuple[str, str], Dict] = {}
         # Flat both-direction latency table, built lazily on the first
         # hop rendering: campaign pool workers construct an engine per
         # process, and walking every graph edge up front is startup
@@ -111,26 +100,13 @@ class ProbeEngine:
             Union[_HopTemplate, bool],
         ] = {}
         self._schema: Optional[ColumnSchema] = None
-        core: Optional[RoutingCore] = None
-        if use_array_core is not False:
-            # InternetTopology shares one compiled core per topology;
-            # duck-typed stand-ins (e.g. DegradedTopology) get a fresh
-            # compile of their own graph.
-            factory = getattr(topology, "routing_core", None)
-            core = (
-                factory()
-                if factory is not None
-                else build_routing_core(topology.graph)
-            )
-            if core is None and use_array_core is True:
-                raise RuntimeError(
-                    "array routing core requested but scipy is unavailable"
-                )
-        self._core = core
-
-    @property
-    def uses_array_core(self) -> bool:
-        return self._core is not None
+        # InternetTopology shares one compiled core per topology;
+        # duck-typed stand-ins (e.g. DegradedTopology) get a fresh
+        # compile of their own graph.
+        factory = getattr(topology, "routing_core", None)
+        self._core: RoutingCore = (
+            factory() if factory is not None else RoutingCore(topology.graph)
+        )
 
     @property
     def _edge_ms(
@@ -148,45 +124,11 @@ class ProbeEngine:
 
     # ------------------------------------------------------------------
     def prepare_destinations(self, dst_nodes) -> int:
-        """Batch one Dijkstra over every new destination (array core)."""
-        if self._core is None:
-            return 0
+        """Batch one Dijkstra over every new destination."""
         return self._core.prepare(dst_nodes)
 
-    def _predecessors(self, dst_node: Tuple[str, str]) -> Dict:
-        pred = self._pred_cache.get(dst_node)
-        if pred is None:
-            pred, _dist = nx.dijkstra_predecessor_and_distance(
-                self._topology.graph, dst_node, weight="ms"
-            )
-            self._pred_cache[dst_node] = pred
-        return pred
-
-    def _route_reference(
-        self, src_node: Tuple[str, str], dst_node: Tuple[str, str]
-    ):
-        """The NetworkX reference path (cross-checked against the core)."""
-        graph = self._topology.graph
-        if src_node not in graph or dst_node not in graph:
-            return None
-        pred = self._predecessors(dst_node)
-        if src_node not in pred:
-            return None
-        # Walk from source toward the Dijkstra root (the destination).
-        path = [src_node]
-        node = src_node
-        while node != dst_node:
-            nexts = pred[node]
-            if not nexts:
-                break
-            node = nexts[0]
-            path.append(node)
-        return path if path[-1] == dst_node else None
-
     def _route(self, src_node: Tuple[str, str], dst_node: Tuple[str, str]):
-        if self._core is not None:
-            return self._core.path(src_node, dst_node)
-        return self._route_reference(src_node, dst_node)
+        return self._core.path(src_node, dst_node)
 
     def router_path(
         self, src_city: str, src_isp: str, dst_city: str, dst_isp: str

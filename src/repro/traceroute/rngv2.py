@@ -255,12 +255,12 @@ class _TemplateStore:
     ids and doubled cumulative latencies padded to
     :data:`HOP_NOISE_BUDGET` columns, its hop count (``-1`` marks an
     unreachable pair), and its four schema endpoint ids.  Rows are
-    built in vectorized batches against the routing core — or, without
-    scipy, one at a time from the engine's per-pair template cache; the
-    two builders are bit-identical because a row-wise ``cumsum`` over
-    the path's edge weights replays the scalar path's sequential
-    left-to-right latency accumulation exactly — and rows persist
-    across batches and shards within a worker.
+    built in vectorized batches against the routing core.  The scalar
+    builder (one engine template per pair) is kept as the test oracle;
+    the two are bit-identical because a row-wise ``cumsum`` over the
+    path's edge weights replays the scalar path's sequential
+    left-to-right latency accumulation exactly.  Rows persist across
+    batches and shards within a worker.
     """
 
     def __init__(self) -> None:
@@ -299,7 +299,8 @@ class _TemplateStore:
     def _build_rows_scalar(
         self, engine: ProbeEngine, tables: _PlanTables, codes: np.ndarray
     ) -> None:
-        """Reference builder (no scipy): one engine template per pair."""
+        """Test oracle for :meth:`_build_rows_vectorized`: one engine
+        template per pair (no campaign path calls it)."""
         rows = self._reserve(len(codes))
         for row, code in zip(rows.tolist(), codes.tolist()):
             cn, dn = divmod(code, tables.n_dest_nodes)
@@ -400,11 +401,7 @@ class _TemplateStore:
         self.endpoints[target, 3] = ct.isp_id[dst_r]
 
     def rows_for(
-        self,
-        engine: ProbeEngine,
-        tables: _PlanTables,
-        core_tables: "_CoreTables | None",
-        codes: np.ndarray,
+        self, tables: _PlanTables, core_tables: _CoreTables, codes: np.ndarray
     ) -> np.ndarray:
         uniq, inverse = np.unique(codes, return_inverse=True)
         known = np.array(
@@ -414,10 +411,7 @@ class _TemplateStore:
         missing = np.flatnonzero(known < 0)
         if missing.size:
             new = uniq[missing]
-            if core_tables is not None:
-                self._build_rows_vectorized(core_tables, tables, new)
-            else:
-                self._build_rows_scalar(engine, tables, new)
+            self._build_rows_vectorized(core_tables, tables, new)
             lookup = self._row_of
             for j in missing.tolist():
                 known[j] = lookup[int(uniq[j])]
@@ -426,24 +420,20 @@ class _TemplateStore:
 
 def _v2_state(
     engine: ProbeEngine, plan: "_CampaignPlan"
-) -> Tuple[_PlanTables, "_CoreTables | None", _TemplateStore]:
+) -> Tuple[_PlanTables, _CoreTables, _TemplateStore]:
     """Per-(engine, plan) vectorization state, cached on the engine so
     it persists across the batches and shards one worker processes."""
     state = getattr(engine, "_rngv2_state", None)
     if state is None or state[0] is not plan:
         tables = _PlanTables(plan)
-        core_tables = (
-            _CoreTables(engine, tables) if engine._core is not None else None
-        )
-        state = (plan, tables, core_tables, _TemplateStore())
+        state = (plan, tables, _CoreTables(engine, tables), _TemplateStore())
         engine._rngv2_state = state
     return state[1], state[2], state[3]
 
 
 def _batch_columns(
-    engine: ProbeEngine,
     tables: _PlanTables,
-    core_tables: "_CoreTables | None",
+    core_tables: _CoreTables,
     store: _TemplateStore,
     config: "CampaignConfig",
     schema: ColumnSchema,
@@ -477,7 +467,7 @@ def _batch_columns(
                 dn[m] = tables.dest_base[k] + _pick_indices(cum, u[m, 3])
         distinct = tables.client_gid[cn] != tables.dest_gid[dn]
         codes = cn[distinct] * tables.n_dest_nodes + dn[distinct]
-        cand_rows = store.rows_for(engine, tables, core_tables, codes)
+        cand_rows = store.rows_for(tables, core_tables, codes)
         reached = store.counts[cand_rows] >= 0
         hit = np.flatnonzero(distinct)[reached]
         rows[unresolved[hit]] = cand_rows[reached]
@@ -539,7 +529,7 @@ def generate_columns_v2(
     batch = max(1, config.batch_size)
     parts = [
         _batch_columns(
-            engine, tables, core_tables, store, config, schema,
+            tables, core_tables, store, config, schema,
             b0, min(b0 + batch, stop),
         )
         for b0 in range(start, stop, batch)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -25,7 +25,7 @@ from repro.data.cities import city_by_name
 from repro.fibermap.elements import FiberMap
 from repro.fibermap.synthesis import GroundTruth, _stable_unit
 from repro.geo.coords import fiber_delay_ms
-from repro.perf.routing import RoutingCore, build_routing_core
+from repro.perf.routing import RoutingCore
 from repro.traceroute.addressing import AddressPlan
 from repro.transport.network import canonical_edge
 
@@ -113,7 +113,6 @@ class InternetTopology:
         self._link_conduits: Dict[Tuple[str, str, str], Tuple[str, ...]] = {}
         self._phantom_names: Tuple[str, ...] = ()
         self._routing_core: Optional[RoutingCore] = None
-        self._routing_core_ready = False
         fiber_map = ground_truth.fiber_map
         for isp in fiber_map.isps():
             self._add_provider_from_links(isp, fiber_map)
@@ -243,16 +242,14 @@ class InternetTopology:
     def address_plan(self) -> AddressPlan:
         return self._plan
 
-    def routing_core(self) -> Optional[RoutingCore]:
+    def routing_core(self) -> RoutingCore:
         """One compiled array routing core shared by every probe engine.
 
         The graph never mutates after construction, so the compiled CSR
-        arrays stay valid for the topology's lifetime.  ``None`` when
-        scipy is unavailable.
+        arrays stay valid for the topology's lifetime.
         """
-        if not self._routing_core_ready:
-            self._routing_core = build_routing_core(self._graph)
-            self._routing_core_ready = True
+        if self._routing_core is None:
+            self._routing_core = RoutingCore(self._graph)
         return self._routing_core
 
     @property

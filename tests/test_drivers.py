@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.mitigation import augmentation
@@ -41,16 +42,9 @@ from repro.mitigation.drivers import (
     run_driver,
 )
 from repro.obs.tracer import Tracer, tracing
-from repro.perf.substrate import HAVE_SCIPY, build_substrate
-
-if HAVE_SCIPY:
-    import numpy as np
-
+from repro.perf.substrate import RoutingSubstrate
+from tests.oracles.mitigation import improvement_curve_reference
 from tests.test_substrate import _random_fiber_map
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_SCIPY, reason="the driver engines require scipy"
-)
 
 INF = float("inf")
 
@@ -115,7 +109,7 @@ class TestGainMaskRegression:
         from repro.mitigation.augmentation import _footprint_view
 
         fiber_map = _random_fiber_map(11, cities=10)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         for isp in fiber_map.isps():
             view = _footprint_view(substrate.conduits, isp)
             nodes = [n for n in view.nodes if view.present(n)]
@@ -140,12 +134,11 @@ class TestGainMaskRegression:
         """Reference vs substrate on maps whose provider footprints
         include disconnected components (demands with infinite cost)."""
         fiber_map = _random_fiber_map(seed, cities=10, extra_conduits=2)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, seed)
         for isp in fiber_map.isps():
-            reference = improvement_curve(
-                fiber_map, None, isp, max_k=3,
-                candidates=candidates, substrate=False,
+            reference = improvement_curve_reference(
+                fiber_map, None, isp, max_k=3, candidates=candidates
             )
             fast = improvement_curve(
                 fiber_map, None, isp, max_k=3,
@@ -158,7 +151,7 @@ class TestGreedyDriverParity:
     @pytest.mark.parametrize("seed", (7, 23, 101))
     def test_greedy_named_and_instance_agree(self, seed):
         fiber_map = _random_fiber_map(seed)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, seed + 1)
         for isp in fiber_map.isps():
             default = improvement_curve(
@@ -182,7 +175,7 @@ class TestGreedyDriverParity:
 
     def test_greedy_is_deterministic_across_runs(self):
         fiber_map = _random_fiber_map(7)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 8)
         first = improvement_curve(
             fiber_map, None, "AlphaNet", max_k=4,
@@ -198,7 +191,7 @@ class TestGreedyDriverParity:
 class TestPoolAccounting:
     def test_truncation_fields_and_counter(self, monkeypatch):
         fiber_map = _random_fiber_map(7)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 9, count=8)
         monkeypatch.setattr(augmentation, "MAX_CANDIDATES", 3)
         tracer = Tracer()
@@ -223,13 +216,12 @@ class TestPoolAccounting:
 
     def test_truncation_parity_reference_vs_substrate(self, monkeypatch):
         fiber_map = _random_fiber_map(23)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 10, count=8)
         monkeypatch.setattr(augmentation, "MAX_CANDIDATES", 3)
         for isp in fiber_map.isps():
-            reference = improvement_curve(
-                fiber_map, None, isp, max_k=2,
-                candidates=candidates, substrate=False,
+            reference = improvement_curve_reference(
+                fiber_map, None, isp, max_k=2, candidates=candidates
             )
             fast = improvement_curve(
                 fiber_map, None, isp, max_k=2,
@@ -241,7 +233,7 @@ class TestPoolAccounting:
 
     def test_untruncated_pool_reports_zero(self):
         fiber_map = _random_fiber_map(7)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 11, count=5)
         result = improvement_curve(
             fiber_map, None, "BetaCom", max_k=2,
@@ -253,7 +245,7 @@ class TestPoolAccounting:
 class TestImprovementCurvesDedupe:
     def test_duplicate_providers_collapse(self):
         fiber_map = _random_fiber_map(7)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 12)
         duplicated = improvement_curves(
             fiber_map, None, ["AlphaNet", "AlphaNet", "BetaCom"],
@@ -268,7 +260,7 @@ class TestImprovementCurvesDedupe:
 
     def test_duplicate_providers_collapse_threaded(self):
         fiber_map = _random_fiber_map(23)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 13)
         isps = ["AlphaNet", "BetaCom", "AlphaNet", "GammaLink", "BetaCom"]
         threaded = improvement_curves(
@@ -315,7 +307,7 @@ class TestStochasticDrivers:
     @pytest.mark.parametrize("name", ("anneal", "evolutionary", "random"))
     def test_fixed_seed_replays_exactly(self, name):
         fiber_map = _random_fiber_map(7)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 14)
         runs = [
             improvement_curve(
@@ -333,7 +325,7 @@ class TestStochasticDrivers:
         """The incumbent starts at the empty plan, so no stochastic
         driver can report a plan worse than doing nothing."""
         fiber_map = _random_fiber_map(23)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 15)
         for isp in fiber_map.isps():
             result = improvement_curve(
@@ -353,12 +345,11 @@ class TestStochasticDrivers:
         """A seeded driver replays the same proposals on both engines,
         and both engines measure identically — so full results match."""
         fiber_map = _random_fiber_map(101)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 16)
         for name in ("anneal", "random"):
-            reference = improvement_curve(
-                fiber_map, None, "AlphaNet", max_k=3,
-                candidates=candidates, substrate=False,
+            reference = improvement_curve_reference(
+                fiber_map, None, "AlphaNet", max_k=3, candidates=candidates,
                 driver=name, driver_seed=2, budget=8,
             )
             fast = improvement_curve(
@@ -424,7 +415,7 @@ class TestDriversOnSeedMap:
 class TestAugmentationEnv:
     def test_evaluate_prefix_reuse_and_replay_agree(self):
         fiber_map = _random_fiber_map(7)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 17)
 
         def fresh_env():
@@ -444,7 +435,7 @@ class TestAugmentationEnv:
 
     def test_evaluate_rejects_bad_plans(self):
         fiber_map = _random_fiber_map(7)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 18)
         env = AugmentationEnv(
             fiber_map, None, "AlphaNet", max_k=2,
@@ -459,7 +450,7 @@ class TestAugmentationEnv:
 
     def test_result_pads_with_last_exposure(self):
         fiber_map = _random_fiber_map(7)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 19)
         env = AugmentationEnv(
             fiber_map, None, "AlphaNet", max_k=4,

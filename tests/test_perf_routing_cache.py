@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 
 from repro.perf.cache import ArtifactCache, code_version, resolve_cache
-from repro.perf.routing import HAVE_SCIPY, build_routing_core
+from repro.perf.routing import RoutingCore
 from repro.scenario import Scenario
 from repro.traceroute.campaign import (
     CampaignConfig,
@@ -17,21 +17,17 @@ from repro.traceroute.campaign import (
     run_campaign,
 )
 from repro.traceroute.probe import ProbeEngine
-
-needs_scipy = pytest.mark.skipif(
-    not HAVE_SCIPY, reason="scipy unavailable: no array routing core"
-)
+from tests.oracles.probe import ReferenceProbeEngine
 
 
 def _edge_cost(graph, path, weight="ms"):
     return sum(graph[u][v][weight] for u, v in zip(path, path[1:]))
 
 
-@needs_scipy
 class TestRoutingCore:
     def test_distances_match_networkx(self, topology):
         graph = topology.graph
-        core = build_routing_core(graph)
+        core = RoutingCore(graph)
         nodes = sorted(graph.nodes)
         rng = random.Random(7)
         for _ in range(40):
@@ -50,7 +46,7 @@ class TestRoutingCore:
         # the path is real and its cost matches the optimum — not the
         # exact node sequence.
         graph = topology.graph
-        core = build_routing_core(graph)
+        core = RoutingCore(graph)
         nodes = sorted(graph.nodes)
         rng = random.Random(11)
         for _ in range(40):
@@ -67,14 +63,14 @@ class TestRoutingCore:
             )
 
     def test_trivial_and_unknown_queries(self, topology):
-        core = build_routing_core(topology.graph)
+        core = RoutingCore(topology.graph)
         node = sorted(topology.graph.nodes)[0]
         assert core.path(node, node) == [node]
         assert core.path(("NoSuch", "Nowhere"), node) is None
         assert core.distance(node, ("NoSuch", "Nowhere")) == float("inf")
 
     def test_prepare_batches_new_destinations(self, topology):
-        core = build_routing_core(topology.graph)
+        core = RoutingCore(topology.graph)
         nodes = sorted(topology.graph.nodes)[:5]
         assert core.prepare(nodes) == 5
         assert core.prepare(nodes) == 0  # already computed
@@ -83,7 +79,7 @@ class TestRoutingCore:
     def test_pickle_drops_prepared_rows(self, topology):
         import pickle
 
-        core = build_routing_core(topology.graph)
+        core = RoutingCore(topology.graph)
         core.prepare(sorted(topology.graph.nodes)[:3])
         clone = pickle.loads(pickle.dumps(core))
         assert clone.num_prepared == 0
@@ -91,9 +87,7 @@ class TestRoutingCore:
 
     def test_engine_matches_reference_path_costs(self, topology):
         fast = ProbeEngine(topology, seed=5)
-        reference = ProbeEngine(topology, seed=5, use_array_core=False)
-        assert fast.uses_array_core
-        assert not reference.uses_array_core
+        reference = ReferenceProbeEngine(topology, seed=5)
         graph = topology.graph
         nodes = sorted(graph.nodes)
         rng = random.Random(13)

@@ -151,12 +151,14 @@ class TestScalarReference:
         plan = _CampaignPlan(topology, config)
         rngv2.generate_columns_v2(engine, plan, config, 0, 600)
         tables, core_tables, store = rngv2._v2_state(engine, plan)
-        if core_tables is None:
-            pytest.skip("scipy routing core unavailable")
         codes = np.array(sorted(store._row_of), dtype=np.int64)
         reference = rngv2._TemplateStore()
-        rows = store.rows_for(engine, tables, core_tables, codes)
-        ref_rows = reference.rows_for(engine, tables, None, codes)
+        rows = store.rows_for(tables, core_tables, codes)
+        reference._build_rows_scalar(engine, tables, codes)
+        ref_rows = np.array(
+            [reference._row_of[code] for code in codes.tolist()],
+            dtype=np.int64,
+        )
         assert np.array_equal(store.counts[rows], reference.counts[ref_rows])
         assert np.array_equal(
             store.endpoints[rows], reference.endpoints[ref_rows]

@@ -1,7 +1,10 @@
 """Tests for the what-if service: schema, handlers, batching, server."""
 
 import json
+import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -23,8 +26,9 @@ from repro.service import (
     solve_latency_batch,
 )
 from repro.service.handlers import LatencyBatcher
-from repro.service.registry import READY, WARMING
+from repro.service.registry import READY, WARMING, ScenarioEntry
 from repro.service.render import render_response
+from tests.oracles.service import _nx_latency
 
 
 class TestSchemaRoundTrip:
@@ -203,6 +207,17 @@ class TestMicroBatching:
             else:
                 assert many == one
 
+    def test_batch_matches_networkx_reference(self, scenario):
+        rng = random.Random(5)
+        cities = sorted(scenario.constructed_map.nodes)
+        pairs = [p for p in self.PAIRS if "XX" not in p[1]] + [
+            tuple(rng.sample(cities, 2)) for _ in range(40)
+        ]
+        requests = [LatencyRequest(city_a=a, city_b=b) for a, b in pairs]
+        batched = solve_latency_batch(scenario, requests)
+        for request, answer in zip(requests, batched):
+            assert answer == _nx_latency(scenario, request), request
+
     def test_concurrent_submits_coalesce(self, scenario):
         requests = [
             LatencyRequest(city_a=a, city_b=b)
@@ -375,6 +390,73 @@ class TestRegistryAndApp:
         assert status == 400
         assert payload["error"]["code"] == "bad_request"
         assert app.errors == 3
+
+    def test_counters_exact_under_concurrent_handlers(
+        self, scenario, monkeypatch
+    ):
+        """``requests``/``errors``/``queries`` are bumped from every
+        handler thread; none of the increments may be lost.  The
+        counters yield the GIL between the read and the write of each
+        ``+=``, so an unlocked bump loses updates on every run."""
+        monkeypatch.setattr(
+            ScenarioEntry, "queries", _YieldingCounter("queries"),
+            raising=False,
+        )
+        registry = ScenarioRegistry()
+        registry.add("default", scenario=scenario)
+        app = _YieldingApp(registry)
+        threads, rounds = 8, 25
+        good = json.dumps({"v": 1, "kind": "risk", "top": 1}).encode()
+        barrier = threading.Barrier(threads)
+        statuses = []
+
+        def worker():
+            barrier.wait()
+            for _ in range(rounds):
+                statuses.append(app.handle("POST", "/v1/query", good)[0])
+                statuses.append(app.handle("POST", "/v1/query", b"{")[0])
+                statuses.append(app.handle("GET", "/v1/scenarios", None)[0])
+
+        pool = [threading.Thread(target=worker) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
+        calls = threads * rounds
+        assert sorted(set(statuses)) == [200, 400]
+        assert statuses.count(400) == calls
+        assert app.requests == 3 * calls
+        assert app.errors == calls
+        assert registry.get("default").queries == calls
+
+
+class _YieldingCounter:
+    """An int attribute whose read yields the GIL, widening the window
+    between the load and the store of ``obj.attr += 1``."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__.get(self.name, 0)
+        time.sleep(0)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
+class _YieldingApp(ServiceApp):
+    requests = _YieldingCounter("requests")
+    errors = _YieldingCounter("errors")
 
 
 @pytest.mark.parametrize("argv,request_payload", [

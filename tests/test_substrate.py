@@ -1,8 +1,8 @@
 """Parity suite: the CSR routing substrate vs the NetworkX reference.
 
-Every §5/resilience entry point accepts ``substrate=False`` to force the
-NetworkX reference implementation; these tests run both code paths over
-randomized fiber maps (parallel conduits, multi-hop links, disconnected
+The NetworkX reference implementations of the §5/resilience entry
+points live in ``tests/oracles``; these tests run both over randomized
+fiber maps (parallel conduits, multi-hop links, disconnected
 providers included) and require exact equality — distances, enumerated
 path lengths, cut impacts, greedy augmentation choices.  The substrate
 is only an optimization if this suite can never tell it apart from the
@@ -22,14 +22,21 @@ from repro.geo.polyline import Polyline
 from repro.mitigation.augmentation import improvement_curve
 from repro.mitigation.latency import latency_study
 from repro.mitigation.robustness import optimize_all_isps
-from repro.perf.substrate import HAVE_SCIPY, build_substrate
+from repro.perf.substrate import RoutingSubstrate
 from repro.resilience.cuts import edge_cut
 from repro.resilience.impact import assess_cut
 from repro.resilience.montecarlo import random_cut_study, targeted_attack
 from repro.risk.matrix import RiskMatrix
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_SCIPY, reason="the routing substrate requires scipy"
+from tests.oracles.mitigation import (
+    _risk_graph,
+    improvement_curve_reference,
+    latency_study_reference,
+    optimize_all_isps_reference,
+)
+from tests.oracles.resilience import (
+    assess_cut_reference,
+    random_cut_study_reference,
+    targeted_attack_reference,
 )
 
 SEEDS = (7, 23, 101)
@@ -92,7 +99,7 @@ class TestGraphViewParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_all_pairs_distances_match_networkx(self, seed):
         fiber_map = _random_fiber_map(seed)
-        view = build_substrate(fiber_map).conduits.conduit_view()
+        view = RoutingSubstrate(fiber_map).conduits.conduit_view()
         graph = fiber_map.simple_conduit_graph()
         dist, _pred, row_of = view.dijkstra(view.nodes, "length_km")
         for a in view.nodes:
@@ -108,10 +115,8 @@ class TestGraphViewParity:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_exclusion_matches_rebuilt_risk_graph(self, seed):
-        from repro.mitigation.robustness import _risk_graph
-
         fiber_map = _random_fiber_map(seed)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         for cid in sorted(fiber_map.conduits)[::3]:
             view = substrate.conduits.conduit_view_excluding(cid)
             graph = _risk_graph(fiber_map, exclude=cid)
@@ -134,7 +139,7 @@ class TestGraphViewParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_k_shortest_path_lengths_match_networkx(self, seed):
         fiber_map = _random_fiber_map(seed)
-        view = build_substrate(fiber_map).conduits.conduit_view()
+        view = RoutingSubstrate(fiber_map).conduits.conduit_view()
         graph = fiber_map.simple_conduit_graph()
         rng = random.Random(seed + 1)
         nodes = sorted(graph.nodes)
@@ -178,8 +183,8 @@ class TestAnalysisParity:
 
         fiber_map = _random_fiber_map(seed)
         matrix = RiskMatrix(fiber_map, isps=fiber_map.isps())
-        substrate = build_substrate(fiber_map)
-        reference = optimize_all_isps(fiber_map, matrix, top=8, substrate=False)
+        substrate = RoutingSubstrate(fiber_map)
+        reference = optimize_all_isps_reference(fiber_map, matrix, top=8)
         fast = optimize_all_isps(fiber_map, matrix, top=8, substrate=substrate)
         assert sorted(fast) == sorted(reference)
         for isp in reference:
@@ -199,12 +204,12 @@ class TestAnalysisParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_assess_cut_identical(self, seed):
         fiber_map = _random_fiber_map(seed)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         edges = sorted({c.edge for c in fiber_map.conduits.values()})
         rng = random.Random(seed + 2)
         for edge in rng.sample(edges, min(6, len(edges))):
             event = edge_cut(fiber_map, *edge)
-            reference = assess_cut(fiber_map, event, substrate=False)
+            reference = assess_cut_reference(fiber_map, event)
             fast = assess_cut(fiber_map, event, substrate=substrate)
             assert fast == reference
 
@@ -212,12 +217,12 @@ class TestAnalysisParity:
     def test_attack_sequences_identical(self, seed):
         fiber_map = _random_fiber_map(seed)
         matrix = RiskMatrix(fiber_map, isps=fiber_map.isps())
-        substrate = build_substrate(fiber_map)
-        reference = targeted_attack(fiber_map, matrix, cuts=5, substrate=False)
+        substrate = RoutingSubstrate(fiber_map)
+        reference = targeted_attack_reference(fiber_map, matrix, cuts=5)
         fast = targeted_attack(fiber_map, matrix, cuts=5, substrate=substrate)
         assert fast == reference
-        reference_runs = random_cut_study(
-            fiber_map, cuts=4, trials=4, seed=seed, substrate=False
+        reference_runs = random_cut_study_reference(
+            fiber_map, cuts=4, trials=4, seed=seed
         )
         fast_runs = random_cut_study(
             fiber_map, cuts=4, trials=4, seed=seed, substrate=substrate
@@ -227,7 +232,7 @@ class TestAnalysisParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_improvement_curves_identical(self, seed):
         fiber_map = _random_fiber_map(seed)
-        substrate = build_substrate(fiber_map)
+        substrate = RoutingSubstrate(fiber_map)
         rng = random.Random(seed + 3)
         used = {c.edge for c in fiber_map.conduits.values()}
         nodes = sorted(fiber_map.nodes)
@@ -238,9 +243,8 @@ class TestAnalysisParity:
                 candidates.append(((a, b), 100.0 + 50.0 * rng.random()))
                 used.add((a, b))
         for isp in fiber_map.isps():
-            reference = improvement_curve(
-                fiber_map, None, isp, max_k=4,
-                candidates=candidates, substrate=False,
+            reference = improvement_curve_reference(
+                fiber_map, None, isp, max_k=4, candidates=candidates
             )
             fast = improvement_curve(
                 fiber_map, None, isp, max_k=4,
@@ -253,9 +257,7 @@ class TestScenarioParity:
     """Parity on the realistic session map (latency needs a network)."""
 
     def test_latency_study_identical(self, scenario, built_map, network):
-        reference = latency_study(
-            built_map, network, max_pairs=40, substrate=False
-        )
+        reference = latency_study_reference(built_map, network, max_pairs=40)
         fast = latency_study(
             built_map, network, max_pairs=40, substrate=scenario.substrate
         )

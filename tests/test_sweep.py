@@ -16,7 +16,6 @@ from repro.engine.stage import StageDef
 from repro.obs.manifest import RunManifest
 from repro.obs.tracer import Tracer, tracing
 from repro.perf.cache import HAVE_FCNTL, ArtifactCache
-from repro.perf.substrate import HAVE_SCIPY
 from repro.sweep.grid import (
     AXIS_ORDER,
     DEFAULT_CELL_TRACES,
@@ -345,7 +344,6 @@ class TestEngineCoalescedPath:
         assert span.attrs["coalesced"] is True
 
 
-@pytest.mark.skipif(not HAVE_SCIPY, reason="sweep cells need scipy")
 class TestRunSweepEndToEnd:
     @pytest.fixture(scope="class")
     def sweep(self, tmp_path_factory):
