@@ -1,11 +1,12 @@
-"""Performance subsystem: array routing core + persistent artifact cache.
+"""Performance subsystem: the compiled graph core + persistent artifact cache.
 
-Two pieces back the production-scale goals:
-
-* :mod:`repro.perf.routing` compiles a router-level graph once into
-  int-indexed CSR arrays and answers every shortest-path query with
-  scipy's C Dijkstra, batched across destinations (scipy is a hard
-  dependency: there is no NetworkX fallback);
+* :mod:`repro.perf.substrate` holds :class:`GraphView`, the package's
+  one compiled graph (int-indexed edge arrays, batched scipy Dijkstra,
+  predecessor walks), and the §5 conduit substrate built on it (scipy
+  is a hard dependency: there is no NetworkX fallback);
+* :mod:`repro.perf.routing` is :class:`RoutingCore`, a GraphView of a
+  router-level or conduit graph plus a per-destination row cache, so
+  each campaign destination costs one batched solve;
 * :mod:`repro.perf.cache` memoizes expensive scenario stages on disk,
   keyed by seed, configuration, and a hash of the package's own source,
   so repeated experiment and benchmark runs skip the full rebuild.

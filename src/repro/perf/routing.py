@@ -1,153 +1,119 @@
-"""Array-based shortest-path core for router-level topologies.
+"""The destination-row cache over the compiled graph core.
 
-The §4.3 campaign spends essentially all of its time answering
-shortest-path queries.  The original engine runs one pure-Python
-NetworkX Dijkstra per destination over a dict-of-dicts graph; this
-module compiles the graph **once** into int-indexed CSR arrays and
-answers the same queries with :func:`scipy.sparse.csgraph.dijkstra` —
-batched over every destination a campaign touches — after which each
-path is just a predecessor-array walk.
+The §4.3 campaign and overlay answer shortest-path queries toward a few
+hundred destinations, thousands of times each.  :class:`RoutingCore`
+compiles a NetworkX graph into the package's one compiled graph,
+:class:`~repro.perf.substrate.GraphView`, and adds only a cache of
+per-destination Dijkstra rows: every solve is a
+:meth:`GraphView.dijkstra` call (batched across destinations by
+:meth:`RoutingCore.prepare`), and every path is a
+:meth:`GraphView.walk` over a cached predecessor row.
 
-scipy is a hard dependency; the NetworkX route walk survives only as
-the test oracle (``tests/oracles/probe.py``), which the test suite
-cross-checks against this core on random (src, dst) pairs.
+The NetworkX route walk survives only as the test oracle
+(``tests/oracles/probe.py``), which the test suite cross-checks against
+this core on random (src, dst) pairs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-#: scipy's sentinel for "no predecessor" in predecessor matrices.
-_NO_PREDECESSOR = -9999
+from repro.perf.substrate import GraphView
 
 
-class RoutingCore:
-    """Shortest paths over a compiled, int-indexed copy of a graph.
-
-    Nodes are sorted once into a dense index; edges become a symmetric
-    CSR matrix of edge weights.  Per-destination predecessor rows are
-    computed on demand (or batched via :meth:`prepare`) and cached, so
-    a campaign pays one C Dijkstra per distinct destination and an
-    array walk per trace.
-    """
+class RoutingCore(GraphView):
+    """A :class:`GraphView` of a NetworkX graph plus a per-destination
+    cache of ``(dist, pred)`` rows, so a campaign pays one Dijkstra per
+    distinct destination and an array walk per trace."""
 
     def __init__(self, graph, weight: str = "ms"):
         nodes = sorted(graph.nodes)
         index = {node: i for i, node in enumerate(nodes)}
-        rows: List[int] = []
-        cols: List[int] = []
+        eu: List[int] = []
+        ev: List[int] = []
         data: List[float] = []
         for u, v, w in graph.edges(data=weight, default=0.0):
             ui, vi = index[u], index[v]
-            rows.append(ui)
-            cols.append(vi)
+            eu.append(min(ui, vi))
+            ev.append(max(ui, vi))
             data.append(float(w))
-            rows.append(vi)
-            cols.append(ui)
-            data.append(float(w))
-        self._nodes = nodes
-        self._index = index
-        self._matrix = csr_matrix(
-            (data, (rows, cols)), shape=(len(nodes), len(nodes))
-        )
-        self._pred: Dict[int, "np.ndarray"] = {}
-        self._dist: Dict[int, "np.ndarray"] = {}
-
-    # ------------------------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        return len(self._nodes)
+        super().__init__(nodes, index, eu, ev, {weight: data})
+        self.weight = weight
+        self._rows: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {}
 
     @property
     def num_prepared(self) -> int:
-        """Destinations whose predecessor rows are already computed."""
-        return len(self._pred)
+        """Destinations whose rows are already computed."""
+        return len(self._rows)
 
     def __getstate__(self):
-        # Predecessor/distance rows are cheap to recompute and can be
-        # tens of MB; drop them so pickled topologies stay small.
+        # Rows and solver matrices are cheap to recompute and the rows
+        # can be tens of MB; drop both so pickled topologies stay small.
         state = self.__dict__.copy()
-        state["_pred"] = {}
-        state["_dist"] = {}
+        state["_rows"] = {}
+        state["_structs"] = {}
         return state
 
     # ------------------------------------------------------------------
     def prepare(self, destinations: Iterable[Hashable]) -> int:
-        """Batch-compute predecessor rows for every new destination.
+        """Batch-compute the rows of every new destination in one solve.
 
         Returns the number of destinations actually computed.  Unknown
         nodes are ignored (queries against them return ``None``).
         """
-        wanted = sorted(
-            {
-                i
-                for i in (self._index.get(node) for node in destinations)
-                if i is not None and i not in self._pred
-            }
+        index = self.index
+        wanted = list(
+            dict.fromkeys(
+                node
+                for node in destinations
+                if node in index and index[node] not in self._rows
+            )
         )
         if not wanted:
             return 0
-        dist, pred = _csgraph_dijkstra(
-            self._matrix,
-            directed=False,
-            indices=wanted,
-            return_predecessors=True,
-        )
-        for row, i in enumerate(wanted):
-            self._pred[i] = pred[row]
-            self._dist[i] = dist[row]
-        return len(wanted)
+        dist, pred, row_of = self.dijkstra(wanted, self.weight)
+        for node, row in row_of.items():
+            self._rows[index[node]] = (dist[row], pred[row])
+        return len(row_of)
 
-    def _rows_for(self, dst_index: int) -> "np.ndarray":
-        pred = self._pred.get(dst_index)
-        if pred is None:
-            dist, pred = _csgraph_dijkstra(
-                self._matrix,
-                directed=False,
-                indices=dst_index,
-                return_predecessors=True,
-            )
-            self._pred[dst_index] = pred
-            self._dist[dst_index] = dist
-        return self._pred[dst_index]
+    def _row(self, dst_index: int) -> Tuple["np.ndarray", "np.ndarray"]:
+        rows = self._rows.get(dst_index)
+        if rows is None:
+            self.prepare([self.nodes[dst_index]])
+            rows = self._rows[dst_index]
+        return rows
+
+    def predecessors(self, dst: Hashable) -> Optional["np.ndarray"]:
+        """The predecessor row of the Dijkstra tree rooted at *dst*
+        (``None`` for an unknown node)."""
+        d = self.index.get(dst)
+        return None if d is None else self._row(d)[1]
 
     # ------------------------------------------------------------------
     def path(self, src: Hashable, dst: Hashable) -> Optional[List[Hashable]]:
         """Shortest path from *src* to *dst*, or ``None`` if unreachable.
 
-        Mirrors the NetworkX predecessor walk in the probe engine: the
-        Dijkstra tree is rooted at the destination, so the walk follows
-        predecessor pointers from the source until it reaches the root.
+        The Dijkstra tree is rooted at the destination, so the walk
+        follows predecessor pointers from the source to the root.
         """
-        s = self._index.get(src)
-        d = self._index.get(dst)
+        s = self.index.get(src)
+        d = self.index.get(dst)
         if s is None or d is None:
             return None
         if s == d:
             return [src]
-        pred = self._rows_for(d)
-        if pred[s] == _NO_PREDECESSOR:
+        walked = self.walk(self._row(d)[1], d, s)
+        if walked is None:
             return None
-        nodes = self._nodes
-        out = [nodes[s]]
-        node = s
-        for _ in range(len(nodes)):
-            node = int(pred[node])
-            out.append(nodes[node])
-            if node == d:
-                return out
-        return None  # pragma: no cover - cycle guard, unreachable
+        nodes = self.nodes
+        return [nodes[i] for i in reversed(walked)]
 
     def distance(self, src: Hashable, dst: Hashable) -> float:
         """Shortest-path cost, ``inf`` when unreachable or unknown."""
-        s = self._index.get(src)
-        d = self._index.get(dst)
+        s = self.index.get(src)
+        d = self.index.get(dst)
         if s is None or d is None:
             return float("inf")
-        self._rows_for(d)
-        return float(self._dist[d][s])
-
+        return float(self._row(d)[0][s])

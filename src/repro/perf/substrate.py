@@ -1,17 +1,20 @@
-"""The shared conduit-graph routing substrate for the §5 / resilience studies.
+"""The compiled graph core, and the conduit-graph substrate built on it.
 
-PR 1's :mod:`repro.perf.routing` arrayified the router-level topology for
-the §4.3 campaign.  This module does the same for the *conduit* layer:
-every §5 mitigation analysis (robustness suggestions, ROW augmentation,
+:class:`GraphView` is the package's one compiled graph: int-indexed
+parallel edge arrays with named weights, solved by batched scipy
+Dijkstra and walked as predecessor arrays.  Everything that routes
+compiles into it — the §4.3 router-level topology and overlay conduit
+graphs through :class:`~repro.perf.routing.RoutingCore` (a GraphView
+plus a per-destination row cache), and the §5 / resilience studies
+through the substrate below.
+
+Every §5 mitigation analysis (robustness suggestions, ROW augmentation,
 propagation delay) and the resilience cut studies answer shortest-path
 and connectivity questions over graphs derived from one
-:class:`~repro.fibermap.elements.FiberMap` — and the original code
-rebuilt a ``dict``-of-``dict`` NetworkX graph from scratch inside every
-per-ISP / per-conduit / per-candidate loop.
-
-The substrate compiles the fiber map **once** into int-indexed parallel
-arrays (conduit endpoints, tenant counts, lengths, per-ISP tenancy
-masks) and derives cheap *views* from them:
+:class:`~repro.fibermap.elements.FiberMap`.  The substrate compiles the
+fiber map **once** into int-indexed parallel arrays (conduit endpoints,
+tenant counts, lengths, per-ISP tenancy masks) and derives cheap
+*views* from them:
 
 * a collapsed simple-graph view (parallel conduits reduced to one
   representative per city pair) with **named weight arrays** — risk
@@ -27,10 +30,10 @@ masks) and derives cheap *views* from them:
   targeted-attack step costs one reverse union sweep instead of a full
   per-step graph rebuild.
 
-As with the routing core, scipy is a hard dependency and the substrate
-is the only implementation in the package.  The NetworkX references
-live in ``tests/oracles/``, where the parity suite cross-checks them
-against the substrate on randomized fiber maps.
+scipy is a hard dependency and this module is the only place the
+package builds a CSR matrix or calls scipy's Dijkstra.  The NetworkX
+references live in ``tests/oracles/``, where the parity suites
+cross-check them against the compiled core on randomized graphs.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import weakref
 from typing import (
     Dict,
     FrozenSet,
+    Hashable,
     Iterable,
     Iterator,
     List,
@@ -98,18 +102,19 @@ class UnionFind:
 class GraphView:
     """A compiled simple undirected graph over a shared node index.
 
-    Nodes are the substrate's global city index (so views never re-hash
-    node keys); edges are parallel arrays ``eu``/``ev`` (int node
-    indices) with named float weight arrays and optional integer payload
-    arrays (e.g. the representative conduit row per edge).  "Node in
-    graph" semantics follow NetworkX: a node is *present* when at least
-    one edge touches it (:meth:`present`).
+    Nodes are sorted keys with a dense ``index`` (a substrate's views
+    share its global city index, so they never re-hash node keys);
+    edges are parallel arrays ``eu``/``ev`` of int node indices with
+    ``eu <= ev``, named float weight arrays, and optional integer
+    payload arrays (e.g. the representative conduit row per edge).
+    "Node in graph" semantics follow NetworkX: a node is *present* when
+    at least one edge touches it (:meth:`present`).
     """
 
     def __init__(
         self,
-        nodes: List[str],
-        index: Dict[str, int],
+        nodes: List[Hashable],
+        index: Dict[Hashable, int],
         eu,
         ev,
         weights: Dict[str, "np.ndarray"],
@@ -124,8 +129,8 @@ class GraphView:
             k: np.asarray(v) for k, v in (payload or {}).items()
         }
         self._edge_of: Dict[Tuple[int, int], int] = {
-            (int(u), int(v)): i
-            for i, (u, v) in enumerate(zip(self.eu, self.ev))
+            pair: i
+            for i, pair in enumerate(zip(self.eu.tolist(), self.ev.tolist()))
         }
         self._incident: Optional["np.ndarray"] = None
         self._structs: Dict[str, tuple] = {}
@@ -298,6 +303,16 @@ class GraphView:
                 out.reverse()
                 return out
         return None  # pragma: no cover - cycle guard, unreachable
+
+    def edge_weights(self, path: Sequence[Hashable], weight: str) -> List[float]:
+        """The *weight* of every edge along a node-key path, in order."""
+        ids = [self.index[key] for key in path]
+        weights = self.weights[weight]
+        edge_of = self._edge_of
+        return [
+            float(weights[edge_of[(u, v) if u < v else (v, u)]])
+            for u, v in zip(ids, ids[1:])
+        ]
 
     def path_length(self, path: Sequence[int], weight: str) -> float:
         """Sum of edge weights in path order (left-associated, matching

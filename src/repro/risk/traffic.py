@@ -8,19 +8,15 @@ heavily shared and heavily probed are the true high-risk components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from repro.fibermap.elements import FiberMap
 from repro.risk.matrix import RiskMatrix
 from repro.risk.metrics import sharing_cdf
-from repro.traceroute.columns import TraceColumns
-from repro.traceroute.geolocate import GeolocationDatabase
 from repro.traceroute.overlay import (
     EAST_TO_WEST,
     WEST_TO_EAST,
     TrafficOverlay,
 )
-from repro.traceroute.topology import InternetTopology
 
 
 @dataclass(frozen=True)
@@ -63,26 +59,3 @@ def traffic_risk_report(
         conduits_with_new_isps=conduits_with_new,
         max_additional_isps=max(extra_counts, default=0),
     )
-
-
-def traffic_risk_report_from_columns(
-    matrix: RiskMatrix,
-    columns: TraceColumns,
-    fiber_map: FiberMap,
-    topology: InternetTopology,
-    database: GeolocationDatabase,
-    top: int = 20,
-    batch_size: int = 8192,
-) -> TrafficRiskReport:
-    """The §4.3 report straight from a columnar campaign.
-
-    Builds a fresh overlay and streams the campaign through
-    :meth:`TrafficOverlay.add_columns` in bounded-memory batches — the
-    Tables 2–4 / Figure 9 path for paper-scale campaigns, where a
-    materialized record list would dwarf the columns themselves.  The
-    resulting report equals :func:`traffic_risk_report` over an overlay
-    fed record by record.
-    """
-    overlay = TrafficOverlay(fiber_map, topology, database)
-    overlay.add_columns(columns, batch_size=batch_size)
-    return traffic_risk_report(matrix, overlay, top=top)

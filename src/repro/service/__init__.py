@@ -27,7 +27,9 @@ The layers, bottom-up:
 * :mod:`repro.service.server` — the stdlib ``ThreadingHTTPServer``
   frontend (``python -m repro serve``) with ``/healthz``, a manifest
   endpoint, and ``/v1/query`` / ``/v1/batch``.
-* :mod:`repro.service.smoke` — the self-contained CI smoke run.
+
+The self-contained CI smoke run lives outside the package, in
+``tools/smoke/service_smoke.py``.
 """
 
 from repro.service.handlers import QUERY_KINDS, handle_query, solve_latency_batch

@@ -6,8 +6,9 @@
   artifact-cache dedup, per-cell manifests, a per-sweep manifest.
 * :mod:`repro.sweep.summary` — streaming columnar accumulator +
   cross-scenario aggregates (sharing, SRR, gain per driver).
-* :mod:`repro.sweep.smoke` — the CI smoke tier
-  (``python -m repro.sweep.smoke``).
+
+The CI smoke tier lives outside the package, in
+``tools/smoke/sweep_smoke.py``.
 """
 
 from repro.sweep.grid import SweepCell, expand_grid, parse_grid

@@ -59,7 +59,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from itertools import accumulate
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 try:  # the POSIX C helper behind SharedMemory; lets the janitor unlink
     import _posixshmem  # segments too malformed to attach to
@@ -70,14 +70,13 @@ from repro.data.cities import city_by_name
 from repro.obs.faults import FaultInjector, get_fault_injector, set_fault_injector
 from repro.obs.tracer import get_tracer
 from repro.traceroute.columns import ColumnSchema, TraceColumns, unpack_shard
-from repro.traceroute.probe import ProbeEngine, TracerouteRecord
+from repro.traceroute.probe import ProbeEngine
 from repro.traceroute.rngv2 import (  # noqa: F401 (re-exports)
     DEFAULT_BATCH_SIZE,
     MAX_ATTEMPTS_PER_TRACE,
     SUPPORTED_RNG_CONTRACTS,
     default_rng_contract,
     generate_columns_v2,
-    trace_record_v2,
 )
 from repro.traceroute.topology import InternetTopology
 
@@ -220,22 +219,13 @@ def _pick(rng: random.Random, values: List[str], cum: List[float]) -> str:
     return values[bisect(cum, rng.random() * cum[-1], 0, len(values) - 1)]
 
 
-def _trace_for_index(
-    engine: ProbeEngine,
-    plan: _CampaignPlan,
-    config: CampaignConfig,
-    index: int,
-) -> TracerouteRecord:
-    """The record for one trace index, independent of all other traces.
-
-    Dispatches on ``config.rng_contract``; under v1 this is the
-    reference object path whose RNG stream :func:`_columns_for_index`
-    consumes draw for draw, under v2 it delegates to the scalar
-    reference implementation of the vectorized batch path.
-    """
-    if config.rng_contract == 2:
-        return trace_record_v2(engine, plan, config, index)
-    rng = random.Random(_trace_seed(config.seed, index))
+def _v1_endpoints(
+    plan: _CampaignPlan, rng: random.Random
+) -> Iterator[Tuple[str, str, str, str]]:
+    """Contract-v1 endpoint draws ``(src_city, src_isp, dst_city,
+    dst_isp)`` from one trace's stream, skipping degenerate pairs, for
+    at most :data:`MAX_ATTEMPTS_PER_TRACE` draws.  The caller's noise
+    draws for a candidate happen before the next candidate is drawn."""
     for _ in range(MAX_ATTEMPTS_PER_TRACE):
         src_isp = _pick(rng, plan.client_names, plan.client_cum)
         dst_isp = _pick(rng, plan.dest_names, plan.dest_cum)
@@ -243,12 +233,12 @@ def _trace_for_index(
         src_city = _pick(rng, cities, cum)
         cities, cum = plan.dest_cities[dst_isp]
         dst_city = _pick(rng, cities, cum)
-        if src_city == dst_city and src_isp == dst_isp:
-            continue
-        record = engine.trace(src_city, src_isp, dst_city, dst_isp, rng=rng)
-        if record.reached:
-            return record
-    raise RuntimeError(
+        if src_city != dst_city or src_isp != dst_isp:
+            yield src_city, src_isp, dst_city, dst_isp
+
+
+def _unreachable(index: int) -> RuntimeError:
+    return RuntimeError(
         f"trace {index}: no reachable (src, dst) pair after "
         f"{MAX_ATTEMPTS_PER_TRACE} draws; topology too disconnected"
     )
@@ -261,30 +251,17 @@ def _columns_for_index(
     writer,
     index: int,
 ) -> None:
-    """Columnar :func:`_trace_for_index`: append the trace to *writer*.
+    """Append trace *index* to *writer* under contract v1.
 
-    Draw-for-draw the same RNG stream — endpoint picks, degenerate
-    redraws, per-hop noise — so the columns it produces reconstruct the
-    exact records of the object path.
+    Draw-for-draw the same RNG stream as the object reference in
+    ``tests/oracles/campaign.py`` — endpoint picks, degenerate redraws,
+    per-hop noise — so the columns reconstruct its exact records.
     """
     rng = random.Random(_trace_seed(config.seed, index))
-    for _ in range(MAX_ATTEMPTS_PER_TRACE):
-        src_isp = _pick(rng, plan.client_names, plan.client_cum)
-        dst_isp = _pick(rng, plan.dest_names, plan.dest_cum)
-        cities, cum = plan.client_cities[src_isp]
-        src_city = _pick(rng, cities, cum)
-        cities, cum = plan.dest_cities[dst_isp]
-        dst_city = _pick(rng, cities, cum)
-        if src_city == dst_city and src_isp == dst_isp:
-            continue
-        if engine.trace_into(
-            writer, src_city, src_isp, dst_city, dst_isp, rng
-        ):
+    for endpoints in _v1_endpoints(plan, rng):
+        if engine.trace_into(writer, *endpoints, rng):
             return
-    raise RuntimeError(
-        f"trace {index}: no reachable (src, dst) pair after "
-        f"{MAX_ATTEMPTS_PER_TRACE} draws; topology too disconnected"
-    )
+    raise _unreachable(index)
 
 
 def _shard_columns(
@@ -466,11 +443,11 @@ def run_campaign(
 
     Returns :class:`~repro.traceroute.columns.TraceColumns` — the
     columnar campaign store, which still reads as a sequence of
-    :class:`TracerouteRecord` for legacy consumers.  Degenerate picks
-    (identical endpoints, client provider absent from a city, etc.) are
-    redrawn within the trace's own RNG stream, so the result always has
-    exactly ``num_traces`` reached records unless the topology is
-    pathologically disconnected.
+    :class:`~repro.traceroute.probe.TracerouteRecord` for legacy
+    consumers.  Degenerate picks (identical endpoints, client provider
+    absent from a city, etc.) are redrawn within the trace's own RNG
+    stream, so the result always has exactly ``num_traces`` reached
+    records unless the topology is pathologically disconnected.
 
     *workers* overrides ``config.workers`` (0 auto-detects cores).  The
     column stream is byte-identical for every worker count; *engine* is

@@ -11,7 +11,7 @@ and unknown providers affect it the same way they affected the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -21,12 +21,14 @@ from repro.obs.tracer import get_tracer
 from repro.perf.routing import RoutingCore
 from repro.traceroute.columns import ColumnSchema, TraceColumns
 from repro.traceroute.geolocate import GeolocationDatabase, resolve_hop_city
-from repro.traceroute.probe import TracerouteRecord
 from repro.traceroute.topology import InternetTopology, _slug
 
 #: Direction labels for the Table 2 / Table 3 split.
 WEST_TO_EAST = "west_to_east"
 EAST_TO_WEST = "east_to_west"
+
+#: Traces per :meth:`TrafficOverlay.add_traces` streaming window.
+INGEST_BATCH_SIZE = 8192
 
 
 @dataclass
@@ -124,65 +126,9 @@ class TrafficOverlay:
         self._path_cache[key] = result
         return result
 
-    @staticmethod
-    def _direction(src_city: str, dst_city: str) -> str:
-        src_lon = city_by_name(src_city).lon
-        dst_lon = city_by_name(dst_city).lon
-        return WEST_TO_EAST if src_lon <= dst_lon else EAST_TO_WEST
-
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def add_trace(self, record: TracerouteRecord) -> None:
-        """Overlay one traceroute onto the conduit map."""
-        if not record.reached or len(record.hops) < 2:
-            return
-        self._traces_processed += 1
-        direction = self._direction(record.src_city, record.dst_city)
-        previous_city: Optional[str] = None
-        previous_isp: Optional[str] = None
-        for hop in record.hops:
-            isp = self._isp_from_name(hop.dns_name)
-            city = resolve_hop_city(hop.dns_name, hop.ip, self._database)
-            if city is None:
-                self._hops_unresolved += 1
-                previous_city, previous_isp = None, isp
-                continue
-            if (
-                previous_city is not None
-                and previous_isp is not None
-                and isp == previous_isp
-                and city != previous_city
-            ):
-                conduits = self._conduit_path(isp, previous_city, city)
-                if conduits:
-                    for conduit_id in conduits:
-                        self._count(conduit_id, direction, isp)
-            previous_city, previous_isp = city, isp
-
-    def add_traces(self, records: Iterable[TracerouteRecord]) -> None:
-        """Overlay a batch of traceroutes (one ``overlay.add_traces`` span).
-
-        A columnar campaign (:class:`TraceColumns`) streams through
-        :meth:`add_columns` instead of reconstructing record objects;
-        both ingest paths update exactly the same counters.
-        """
-        if isinstance(records, TraceColumns):
-            self.add_columns(records)
-            return
-        tracer = get_tracer()
-        before_processed = self._traces_processed
-        before_unresolved = self._hops_unresolved
-        with tracer.span("overlay.add_traces"):
-            for record in records:
-                self.add_trace(record)
-            tracer.annotate(
-                traces_added=self._traces_processed - before_processed,
-                hops_unresolved=self._hops_unresolved - before_unresolved,
-                path_cache_entries=len(self._path_cache),
-                conduits_with_traffic=len(self._traffic),
-            )
-
     def _tables_for(
         self, schema: ColumnSchema
     ) -> Tuple[List[Optional[str]], List[Optional[str]], List[float]]:
@@ -208,24 +154,21 @@ class TrafficOverlay:
         self._schema_tables = (schema, router_isp, router_city, city_lon)
         return router_isp, router_city, city_lon
 
-    def add_columns(
-        self, columns: TraceColumns, batch_size: int = 8192
-    ) -> None:
-        """Overlay a columnar campaign without materializing records.
+    def add_traces(self, columns: TraceColumns) -> None:
+        """Overlay a columnar campaign (one ``overlay.add_traces`` span).
 
-        Streams :meth:`TraceColumns.iter_batches` windows, so memory
-        stays bounded by one batch regardless of campaign size; the
-        per-hop interpretation (provider from DNS, city from
-        geolocation, conduit path between consecutive same-provider
-        cities) replicates :meth:`add_trace` decision for decision, and
-        the resulting traffic counters are identical.
+        Streams :meth:`TraceColumns.iter_batches` windows of
+        :data:`INGEST_BATCH_SIZE` traces, so memory stays bounded by one
+        batch regardless of campaign size.  Per hop: provider from DNS,
+        city from geolocation, and the conduit path between consecutive
+        same-provider cities.
         """
         tracer = get_tracer()
         before_processed = self._traces_processed
         before_unresolved = self._hops_unresolved
         router_isp, router_city, city_lon = self._tables_for(columns.schema)
         with tracer.span("overlay.add_traces"):
-            for batch in columns.iter_batches(batch_size):
+            for batch in columns.iter_batches(INGEST_BATCH_SIZE):
                 traces = batch.traces
                 src_cities = traces["src_city"].tolist()
                 dst_cities = traces["dst_city"].tolist()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,9 +58,9 @@ class _HopTemplate:
     visibility, and accumulated one-way latencies never change — only
     the per-hop queueing noise does.  Caching them as arrays turns the
     per-trace work of the columnar path into endpoint draws plus one
-    noise draw per visible hop; the doubled cumulative latencies are
-    accumulated in exactly :meth:`ProbeEngine.trace`'s order, so
-    ``double_cum[j] + noise_j`` is bit-for-bit the scalar RTT.
+    noise draw per visible hop; both this and :meth:`ProbeEngine.trace`
+    read the same visible-hop walk, so ``double_cum[j] + noise_j`` is
+    bit-for-bit the scalar RTT.
     """
 
     src_city_id: int
@@ -76,24 +76,16 @@ class _HopTemplate:
 class ProbeEngine:
     """Simulates traceroutes over an :class:`InternetTopology`.
 
-    Shortest paths come from the compiled array routing core
-    (:mod:`repro.perf.routing`), whose per-destination predecessor rows
-    are cached, so large campaigns re-use each Dijkstra across
-    thousands of traces.  (The NetworkX route walk it replaced is the
-    test oracle in ``tests/oracles/probe.py``.)
+    Shortest paths and edge latencies come from the topology's compiled
+    routing core (:mod:`repro.perf.routing`), whose per-destination
+    predecessor rows are cached, so large campaigns re-use each
+    Dijkstra across thousands of traces.  (The NetworkX route walk it
+    replaced is the test oracle in ``tests/oracles/probe.py``.)
     """
 
     def __init__(self, topology: InternetTopology, seed: int = 31):
         self._topology = topology
         self._rng = random.Random(seed)
-        # Flat both-direction latency table, built lazily on the first
-        # hop rendering: campaign pool workers construct an engine per
-        # process, and walking every graph edge up front is startup
-        # cost they may never repay (the columnar path reads latencies
-        # out of cached hop templates instead).
-        self._edge_ms_table: Optional[
-            Dict[Tuple[Tuple[str, str], Tuple[str, str]], float]
-        ] = None
         #: (src_node, dst_node) -> template, or False when unreachable.
         self._hop_templates: Dict[
             Tuple[Tuple[str, str], Tuple[str, str]],
@@ -107,20 +99,6 @@ class ProbeEngine:
         self._core: RoutingCore = (
             factory() if factory is not None else RoutingCore(topology.graph)
         )
-
-    @property
-    def _edge_ms(
-        self,
-    ) -> Dict[Tuple[Tuple[str, str], Tuple[str, str]], float]:
-        table = self._edge_ms_table
-        if table is None:
-            table = {}
-            graph = self._topology.graph
-            for u, v, ms in graph.edges(data="ms", default=0.0):
-                table[(u, v)] = ms
-                table[(v, u)] = ms
-            self._edge_ms_table = table
-        return table
 
     # ------------------------------------------------------------------
     def prepare_destinations(self, dst_nodes) -> int:
@@ -140,6 +118,32 @@ class ProbeEngine:
             return None
         return self._route((src_isp, src_city), (dst_isp, dst_city))
 
+    def _visible_hops(
+        self, path: Sequence[Tuple[str, str]]
+    ) -> Iterator[Tuple[Tuple[str, str], float]]:
+        """``(node, 2.0 * one_way)`` for every hop a measurement host sees.
+
+        The one-way latency starts at half the access delay and adds the
+        core's edge weights left to right; MPLS providers reveal only
+        their ingress and egress routers.
+        """
+        steps = self._core.edge_weights(path, "ms")
+        uses_mpls = self._topology.uses_mpls
+        last = len(path) - 1
+        one_way = ACCESS_DELAY_MS / 2.0
+        for index, node in enumerate(path):
+            if index:
+                one_way += steps[index - 1]
+            isp = node[0]
+            if (
+                0 < index < last
+                and path[index - 1][0] == isp
+                and path[index + 1][0] == isp
+                and uses_mpls(isp)
+            ):
+                continue
+            yield node, 2.0 * one_way
+
     # ------------------------------------------------------------------
     def trace(
         self,
@@ -158,36 +162,10 @@ class ProbeEngine:
         if rng is None:
             rng = self._rng
         path = self.router_path(src_city, src_isp, dst_city, dst_isp)
-        if path is None:
-            return TracerouteRecord(
-                src_city=src_city,
-                src_isp=src_isp,
-                dst_city=dst_city,
-                dst_isp=dst_isp,
-                hops=(),
-                reached=False,
-            )
-        edge_ms = self._edge_ms
         hops: List[Hop] = []
-        one_way = ACCESS_DELAY_MS / 2.0
-        previous = None
-        for index, node in enumerate(path):
-            if previous is not None:
-                one_way += edge_ms[(previous, node)]
-            previous = node
-            isp, _city = node
-            # MPLS providers reveal only their ingress and egress routers.
-            if self._topology.uses_mpls(isp):
-                is_edge_of_isp = (
-                    index == 0
-                    or index == len(path) - 1
-                    or path[index - 1][0] != isp
-                    or path[index + 1][0] != isp
-                )
-                if not is_edge_of_isp:
-                    continue
+        for node, double_one_way in self._visible_hops(path or ()):
             router = self._topology.router(*node)
-            rtt = 2.0 * one_way + rng.uniform(0.0, QUEUE_NOISE_MS)
+            rtt = double_one_way + rng.uniform(0.0, QUEUE_NOISE_MS)
             hops.append(Hop(ip=router.ip, dns_name=router.dns_name, rtt_ms=rtt))
         return TracerouteRecord(
             src_city=src_city,
@@ -195,7 +173,7 @@ class ProbeEngine:
             dst_city=dst_city,
             dst_isp=dst_isp,
             hops=tuple(hops),
-            reached=True,
+            reached=path is not None,
         )
 
     # ------------------------------------------------------------------
@@ -219,8 +197,7 @@ class ProbeEngine:
     ) -> Union[_HopTemplate, bool]:
         """Cached per-endpoint-pair hop arrays (False = unreachable).
 
-        Replays :meth:`trace`'s loop once per endpoint pair — same path,
-        same MPLS visibility rule, same float accumulation order — and
+        Runs :meth:`trace`'s visible-hop walk once per endpoint pair and
         freezes the result as arrays.  Campaigns revisit pairs heavily
         (a 20k campaign already has fewer distinct pairs than traces),
         so at paper scale almost every trace is a cache hit.
@@ -229,44 +206,26 @@ class ProbeEngine:
         template = self._hop_templates.get(key)
         if template is not None:
             return template
-        topology = self._topology
         src_isp, src_city = src_node
         dst_isp, dst_city = dst_node
-        path = None
-        if topology.has_router(*src_node) and topology.has_router(*dst_node):
-            path = self._route(src_node, dst_node)
+        path = self.router_path(src_city, src_isp, dst_city, dst_isp)
         if path is None:
             self._hop_templates[key] = False
             return False
         schema = self.column_schema()
-        edge_ms = self._edge_ms
-        router_ids: List[int] = []
-        double_cum: List[float] = []
-        one_way = ACCESS_DELAY_MS / 2.0
-        previous = None
-        for index, node in enumerate(path):
-            if previous is not None:
-                one_way += edge_ms[(previous, node)]
-            previous = node
-            isp, _city = node
-            if topology.uses_mpls(isp):
-                is_edge_of_isp = (
-                    index == 0
-                    or index == len(path) - 1
-                    or path[index - 1][0] != isp
-                    or path[index + 1][0] != isp
-                )
-                if not is_edge_of_isp:
-                    continue
-            router_ids.append(schema.router_index[node])
-            double_cum.append(2.0 * one_way)
+        visible = list(self._visible_hops(path))
         template = _HopTemplate(
             src_city_id=schema.city_index[src_city],
             src_isp_id=schema.isp_index[src_isp],
             dst_city_id=schema.city_index[dst_city],
             dst_isp_id=schema.isp_index[dst_isp],
-            router_ids=np.asarray(router_ids, dtype=np.int32),
-            double_cum=np.asarray(double_cum, dtype=np.float64),
+            router_ids=np.asarray(
+                [schema.router_index[node] for node, _ in visible],
+                dtype=np.int32,
+            ),
+            double_cum=np.asarray(
+                [double for _, double in visible], dtype=np.float64
+            ),
         )
         self._hop_templates[key] = template
         return template

@@ -54,13 +54,12 @@ manifests, and npz payloads.
 from __future__ import annotations
 
 import os
-from bisect import bisect
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from repro.perf.routing import _NO_PREDECESSOR
+from repro.perf.substrate import _NO_PREDECESSOR
 from repro.traceroute.columns import TRACE_DTYPE, ColumnSchema, TraceColumns
 from repro.traceroute.probe import ACCESS_DELAY_MS, QUEUE_NOISE_MS, ProbeEngine
 
@@ -140,11 +139,6 @@ def _pick_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, len(cum) - 1)
 
 
-def _pick_index(cum: List[float], u: float) -> int:
-    """Scalar twin of :func:`_pick_indices` (same float64 arithmetic)."""
-    return bisect(cum, u * cum[-1], 0, len(cum) - 1)
-
-
 class _PlanTables:
     """The campaign plan's sampling tables as numpy arrays, plus the
     endpoint-pair coding the template store is keyed on.
@@ -198,7 +192,7 @@ class _CoreTables:
         core = engine._core
         topology = engine._topology
         schema = engine.column_schema()
-        nodes = core._nodes
+        nodes = core.nodes
         n = len(nodes)
         self.n_nodes = n
         self.router_id = np.empty(n, dtype=np.int32)
@@ -214,7 +208,7 @@ class _CoreTables:
             if flag is None:
                 flag = mpls_of[isp] = topology.uses_mpls(isp)
             self.mpls[i] = flag
-        index = core._index
+        index = core.index
 
         def core_of(node: Tuple[str, str]) -> int:
             # Mirror the scalar builder's precheck: a node without a
@@ -233,19 +227,18 @@ class _CoreTables:
         no_pred = np.full(n, _NO_PREDECESSOR, dtype=np.int32)
         self.pred = np.stack(
             [
-                np.asarray(core._pred[int(ci)], dtype=np.int32)
+                np.asarray(core.predecessors(nodes[ci]), dtype=np.int32)
                 if ci >= 0 else no_pred
-                for ci in self.dest_core
+                for ci in self.dest_core.tolist()
             ]
         )
-        matrix = core._matrix.tocsr()
-        matrix.sort_indices()
-        self.edge_key = (
-            np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(matrix.indptr)
-            ) * n + matrix.indices
-        )
-        self.edge_w = matrix.data.astype(np.float64)
+        # Both directions of every edge, sorted by ``u * n + v``.
+        eu = core.eu.astype(np.int64)
+        ev = core.ev.astype(np.int64)
+        keys = np.concatenate([eu * n + ev, ev * n + eu])
+        order = np.argsort(keys, kind="stable")
+        self.edge_key = keys[order]
+        self.edge_w = np.tile(core.weights[core.weight], 2)[order]
 
 
 class _TemplateStore:
@@ -546,61 +539,6 @@ def generate_columns_v2(
             rng_contract=RNG_CONTRACT_V2,
         )
     return TraceColumns.concatenate(schema, parts)
-
-
-def trace_record_v2(
-    engine: ProbeEngine,
-    plan: "_CampaignPlan",
-    config: "CampaignConfig",
-    index: int,
-) -> "Any":
-    """The v2 record for one trace index — the scalar reference
-    implementation of the batch path, draw-compatible by construction
-    (used by the legacy object view and the parity tests)."""
-    from repro.traceroute.probe import Hop, TracerouteRecord
-
-    seed = config.seed
-    for rnd in range(MAX_ATTEMPTS_PER_TRACE):
-        u = _stream(seed, _PURPOSE_ENDPOINT, rnd, index).random(BLOCK_DRAWS)
-        src_isp = plan.client_names[_pick_index(plan.client_cum, u[0])]
-        dst_isp = plan.dest_names[_pick_index(plan.dest_cum, u[1])]
-        cities, cum = plan.client_cities[src_isp]
-        src_city = cities[_pick_index(cum, u[2])]
-        cities, cum = plan.dest_cities[dst_isp]
-        dst_city = cities[_pick_index(cum, u[3])]
-        if src_city == dst_city and src_isp == dst_isp:
-            continue
-        template = engine._hop_template(
-            (src_isp, src_city), (dst_isp, dst_city)
-        )
-        if template is False:
-            continue
-        k = len(template.router_ids)
-        noise = _stream(
-            seed, _PURPOSE_NOISE, 0, index * HOP_NOISE_BLOCKS
-        ).random(HOP_NOISE_BUDGET)[:k]
-        rtts = template.double_cum + QUEUE_NOISE_MS * noise
-        schema = engine.column_schema()
-        hops = tuple(
-            Hop(
-                ip=schema.router_ips[r],
-                dns_name=schema.router_dns[r],
-                rtt_ms=float(rtts[j]),
-            )
-            for j, r in enumerate(template.router_ids.tolist())
-        )
-        return TracerouteRecord(
-            src_city=src_city,
-            src_isp=src_isp,
-            dst_city=dst_city,
-            dst_isp=dst_isp,
-            hops=hops,
-            reached=True,
-        )
-    raise RuntimeError(
-        f"trace {index}: no reachable (src, dst) pair after "
-        f"{MAX_ATTEMPTS_PER_TRACE} draws; topology too disconnected"
-    )
 
 
 def geo_unit_draws(seed: int, count: int) -> np.ndarray:

@@ -243,10 +243,10 @@ class InternetTopology:
         return self._plan
 
     def routing_core(self) -> RoutingCore:
-        """One compiled array routing core shared by every probe engine.
+        """One compiled routing core shared by every probe engine.
 
-        The graph never mutates after construction, so the compiled CSR
-        arrays stay valid for the topology's lifetime.
+        The graph never mutates after construction, so the compiled
+        arrays and cached rows stay valid for the topology's lifetime.
         """
         if self._routing_core is None:
             self._routing_core = RoutingCore(self._graph)

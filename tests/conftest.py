@@ -9,16 +9,36 @@ from __future__ import annotations
 
 import pytest
 
-from repro.scenario import Scenario
+from repro.scenario import Scenario, ScenarioConfig
 
 #: Campaign size for the test scenario: large enough for stable
 #: orderings in the traffic analyses, small enough to stay fast.
 TEST_CAMPAIGN_TRACES = 3000
 
+#: Small campaign for the global-family scenario.
+GLOBAL_TEST_TRACES = 400
+
 
 @pytest.fixture(scope="session")
 def scenario() -> Scenario:
     return Scenario(seed=2015, campaign_traces=TEST_CAMPAIGN_TRACES)
+
+
+@pytest.fixture(scope="session")
+def global_scenario() -> Scenario:
+    return Scenario(
+        config=ScenarioConfig(
+            seed=2023, campaign_traces=GLOBAL_TEST_TRACES,
+            family="global2023",
+        )
+    )
+
+
+@pytest.fixture(params=["us2015", "global2023"])
+def family_scenario(request) -> Scenario:
+    """The session scenario of each map family."""
+    name = "scenario" if request.param == "us2015" else "global_scenario"
+    return request.getfixturevalue(name)
 
 
 @pytest.fixture(scope="session")

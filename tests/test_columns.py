@@ -20,14 +20,9 @@ import numpy as np
 import pytest
 
 from repro.perf.cache import ArtifactCache
-from repro.risk.traffic import (
-    traffic_risk_report,
-    traffic_risk_report_from_columns,
-)
 from repro.traceroute.campaign import (
     CampaignConfig,
     _CampaignPlan,
-    _trace_for_index,
     run_campaign,
 )
 from repro.traceroute.columns import (
@@ -35,8 +30,11 @@ from repro.traceroute.columns import (
     columns_from_npz_bytes,
     columns_to_npz_bytes,
 )
+from repro.traceroute import overlay as overlay_module
 from repro.traceroute.overlay import EAST_TO_WEST, WEST_TO_EAST, TrafficOverlay
 from repro.traceroute.probe import ProbeEngine, TracerouteRecord
+from tests.oracles.campaign import trace_for_index
+from tests.oracles.overlay import ReferenceTrafficOverlay
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +91,7 @@ class TestRecordsView:
         plan = _CampaignPlan(topology, campaign_config)
         engine.prepare_destinations(plan.dest_nodes)
         for index in range(len(serial_columns)):
-            legacy = _trace_for_index(engine, plan, campaign_config, index)
+            legacy = trace_for_index(engine, plan, campaign_config, index)
             rebuilt = serial_columns.record(index)
             assert isinstance(rebuilt, TracerouteRecord)
             assert repr(rebuilt) == repr(legacy)
@@ -130,15 +128,18 @@ class TestBatchStreaming:
         assert hop_total == serial_columns.num_hops
 
     def test_overlay_streaming_matches_record_path(
-        self, scenario, serial_columns
+        self, scenario, serial_columns, monkeypatch
     ):
         fiber_map = scenario.constructed_map
         topology = scenario.topology
         database = scenario.geolocation
+        # Six streaming windows, so batch boundaries are crossed.
+        monkeypatch.setattr(overlay_module, "INGEST_BATCH_SIZE", 100)
         by_columns = TrafficOverlay(fiber_map, topology, database)
-        by_columns.add_columns(serial_columns, batch_size=100)
-        by_records = TrafficOverlay(fiber_map, topology, database)
-        by_records.add_traces(list(serial_columns.records()))
+        by_columns.add_traces(serial_columns)
+        by_records = ReferenceTrafficOverlay(fiber_map, topology, database)
+        for record in serial_columns.records():
+            by_records.add_trace(record)
         assert (
             by_columns.top_conduits(WEST_TO_EAST, 100)
             == by_records.top_conduits(WEST_TO_EAST, 100)
@@ -150,22 +151,6 @@ class TestBatchStreaming:
         assert (
             by_columns.isp_conduit_usage() == by_records.isp_conduit_usage()
         )
-
-    def test_traffic_risk_report_from_columns(self, scenario, serial_columns):
-        by_records = TrafficOverlay(
-            scenario.constructed_map, scenario.topology, scenario.geolocation
-        )
-        by_records.add_traces(list(serial_columns.records()))
-        expected = traffic_risk_report(scenario.risk_matrix, by_records)
-        actual = traffic_risk_report_from_columns(
-            scenario.risk_matrix,
-            serial_columns,
-            scenario.constructed_map,
-            scenario.topology,
-            scenario.geolocation,
-            batch_size=100,
-        )
-        assert actual == expected
 
 
 class TestNpzSerialization:

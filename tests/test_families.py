@@ -24,7 +24,7 @@ from repro.families import (
     get_family,
     register_family,
 )
-from repro.scenario import Scenario, ScenarioConfig, load_scenario, us2015
+from repro.scenario import ScenarioConfig, load_scenario, us2015
 from repro.sweep.grid import (
     AXIS_ORDER,
     SweepCell,
@@ -33,20 +33,6 @@ from repro.sweep.grid import (
     parse_grid,
 )
 from repro.sweep.summary import SweepSummary
-
-#: Small campaign for the global end-to-end build below.
-GLOBAL_TEST_TRACES = 400
-
-
-@pytest.fixture(scope="module")
-def global_scenario():
-    return Scenario(
-        config=ScenarioConfig(
-            seed=2023, campaign_traces=GLOBAL_TEST_TRACES,
-            family="global2023",
-        )
-    )
-
 
 class TestRegistry:
     def test_known_families(self):

@@ -24,22 +24,34 @@ def _edge_cost(graph, path, weight="ms"):
     return sum(graph[u][v][weight] for u, v in zip(path, path[1:]))
 
 
+def _assert_distances_match_networkx(graph, seed):
+    core = RoutingCore(graph)
+    nodes = sorted(graph.nodes)
+    rng = random.Random(seed)
+    for _ in range(40):
+        src, dst = rng.choice(nodes), rng.choice(nodes)
+        try:
+            expected = nx.dijkstra_path_length(graph, src, dst, weight="ms")
+        except nx.NetworkXNoPath:
+            assert core.distance(src, dst) == float("inf")
+            continue
+        assert core.distance(src, dst) == pytest.approx(expected)
+
+
+def _assert_pickle_drops_rows(graph):
+    import pickle
+
+    core = RoutingCore(graph)
+    core.prepare(sorted(graph.nodes)[:3])
+    assert core.num_prepared == 3 and core._structs
+    clone = pickle.loads(pickle.dumps(core))
+    assert clone.num_prepared == 0 and clone._structs == {}
+    assert clone.num_nodes == core.num_nodes
+
+
 class TestRoutingCore:
     def test_distances_match_networkx(self, topology):
-        graph = topology.graph
-        core = RoutingCore(graph)
-        nodes = sorted(graph.nodes)
-        rng = random.Random(7)
-        for _ in range(40):
-            src, dst = rng.choice(nodes), rng.choice(nodes)
-            try:
-                expected = nx.dijkstra_path_length(
-                    graph, src, dst, weight="ms"
-                )
-            except nx.NetworkXNoPath:
-                assert core.distance(src, dst) == float("inf")
-                continue
-            assert core.distance(src, dst) == pytest.approx(expected)
+        _assert_distances_match_networkx(topology.graph, seed=7)
 
     def test_paths_are_valid_and_optimal(self, topology):
         # Equal-cost ties may break differently than NetworkX, so check
@@ -77,13 +89,7 @@ class TestRoutingCore:
         assert core.num_prepared == 5
 
     def test_pickle_drops_prepared_rows(self, topology):
-        import pickle
-
-        core = RoutingCore(topology.graph)
-        core.prepare(sorted(topology.graph.nodes)[:3])
-        clone = pickle.loads(pickle.dumps(core))
-        assert clone.num_prepared == 0
-        assert clone.num_nodes == core.num_nodes
+        _assert_pickle_drops_rows(topology.graph)
 
     def test_engine_matches_reference_path_costs(self, topology):
         fast = ProbeEngine(topology, seed=5)
@@ -101,6 +107,18 @@ class TestRoutingCore:
                 assert _edge_cost(graph, a) == pytest.approx(
                     _edge_cost(graph, b)
                 )
+
+
+class TestRoutingCoreFamilies:
+    """The destination-row cache on both map families' router graphs."""
+
+    def test_distance_matches_networkx_oracle(self, family_scenario):
+        _assert_distances_match_networkx(
+            family_scenario.topology.graph, seed=29
+        )
+
+    def test_pickle_carries_no_rows_or_solver_cache(self, family_scenario):
+        _assert_pickle_drops_rows(family_scenario.topology.graph)
 
 
 class TestParallelCampaign:

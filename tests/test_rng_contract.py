@@ -24,7 +24,6 @@ from repro.traceroute.campaign import (
     CampaignConfig,
     _CampaignPlan,
     run_campaign,
-    trace_record_v2,
 )
 from repro.traceroute.columns import (
     ColumnSchema,
@@ -34,6 +33,7 @@ from repro.traceroute.columns import (
 from repro.traceroute.geolocate import GeolocationDatabase
 from repro.traceroute.probe import ProbeEngine
 from repro.traceroute import rngv2
+from tests.oracles.campaign import trace_record_v2
 from tests.test_golden_hashes import record_digest
 
 #: The pre-v2 campaign goldens (recorded against PR 3, seed 2020 — the

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.fibermap.elements import FiberMap
@@ -22,7 +23,8 @@ from repro.geo.polyline import Polyline
 from repro.mitigation.augmentation import improvement_curve
 from repro.mitigation.latency import latency_study
 from repro.mitigation.robustness import optimize_all_isps
-from repro.perf.substrate import RoutingSubstrate
+from repro.perf.routing import RoutingCore
+from repro.perf.substrate import GraphView, RoutingSubstrate
 from repro.resilience.cuts import edge_cut
 from repro.resilience.impact import assess_cut
 from repro.resilience.montecarlo import random_cut_study, targeted_attack
@@ -165,6 +167,53 @@ class TestGraphViewParity:
                 if len(lengths) >= 5:
                     break
             assert lengths == reference, (a, b)
+
+
+def _core_graphs(scenario):
+    """The graphs §4.3 compiles into routing cores: the router topology
+    (``ms``), the generic conduit graph and two providers' conduit
+    graphs (``length_km``)."""
+    fiber_map = scenario.constructed_map
+    yield scenario.topology.graph, "ms"
+    yield fiber_map.simple_conduit_graph(), "length_km"
+    for isp in fiber_map.isps()[:2]:
+        yield fiber_map.simple_conduit_graph(isp), "length_km"
+
+
+def _undirected_rows(graph, weight, nodes, sources):
+    """The symmetric-CSR undirected solve the routing core ran before it
+    became a GraphView (the rows every campaign golden was pinned on)."""
+    from scipy.sparse.csgraph import dijkstra
+
+    matrix = nx.to_scipy_sparse_array(graph, nodelist=nodes, weight=weight)
+    index = {node: i for i, node in enumerate(nodes)}
+    return dijkstra(
+        matrix, directed=False, indices=[index[n] for n in sources],
+        return_predecessors=True,
+    )
+
+
+class TestCompiledCore:
+    """RoutingCore is a GraphView plus a row cache, on both families."""
+
+    def test_rows_match_graphview_dijkstra(self, family_scenario):
+        for graph, weight in _core_graphs(family_scenario):
+            core = RoutingCore(graph, weight=weight)
+            nodes = core.nodes
+            sample = nodes[:: max(1, len(nodes) // 50)]
+            assert core.prepare(sample) == len(sample)
+            plain = GraphView(nodes, core.index, core.eu, core.ev,
+                              core.weights)
+            dist, pred, row_of = plain.dijkstra(sample, weight)
+            ref_dist, ref_pred = _undirected_rows(
+                graph, weight, nodes, sample
+            )
+            for i, node in enumerate(sample):
+                row = core.predecessors(node)
+                assert np.array_equal(row, pred[row_of[node]])
+                assert np.array_equal(row, ref_pred[i])
+                assert np.array_equal(dist[row_of[node]], ref_dist[i])
+                assert core.distance(nodes[-1], node) == ref_dist[i][-1]
 
 
 class TestAnalysisParity:

@@ -1,14 +1,17 @@
 """Tests for geolocation, naming-hint decoding, and the conduit overlay."""
 
+import numpy as np
 import pytest
 
 from repro.traceroute.campaign import CampaignConfig, run_campaign
+from repro.traceroute.columns import TRACE_DTYPE, ColumnSchema, TraceColumns
 from repro.traceroute.geolocate import (
     GeolocationDatabase,
     decode_naming_hint,
     resolve_hop_city,
 )
 from repro.traceroute.overlay import EAST_TO_WEST, WEST_TO_EAST, TrafficOverlay
+from tests.oracles.overlay import ReferenceTrafficOverlay
 
 
 class TestNamingHints:
@@ -75,9 +78,10 @@ class TestGeolocationDatabase:
 
 
 class TestOverlay:
-    def test_direction_classification(self, overlay):
-        assert overlay._direction("Seattle, WA", "Miami, FL") == WEST_TO_EAST
-        assert overlay._direction("Miami, FL", "Seattle, WA") == EAST_TO_WEST
+    def test_direction_classification(self):
+        direction = ReferenceTrafficOverlay._direction
+        assert direction("Seattle, WA", "Miami, FL") == WEST_TO_EAST
+        assert direction("Miami, FL", "Seattle, WA") == EAST_TO_WEST
 
     def test_counts_accumulate(self, overlay):
         traffic = overlay.traffic()
@@ -125,15 +129,18 @@ class TestOverlay:
         for k, fraction in physical.items():
             assert with_traffic.get(k, 1.0) <= fraction + 1e-9
 
-    def test_unreached_trace_ignored(self, built_map, topology, overlay):
-        from repro.traceroute.probe import TracerouteRecord
-
-        before = overlay.traces_processed
-        overlay.add_trace(
-            TracerouteRecord(
-                src_city="Pierre, SD", src_isp="X",
-                dst_city="Miami, FL", dst_isp="Y",
-                hops=(), reached=False,
-            )
+    def test_unreached_trace_ignored(self, topology, overlay):
+        # Two hops, so only the ``reached`` flag keeps it out.
+        schema = ColumnSchema.from_topology(topology)
+        traces = np.zeros(1, dtype=TRACE_DTYPE)
+        traces["reached"] = False
+        unreached = TraceColumns(
+            schema,
+            traces,
+            np.array([0, 2], dtype=np.int64),
+            np.array([0, 1], dtype=np.int32),
+            np.array([1.0, 2.0], dtype=np.float64),
         )
+        before = overlay.traces_processed
+        overlay.add_traces(unreached)
         assert overlay.traces_processed == before
