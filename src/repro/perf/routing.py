@@ -16,7 +16,7 @@ this core on random (src, dst) pairs.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,11 +104,43 @@ class RoutingCore(GraphView):
             return None
         if s == d:
             return [src]
-        walked = self.walk(self._row(d)[1], d, s)
+        return self._key_path(self._row(d)[1], s, d)
+
+    def _key_path(
+        self, pred_row: "np.ndarray", s: int, d: int
+    ) -> Optional[List[Hashable]]:
+        """Walk the tree rooted at *d* from *s*: the ``s -> d`` key path."""
+        walked = self.walk(pred_row, d, s)
         if walked is None:
             return None
         nodes = self.nodes
         return [nodes[i] for i in reversed(walked)]
+
+    def paths_without(
+        self,
+        pairs: Sequence[Tuple[Hashable, Hashable]],
+        edge_mask: "np.ndarray",
+    ) -> List[Optional[List[Hashable]]]:
+        """:meth:`path` for every ``(src, dst)`` pair on the graph minus
+        the edges *edge_mask* switches off (``False`` = removed).
+
+        One batched, masked solve over the distinct destinations; the
+        rows are not cached, since they describe a different graph.
+        """
+        index = self.index
+        _dist, pred, row_of = self.dijkstra(
+            [dst for _, dst in pairs], self.weight, edge_mask=edge_mask
+        )
+        out: List[Optional[List[Hashable]]] = []
+        for src, dst in pairs:
+            s = index.get(src)
+            if s is None or dst not in row_of:
+                out.append(None)
+            elif s == index[dst]:
+                out.append([src])
+            else:
+                out.append(self._key_path(pred[row_of[dst]], s, index[dst]))
+        return out
 
     def distance(self, src: Hashable, dst: Hashable) -> float:
         """Shortest-path cost, ``inf`` when unreachable or unknown."""

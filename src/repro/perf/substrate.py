@@ -38,6 +38,7 @@ cross-check them against the compiled core on randomized graphs.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from typing import (
     Dict,
@@ -251,10 +252,12 @@ class GraphView:
         """The symmetric CSR handed to scipy, with structure caching.
 
         The sparsity structure (indptr/indices plus the data-position of
-        every edge) is computed once per weight; a masked call (Yen spur)
-        only rewrites the data vector of a scratch copy, setting masked
-        edges to ``inf`` — which Dijkstra never relaxes across, i.e. edge
-        removal without a matrix rebuild.
+        every edge) is computed once per weight; a masked call (a Yen
+        spur, a cut re-trace) gets a shallow copy that shares that
+        structure but owns a fresh data vector, with masked edges set to
+        ``inf`` — which Dijkstra never relaxes across, i.e. edge removal
+        without a matrix rebuild.  Nothing shared is written, so masked
+        solves on one view are safe from concurrent threads.
         """
         struct = self._structs.get(weight)
         if struct is None:
@@ -272,15 +275,16 @@ class GraphView:
             )
             edge_at_pos = mat.data.astype(np.int64)
             mat.data = self.weights[weight][edge_at_pos]
-            struct = (mat, edge_at_pos, mat.copy())
+            struct = (mat, edge_at_pos)
             self._structs[weight] = struct
-        mat, edge_at_pos, scratch = struct
+        mat, edge_at_pos = struct
         if edge_mask is None:
             return mat
-        scratch.data = np.where(
+        masked = copy.copy(mat)
+        masked.data = np.where(
             edge_mask[edge_at_pos], self.weights[weight][edge_at_pos], np.inf
         )
-        return scratch
+        return masked
 
     def walk(
         self, pred_row: "np.ndarray", src_idx: int, dst_idx: int

@@ -12,7 +12,10 @@ constructed map:
   disconnected POP pairs, latency inflation of rerouted paths, probe
   traffic crossing the cut;
 * :mod:`repro.resilience.montecarlo` — random-cut sampling vs targeted
-  attacks on the most-shared conduits.
+  attacks on the most-shared conduits;
+* :mod:`repro.resilience.traffic_shift` — the RTT users feel after a
+  cut: the campaign re-traced on the topology's compiled routing core
+  with the cut's router adjacencies masked out.
 """
 
 from repro.resilience.cuts import (
@@ -37,8 +40,8 @@ from repro.resilience.partition import (
     partition_report,
 )
 from repro.resilience.traffic_shift import (
-    DegradedTopology,
     TrafficShiftReport,
+    dead_edge_mask,
     traffic_shift,
 )
 
@@ -58,5 +61,5 @@ __all__ = [
     "isp_partition_cuts",
     "traffic_shift",
     "TrafficShiftReport",
-    "DegradedTopology",
+    "dead_edge_mask",
 ]

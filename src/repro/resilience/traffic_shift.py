@@ -6,61 +6,40 @@ whose fiber ran through a severed conduit disappears; affected
 traceroutes re-route over the degraded topology (or black-hole).  The
 result is the RTT-inflation distribution the measurement hosts would
 observe — the paper's localized-outage discussion (§7) made concrete.
+
+The degraded network is never built as a graph.  The topology's
+compiled routing core stays as it is; the cut becomes an edge mask
+over it (the dead adjacencies come from the topology's conduit -> edge
+index), and the degraded paths are one masked, batched Dijkstra over
+the sample's destinations.  The per-call NetworkX copy this replaced is
+the test oracle in ``tests/oracles/resilience.py``.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-import networkx as nx
+import numpy as np
 
 from repro.resilience.cuts import CutEvent
-from repro.traceroute.probe import ProbeEngine, TracerouteRecord
+from repro.traceroute.columns import TraceColumns
+from repro.traceroute.probe import QUEUE_NOISE_MS, ProbeEngine
 from repro.traceroute.topology import InternetTopology
 
+#: A router-graph node: (isp, city_key).
+RouterNode = Tuple[str, str]
 
-class DegradedTopology:
-    """A read-only view of a topology with cut conduits removed.
 
-    Implements the subset of the :class:`InternetTopology` interface the
-    probe engine uses, so traces can be re-run over the degraded network
-    without rebuilding routers or addressing.
-    """
-
-    def __init__(self, topology: InternetTopology, event: CutEvent):
-        self._topology = topology
-        self._event = event
-        graph = topology.graph.copy()
-        dead_edges = []
-        for u, v, data in graph.edges(data=True):
-            if data.get("kind") != "intra":
-                continue
-            isp = data.get("isp")
-            conduits = topology.conduits_for_hop(isp, u[1], v[1])
-            if set(conduits) & event.conduit_ids:
-                dead_edges.append((u, v))
-        graph.remove_edges_from(dead_edges)
-        self._graph = graph
-        self._dead_edges = tuple(dead_edges)
-
-    @property
-    def graph(self) -> nx.Graph:
-        return self._graph
-
-    @property
-    def dead_router_adjacencies(self) -> Tuple:
-        return self._dead_edges
-
-    # Delegated interface (what ProbeEngine needs).
-    def uses_mpls(self, isp: str) -> bool:
-        return self._topology.uses_mpls(isp)
-
-    def router(self, isp: str, city_key: str):
-        return self._topology.router(isp, city_key)
-
-    def has_router(self, isp: str, city_key: str) -> bool:
-        return self._topology.has_router(isp, city_key)
+def dead_edge_mask(topology: InternetTopology, event: CutEvent) -> np.ndarray:
+    """Routing-core edge mask of the topology after *event*: ``False``
+    on every router adjacency whose fiber runs through a cut conduit."""
+    mask = np.ones(topology.routing_core().num_edges, dtype=bool)
+    conduit_edges = topology.conduit_edges()
+    for cid in event.conduit_ids:
+        mask[list(conduit_edges.get(cid, ()))] = False
+    return mask
 
 
 @dataclass(frozen=True)
@@ -85,42 +64,98 @@ class TrafficShiftReport:
         return (self.traces_slower + self.traces_blackholed) / self.traces_examined
 
 
+def _sample_pairs(
+    campaign: TraceColumns, max_traces: Optional[int]
+) -> List[Tuple[RouterNode, RouterNode]]:
+    """The distinct (source, destination) router nodes of the first
+    *max_traces* traces, in first-seen order, read straight from the
+    trace columns."""
+    traces = campaign.traces[:max_traces] if max_traces else campaign.traces
+    cities, isps = campaign.schema.cities, campaign.schema.isps
+    ids = dict.fromkeys(
+        zip(
+            traces["src_city"].tolist(), traces["src_isp"].tolist(),
+            traces["dst_city"].tolist(), traces["dst_isp"].tolist(),
+        )
+    )
+    return [
+        ((isps[si], cities[sc]), (isps[di], cities[dc]))
+        for sc, si, dc, di in ids
+    ]
+
+
+def _hop_tail(
+    engine: ProbeEngine, path: Optional[list]
+) -> Optional[Tuple[int, float]]:
+    """``(visible hops, 2.0 * one_way at the last one)`` of a router
+    path, from the probe engine's own visible-hop walk (``None`` when
+    unreached)."""
+    if path is None:
+        return None
+    visible = list(engine._visible_hops(path))
+    return len(visible), visible[-1][1]
+
+
+def _last_rtts(
+    tails: Sequence[Optional[Tuple[int, float]]], seed: int
+) -> List[Optional[float]]:
+    """The last observed hop's RTT per trace, drawing the noise
+    :meth:`ProbeEngine.trace` would: one ``uniform(0, QUEUE_NOISE_MS)``
+    per visible hop, in trace order, on one ``random.Random(seed)``
+    stream; unreached traces draw nothing."""
+    uniform = random.Random(seed).uniform
+    out: List[Optional[float]] = []
+    for tail in tails:
+        if tail is None:
+            out.append(None)
+            continue
+        count, double_one_way = tail
+        for _ in range(count - 1):
+            uniform(0.0, QUEUE_NOISE_MS)
+        out.append(double_one_way + uniform(0.0, QUEUE_NOISE_MS))
+    return out
+
+
 def traffic_shift(
     topology: InternetTopology,
     event: CutEvent,
-    records: Sequence[TracerouteRecord],
+    campaign: TraceColumns,
     seed: int = 67,
     max_traces: Optional[int] = 2000,
 ) -> TrafficShiftReport:
-    """Re-trace a workload over the degraded topology after *event*.
+    """Re-trace a campaign over the degraded topology after *event*.
 
-    Each record's (src, dst) is re-run on both the intact and the
-    degraded topology with the same noise seed, so the RTT difference
-    isolates the routing change.
+    Each distinct (src, dst) of the first *max_traces* traces is traced
+    on both the intact and the degraded topology, each on its own noise
+    stream seeded with *seed*, so the RTT difference isolates the
+    routing change.  The intact paths come from the topology's shared
+    routing core; the degraded ones from one masked solve on that core.
     """
-    degraded = DegradedTopology(topology, event)
-    baseline_engine = ProbeEngine(topology, seed=seed)
-    degraded_engine = ProbeEngine(degraded, seed=seed)  # type: ignore[arg-type]
-    sample = list(records[:max_traces]) if max_traces else list(records)
-    examined = 0
+    pairs = _sample_pairs(campaign, max_traces)
+    core = topology.routing_core()
+    core.prepare(dst for _, dst in pairs)
+    engine = ProbeEngine(topology)
+    intact = [core.path(*pair) for pair in pairs]
+    intact_tails = [_hop_tail(engine, path) for path in intact]
+    degraded = core.paths_without(pairs, dead_edge_mask(topology, event))
+    # Most traces never touched the cut: their path, hence their hop
+    # tail, is unchanged.
+    degraded_tails = [
+        tail if path == old else _hop_tail(engine, path)
+        for path, old, tail in zip(degraded, intact, intact_tails)
+    ]
+    before = _last_rtts(intact_tails, seed)
+    after = _last_rtts(degraded_tails, seed)
     slower = 0
     blackholed = 0
     inflations: List[float] = []
-    seen = set()
-    for record in sample:
-        key = (record.src_city, record.src_isp, record.dst_city, record.dst_isp)
-        if key in seen:
+    for rtt_before, rtt_after in zip(before, after):
+        if rtt_before is None:
             continue
-        seen.add(key)
-        examined += 1
-        before = baseline_engine.trace(*key)
-        after = degraded_engine.trace(*key)
-        if not before.reached or not before.hops:
-            continue
-        if not after.reached or not after.hops:
+        if rtt_after is None:
             blackholed += 1
             continue
-        delta = after.hops[-1].rtt_ms - before.hops[-1].rtt_ms
+        delta = rtt_after - rtt_before
         if delta > 0.5:  # beyond queueing noise
             slower += 1
             inflations.append(delta)
@@ -131,7 +166,7 @@ def traffic_shift(
     )
     return TrafficShiftReport(
         event_description=event.description,
-        traces_examined=examined,
+        traces_examined=len(pairs),
         traces_slower=slower,
         traces_blackholed=blackholed,
         mean_inflation_ms=mean,

@@ -248,6 +248,11 @@ class _Handler(BaseHTTPRequestHandler):
     app: ServiceApp  # injected by make_server
     quiet = True
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY.  A response leaves in two writes (end_headers()
+    # flushes the headers, then the body); with Nagle's algorithm on,
+    # the body waits for the ACK of the header segment, which a
+    # keep-alive client delays by ~40 ms — a stall on every answer.
+    disable_nagle_algorithm = True
 
     def _respond(self, status: int, payload: Dict[str, Any]) -> None:
         # Same bytes as the CLI's --json output (plus trailing newline).

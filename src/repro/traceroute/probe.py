@@ -92,13 +92,7 @@ class ProbeEngine:
             Union[_HopTemplate, bool],
         ] = {}
         self._schema: Optional[ColumnSchema] = None
-        # InternetTopology shares one compiled core per topology;
-        # duck-typed stand-ins (e.g. DegradedTopology) get a fresh
-        # compile of their own graph.
-        factory = getattr(topology, "routing_core", None)
-        self._core: RoutingCore = (
-            factory() if factory is not None else RoutingCore(topology.graph)
-        )
+        self._core: RoutingCore = topology.routing_core()
 
     # ------------------------------------------------------------------
     def prepare_destinations(self, dst_nodes) -> int:

@@ -113,6 +113,7 @@ class InternetTopology:
         self._link_conduits: Dict[Tuple[str, str, str], Tuple[str, ...]] = {}
         self._phantom_names: Tuple[str, ...] = ()
         self._routing_core: Optional[RoutingCore] = None
+        self._conduit_edges: Optional[Dict[str, Tuple[int, ...]]] = None
         fiber_map = ground_truth.fiber_map
         for isp in fiber_map.isps():
             self._add_provider_from_links(isp, fiber_map)
@@ -251,6 +252,27 @@ class InternetTopology:
         if self._routing_core is None:
             self._routing_core = RoutingCore(self._graph)
         return self._routing_core
+
+    def conduit_edges(self) -> Dict[str, Tuple[int, ...]]:
+        """Conduit id -> the routing core's edge ids riding through it.
+
+        Only intra-provider adjacencies carry fiber; peering edges map
+        to no conduit.  Built once, like :meth:`routing_core`, so a cut
+        finds its dead router adjacencies by lookup instead of a scan.
+        """
+        if self._conduit_edges is None:
+            core = self.routing_core()
+            by_conduit: Dict[str, List[int]] = {}
+            for u, v, data in self._graph.edges(data=True):
+                if data.get("kind") != "intra":
+                    continue
+                edge = core.edge_index(u, v)
+                for cid in self.conduits_for_hop(data.get("isp"), u[1], v[1]):
+                    by_conduit.setdefault(cid, []).append(edge)
+            self._conduit_edges = {
+                cid: tuple(edges) for cid, edges in by_conduit.items()
+            }
+        return self._conduit_edges
 
     @property
     def phantom_names(self) -> Tuple[str, ...]:

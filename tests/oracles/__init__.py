@@ -8,8 +8,9 @@ suites can still require the package to be indistinguishable from them:
 * :mod:`tests.oracles.mitigation` — §5.1 risk graph, §5.2 footprint
   router and driver engine, §5.3 per-pair NetworkX solves, and the §6.3
   exchange planner with its per-candidate Dijkstra estimate;
-* :mod:`tests.oracles.resilience` — per-link NetworkX cut impact and the
-  step-by-step cumulative attack;
+* :mod:`tests.oracles.resilience` — per-link NetworkX cut impact, the
+  step-by-step cumulative attack, and the traffic shift re-traced over
+  a NetworkX copy of the degraded router graph;
 * :mod:`tests.oracles.probe` — the per-destination NetworkX route walk;
 * :mod:`tests.oracles.campaign` — the v1 object and v2 scalar per-trace
   record generators the columnar campaign replaced;

@@ -1,18 +1,22 @@
 """Resilience reference implementations over per-call NetworkX graphs.
 
 Moved verbatim out of :mod:`repro.resilience`: per-link NetworkX
-reroute solves for one cut, and the cumulative attack that re-assesses
+reroute solves for one cut, the cumulative attack that re-assesses
 every step from scratch (the package answers it with one reverse
-union-find sweep per provider).
+union-find sweep per provider), and the traffic shift that re-traces
+every record over a NetworkX copy of the router graph with the cut
+adjacencies removed (the package masks those edges on the topology's
+compiled routing core instead).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from repro.fibermap.elements import FiberMap
+from repro.perf.routing import RoutingCore
 from repro.resilience.cuts import CutEvent, edge_cut
 from repro.resilience.impact import CutImpact, _assess_cut, probes_crossing
 from repro.resilience.montecarlo import (
@@ -20,7 +24,10 @@ from repro.resilience.montecarlo import (
     _random_edge_sequences,
     _targeted_edges,
 )
+from repro.resilience.traffic_shift import TrafficShiftReport
 from repro.traceroute.overlay import TrafficOverlay
+from repro.traceroute.probe import ProbeEngine, TracerouteRecord
+from repro.traceroute.topology import InternetTopology
 from repro.transport.network import EdgeKey
 
 
@@ -122,3 +129,104 @@ def random_cut_study_reference(
         _apply_sequence_reference(fiber_map, edges, overlay)
         for edges in _random_edge_sequences(fiber_map, cuts, trials, seed)
     ]
+
+
+class DegradedTopology:
+    """A read-only view of a topology with cut conduits removed.
+
+    Implements the subset of the :class:`InternetTopology` interface the
+    probe engine uses, so traces can be re-run over the degraded network
+    without rebuilding routers or addressing.
+    """
+
+    def __init__(self, topology: InternetTopology, event: CutEvent):
+        self._topology = topology
+        self._event = event
+        graph = topology.graph.copy()
+        dead_edges = []
+        for u, v, data in graph.edges(data=True):
+            if data.get("kind") != "intra":
+                continue
+            isp = data.get("isp")
+            conduits = topology.conduits_for_hop(isp, u[1], v[1])
+            if set(conduits) & event.conduit_ids:
+                dead_edges.append((u, v))
+        graph.remove_edges_from(dead_edges)
+        self._graph = graph
+        self._dead_edges = tuple(dead_edges)
+        self._routing_core: Optional[RoutingCore] = None
+
+    @property
+    def graph(self) -> nx.Graph:
+        return self._graph
+
+    @property
+    def dead_router_adjacencies(self) -> Tuple:
+        return self._dead_edges
+
+    # Delegated interface (what ProbeEngine needs).
+    def routing_core(self) -> RoutingCore:
+        """A fresh compile of the degraded graph."""
+        if self._routing_core is None:
+            self._routing_core = RoutingCore(self._graph)
+        return self._routing_core
+
+    def uses_mpls(self, isp: str) -> bool:
+        return self._topology.uses_mpls(isp)
+
+    def router(self, isp: str, city_key: str):
+        return self._topology.router(isp, city_key)
+
+    def has_router(self, isp: str, city_key: str) -> bool:
+        return self._topology.has_router(isp, city_key)
+
+
+def traffic_shift_reference(
+    topology: InternetTopology,
+    event: CutEvent,
+    records: Sequence[TracerouteRecord],
+    seed: int = 67,
+    max_traces: Optional[int] = 2000,
+) -> TrafficShiftReport:
+    """:func:`repro.resilience.traffic_shift.traffic_shift` re-tracing
+    every record object on two probe engines, one over a
+    :class:`DegradedTopology`."""
+    degraded = DegradedTopology(topology, event)
+    baseline_engine = ProbeEngine(topology, seed=seed)
+    degraded_engine = ProbeEngine(degraded, seed=seed)  # type: ignore[arg-type]
+    sample = list(records[:max_traces]) if max_traces else list(records)
+    examined = 0
+    slower = 0
+    blackholed = 0
+    inflations: List[float] = []
+    seen = set()
+    for record in sample:
+        key = (record.src_city, record.src_isp, record.dst_city, record.dst_isp)
+        if key in seen:
+            continue
+        seen.add(key)
+        examined += 1
+        before = baseline_engine.trace(*key)
+        after = degraded_engine.trace(*key)
+        if not before.reached or not before.hops:
+            continue
+        if not after.reached or not after.hops:
+            blackholed += 1
+            continue
+        delta = after.hops[-1].rtt_ms - before.hops[-1].rtt_ms
+        if delta > 0.5:  # beyond queueing noise
+            slower += 1
+            inflations.append(delta)
+    inflations.sort()
+    mean = sum(inflations) / len(inflations) if inflations else 0.0
+    p95 = (
+        inflations[int(0.95 * (len(inflations) - 1))] if inflations else 0.0
+    )
+    return TrafficShiftReport(
+        event_description=event.description,
+        traces_examined=examined,
+        traces_slower=slower,
+        traces_blackholed=blackholed,
+        mean_inflation_ms=mean,
+        p95_inflation_ms=p95,
+    )

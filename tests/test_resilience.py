@@ -186,7 +186,7 @@ class TestTrafficShift:
 
     def test_degraded_topology_removes_edges(self, scenario, built_map, risk_matrix):
         from repro.resilience.cuts import edge_cut
-        from repro.resilience.traffic_shift import DegradedTopology
+        from tests.oracles.resilience import DegradedTopology
 
         cid, _ = most_shared_conduits(risk_matrix, top=1)[0]
         event = edge_cut(built_map, *built_map.conduit(cid).edge)
@@ -199,7 +199,7 @@ class TestTrafficShift:
 
     def test_uncut_topology_noop(self, scenario, built_map):
         from repro.resilience.cuts import CutEvent
-        from repro.resilience.traffic_shift import DegradedTopology
+        from tests.oracles.resilience import DegradedTopology
 
         # A cut of a conduit no router adjacency maps onto: pick a spur
         # conduit with a single tenant and verify minimal edge loss.
@@ -212,3 +212,63 @@ class TestTrafficShift:
             - degraded.graph.number_of_edges()
         )
         assert lost >= 0
+
+    def test_dead_edge_mask_is_the_oracle_dead_adjacencies(
+        self, family_scenario
+    ):
+        from repro.resilience.traffic_shift import dead_edge_mask
+        from tests.oracles.resilience import DegradedTopology
+
+        topology = family_scenario.topology
+        core = topology.routing_core()
+        for event in _seeded_edge_cuts(family_scenario):
+            mask = dead_edge_mask(topology, event)
+            masked = {
+                frozenset((core.nodes[core.eu[i]], core.nodes[core.ev[i]]))
+                for i in (~mask).nonzero()[0]
+            }
+            oracle = DegradedTopology(topology, event)
+            assert masked == {
+                frozenset(edge) for edge in oracle.dead_router_adjacencies
+            }
+
+
+#: Seeded conduit-edge cuts per family; the first ten of each include
+#: cuts that blackhole traces.
+CUT_SEED = 0
+CUT_COUNT = 10
+
+
+def _seeded_edge_cuts(scenario):
+    import random
+
+    fiber_map = scenario.constructed_map
+    edges = sorted({conduit.edge for conduit in fiber_map.conduits.values()})
+    return [
+        edge_cut(fiber_map, *edge)
+        for edge in random.Random(CUT_SEED).sample(edges, CUT_COUNT)
+    ]
+
+
+class TestTrafficShiftParity:
+    """The masked re-trace on the compiled core equals the record-object
+    re-trace over a NetworkX copy of the degraded router graph."""
+
+    @pytest.mark.parametrize("max_traces", [300, 800, 1500, None])
+    def test_report_equals_reference(self, family_scenario, max_traces):
+        from repro.resilience.traffic_shift import traffic_shift
+        from tests.oracles.resilience import traffic_shift_reference
+
+        topology = family_scenario.topology
+        campaign = family_scenario.campaign
+        reports = []
+        for event in _seeded_edge_cuts(family_scenario):
+            report = traffic_shift(
+                topology, event, campaign, max_traces=max_traces
+            )
+            assert report == traffic_shift_reference(
+                topology, event, campaign, max_traces=max_traces
+            ), event.description
+            reports.append(report)
+        assert any(report.traces_blackholed for report in reports)
+        assert any(report.traces_slower for report in reports)

@@ -514,3 +514,59 @@ def test_cli_latency_unknown_city(capsys):
         ["--traces", "100", "latency", "Denver, CO", "Nowhere, XX"]
     ) == 2
     assert "unknown city" in capsys.readouterr().err
+
+
+def test_keep_alive_round_trips_skip_the_delayed_ack(scenario):
+    """Back-to-back answers on one keep-alive connection arrive at
+    handler speed.  With Nagle's algorithm on, each response body waits
+    for the (delayed, ~40 ms) ACK of its header segment; the server sets
+    TCP_NODELAY so it does not."""
+    import http.client
+    import statistics
+
+    from repro.service.server import make_server
+
+    registry = ScenarioRegistry()
+    registry.add("default", scenario=scenario)
+    registry.warm_all_async()
+    assert registry.wait_ready(timeout=600)
+    server = make_server(ServiceApp(registry), host="127.0.0.1", port=0)
+    host, port = server.server_address[:2]
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    pairs = [
+        ("Denver, CO", "Chicago, IL"),
+        ("Miami, FL", "Seattle, WA"),
+        ("Boston, MA", "Dallas, TX"),
+    ]
+    payloads = [
+        {"v": 1, "kind": "latency", "city_a": a, "city_b": b}
+        for a, b in pairs
+    ]
+    expected = [
+        (encode_json(scenario.query(parse_request(p)).to_json()) + "\n")
+        .encode("utf-8")
+        for p in payloads
+    ]
+    connection = http.client.HTTPConnection(host, port, timeout=60)
+    round_trips = []
+    try:
+        for i in range(24):
+            body = json.dumps(payloads[i % len(payloads)]).encode()
+            started = time.perf_counter()
+            connection.request(
+                "POST", "/v1/query", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            answer = response.read()
+            round_trips.append(time.perf_counter() - started)
+            assert response.status == 200
+            assert answer == expected[i % len(payloads)]
+    finally:
+        connection.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert statistics.median(round_trips) < 0.020, round_trips

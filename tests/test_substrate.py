@@ -216,6 +216,58 @@ class TestCompiledCore:
                 assert core.distance(nodes[-1], node) == ref_dist[i][-1]
 
 
+class TestMaskedSolveReentrancy:
+    """Masked solves share one view's cached CSR structure; each call
+    must still see only its own mask when threads interleave."""
+
+    def test_threads_see_only_their_own_mask(self, scenario):
+        import sys
+        import threading
+
+        core = RoutingCore(scenario.topology.graph)
+        rng = np.random.default_rng(7)
+        threads = 8
+        masks = [rng.random(core.num_edges) > 0.15 for _ in range(threads)]
+        sources = [
+            [core.nodes[i] for i in rng.choice(core.num_nodes, 12)]
+            for _ in range(threads)
+        ]
+        serial = [
+            core.dijkstra(sources[t], "ms", edge_mask=masks[t])[:2]
+            for t in range(threads)
+        ]
+        barrier = threading.Barrier(threads)
+        mismatches = []
+
+        def solve(t):
+            barrier.wait()
+            for _ in range(10):
+                dist, pred, _rows = core.dijkstra(
+                    sources[t], "ms", edge_mask=masks[t]
+                )
+                if not (
+                    np.array_equal(dist, serial[t][0])
+                    and np.array_equal(pred, serial[t][1])
+                ):
+                    mismatches.append(t)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [
+                threading.Thread(target=solve, args=(t,))
+                for t in range(threads)
+            ]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert mismatches == []
+
+
 class TestAnalysisParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_robustness_suggestions_equivalent(self, seed):

@@ -5,7 +5,7 @@ Run from the repository root:
 
 Boots the real HTTP stack on an ephemeral port (warm-up included),
 issues cut, latency, and risk-slice queries over actual sockets, and
-checks three properties:
+checks four properties:
 
 1. **Pinned goldens** — the canonical seed-2015 answers (conduit
    counts, top shared conduits, the Denver-Chicago shortest path) match
@@ -16,6 +16,10 @@ checks three properties:
    request (both render through one canonical encoder).
 3. **Lifecycle** — ``/healthz`` reports 503 before warm-up and 200
    after; the server shuts down cleanly.
+4. **Keep-alive speed** — the latency queries share one persistent
+   connection, and their median round trip stays under
+   ``KEEP_ALIVE_MEDIAN_S`` (a server that let Nagle's algorithm hold
+   each body for the client's delayed ACK would take ~40 ms).
 
 Exits non-zero with a diagnostic on any mismatch.  The scenario is
 intentionally small (1000 traces) so the whole job runs in CI time.
@@ -24,9 +28,17 @@ intentionally small (1000 traces) so the whole job runs in CI time.
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 
-from smokelib import check, query, request, serving
+from smokelib import (
+    KEEP_ALIVE_MEDIAN_S,
+    KeepAliveClient,
+    check,
+    query,
+    request,
+    serving,
+)
 
 #: Smoke scenario shape: small but big enough for stable orderings.
 SEED = 2015
@@ -51,6 +63,14 @@ GOLDEN_LATENCY = {
     "path_ends": "Chicago, IL",
     "delay_ms_rounded": 7.51,
 }
+
+#: Latency queries sent back to back on the keep-alive connection.
+KEEP_ALIVE_PAIRS = (
+    ("Denver, CO", "Chicago, IL"),
+    ("Miami, FL", "Seattle, WA"),
+    ("Boston, MA", "Dallas, TX"),
+)
+KEEP_ALIVE_QUERIES = 24
 
 
 def main() -> int:
@@ -85,9 +105,35 @@ def main() -> int:
             "risk": {"v": 1, "kind": "risk", "top": 5},
         }
         answers = {}
-        for name, payload in queries.items():
-            answers[name] = query(base, scenario, payload)
-            print(f"smoke: {name} query ok")
+        latency_client = KeepAliveClient(base)
+        try:
+            for name, payload in queries.items():
+                answers[name] = query(
+                    base, scenario, payload,
+                    client=latency_client if name == "latency" else None,
+                )
+                print(f"smoke: {name} query ok")
+            # Keep-alive: latency queries back to back on one connection.
+            for i in range(KEEP_ALIVE_QUERIES):
+                city_a, city_b = KEEP_ALIVE_PAIRS[i % len(KEEP_ALIVE_PAIRS)]
+                query(
+                    base, scenario,
+                    {"v": 1, "kind": "latency",
+                     "city_a": city_a, "city_b": city_b},
+                    client=latency_client,
+                )
+        finally:
+            latency_client.close()
+        median = statistics.median(latency_client.round_trips)
+        check(
+            median < KEEP_ALIVE_MEDIAN_S,
+            f"keep-alive median round trip {median * 1000:.1f} ms >= "
+            f"{KEEP_ALIVE_MEDIAN_S * 1000:.0f} ms",
+        )
+        print(
+            f"smoke: keep-alive ok ({len(latency_client.round_trips)} "
+            f"queries, median round trip {median * 1000:.1f} ms)"
+        )
 
         risk = answers["risk"]
         check(

@@ -7,12 +7,21 @@ directory on ``sys.path``, so they import this module by its bare name.
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
 import sys
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+#: Median round trip a keep-alive connection must beat.  A server that
+#: leaves Nagle's algorithm on stalls every answer on the client's
+#: delayed ACK (~40 ms on Linux); one that sets TCP_NODELAY answers a
+#: latency query in a few ms.
+KEEP_ALIVE_MEDIAN_S = 0.020
 
 
 def request(url: str, payload: Any = None) -> Tuple[int, bytes]:
@@ -29,6 +38,37 @@ def request(url: str, payload: Any = None) -> Tuple[int, bytes]:
             return response.status, response.read()
     except urllib.error.HTTPError as error:
         return error.code, error.read()
+
+
+class KeepAliveClient:
+    """Requests over one persistent HTTP/1.1 connection, each timed.
+
+    :func:`request` opens a fresh connection per call and so never sees
+    what a keep-alive client (a load balancer, a benchmark) sees.
+    """
+
+    def __init__(self, base: str):
+        parts = urllib.parse.urlsplit(base)
+        self._connection = http.client.HTTPConnection(
+            parts.hostname, parts.port, timeout=60
+        )
+        #: Seconds per round trip, in request order.
+        self.round_trips: List[float] = []
+
+    def request(self, path: str, payload: Any) -> Tuple[int, bytes]:
+        body = json.dumps(payload).encode("utf-8")
+        started = time.perf_counter()
+        self._connection.request(
+            "POST", path, body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = self._connection.getresponse()
+        data = response.read()
+        self.round_trips.append(time.perf_counter() - started)
+        return response.status, data
+
+    def close(self) -> None:
+        self._connection.close()
 
 
 def fail(message: str) -> None:
@@ -63,13 +103,20 @@ def serving(registry) -> Iterator[str]:
     print("smoke: clean shutdown ok")
 
 
-def query(base: str, scenario, payload: Dict[str, Any]) -> Dict[str, Any]:
-    """POST one query; require HTTP 200 and a body byte-identical to
-    what the CLI's ``--json`` path emits for the same typed request."""
+def query(
+    base: str, scenario, payload: Dict[str, Any],
+    client: Optional[KeepAliveClient] = None,
+) -> Dict[str, Any]:
+    """POST one query (on *client*'s connection when given, else a
+    fresh one); require HTTP 200 and a body byte-identical to what the
+    CLI's ``--json`` path emits for the same typed request."""
     from repro.service.schema import encode_json, parse_request
 
     label = f"{payload.get('scenario', 'default')} {payload['kind']}"
-    status, body = request(f"{base}/v1/query", payload)
+    if client is None:
+        status, body = request(f"{base}/v1/query", payload)
+    else:
+        status, body = client.request("/v1/query", payload)
     check(status == 200, f"{label}: HTTP {status}")
     local = scenario.query(parse_request(payload))
     expected = (encode_json(local.to_json()) + "\n").encode()
