@@ -19,6 +19,7 @@ from repro.mitigation.augmentation import (
 )
 from repro.mitigation.latency import latency_study
 from repro.mitigation.robustness import optimize_all_isps
+from repro.perf.substrate import substrate_for
 from tests.oracles.mitigation import (
     improvement_curve_reference,
     latency_study_reference,
@@ -40,21 +41,15 @@ def _timed(steps):
 def _substrate_sweep(scenario):
     fiber_map = scenario.constructed_map
     network = scenario.network
-    substrate = scenario.substrate
     return _timed([
-        ("fig10", lambda: optimize_all_isps(
-            fiber_map, scenario.risk_matrix, substrate=substrate
-        )),
+        ("fig10", lambda: optimize_all_isps(fiber_map, scenario.risk_matrix)),
         ("fig11", lambda: improvement_curves(
             fiber_map,
             network,
             list(scenario.isps),
             candidates=candidate_new_edges(fiber_map, network),
-            substrate=substrate,
         )),
-        ("fig12", lambda: latency_study(
-            fiber_map, network, substrate=substrate
-        )),
+        ("fig12", lambda: latency_study(fiber_map, network)),
     ])
 
 
@@ -81,10 +76,10 @@ def _reference_sweep(scenario):
 
 
 def test_mitigation(scenario, report_output):
-    # Warm the shared stages so the timings isolate the analyses.
-    scenario.constructed_map
+    # Warm the shared stages and the compiled substrate so the timings
+    # isolate the analyses.
     scenario.risk_matrix
-    scenario.substrate
+    substrate_for(scenario.constructed_map)
     fast, fast_results = _substrate_sweep(scenario)
     reference, reference_results = _reference_sweep(scenario)
     assert fast_results[0] == reference_results[0]

@@ -42,8 +42,7 @@ class ExtResilienceResult:
 
 #: Scenario stages this experiment reads (enforced by the runner).
 requires = (
-    "campaign", "constructed_map", "overlay", "risk_matrix", "substrate",
-    "topology",
+    "campaign", "constructed_map", "overlay", "risk_matrix", "topology",
 )
 
 
@@ -52,13 +51,9 @@ def run(scenario: Scenario, cuts: int = DEFAULT_CUTS,
     fiber_map = scenario.constructed_map
     attack = targeted_attack(
         fiber_map, scenario.risk_matrix, cuts=cuts, overlay=scenario.overlay,
-        substrate=scenario.substrate,
     )
     random_runs = tuple(
-        random_cut_study(
-            fiber_map, cuts=cuts, trials=trials, seed=3,
-            substrate=scenario.substrate,
-        )
+        random_cut_study(fiber_map, cuts=cuts, trials=trials, seed=3)
     )
     shift = traffic_shift(
         scenario.topology, attack.events[0], scenario.campaign,

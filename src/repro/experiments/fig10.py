@@ -21,7 +21,7 @@ class Fig10Result:
 
 
 #: Scenario stages this experiment reads (enforced by the runner).
-requires = ("constructed_map", "risk_matrix", "substrate")
+requires = ("constructed_map", "risk_matrix")
 
 
 def run(scenario: Scenario, top: int = 12) -> Fig10Result:
@@ -30,7 +30,6 @@ def run(scenario: Scenario, top: int = 12) -> Fig10Result:
             scenario.constructed_map,
             scenario.risk_matrix,
             top=top,
-            substrate=scenario.substrate,
             workers=scenario.workers,
         )
     )

@@ -28,7 +28,7 @@ class Fig11Result:
 
 
 #: Scenario stages this experiment reads (enforced by the runner).
-requires = ("constructed_map", "ground_truth", "substrate")
+requires = ("constructed_map", "ground_truth")
 
 
 def run(
@@ -48,7 +48,6 @@ def run(
         chosen,
         max_k=max_k,
         candidates=candidates,
-        substrate=scenario.substrate,
         workers=scenario.workers,
         driver=driver,
         driver_seed=driver_seed,

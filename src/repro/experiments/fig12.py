@@ -24,7 +24,7 @@ class Fig12Result:
 
 
 #: Scenario stages this experiment reads (enforced by the runner).
-requires = ("constructed_map", "ground_truth", "substrate")
+requires = ("constructed_map", "ground_truth")
 
 
 def run(scenario: Scenario, max_pairs: int = 400) -> Fig12Result:
@@ -32,7 +32,6 @@ def run(scenario: Scenario, max_pairs: int = 400) -> Fig12Result:
         scenario.constructed_map,
         scenario.network,
         max_pairs=max_pairs,
-        substrate=scenario.substrate,
         row_kinds=scenario.family.row_kinds[0],
     )
     p50, p75 = study.row_los_gap_percentiles((50.0, 75.0))

@@ -50,16 +50,17 @@ class MapFamily:
     ``synthesize`` is the family's ground-truth factory: it takes the
     stage-derived seed and returns a
     :class:`repro.fibermap.synthesis.GroundTruth`; every downstream
-    stage (map construction, topology, campaign, overlay, risk matrix,
-    substrate) is family-generic and consumes that object unchanged.
+    stage (map construction, topology, campaign, overlay, risk matrix)
+    and the routing substrate compiled from the constructed map are
+    family-generic and consume that object unchanged.
 
     ``prepare`` (optional) runs once before any stage of the family
     builds *or loads from cache* — it is where a family registers its
     extension datasets (e.g. landing-station cities), so artifacts
     unpickled in a fresh process still resolve their city keys.
 
-    ``row_kinds`` are the right-of-way kind groups the routing substrate
-    precompiles and the latency study routes over (the US family's
+    ``row_kinds`` are the right-of-way kind groups the latency study
+    and the transport-layer views route over (the US family's
     deployed-route view is ``("road", "rail")``; a submarine family
     routes over ``("sea", "road")``).
 

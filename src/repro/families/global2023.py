@@ -243,8 +243,8 @@ def synthesize_global_ground_truth(seed: int = 2023) -> GroundTruth:
 
     Same process shape as the US synthesis — carriers select POPs, plan
     links, route them, and occupy trenches — so every downstream stage
-    (construction pipeline, topology, campaign, overlay, risk matrix,
-    substrate) consumes the result unchanged.
+    (construction pipeline, topology, campaign, overlay, risk matrix)
+    and the routing substrate consume the result unchanged.
     """
     network = build_global_network()
     registry = RowRegistry(network)

@@ -3,16 +3,19 @@
 These builders were previously module-level in ``repro.scenario`` and
 hardwired to the US ground truth; they are now family-generic — the only
 stage that differs per family is ``ground_truth`` (each family's
-``synthesize``) and ``substrate`` (compiled over the family's declared
-right-of-way kind groups).  Everything in between (provider maps, the §2
+``synthesize``).  Everything downstream (provider maps, the §2
 construction pipeline, topology, campaign, geolocation, overlay, risk
 matrix) consumes the :class:`~repro.fibermap.synthesis.GroundTruth`
 contract and runs unchanged on any family.
 
-:func:`build_stage_table` reproduces, for the default family, the exact
-pre-registry ``STAGES`` tuple — same names, dependency lists, seed
-offsets, persistence flags, cache parameters, and docs — so cache keys
-and goldens are byte-identical.  Non-default families qualify persisted
+The compiled routing substrate the §5 and resilience analyses run on is
+not a stage: :func:`repro.perf.substrate.substrate_for` compiles it from
+the constructed map on first use, in milliseconds, so there is nothing
+worth persisting.
+
+:func:`build_stage_table` keeps, for the default family, every stage's
+pre-registry name, dependency list, seed offset, persistence flag,
+cache parameters and doc, so cache keys and goldens are byte-identical.  Non-default families qualify persisted
 stages' cache keys with the family name, keeping their artifacts from
 ever colliding with (or shadowing) the default family's.
 """
@@ -28,7 +31,6 @@ from repro.fibermap.pipeline import ConstructionReport, MapConstructionPipeline
 from repro.fibermap.publish import ProviderMap, publish_provider_maps
 from repro.fibermap.records import RecordsCorpus, generate_records
 from repro.fibermap.synthesis import GroundTruth
-from repro.perf.substrate import RoutingSubstrate
 from repro.risk.matrix import RiskMatrix
 from repro.traceroute.campaign import CampaignConfig, run_campaign
 from repro.traceroute.columns import TraceColumns
@@ -124,15 +126,6 @@ def _build_risk_matrix(ctx: StageContext) -> RiskMatrix:
     )
 
 
-def _build_substrate(ctx: StageContext) -> RoutingSubstrate:
-    fiber_map, _ = ctx.dep("constructed_map")
-    return RoutingSubstrate(
-        fiber_map,
-        network=ctx.dep("ground_truth").network,
-        row_kinds=_family_of(ctx).row_kinds,
-    )
-
-
 #: Facade attribute -> backing stage.  Derived views (``network``,
 #: ``isps``, ``construction_report``) resolve to the stage whose value
 #: they project; the experiment runner uses this to enforce each
@@ -152,7 +145,6 @@ STAGE_OF_ATTRIBUTE: Dict[str, str] = {
     "geolocation": "geolocation",
     "overlay": "overlay",
     "risk_matrix": "risk_matrix",
-    "substrate": "substrate",
 }
 
 
@@ -238,11 +230,5 @@ def build_stage_table(
             "risk_matrix", _build_risk_matrix,
             deps=("constructed_map", "ground_truth"),
             doc="the §4.1 ISP x conduit shared-risk matrix",
-        ),
-        StageDef(
-            "substrate", _build_substrate,
-            deps=("constructed_map", "ground_truth"),
-            persist=True, cache_params=keyed("seed"),
-            doc="the compiled §5/resilience routing substrate (CSR arrays)",
         ),
     )

@@ -198,7 +198,6 @@ def improvement_curve(
     isp: str,
     max_k: int = 10,
     candidates: Optional[List[Tuple[EdgeKey, float]]] = None,
-    substrate=None,
     driver="greedy",
     driver_seed: int = 0,
     **driver_params,
@@ -230,7 +229,6 @@ def improvement_curve(
         isp,
         max_k=max_k,
         candidates=candidates,
-        substrate=substrate,
     )
     return run_driver(env, make_driver(driver, seed=driver_seed, **driver_params))
 
@@ -241,7 +239,6 @@ def improvement_curves(
     isps: Sequence[str],
     max_k: int = 10,
     candidates: Optional[List[Tuple[EdgeKey, float]]] = None,
-    substrate=None,
     workers: Optional[int] = None,
     driver="greedy",
     driver_seed: int = 0,
@@ -273,7 +270,6 @@ def improvement_curves(
             isp,
             max_k=max_k,
             candidates=candidates,
-            substrate=substrate,
             driver=driver,
             driver_seed=driver_seed,
             **driver_params,

@@ -41,7 +41,7 @@ from repro.mitigation.augmentation import (
     candidate_new_edges,
 )
 from repro.obs.tracer import get_tracer
-from repro.perf.substrate import resolve_substrate
+from repro.perf.substrate import substrate_for
 from repro.transport.network import EdgeKey, TransportationNetwork
 
 Plan = Tuple[int, ...]
@@ -56,9 +56,8 @@ class _SubstrateEngine:
         fiber_map: FiberMap,
         isp: str,
         candidates: List[Tuple[EdgeKey, float]],
-        substrate,
     ):
-        conduits = substrate.conduits
+        conduits = substrate_for(fiber_map)
         self._base = _footprint_view(conduits, isp)
         self.demands = sorted(
             {link.endpoints for link in fiber_map.links_of(isp)}
@@ -133,11 +132,10 @@ class AugmentationEnv:
         isp: str,
         max_k: int = 10,
         candidates: Optional[List[Tuple[EdgeKey, float]]] = None,
-        substrate=None,
     ):
         if candidates is None:
             candidates = candidate_new_edges(fiber_map, network)
-        self._engine = self._make_engine(fiber_map, isp, candidates, substrate)
+        self._engine = self._make_engine(fiber_map, isp, candidates)
         self.isp = isp
         self.max_k = max_k
         self.pool = self._engine.pool
@@ -153,10 +151,8 @@ class AugmentationEnv:
             )
 
     @staticmethod
-    def _make_engine(fiber_map, isp, candidates, substrate) -> _SubstrateEngine:
-        return _SubstrateEngine(
-            fiber_map, isp, candidates, resolve_substrate(fiber_map, substrate)
-        )
+    def _make_engine(fiber_map, isp, candidates) -> _SubstrateEngine:
+        return _SubstrateEngine(fiber_map, isp, candidates)
 
     @property
     def num_candidates(self) -> int:

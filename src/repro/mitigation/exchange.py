@@ -87,7 +87,7 @@ def plan_exchange(
         raise ValueError("num_conduits must be positive")
     if candidates is None:
         candidates = candidate_new_edges(fiber_map, network)
-    conduits = substrate_for(fiber_map).conduits
+    conduits = substrate_for(fiber_map)
     # Provider-outer: one batched Dijkstra per provider answers every
     # candidate, and each candidate's gains fill in *isps* order.
     gains: List[Dict[str, float]] = [{} for _ in candidates]

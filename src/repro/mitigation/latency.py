@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.fibermap.elements import FiberMap
 from repro.geo.coords import fiber_delay_ms
-from repro.perf.substrate import GraphView, RoutingSubstrate, resolve_substrate
+from repro.perf.substrate import GraphView, row_view, substrate_for
 from repro.transport.network import EdgeKey, TransportationNetwork, canonical_edge
 
 #: Default LOS distance band for studied pairs (km).  Maps to roughly
@@ -110,7 +110,7 @@ def _alternative_paths_mean_km(
 
 
 def _pair_delays(
-    substrate: RoutingSubstrate,
+    fiber_map: FiberMap,
     network: TransportationNetwork,
     ordered: Sequence[EdgeKey],
     los_of: Dict[EdgeKey, float],
@@ -121,16 +121,13 @@ def _pair_delays(
     """The four delays of every studied pair: best/ROW distances come
     from two batched Dijkstras (one per weight view, all sources at once)
     and the alternative-path means from the array-walk Yen enumeration."""
-    conduit_view = substrate.conduits.conduit_view()
-    row_view = substrate.row_view(row_kinds)
-    if row_view is None:
-        substrate.attach_network(network, row_kinds=(row_kinds,))
-        row_view = substrate.row_view(row_kinds)
+    conduit_view = substrate_for(fiber_map).conduit_view()
+    row_graph = row_view(network, row_kinds)
     import numpy as np
 
     sources = [a for a, _ in ordered]
     c_dist, _c_pred, c_row = conduit_view.dijkstra(sources, "length_km")
-    r_dist, _r_pred, r_row = row_view.dijkstra(sources, "length_km")
+    r_dist, _r_pred, r_row = row_graph.dijkstra(sources, "length_km")
     results: List[PairDelays] = []
     for a, b in ordered:
         if not conduit_view.present(a) or not conduit_view.present(b):
@@ -141,9 +138,9 @@ def _pair_delays(
         avg_km = _alternative_paths_mean_km(
             conduit_view, a, b, best_km, max_paths, slack
         )
-        if not row_view.present(a) or not row_view.present(b):
+        if not row_graph.present(a) or not row_graph.present(b):
             continue
-        b_row_idx = row_view.index.get(b)
+        b_row_idx = row_graph.index.get(b)
         row_km = (
             float(r_dist[r_row[a], b_row_idx])
             if b_row_idx is not None
@@ -172,7 +169,6 @@ def latency_study(
     max_paths: int = DEFAULT_MAX_PATHS,
     slack: float = DEFAULT_SLACK,
     seed: int = 97,
-    substrate=None,
     row_kinds: Tuple[str, ...] = ("road", "rail"),
 ) -> LatencyStudy:
     """Build the Figure 12 dataset.
@@ -186,17 +182,13 @@ def latency_study(
     (the map family's deployable media; the paper's roads and railways by
     default).
     """
-    row_kinds = tuple(row_kinds)
-    resolved = resolve_substrate(
-        fiber_map, substrate, network=network, row_kinds=(row_kinds,)
-    )
     ordered, los_of = _study_pairs(
         fiber_map, network, min_km, max_km, max_pairs, seed
     )
     return LatencyStudy(
         pairs=tuple(
             _pair_delays(
-                resolved, network, ordered, los_of, max_paths, slack,
+                fiber_map, network, ordered, los_of, max_paths, slack,
                 row_kinds,
             )
         )

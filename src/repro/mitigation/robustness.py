@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fibermap.elements import FiberMap
-from repro.perf.substrate import RoutingSubstrate, resolve_substrate
+from repro.perf.substrate import substrate_for
 from repro.risk.matrix import RiskMatrix
 from repro.risk.metrics import most_shared_conduits
 
@@ -92,12 +92,12 @@ class RobustnessSuggestion:
 
 
 def _optimized_path(
-    fiber_map: FiberMap, conduit_id: str, substrate: RoutingSubstrate
+    fiber_map: FiberMap, conduit_id: str
 ) -> Optional[Tuple[Tuple[str, ...], int]]:
     """The min-shared-risk alternate path around one conduit, as
     ``(conduit_ids, max_risk)``: exclusion is an array patch of the
     cached collapsed conduit view, the solve one CSR Dijkstra."""
-    cs = substrate.conduits
+    cs = substrate_for(fiber_map)
     view = cs.conduit_view_excluding(conduit_id)
     a, b = fiber_map.conduit(conduit_id).edge
     if not view.present(a) or not view.present(b):
@@ -119,16 +119,13 @@ def optimize_conduit_for_isp(
     matrix: RiskMatrix,
     isp: str,
     conduit_id: str,
-    substrate=None,
 ) -> Optional[SuggestionOutcome]:
     """Minimum-shared-risk alternate path around one conduit.
 
     Returns ``None`` when the conduit's endpoints have no alternate
     connection (a true bridge in the conduit graph).
     """
-    result = _optimized_path(
-        fiber_map, conduit_id, resolve_substrate(fiber_map, substrate)
-    )
+    result = _optimized_path(fiber_map, conduit_id)
     if result is None:
         return None
     conduits, max_risk = result
@@ -172,25 +169,21 @@ def _suggestion_for_isp(
 def _solve_conduits(
     fiber_map: FiberMap,
     conduit_ids: Sequence[str],
-    substrate,
     workers: Optional[int] = None,
 ) -> Dict[str, Optional[Tuple[Tuple[str, ...], int]]]:
     """Each conduit's optimum, solved once (optionally thread-fanned —
     the CSR Dijkstras release the GIL)."""
     unique = list(dict.fromkeys(conduit_ids))
-    substrate = resolve_substrate(fiber_map, substrate)
     if workers and workers > 1 and len(unique) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(
-                    lambda cid: _optimized_path(fiber_map, cid, substrate),
+                    lambda cid: _optimized_path(fiber_map, cid),
                     unique,
                 )
             )
         return dict(zip(unique, results))
-    return {
-        cid: _optimized_path(fiber_map, cid, substrate) for cid in unique
-    }
+    return {cid: _optimized_path(fiber_map, cid) for cid in unique}
 
 
 def optimize_isp_around_conduits(
@@ -199,7 +192,6 @@ def optimize_isp_around_conduits(
     isp: str,
     conduit_ids: Optional[Sequence[str]] = None,
     top: int = 12,
-    substrate=None,
 ) -> RobustnessSuggestion:
     """Run the §5.1 optimization for one provider.
 
@@ -213,7 +205,7 @@ def optimize_isp_around_conduits(
         cid for cid in conduit_ids
         if isp in fiber_map.conduit(cid).tenants
     ]
-    solved = _solve_conduits(fiber_map, relevant, substrate)
+    solved = _solve_conduits(fiber_map, relevant)
     return _suggestion_for_isp(fiber_map, isp, conduit_ids, dict(solved))
 
 
@@ -221,7 +213,6 @@ def optimize_all_isps(
     fiber_map: FiberMap,
     matrix: RiskMatrix,
     top: int = 12,
-    substrate=None,
     workers: Optional[int] = None,
 ) -> Dict[str, RobustnessSuggestion]:
     """Figure 10: the framework applied to every provider.
@@ -233,7 +224,7 @@ def optimize_all_isps(
     threads.
     """
     shared = [cid for cid, _ in most_shared_conduits(matrix, top=top)]
-    solved = _solve_conduits(fiber_map, shared, substrate, workers=workers)
+    solved = _solve_conduits(fiber_map, shared, workers=workers)
     return {
         isp: _suggestion_for_isp(fiber_map, isp, shared, solved)
         for isp in matrix.isps

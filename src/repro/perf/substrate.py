@@ -30,6 +30,14 @@ tenant counts, lengths, per-ISP tenancy masks) and derives cheap
   targeted-attack step costs one reverse union sweep instead of a full
   per-step graph rebuild.
 
+:func:`substrate_for` is the one way to get a compiled fiber map: a
+weak-keyed, single-flight memo, so every analysis of one map (a
+scenario's experiments, the what-if service's handlers, a test's bare
+``FiberMap``) shares one :class:`ConduitSubstrate`.  :func:`row_view`
+memoizes the compiled right-of-way graphs of a transportation network
+the same way, one per kind set.  Compiling costs milliseconds, so
+neither is persisted.
+
 scipy is a hard dependency and this module is the only place the
 package builds a CSR matrix or calls scipy's Dijkstra.  The NetworkX
 references live in ``tests/oracles/``, where the parity suites
@@ -39,6 +47,7 @@ cross-check them against the compiled core on randomized graphs.
 from __future__ import annotations
 
 import copy
+import threading
 import weakref
 from typing import (
     Dict,
@@ -591,12 +600,9 @@ class ConduitSubstrate:
 # Transportation-network views (§5.2 candidates / §5.3 ROW paths)
 # ----------------------------------------------------------------------
 def compile_transport_view(network, kinds: Optional[Iterable[str]]) -> GraphView:
-    """One kind-restricted right-of-way graph, compiled once.
-
-    Reproduces ``TransportationNetwork._subgraph_for_kinds`` — per edge,
-    the shortest covering geometry among the allowed kinds — which the
-    NetworkX path rebuilt on *every* ``row_shortest_path`` call.
-    """
+    """One kind-restricted right-of-way graph: per edge, the shortest
+    covering geometry among the allowed kinds (every kind when *kinds*
+    is ``None``).  Callers get it memoized through :func:`row_view`."""
     nodes = sorted(network.graph.nodes)
     index = {k: i for i, k in enumerate(nodes)}
     kind_set = frozenset(kinds) if kinds is not None else None
@@ -626,94 +632,33 @@ def compile_transport_view(network, kinds: Optional[Iterable[str]]) -> GraphView
 
 
 # ----------------------------------------------------------------------
-# The substrate facade
+# The memos: one compiled substrate per fiber map, one ROW view per kind set
 # ----------------------------------------------------------------------
-class RoutingSubstrate:
-    """Everything the §5 + resilience analyses need, compiled once.
-
-    ``conduits`` holds the fiber-map arrays and views; ``row_view``
-    serves compiled right-of-way graphs per infrastructure-kind set
-    (compiled on attach, so a pickled substrate carries its transport
-    views without referencing the network object itself).
-    """
-
-    #: Kind sets pre-compiled when a network is attached (§5.3 uses
-    #: "new conduit along existing roads or railways").  Map families
-    #: with other media (submarine cables) override per instance via
-    #: ``row_kinds``.
-    DEFAULT_ROW_KINDS: Tuple[Tuple[str, ...], ...] = (("road", "rail"),)
-
-    def __init__(self, fiber_map, network=None, row_kinds=None):
-        self.conduits = ConduitSubstrate(fiber_map)
-        self.row_kinds: Tuple[Tuple[str, ...], ...] = (
-            tuple(tuple(k) for k in row_kinds)
-            if row_kinds is not None
-            else self.DEFAULT_ROW_KINDS
-        )
-        self._row_views: Dict[FrozenSet[str], GraphView] = {}
-        if network is not None:
-            self.attach_network(network)
-
-    def attach_network(self, network, row_kinds=None) -> None:
-        """Compile right-of-way views for the instance's kind sets (plus
-        any extra *row_kinds* requested); already-compiled sets are kept."""
-        wanted = list(self.row_kinds)
-        if row_kinds is not None:
-            wanted.extend(tuple(k) for k in row_kinds)
-        for kinds in wanted:
-            key = frozenset(kinds)
-            if key not in self._row_views:
-                self._row_views[key] = compile_transport_view(network, kinds)
-
-    def row_view(self, kinds: Iterable[str]) -> Optional[GraphView]:
-        """The compiled ROW graph for a kind set, if pre-compiled."""
-        return self._row_views.get(frozenset(kinds))
-
-    @property
-    def has_row_views(self) -> bool:
-        return bool(self._row_views)
-
-
-#: One substrate per live fiber map: analyses that are handed a bare
-#: ``FiberMap`` (tests, examples, CLI one-offs) share the compiled
-#: arrays without any scenario plumbing.
+#: Weak-keyed, so a compiled map lives exactly as long as its fiber map
+#: (or network); the lock makes each build single-flight across threads.
 _SUBSTRATES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_ROW_VIEWS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_LOCK = threading.Lock()
 
 
-def substrate_for(
-    fiber_map, network=None, row_kinds=None
-) -> RoutingSubstrate:
-    """The memoized substrate for a fiber map.
-
-    If a cached substrate lacks transport views for the requested kind
-    sets and a network is now available, the missing views are compiled
-    and attached in place.
-    """
-    substrate = _SUBSTRATES.get(fiber_map)
-    if substrate is None:
-        substrate = RoutingSubstrate(
-            fiber_map, network=network, row_kinds=row_kinds
-        )
-        _SUBSTRATES[fiber_map] = substrate
-    elif network is not None and (
-        not substrate.has_row_views
-        or (
-            row_kinds is not None
-            and any(
-                substrate.row_view(kinds) is None for kinds in row_kinds
-            )
-        )
-    ):
-        substrate.attach_network(network, row_kinds=row_kinds)
+def substrate_for(fiber_map) -> ConduitSubstrate:
+    """The compiled substrate of a fiber map, built once per map."""
+    with _LOCK:
+        substrate = _SUBSTRATES.get(fiber_map)
+        if substrate is None:
+            substrate = _SUBSTRATES[fiber_map] = ConduitSubstrate(fiber_map)
     return substrate
 
 
-def resolve_substrate(
-    fiber_map, substrate, network=None, row_kinds=None
-) -> RoutingSubstrate:
-    """The substrate a §5/resilience entry point should use: an explicit
-    instance is passed through, ``None`` (the default) auto-builds via
-    :func:`substrate_for`."""
-    if substrate is None:
-        return substrate_for(fiber_map, network=network, row_kinds=row_kinds)
-    return substrate
+def row_view(network, kinds: Optional[Iterable[str]] = None) -> GraphView:
+    """The compiled right-of-way graph of a network over a kind set
+    (``None``: every kind), built on first use per kind set.  Networks
+    are not edited once their builder returns, so a view never goes
+    stale."""
+    key = frozenset(kinds) if kinds is not None else None
+    with _LOCK:
+        views = _ROW_VIEWS.setdefault(network, {})
+        view = views.get(key)
+        if view is None:
+            view = views[key] = compile_transport_view(network, key)
+    return view

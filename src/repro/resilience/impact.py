@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.fibermap.elements import FiberMap
 from repro.geo.coords import fiber_delay_ms
-from repro.perf.substrate import RoutingSubstrate, resolve_substrate
+from repro.perf.substrate import substrate_for
 from repro.resilience.cuts import CutEvent
 from repro.traceroute.overlay import TrafficOverlay
 
@@ -83,11 +83,11 @@ Rerouter = Callable[[str, str], Optional[float]]
 
 
 def _substrate_rerouter(
-    substrate: RoutingSubstrate, event: CutEvent, isp: str, hit_links
+    fiber_map: FiberMap, event: CutEvent, isp: str, hit_links
 ) -> Rerouter:
     """One batched Dijkstra over the provider's surviving-footprint view
     answers every hit link's reroute distance."""
-    conduits = substrate.conduits
+    conduits = substrate_for(fiber_map)
     dead_rows = {
         conduits.row_of[cid]
         for cid in event.conduit_ids
@@ -134,16 +134,14 @@ def assess_cut(
     fiber_map: FiberMap,
     event: CutEvent,
     overlay: Optional[TrafficOverlay] = None,
-    substrate=None,
 ) -> CutImpact:
     """Assess one cut event across every tenant of the severed conduits.
 
     Each provider's reroute distances come from one batched Dijkstra
     over its surviving-footprint view on the routing substrate.
     """
-    resolved = resolve_substrate(fiber_map, substrate)
     return _assess_cut(
-        fiber_map, event, overlay, partial(_substrate_rerouter, resolved, event)
+        fiber_map, event, overlay, partial(_substrate_rerouter, fiber_map, event)
     )
 
 

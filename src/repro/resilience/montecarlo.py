@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fibermap.elements import FiberMap
-from repro.perf.substrate import UnionFind, resolve_substrate
+from repro.perf.substrate import UnionFind, substrate_for
 from repro.resilience.cuts import CutEvent, edge_cut
 from repro.resilience.impact import probes_crossing
 from repro.risk.matrix import RiskMatrix
@@ -41,7 +41,6 @@ def _apply_sequence(
     fiber_map: FiberMap,
     edges: Sequence[EdgeKey],
     overlay: Optional[TrafficOverlay],
-    substrate,
 ) -> AttackResult:
     """Cumulative-cut assessment via offline decremental connectivity.
 
@@ -51,7 +50,7 @@ def _apply_sequence(
     Each provider therefore costs one union-find sweep over its rows
     instead of one shortest-path solve per hit link per step.
     """
-    conduits = substrate.conduits
+    conduits = substrate_for(fiber_map)
     traffic = overlay.traffic() if overlay is not None else None
     events: List[CutEvent] = []
     death_step: Dict[int, int] = {}
@@ -145,14 +144,10 @@ def targeted_attack(
     matrix: RiskMatrix,
     cuts: int = 5,
     overlay: Optional[TrafficOverlay] = None,
-    substrate=None,
 ) -> AttackResult:
     """Sever the most-shared rights-of-way, worst first."""
     return _apply_sequence(
-        fiber_map,
-        _targeted_edges(fiber_map, matrix, cuts),
-        overlay,
-        resolve_substrate(fiber_map, substrate),
+        fiber_map, _targeted_edges(fiber_map, matrix, cuts), overlay
     )
 
 
@@ -176,12 +171,10 @@ def random_cut_study(
     trials: int = 10,
     seed: int = 13,
     overlay: Optional[TrafficOverlay] = None,
-    substrate=None,
 ) -> List[AttackResult]:
     """Repeated random ROW cut sequences, for baseline comparison."""
-    resolved = resolve_substrate(fiber_map, substrate)
     return [
-        _apply_sequence(fiber_map, edges, overlay, resolved)
+        _apply_sequence(fiber_map, edges, overlay)
         for edges in _random_edge_sequences(fiber_map, cuts, trials, seed)
     ]
 

@@ -60,7 +60,6 @@ from repro.perf.cache import (
     normalize_cache_setting,
     resolve_cache,
 )
-from repro.perf.substrate import RoutingSubstrate
 from repro.risk.matrix import RiskMatrix
 from repro.traceroute.columns import TraceColumns
 from repro.traceroute.geolocate import GeolocationDatabase
@@ -289,12 +288,6 @@ class Scenario:
     def risk_matrix(self) -> RiskMatrix:
         """The §4.1 risk matrix over the scenario's providers."""
         return self.graph.materialize("risk_matrix")
-
-    @property
-    def substrate(self) -> RoutingSubstrate:
-        """The compiled routing substrate the §5 mitigation and
-        resilience analyses run on."""
-        return self.graph.materialize("substrate")
 
     @property
     def isps(self) -> Tuple[str, ...]:

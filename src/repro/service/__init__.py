@@ -2,10 +2,12 @@
 
 This package turns the batch analyses into an interactive tool (the
 Xaminer direction in PAPERS.md): a long-lived server holds warm
-:class:`~repro.scenario.Scenario` objects — stage graph plus compiled
-:class:`~repro.perf.substrate.RoutingSubstrate` — resident in memory
-and answers what-if queries in milliseconds instead of re-running a
-cold script per question.
+:class:`~repro.scenario.Scenario` objects — stage graph plus the
+constructed map's :class:`~repro.perf.substrate.ConduitSubstrate`, the
+one compiled copy every query kind shares (via
+:func:`~repro.perf.substrate.substrate_for`) — resident in memory and
+answers what-if queries in milliseconds instead of re-running a cold
+script per question.
 
 The layers, bottom-up:
 

@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.geo.coords import fiber_delay_ms
 from repro.obs.tracer import get_tracer
+from repro.perf.substrate import substrate_for
 from repro.service.schema import (
     AddConduitRequest,
     AddConduitResponse,
@@ -164,8 +165,8 @@ def solve_latency_batch(
             outcomes[i] = error
             continue
         valid.append(i)
-    substrate = scenario.substrate
-    view = substrate.conduits.conduit_view()
+    conduits = substrate_for(fiber_map)
+    view = conduits.conduit_view()
     sources = [requests[i].city_a for i in valid]
     dist, pred, row_of = view.dijkstra(sources, "length_km")
     for i in valid:
@@ -191,7 +192,7 @@ def solve_latency_batch(
         for u, v in zip(path, path[1:]):
             edge = view.edge_index(view.nodes[u], view.nodes[v])
             conduit_ids.append(
-                substrate.conduits.cids[int(view.payload["conduit"][edge])]
+                conduits.cids[int(view.payload["conduit"][edge])]
             )
         outcomes[i] = LatencyResponse(
             city_a=request.city_a,
@@ -225,14 +226,13 @@ def _handle_add(scenario, request: AddConduitRequest) -> AddConduitResponse:
         raise QueryError(
             "invalid_field", "length_km must be positive", field="length_km"
         )
-    substrate = scenario.substrate
     if request.length_km is not None:
         length_km = float(request.length_km)
     else:
         length_km = scenario.network.los_km(
             request.city_a, request.city_b
         )
-    base = substrate.conduits.conduit_view()
+    base = substrate_for(fiber_map).conduit_view()
     ai = base.index[request.city_a]
     dist_before, _, row_of = base.dijkstra([request.city_a], "length_km")
     before = dist_before[row_of[request.city_a]]

@@ -21,17 +21,18 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.perf.substrate import substrate_for
 from repro.scenario import Scenario, ScenarioConfig
 from repro.service.handlers import LatencyBatcher
 from repro.service.schema import QueryError
 
 #: Stages materialized at warm-up: everything the query kinds touch.
 #: ``overlay`` transitively pulls the campaign, topology, and
-#: geolocation, so a ready scenario answers every kind from memory.
+#: geolocation; warm-up then compiles the constructed map's routing
+#: substrate, so a ready scenario answers every kind from memory.
 DEFAULT_WARM_STAGES: Tuple[str, ...] = (
     "constructed_map",
     "risk_matrix",
-    "substrate",
     "overlay",
 )
 
@@ -62,11 +63,13 @@ class ScenarioEntry:
         self.queries = 0
 
     def warm(self) -> None:
-        """Materialize the warm stages; flips state to ready/failed."""
+        """Materialize the warm stages and compile the routing substrate;
+        flips state to ready/failed."""
         self.state = WARMING
         try:
             with self.lock:
                 self.scenario.graph.materialize_many(self.warm_stages)
+                substrate_for(self.scenario.constructed_map)
         except Exception as error:  # noqa: BLE001 - reported via /healthz
             self.state = FAILED
             self.error = f"{type(error).__name__}: {error}"

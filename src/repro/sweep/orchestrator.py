@@ -47,12 +47,9 @@ def _cell_metrics(
     fiber_map = scenario.constructed_map
     network = scenario.network
     matrix = scenario.risk_matrix
-    substrate = scenario.substrate
     chosen = list(isps) if isps else list(scenario.isps)
     sharing = sharing_fractions(matrix)
-    suggestions = optimize_all_isps(
-        fiber_map, matrix, substrate=substrate
-    )
+    suggestions = optimize_all_isps(fiber_map, matrix)
     srr = [s.avg_srr for s in suggestions.values()]
     pi = [s.avg_pi for s in suggestions.values()]
     curves = improvement_curves(
@@ -60,7 +57,6 @@ def _cell_metrics(
         network,
         chosen,
         max_k=cell.max_k,
-        substrate=substrate,
         driver=cell.driver,
         driver_seed=cell.driver_seed,
     )

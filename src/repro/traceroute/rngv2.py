@@ -248,10 +248,10 @@ class _TemplateStore:
     ids and doubled cumulative latencies padded to
     :data:`HOP_NOISE_BUDGET` columns, its hop count (``-1`` marks an
     unreachable pair), and its four schema endpoint ids.  Rows are
-    built in vectorized batches against the routing core.  The scalar
-    builder (one engine template per pair) is kept as the test oracle;
-    the two are bit-identical because a row-wise ``cumsum`` over the
-    path's edge weights replays the scalar path's sequential
+    built in vectorized batches against the routing core; they are
+    bit-identical to one engine template per pair (the scalar oracle in
+    ``tests/oracles/campaign.py``) because a row-wise ``cumsum`` over
+    the path's edge weights replays the scalar path's sequential
     left-to-right latency accumulation exactly.  Rows persist across
     batches and shards within a worker.
     """
@@ -287,32 +287,6 @@ class _TemplateStore:
             raise RuntimeError(
                 f"a path has {max_hops} visible hops; RNG contract v2 "
                 f"budgets {HOP_NOISE_BUDGET} noise slots per trace"
-            )
-
-    def _build_rows_scalar(
-        self, engine: ProbeEngine, tables: _PlanTables, codes: np.ndarray
-    ) -> None:
-        """Test oracle for :meth:`_build_rows_vectorized`: one engine
-        template per pair (no campaign path calls it)."""
-        rows = self._reserve(len(codes))
-        for row, code in zip(rows.tolist(), codes.tolist()):
-            cn, dn = divmod(code, tables.n_dest_nodes)
-            template = engine._hop_template(
-                tables.client_nodes[cn], tables.dest_nodes[dn]
-            )
-            self._row_of[code] = row
-            if template is False:
-                continue
-            k = len(template.router_ids)
-            self._check_budget(k)
-            self.counts[row] = k
-            self.router_pad[row, :k] = template.router_ids
-            self.cum_pad[row, :k] = template.double_cum
-            self.endpoints[row] = (
-                template.src_city_id,
-                template.src_isp_id,
-                template.dst_city_id,
-                template.dst_isp_id,
             )
 
     def _build_rows_vectorized(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -12,6 +12,7 @@ from repro.data.corridors import Corridor
 from repro.geo.coords import haversine_km
 from repro.geo.overlap import CorridorIndex
 from repro.geo.polyline import Polyline
+from repro.perf.substrate import row_view
 
 EdgeKey = Tuple[str, str]
 
@@ -155,23 +156,6 @@ class TransportationNetwork:
         b = city_by_name(b_key).location
         return haversine_km(a, b)
 
-    def _subgraph_for_kinds(self, kinds: Optional[FrozenSet[str]]) -> nx.Graph:
-        if kinds is None:
-            return self._graph
-        sub = nx.Graph()
-        for record in self._edges.values():
-            usable = record.kinds & kinds
-            if not usable:
-                continue
-            # Weight by the shortest geometry among the allowed kinds.
-            length = min(
-                record.geometries[name].length_km
-                for name in record.corridor_names
-                if record.kind_of[name] in usable
-            )
-            sub.add_edge(record.edge[0], record.edge[1], length_km=length)
-        return sub
-
     def row_shortest_path(
         self,
         a_key: str,
@@ -180,16 +164,20 @@ class TransportationNetwork:
     ) -> Tuple[List[str], float]:
         """Shortest right-of-way path between two cities.
 
-        Returns ``(city_key_path, length_km)``.  Raises
-        ``networkx.NetworkXNoPath`` when the cities are not connected over
-        the allowed kinds, ``networkx.NodeNotFound`` when either city is
-        not on any allowed corridor.
+        Each edge weighs the shortest covering geometry among the allowed
+        *kinds* (every kind by default).  Returns ``(city_key_path,
+        length_km)``.  Raises ``networkx.NetworkXNoPath`` when the cities
+        are not connected over the allowed kinds, ``networkx.NodeNotFound``
+        when either city is not on any allowed corridor.
         """
-        kind_set = frozenset(kinds) if kinds is not None else None
-        graph = self._subgraph_for_kinds(kind_set)
-        path = nx.shortest_path(graph, a_key, b_key, weight="length_km")
-        length = nx.path_weight(graph, path, weight="length_km")
-        return path, length
+        view = row_view(self, kinds)
+        for role, key in (("Source", a_key), ("Target", b_key)):
+            if not view.present(key):
+                raise nx.NodeNotFound(f"{role} {key} is not in G")
+        path = view.shortest_path(a_key, b_key, "length_km")
+        if path is None:
+            raise nx.NetworkXNoPath(f"No path between {a_key} and {b_key}.")
+        return [view.nodes[i] for i in path], view.path_length(path, "length_km")
 
     def path_geometry(self, path: List[str]) -> Polyline:
         """Concatenated geometry along a city-key *path*."""

@@ -6,7 +6,9 @@ vectorized batches (``rngv2.generate_columns_v2``).  The object
 generators below are their references: :func:`trace_for_index` builds
 one :class:`TracerouteRecord` per trace index under either contract,
 draw for draw, so the parity suites can require every column to
-reconstruct exactly the record it builds.
+reconstruct exactly the record it builds.  :func:`build_rows_scalar`
+likewise fills a contract-v2 template store one engine template per
+pair, the reference of its vectorized row builder.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import random
 from bisect import bisect
 from typing import List
+
+import numpy as np
 
 from repro.traceroute.campaign import (
     CampaignConfig,
@@ -35,7 +39,9 @@ from repro.traceroute.rngv2 import (
     MAX_ATTEMPTS_PER_TRACE,
     _PURPOSE_ENDPOINT,
     _PURPOSE_NOISE,
+    _PlanTables,
     _stream,
+    _TemplateStore,
 )
 
 
@@ -113,3 +119,33 @@ def trace_record_v2(
             reached=True,
         )
     raise _unreachable(index)
+
+
+def build_rows_scalar(
+    store: _TemplateStore,
+    engine: ProbeEngine,
+    tables: _PlanTables,
+    codes: np.ndarray,
+) -> None:
+    """Fill *store* with one engine template per pair: the scalar
+    reference of ``_TemplateStore._build_rows_vectorized``."""
+    rows = store._reserve(len(codes))
+    for row, code in zip(rows.tolist(), codes.tolist()):
+        cn, dn = divmod(code, tables.n_dest_nodes)
+        template = engine._hop_template(
+            tables.client_nodes[cn], tables.dest_nodes[dn]
+        )
+        store._row_of[code] = row
+        if template is False:
+            continue
+        k = len(template.router_ids)
+        store._check_budget(k)
+        store.counts[row] = k
+        store.router_pad[row, :k] = template.router_ids
+        store.cum_pad[row, :k] = template.double_cum
+        store.endpoints[row] = (
+            template.src_city_id,
+            template.src_isp_id,
+            template.dst_city_id,
+            template.dst_isp_id,
+        )

@@ -8,7 +8,16 @@ suites compare whole analyses.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import networkx as nx
 
@@ -223,7 +232,7 @@ class ReferenceAugmentationEnv(AugmentationEnv):
     """:class:`AugmentationEnv` over the NetworkX reference engine."""
 
     @staticmethod
-    def _make_engine(fiber_map, isp, candidates, substrate):
+    def _make_engine(fiber_map, isp, candidates):
         return _ReferenceEngine(fiber_map, isp, candidates)
 
 
@@ -275,6 +284,41 @@ def _alternative_paths_mean_km(
     return sum(lengths) / len(lengths)
 
 
+def _subgraph_for_kinds(
+    network: TransportationNetwork, kinds: Optional[FrozenSet[str]]
+) -> nx.Graph:
+    if kinds is None:
+        return network.graph
+    sub = nx.Graph()
+    for record in network._edges.values():
+        usable = record.kinds & kinds
+        if not usable:
+            continue
+        # Weight by the shortest geometry among the allowed kinds.
+        length = min(
+            record.geometries[name].length_km
+            for name in record.corridor_names
+            if record.kind_of[name] in usable
+        )
+        sub.add_edge(record.edge[0], record.edge[1], length_km=length)
+    return sub
+
+
+def row_shortest_path_reference(
+    network: TransportationNetwork,
+    a_key: str,
+    b_key: str,
+    kinds: Optional[Iterable[str]] = None,
+) -> Tuple[List[str], float]:
+    """:meth:`TransportationNetwork.row_shortest_path` on a NetworkX
+    subgraph rebuilt per call."""
+    kind_set = frozenset(kinds) if kinds is not None else None
+    graph = _subgraph_for_kinds(network, kind_set)
+    path = nx.shortest_path(graph, a_key, b_key, weight="length_km")
+    length = nx.path_weight(graph, path, weight="length_km")
+    return path, length
+
+
 def _pair_delays_reference(
     fiber_map: FiberMap,
     network: TransportationNetwork,
@@ -285,7 +329,7 @@ def _pair_delays_reference(
     row_kinds: Tuple[str, ...],
 ) -> List[PairDelays]:
     """NetworkX reference: per-pair graph solves (and a per-call ROW
-    subgraph rebuild inside ``row_shortest_path``)."""
+    subgraph rebuild inside :func:`row_shortest_path_reference`)."""
     conduit_graph = fiber_map.simple_conduit_graph()
     results: List[PairDelays] = []
     for a, b in ordered:
@@ -301,7 +345,9 @@ def _pair_delays_reference(
             conduit_graph, a, b, best_km, max_paths, slack
         )
         try:
-            _, row_km = network.row_shortest_path(a, b, kinds=row_kinds)
+            _, row_km = row_shortest_path_reference(
+                network, a, b, kinds=row_kinds
+            )
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             continue
         results.append(

@@ -42,7 +42,7 @@ from repro.mitigation.drivers import (
     run_driver,
 )
 from repro.obs.tracer import Tracer, tracing
-from repro.perf.substrate import RoutingSubstrate
+from repro.perf.substrate import substrate_for
 from tests.oracles.mitigation import improvement_curve_reference
 from tests.test_substrate import _random_fiber_map
 
@@ -109,9 +109,8 @@ class TestGainMaskRegression:
         from repro.mitigation.augmentation import _footprint_view
 
         fiber_map = _random_fiber_map(11, cities=10)
-        substrate = RoutingSubstrate(fiber_map)
         for isp in fiber_map.isps():
-            view = _footprint_view(substrate.conduits, isp)
+            view = _footprint_view(substrate_for(fiber_map), isp)
             nodes = [n for n in view.nodes if view.present(n)]
             dist, _pred, row_of = view.dijkstra(nodes, "w")
             cols = np.array([view.index[n] for n in nodes])
@@ -134,7 +133,6 @@ class TestGainMaskRegression:
         """Reference vs substrate on maps whose provider footprints
         include disconnected components (demands with infinite cost)."""
         fiber_map = _random_fiber_map(seed, cities=10, extra_conduits=2)
-        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, seed)
         for isp in fiber_map.isps():
             reference = improvement_curve_reference(
@@ -142,7 +140,7 @@ class TestGainMaskRegression:
             )
             fast = improvement_curve(
                 fiber_map, None, isp, max_k=3,
-                candidates=candidates, substrate=substrate,
+                candidates=candidates,
             )
             assert fast == reference, isp
 
@@ -151,21 +149,20 @@ class TestGreedyDriverParity:
     @pytest.mark.parametrize("seed", (7, 23, 101))
     def test_greedy_named_and_instance_agree(self, seed):
         fiber_map = _random_fiber_map(seed)
-        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, seed + 1)
         for isp in fiber_map.isps():
             default = improvement_curve(
                 fiber_map, None, isp, max_k=4,
-                candidates=candidates, substrate=substrate,
+                candidates=candidates,
             )
             named = improvement_curve(
                 fiber_map, None, isp, max_k=4,
-                candidates=candidates, substrate=substrate,
+                candidates=candidates,
                 driver="greedy", driver_seed=99,
             )
             env = AugmentationEnv(
                 fiber_map, None, isp, max_k=4,
-                candidates=candidates, substrate=substrate,
+                candidates=candidates,
             )
             manual = run_driver(env, GreedyDriver())
             assert default == named == manual
@@ -175,15 +172,14 @@ class TestGreedyDriverParity:
 
     def test_greedy_is_deterministic_across_runs(self):
         fiber_map = _random_fiber_map(7)
-        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 8)
         first = improvement_curve(
             fiber_map, None, "AlphaNet", max_k=4,
-            candidates=candidates, substrate=substrate,
+            candidates=candidates,
         )
         second = improvement_curve(
             fiber_map, None, "AlphaNet", max_k=4,
-            candidates=candidates, substrate=substrate,
+            candidates=candidates,
         )
         assert first == second
 
@@ -191,7 +187,6 @@ class TestGreedyDriverParity:
 class TestPoolAccounting:
     def test_truncation_fields_and_counter(self, monkeypatch):
         fiber_map = _random_fiber_map(7)
-        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 9, count=8)
         monkeypatch.setattr(augmentation, "MAX_CANDIDATES", 3)
         tracer = Tracer()
@@ -199,7 +194,7 @@ class TestPoolAccounting:
             with tracer.span("test"):
                 result = improvement_curve(
                     fiber_map, None, "AlphaNet", max_k=2,
-                    candidates=candidates, substrate=substrate,
+                    candidates=candidates,
                 )
         assert result.pool_size <= 3
         eligible = result.pool_size + result.pool_truncated
@@ -216,7 +211,6 @@ class TestPoolAccounting:
 
     def test_truncation_parity_reference_vs_substrate(self, monkeypatch):
         fiber_map = _random_fiber_map(23)
-        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 10, count=8)
         monkeypatch.setattr(augmentation, "MAX_CANDIDATES", 3)
         for isp in fiber_map.isps():
@@ -225,7 +219,7 @@ class TestPoolAccounting:
             )
             fast = improvement_curve(
                 fiber_map, None, isp, max_k=2,
-                candidates=candidates, substrate=substrate,
+                candidates=candidates,
             )
             assert fast == reference
             assert fast.pool_size == reference.pool_size
@@ -233,11 +227,10 @@ class TestPoolAccounting:
 
     def test_untruncated_pool_reports_zero(self):
         fiber_map = _random_fiber_map(7)
-        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 11, count=5)
         result = improvement_curve(
             fiber_map, None, "BetaCom", max_k=2,
-            candidates=candidates, substrate=substrate,
+            candidates=candidates,
         )
         assert result.pool_truncated == 0
 
@@ -245,31 +238,29 @@ class TestPoolAccounting:
 class TestImprovementCurvesDedupe:
     def test_duplicate_providers_collapse(self):
         fiber_map = _random_fiber_map(7)
-        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 12)
         duplicated = improvement_curves(
             fiber_map, None, ["AlphaNet", "AlphaNet", "BetaCom"],
-            max_k=3, candidates=candidates, substrate=substrate,
+            max_k=3, candidates=candidates,
         )
         unique = improvement_curves(
             fiber_map, None, ["AlphaNet", "BetaCom"],
-            max_k=3, candidates=candidates, substrate=substrate,
+            max_k=3, candidates=candidates,
         )
         assert list(duplicated) == ["AlphaNet", "BetaCom"]
         assert duplicated == unique
 
     def test_duplicate_providers_collapse_threaded(self):
         fiber_map = _random_fiber_map(23)
-        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 13)
         isps = ["AlphaNet", "BetaCom", "AlphaNet", "GammaLink", "BetaCom"]
         threaded = improvement_curves(
             fiber_map, None, isps, max_k=2,
-            candidates=candidates, substrate=substrate, workers=3,
+            candidates=candidates, workers=3,
         )
         serial = improvement_curves(
             fiber_map, None, isps, max_k=2,
-            candidates=candidates, substrate=substrate,
+            candidates=candidates,
         )
         assert list(threaded) == ["AlphaNet", "BetaCom", "GammaLink"]
         assert threaded == serial
@@ -307,12 +298,11 @@ class TestStochasticDrivers:
     @pytest.mark.parametrize("name", ("anneal", "evolutionary", "random"))
     def test_fixed_seed_replays_exactly(self, name):
         fiber_map = _random_fiber_map(7)
-        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 14)
         runs = [
             improvement_curve(
                 fiber_map, None, "AlphaNet", max_k=3,
-                candidates=candidates, substrate=substrate,
+                candidates=candidates,
                 driver=name, driver_seed=5, budget=12,
             )
             for _ in range(2)
@@ -325,12 +315,11 @@ class TestStochasticDrivers:
         """The incumbent starts at the empty plan, so no stochastic
         driver can report a plan worse than doing nothing."""
         fiber_map = _random_fiber_map(23)
-        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 15)
         for isp in fiber_map.isps():
             result = improvement_curve(
                 fiber_map, None, isp, max_k=3,
-                candidates=candidates, substrate=substrate,
+                candidates=candidates,
                 driver=name, driver_seed=1, budget=10,
             )
             final = (
@@ -345,7 +334,6 @@ class TestStochasticDrivers:
         """A seeded driver replays the same proposals on both engines,
         and both engines measure identically — so full results match."""
         fiber_map = _random_fiber_map(101)
-        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 16)
         for name in ("anneal", "random"):
             reference = improvement_curve_reference(
@@ -354,7 +342,7 @@ class TestStochasticDrivers:
             )
             fast = improvement_curve(
                 fiber_map, None, "AlphaNet", max_k=3,
-                candidates=candidates, substrate=substrate,
+                candidates=candidates,
                 driver=name, driver_seed=2, budget=8,
             )
             assert fast == reference
@@ -372,7 +360,6 @@ class TestDriversOnSeedMap:
             scenario.network,
             isp,
             max_k=3,
-            substrate=scenario.substrate,
             driver=driver,
             driver_seed=seed,
             **({} if driver == "greedy" else {"budget": self.BUDGET}),
@@ -405,7 +392,6 @@ class TestDriversOnSeedMap:
             scenario.network,
             ["Telia"],
             max_k=2,
-            substrate=scenario.substrate,
             workers=scenario.workers,
         )
         assert result.results == direct
@@ -415,13 +401,12 @@ class TestDriversOnSeedMap:
 class TestAugmentationEnv:
     def test_evaluate_prefix_reuse_and_replay_agree(self):
         fiber_map = _random_fiber_map(7)
-        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 17)
 
         def fresh_env():
             return AugmentationEnv(
                 fiber_map, None, "AlphaNet", max_k=3,
-                candidates=candidates, substrate=substrate,
+                candidates=candidates,
             )
 
         env = fresh_env()
@@ -435,11 +420,10 @@ class TestAugmentationEnv:
 
     def test_evaluate_rejects_bad_plans(self):
         fiber_map = _random_fiber_map(7)
-        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 18)
         env = AugmentationEnv(
             fiber_map, None, "AlphaNet", max_k=2,
-            candidates=candidates, substrate=substrate,
+            candidates=candidates,
         )
         with pytest.raises(ValueError, match="repeats"):
             env.evaluate((0, 0))
@@ -450,11 +434,10 @@ class TestAugmentationEnv:
 
     def test_result_pads_with_last_exposure(self):
         fiber_map = _random_fiber_map(7)
-        substrate = RoutingSubstrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 19)
         env = AugmentationEnv(
             fiber_map, None, "AlphaNet", max_k=4,
-            candidates=candidates, substrate=substrate,
+            candidates=candidates,
         )
         exposures = env.evaluate((0,))
         result = env.result((0,), exposures, "test")

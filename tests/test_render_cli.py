@@ -297,11 +297,10 @@ class TestCliGraph:
     def test_show_json(self, capsys):
         assert main(["--json", "graph", "show"]) == 0
         rows = json.loads(capsys.readouterr().out)
-        assert len(rows) == 11
+        assert len(rows) == 10
         by_stage = {row["stage"]: row for row in rows}
         assert by_stage["campaign"]["derived_seed"] == 2015 + 5
         assert by_stage["overlay"]["policy"] == "persisted"
-        assert by_stage["substrate"]["policy"] == "persisted"
 
     def test_explain_requires_stage(self, capsys):
         assert main(["graph", "explain"]) == 2

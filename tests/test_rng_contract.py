@@ -33,7 +33,7 @@ from repro.traceroute.columns import (
 from repro.traceroute.geolocate import GeolocationDatabase
 from repro.traceroute.probe import ProbeEngine
 from repro.traceroute import rngv2
-from tests.oracles.campaign import trace_record_v2
+from tests.oracles.campaign import build_rows_scalar, trace_record_v2
 from tests.test_golden_hashes import record_digest
 
 #: The pre-v2 campaign goldens (recorded against PR 3, seed 2020 — the
@@ -143,7 +143,7 @@ class TestScalarReference:
 
     def test_vectorized_templates_match_engine_templates(self, topology):
         # The canary for the vectorized template builder: its padded
-        # rows must be bit-identical to the scalar builder's (which
+        # rows must be bit-identical to the scalar oracle's (which
         # wraps ``engine._hop_template``), for every pair a campaign
         # actually draws.
         config = _config(num_traces=600, rng_contract=2)
@@ -154,7 +154,7 @@ class TestScalarReference:
         codes = np.array(sorted(store._row_of), dtype=np.int64)
         reference = rngv2._TemplateStore()
         rows = store.rows_for(tables, core_tables, codes)
-        reference._build_rows_scalar(engine, tables, codes)
+        build_rows_scalar(reference, engine, tables, codes)
         ref_rows = np.array(
             [reference._row_of[code] for code in codes.tolist()],
             dtype=np.int64,

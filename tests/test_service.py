@@ -570,3 +570,29 @@ def test_keep_alive_round_trips_skip_the_delayed_ack(scenario):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert statistics.median(round_trips) < 0.020, round_trips
+
+
+def test_every_query_kind_shares_one_compiled_substrate(monkeypatch):
+    """Latency, add, cut, audit and exchange queries on a fresh scenario
+    compile its constructed map exactly once, through one memo."""
+    from repro.perf.substrate import ConduitSubstrate
+
+    built = []
+    original = ConduitSubstrate.__init__
+
+    def counting_init(self, fiber_map):
+        built.append(fiber_map)
+        original(self, fiber_map)
+
+    monkeypatch.setattr(ConduitSubstrate, "__init__", counting_init)
+    scenario = Scenario(seed=2015, campaign_traces=3000)
+    for request in (
+        LatencyRequest(city_a="Denver, CO", city_b="Chicago, IL"),
+        AddConduitRequest(city_a="Denver, CO", city_b="Chicago, IL"),
+        CutRequest(city_a="Phoenix, AZ", city_b="Tucson, AZ", max_traces=50),
+        AuditRequest(isp="Sprint"),
+        ExchangeRequest(num_conduits=1),
+    ):
+        scenario.query(request)
+    fiber_map = scenario.constructed_map
+    assert sum(1 for m in built if m is fiber_map) == 1

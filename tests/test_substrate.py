@@ -11,7 +11,10 @@ reference.
 
 from __future__ import annotations
 
+import copy
 import random
+import threading
+import time
 
 import networkx as nx
 import numpy as np
@@ -24,7 +27,12 @@ from repro.mitigation.augmentation import improvement_curve
 from repro.mitigation.latency import latency_study
 from repro.mitigation.robustness import optimize_all_isps
 from repro.perf.routing import RoutingCore
-from repro.perf.substrate import GraphView, RoutingSubstrate
+from repro.perf.substrate import (
+    ConduitSubstrate,
+    GraphView,
+    row_view,
+    substrate_for,
+)
 from repro.resilience.cuts import edge_cut
 from repro.resilience.impact import assess_cut
 from repro.resilience.montecarlo import random_cut_study, targeted_attack
@@ -101,7 +109,7 @@ class TestGraphViewParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_all_pairs_distances_match_networkx(self, seed):
         fiber_map = _random_fiber_map(seed)
-        view = RoutingSubstrate(fiber_map).conduits.conduit_view()
+        view = substrate_for(fiber_map).conduit_view()
         graph = fiber_map.simple_conduit_graph()
         dist, _pred, row_of = view.dijkstra(view.nodes, "length_km")
         for a in view.nodes:
@@ -118,9 +126,9 @@ class TestGraphViewParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_exclusion_matches_rebuilt_risk_graph(self, seed):
         fiber_map = _random_fiber_map(seed)
-        substrate = RoutingSubstrate(fiber_map)
+        conduits = substrate_for(fiber_map)
         for cid in sorted(fiber_map.conduits)[::3]:
-            view = substrate.conduits.conduit_view_excluding(cid)
+            view = conduits.conduit_view_excluding(cid)
             graph = _risk_graph(fiber_map, exclude=cid)
             a, b = fiber_map.conduit(cid).edge
             try:
@@ -141,7 +149,7 @@ class TestGraphViewParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_k_shortest_path_lengths_match_networkx(self, seed):
         fiber_map = _random_fiber_map(seed)
-        view = RoutingSubstrate(fiber_map).conduits.conduit_view()
+        view = substrate_for(fiber_map).conduit_view()
         graph = fiber_map.simple_conduit_graph()
         rng = random.Random(seed + 1)
         nodes = sorted(graph.nodes)
@@ -216,6 +224,69 @@ class TestCompiledCore:
                 assert core.distance(nodes[-1], node) == ref_dist[i][-1]
 
 
+class TestSingleFlightMemos:
+    """One compile per fiber map (and per ROW kind set), however many
+    threads ask for it at once."""
+
+    THREADS = 8
+
+    def _race(self, fn):
+        barrier = threading.Barrier(self.THREADS)
+        results = [None] * self.THREADS
+
+        def worker(i):
+            barrier.wait()
+            results[i] = fn()
+
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(self.THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return results
+
+    def test_substrate_for_builds_once_under_contention(self, monkeypatch):
+        built = []
+        original = ConduitSubstrate.__init__
+
+        def slow_init(self, fiber_map):
+            built.append(fiber_map)
+            time.sleep(0.005)
+            original(self, fiber_map)
+
+        monkeypatch.setattr(ConduitSubstrate, "__init__", slow_init)
+        fiber_map = _random_fiber_map(31)
+        results = self._race(lambda: substrate_for(fiber_map))
+        assert len(built) == 1
+        assert all(r is results[0] for r in results)
+        assert isinstance(results[0], ConduitSubstrate)
+
+    def test_row_view_builds_once_per_kind_set(self, monkeypatch, network):
+        import repro.perf.substrate as substrate_module
+
+        built = []
+        original = substrate_module.compile_transport_view
+
+        def slow_compile(net, kinds):
+            built.append(kinds)
+            time.sleep(0.005)
+            return original(net, kinds)
+
+        monkeypatch.setattr(
+            substrate_module, "compile_transport_view", slow_compile
+        )
+        fresh = copy.copy(network)  # a new memo key, same corridors
+        results = self._race(lambda: row_view(fresh, ("road", "rail")))
+        assert built == [frozenset({"road", "rail"})]
+        assert all(r is results[0] for r in results)
+        assert row_view(fresh, ("rail", "road")) is results[0]
+        assert row_view(fresh) is not results[0]
+        assert built == [frozenset({"road", "rail"}), None]
+
+
 class TestMaskedSolveReentrancy:
     """Masked solves share one view's cached CSR structure; each call
     must still see only its own mask when threads interleave."""
@@ -284,9 +355,8 @@ class TestAnalysisParity:
 
         fiber_map = _random_fiber_map(seed)
         matrix = RiskMatrix(fiber_map, isps=fiber_map.isps())
-        substrate = RoutingSubstrate(fiber_map)
         reference = optimize_all_isps_reference(fiber_map, matrix, top=8)
-        fast = optimize_all_isps(fiber_map, matrix, top=8, substrate=substrate)
+        fast = optimize_all_isps(fiber_map, matrix, top=8)
         assert sorted(fast) == sorted(reference)
         for isp in reference:
             ref_outcomes = {o.conduit_id: o for o in reference[isp].outcomes}
@@ -298,42 +368,39 @@ class TestAnalysisParity:
                 assert path_risk(fast_outcome) == path_risk(ref_outcome)
         # Substrate vs substrate (thread fan-out) is exactly equal.
         fanned = optimize_all_isps(
-            fiber_map, matrix, top=8, substrate=substrate, workers=4
+            fiber_map, matrix, top=8, workers=4
         )
         assert fanned == fast
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_assess_cut_identical(self, seed):
         fiber_map = _random_fiber_map(seed)
-        substrate = RoutingSubstrate(fiber_map)
         edges = sorted({c.edge for c in fiber_map.conduits.values()})
         rng = random.Random(seed + 2)
         for edge in rng.sample(edges, min(6, len(edges))):
             event = edge_cut(fiber_map, *edge)
             reference = assess_cut_reference(fiber_map, event)
-            fast = assess_cut(fiber_map, event, substrate=substrate)
+            fast = assess_cut(fiber_map, event)
             assert fast == reference
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_attack_sequences_identical(self, seed):
         fiber_map = _random_fiber_map(seed)
         matrix = RiskMatrix(fiber_map, isps=fiber_map.isps())
-        substrate = RoutingSubstrate(fiber_map)
         reference = targeted_attack_reference(fiber_map, matrix, cuts=5)
-        fast = targeted_attack(fiber_map, matrix, cuts=5, substrate=substrate)
+        fast = targeted_attack(fiber_map, matrix, cuts=5)
         assert fast == reference
         reference_runs = random_cut_study_reference(
             fiber_map, cuts=4, trials=4, seed=seed
         )
         fast_runs = random_cut_study(
-            fiber_map, cuts=4, trials=4, seed=seed, substrate=substrate
+            fiber_map, cuts=4, trials=4, seed=seed
         )
         assert fast_runs == reference_runs
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_improvement_curves_identical(self, seed):
         fiber_map = _random_fiber_map(seed)
-        substrate = RoutingSubstrate(fiber_map)
         rng = random.Random(seed + 3)
         used = {c.edge for c in fiber_map.conduits.values()}
         nodes = sorted(fiber_map.nodes)
@@ -349,7 +416,7 @@ class TestAnalysisParity:
             )
             fast = improvement_curve(
                 fiber_map, None, isp, max_k=4,
-                candidates=candidates, substrate=substrate,
+                candidates=candidates,
             )
             assert fast == reference, isp
 
@@ -360,7 +427,7 @@ class TestScenarioParity:
     def test_latency_study_identical(self, scenario, built_map, network):
         reference = latency_study_reference(built_map, network, max_pairs=40)
         fast = latency_study(
-            built_map, network, max_pairs=40, substrate=scenario.substrate
+            built_map, network, max_pairs=40
         )
         assert fast == reference
 

@@ -1,5 +1,7 @@
 """Tests for the transportation substrate: builder, network, rights-of-way."""
 
+import random
+
 import networkx as nx
 import pytest
 
@@ -12,6 +14,7 @@ from repro.transport.builder import (
 )
 from repro.transport.network import canonical_edge
 from repro.transport.rightofway import RowRegistry
+from tests.oracles.mitigation import row_shortest_path_reference
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +193,65 @@ class TestRowRegistry:
         row = registry.rows()[0]
         geometry = registry.geometry(row.row_id)
         assert geometry.length_km > 0
+
+
+class TestRowShortestPathParity:
+    """The compiled ROW graphs answer exactly like a NetworkX subgraph
+    rebuilt per call, errors included, on both map families."""
+
+    KIND_SETS = (None, ("road", "rail"), ("rail",), ("pipeline",))
+
+    @staticmethod
+    def _solve(fn):
+        try:
+            return fn()
+        except (nx.NetworkXNoPath, nx.NodeNotFound) as error:
+            return type(error)
+
+    @pytest.mark.parametrize("kinds", KIND_SETS)
+    def test_matches_reference(self, family_scenario, kinds):
+        network = family_scenario.network
+        allowed = set(kinds) if kinds is not None else None
+        cities = network.cities()
+        # Pairs on the kind-restricted corridors too, so sparse kinds
+        # yield paths and NetworkXNoPath, not only NodeNotFound.
+        on_kinds = sorted({
+            city for record in network.edges()
+            if allowed is None or record.kinds & allowed
+            for city in record.edge
+        })
+        rng = random.Random(41)
+        pairs = [tuple(rng.sample(cities, 2)) for _ in range(40)]
+        if len(on_kinds) > 1:
+            pairs += [tuple(rng.sample(on_kinds, 2)) for _ in range(20)]
+        pairs += [(cities[0], cities[0]), (cities[0], "Nowhere, XX"),
+                  ("Nowhere, XX", cities[0])]
+        outcomes = set()
+        for a, b in pairs:
+            got = self._solve(
+                lambda: network.row_shortest_path(a, b, kinds=kinds)
+            )
+            want = self._solve(
+                lambda: row_shortest_path_reference(network, a, b, kinds)
+            )
+            if isinstance(want, type):
+                assert got is want, (a, b, kinds)
+                outcomes.add(want.__name__)
+                continue
+            path, km = got
+            assert km == want[1], (a, b, kinds)
+            assert path[0] == a and path[-1] == b
+            assert len(set(path)) == len(path)
+            total = 0.0
+            for u, v in zip(path, path[1:]):
+                record = network.edge(u, v)
+                usable = [
+                    record.geometries[name].length_km
+                    for name in record.corridor_names
+                    if allowed is None or record.kind_of[name] in allowed
+                ]
+                assert usable, (u, v, kinds)
+                total += min(usable)
+            assert total == km
+            outcomes.add("path")
+        assert "NodeNotFound" in outcomes
