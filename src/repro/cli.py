@@ -519,7 +519,11 @@ def _cmd_pareto(
     from repro.analysis.report import format_table
     from repro.routing.pareto import pareto_paths
 
-    options = pareto_paths(scenario.constructed_map, city_a, city_b, isp=isp)
+    try:
+        options = pareto_paths(scenario.constructed_map, city_a, city_b, isp=isp)
+    except ValueError as error:
+        print(f"pareto: {error}", file=sys.stderr)
+        return 2
     if not options:
         print(f"no path between {city_a} and {city_b}", file=sys.stderr)
         return 2
@@ -540,7 +544,11 @@ def _cmd_pareto(
 def _cmd_backup(scenario: Scenario, isp: str, city_a: str, city_b: str) -> int:
     from repro.routing import plan_backup
 
-    plan = plan_backup(scenario.constructed_map, isp, city_a, city_b)
+    try:
+        plan = plan_backup(scenario.constructed_map, isp, city_a, city_b)
+    except ValueError as error:
+        print(f"backup: {error}", file=sys.stderr)
+        return 2
     if plan is None:
         print(f"{isp} cannot connect {city_a} and {city_b}", file=sys.stderr)
         return 2

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.analysis.report import format_table
 from repro.data.nsfnet import NsfnetBackbone, nsfnet_backbone
+from repro.perf.substrate import substrate_for
 from repro.scenario import Scenario
 
 
@@ -51,17 +51,16 @@ requires = ("constructed_map",)
 def run(scenario: Scenario) -> ExtNsfnetResult:
     fiber_map = scenario.constructed_map
     backbone = nsfnet_backbone()
-    graph = fiber_map.simple_conduit_graph()
+    view = substrate_for(fiber_map).conduit_view()
     rows: List[NsfnetLinkRow] = []
     used_tenancies: List[int] = []
     for a, b in backbone.links:
-        try:
-            path = nx.shortest_path(graph, a, b, weight="length_km")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        path = view.shortest_path(a, b, "length_km")
+        if path is None:
             continue
+        cities = [view.nodes[i] for i in path]
         tenancies = []
-        for u, v in zip(path, path[1:]):
-            conduit_id = graph[u][v]["conduit_id"]
+        for u, v in zip(cities, cities[1:]):
             # Use the busiest conduit on the edge: the historical route
             # would have seeded the primary trench.
             best = max(

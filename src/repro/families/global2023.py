@@ -21,9 +21,7 @@ matrix surfaces Suez/Malacca-style chokepoint risk.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import List, Optional, Set, Tuple
 
 from repro.data.cities import city_by_name
 from repro.data.corridors import KIND_SEA
@@ -33,12 +31,14 @@ from repro.families.base import MapFamily, register_family
 from repro.fibermap.elements import Conduit, FiberMap
 from repro.fibermap.synthesis import (
     GroundTruth,
+    _RowRouter,
     _select_pops,
     _stable_unit,
 )
 from repro.transport.builder import build_transport_network
 from repro.transport.network import (
     EdgeKey,
+    RowEdge,
     TransportationNetwork,
     canonical_edge,
 )
@@ -149,7 +149,7 @@ def _plan_links_global(
     return sorted(links)
 
 
-class _CableRouter:
+class _CableRouter(_RowRouter):
     """Routes one carrier's links over the cable/backhaul network.
 
     Weights combine geometry length, medium preference, and a small
@@ -159,9 +159,7 @@ class _CableRouter:
     """
 
     def __init__(self, isp: str, network: TransportationNetwork):
-        self.graph = nx.Graph()
-        self._base: Dict[EdgeKey, float] = {}
-        for record in network.edges():
+        def weight_of(record: RowEdge) -> float:
             kind_factor = min(
                 KIND_FACTORS[record.kind_of[name]]
                 for name in record.corridor_names
@@ -169,19 +167,9 @@ class _CableRouter:
             jitter = 1.0 + JITTER_SPREAD * _stable_unit(
                 f"{isp}|{record.edge[0]}|{record.edge[1]}"
             )
-            weight = record.length_km * kind_factor * jitter
-            self._base[record.edge] = weight
-            self.graph.add_edge(record.edge[0], record.edge[1], w=weight)
+            return record.length_km * kind_factor * jitter
 
-    def route(self, a_key: str, b_key: str) -> List[str]:
-        return nx.shortest_path(self.graph, a_key, b_key, weight="w")
-
-    def mark_used(self, path: List[str]) -> None:
-        for a, b in zip(path, path[1:]):
-            edge = canonical_edge(a, b)
-            discounted = self._base[edge] * REUSE_DISCOUNT
-            if self.graph[a][b]["w"] > discounted:
-                self.graph[a][b]["w"] = discounted
+        super().__init__(network, weight_of, REUSE_DISCOUNT)
 
 
 def _pick_row(rows: List, used_row_ids: Set[str]) -> Optional[object]:

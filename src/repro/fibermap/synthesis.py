@@ -22,15 +22,21 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
+import numpy as np
 
 from repro.data.cities import City, city_by_name
 from repro.data.isps import ISPS, STYLE_NATIONAL, STYLE_STATES, ISPProfile
 from repro.fibermap.elements import Conduit, FiberMap
+from repro.perf.substrate import row_view
 from repro.transport.builder import build_transport_network
-from repro.transport.network import EdgeKey, TransportationNetwork, canonical_edge
+from repro.transport.network import (
+    EdgeKey,
+    RowEdge,
+    TransportationNetwork,
+    canonical_edge,
+)
 from repro.transport.rightofway import RowRegistry
 
 #: Tenants on the least-loaded conduit of an edge before a parallel
@@ -157,14 +163,43 @@ def _plan_links(
     return sorted(links)
 
 
-class _IspRouter:
-    """Routes one provider's links over the transport network.
+class _RowRouter:
+    """Routes one provider's links on its own clone of the network's
+    compiled ROW view, weighted ``"w"`` by *weight_of*.  A used path's
+    edges drop to ``reuse_discount`` of their weight, once (the
+    keep-the-smaller rule of ``upsert_edge``), which consolidates the
+    provider onto its own trunks."""
 
-    Edge weights combine geometry length, right-of-way kind preference, a
-    provider-specific deterministic jitter (route diversity across
-    providers), and a reuse discount that consolidates the provider onto
-    its own trunks.
-    """
+    def __init__(
+        self,
+        network: TransportationNetwork,
+        weight_of: Callable[[RowEdge], float],
+        reuse_discount: float,
+    ):
+        self.view = row_view(network).clone()
+        base = np.empty(self.view.num_edges)
+        for record in network.edges():
+            base[self.view.edge_index(*record.edge)] = weight_of(record)
+        self.view.weights["w"] = base
+        self._reused = base * reuse_discount
+
+    def route(self, a_key: str, b_key: str) -> List[str]:
+        path = self.view.shortest_path(a_key, b_key, "w")
+        if path is None:
+            raise ValueError(f"no right-of-way path from {a_key} to {b_key}")
+        return [self.view.nodes[i] for i in path]
+
+    def mark_used(self, path: List[str]) -> None:
+        for a, b in zip(path, path[1:]):
+            reused = self._reused[self.view.edge_index(a, b)]
+            self.view.upsert_edge(a, b, "w", {"w": reused})
+
+
+class _IspRouter(_RowRouter):
+    """Edge weights combine geometry length, right-of-way kind
+    preference, a provider-specific deterministic jitter (route
+    diversity across providers), and the lessee pull toward edges that
+    already host a conduit."""
 
     def __init__(
         self,
@@ -172,9 +207,6 @@ class _IspRouter:
         network: TransportationNetwork,
         edges_with_conduits: Set[EdgeKey],
     ):
-        self.isp = profile.name
-        self.graph = nx.Graph()
-        self._base: Dict[EdgeKey, float] = {}
         # Lessees are pulled hard toward edges that already host a conduit
         # (an IRU is far cheaper than trenching); facilities builders are
         # nearly indifferent and lay fiber where their own routing says.
@@ -185,7 +217,8 @@ class _IspRouter:
             secondary_factor = SECONDARY_FACTOR_BUILDER
         else:
             secondary_factor = SECONDARY_FACTOR_LESSEE
-        for record in network.edges():
+
+        def weight_of(record: RowEdge) -> float:
             kind_factor = min(
                 KIND_FACTORS[record.kind_of[name]]
                 * (secondary_factor if record.grade_of[name] == "secondary" else 1.0)
@@ -197,19 +230,9 @@ class _IspRouter:
             weight = record.length_km * kind_factor * jitter
             if record.edge in edges_with_conduits:
                 weight *= herd
-            self._base[record.edge] = weight
-            self.graph.add_edge(record.edge[0], record.edge[1], w=weight)
+            return weight
 
-    def route(self, a_key: str, b_key: str) -> List[str]:
-        return nx.shortest_path(self.graph, a_key, b_key, weight="w")
-
-    def mark_used(self, path: List[str]) -> None:
-        for a, b in zip(path, path[1:]):
-            edge = canonical_edge(a, b)
-            base = self._base[edge]
-            discounted = base * REUSE_DISCOUNT
-            if self.graph[a][b]["w"] > discounted:
-                self.graph[a][b]["w"] = discounted
+        super().__init__(network, weight_of, REUSE_DISCOUNT)
 
 
 def _pick_row_for_new_conduit(

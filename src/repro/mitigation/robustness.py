@@ -105,13 +105,8 @@ def _optimized_path(
     path = view.shortest_path(a, b, "risk")
     if path is None:
         return None
-    reps = [
-        int(view.payload["conduit"][view.edge_index(view.nodes[u], view.nodes[v])])
-        for u, v in zip(path, path[1:])
-    ]
-    conduits = tuple(cs.cids[r] for r in reps)
-    max_risk = max(int(cs.tenants[r]) for r in reps)
-    return conduits, max_risk
+    rows = view.payload["conduit"][view.path_edges(path)]
+    return cs.path_conduits(view, path), int(cs.tenants[rows].max())
 
 
 def optimize_conduit_for_isp(

@@ -5,8 +5,10 @@ parallel edge arrays with named weights, solved by batched scipy
 Dijkstra and walked as predecessor arrays.  Everything that routes
 compiles into it — the §4.3 router-level topology and overlay conduit
 graphs through :class:`~repro.perf.routing.RoutingCore` (a GraphView
-plus a per-destination row cache), and the §5 / resilience studies
-through the substrate below.
+plus a per-destination row cache); the §5, resilience and §6 backup,
+opacity and Pareto studies through the substrate below; ground-truth
+synthesis and §2 step-3 alignment through clones of :func:`row_view`
+carrying their own weight array.
 
 Every §5 mitigation analysis (robustness suggestions, ROW augmentation,
 propagation delay) and the resilience cut studies answer shortest-path
@@ -39,9 +41,10 @@ the same way, one per kind set.  Compiling costs milliseconds, so
 neither is persisted.
 
 scipy is a hard dependency and this module is the only place the
-package builds a CSR matrix or calls scipy's Dijkstra.  The NetworkX
-references live in ``tests/oracles/``, where the parity suites
-cross-check them against the compiled core on randomized graphs.
+package builds a CSR matrix or calls scipy's Dijkstra; no module calls
+a NetworkX shortest-path solver.  The NetworkX references live in
+``tests/oracles/``, where the parity suites cross-check them against
+the compiled core on both map families and randomized graphs.
 """
 
 from __future__ import annotations
@@ -198,7 +201,9 @@ class GraphView:
         everywhere in §5: a new parallel edge only displaces the current
         representative when its weight is strictly smaller.  Returns
         ``True`` when the view changed.  This is the "add this private
-        conduit" array edit.
+        conduit" array edit, and a router's reuse discount.  Replacing
+        an edge patches the cached solver matrices in place; only a new
+        edge changes the sparsity structure and drops them.
         """
         ai, bi = self.index[a_key], self.index[b_key]
         pair = (min(ai, bi), max(ai, bi))
@@ -210,17 +215,21 @@ class GraphView:
                 return False
             for name, value in weights.items():
                 self.weights[name][existing] = value
+                struct = self._structs.get(name)
+                if struct is not None:
+                    mat, _edge_at_pos, pos_of_edge = struct
+                    mat.data[pos_of_edge[existing]] = value
             for name, value in (payload or {}).items():
                 self.payload[name][existing] = value
-        else:
-            self.eu = np.append(self.eu, np.int32(pair[0]))
-            self.ev = np.append(self.ev, np.int32(pair[1]))
-            for name, value in weights.items():
-                self.weights[name] = np.append(self.weights[name], float(value))
-            for name, value in (payload or {}).items():
-                self.payload[name] = np.append(self.payload[name], value)
-            self._edge_of[pair] = self.num_edges - 1
-            self._incident = None
+            return True
+        self.eu = np.append(self.eu, np.int32(pair[0]))
+        self.ev = np.append(self.ev, np.int32(pair[1]))
+        for name, value in weights.items():
+            self.weights[name] = np.append(self.weights[name], float(value))
+        for name, value in (payload or {}).items():
+            self.payload[name] = np.append(self.payload[name], value)
+        self._edge_of[pair] = self.num_edges - 1
+        self._incident = None
         self._structs.clear()
         return True
 
@@ -261,7 +270,8 @@ class GraphView:
         """The symmetric CSR handed to scipy, with structure caching.
 
         The sparsity structure (indptr/indices plus the data-position of
-        every edge) is computed once per weight; a masked call (a Yen
+        every edge) is computed once per weight and kept across
+        :meth:`upsert_edge` replacements; a masked call (a Yen
         spur, a cut re-trace) gets a shallow copy that shares that
         structure but owns a fresh data vector, with masked edges set to
         ``inf`` — which Dijkstra never relaxes across, i.e. edge removal
@@ -284,9 +294,11 @@ class GraphView:
             )
             edge_at_pos = mat.data.astype(np.int64)
             mat.data = self.weights[weight][edge_at_pos]
-            struct = (mat, edge_at_pos)
+            # Both data positions of every edge, for in-place patches.
+            pos_of_edge = np.argsort(edge_at_pos, kind="stable").reshape(-1, 2)
+            struct = (mat, edge_at_pos, pos_of_edge)
             self._structs[weight] = struct
-        mat, edge_at_pos = struct
+        mat, edge_at_pos, _pos_of_edge = struct
         if edge_mask is None:
             return mat
         masked = copy.copy(mat)
@@ -316,6 +328,11 @@ class GraphView:
                 out.reverse()
                 return out
         return None  # pragma: no cover - cycle guard, unreachable
+
+    def path_edges(self, path: Sequence[int]) -> List[int]:
+        """The edge id of every hop along a node-index path, in order."""
+        edge_of = self._edge_of
+        return [edge_of[(min(u, v), max(u, v))] for u, v in zip(path, path[1:])]
 
     def edge_weights(self, path: Sequence[Hashable], weight: str) -> List[float]:
         """The *weight* of every edge along a node-key path, in order."""
@@ -467,6 +484,11 @@ class ConduitSubstrate:
     def rows_for_isp(self, isp: str) -> "np.ndarray":
         """Conduit rows (sorted-id order) the provider occupies."""
         return self._isp_rows.get(isp, np.empty(0, dtype=np.int64))
+
+    def path_conduits(self, view: GraphView, path: Sequence[int]) -> Tuple[str, ...]:
+        """The conduit id of every hop of a node-index path on a view."""
+        rows = view.payload["conduit"][view.path_edges(path)]
+        return tuple(self.cids[row] for row in rows)
 
     def footprint_cities(self, isp: str) -> set:
         """City keys touched by the provider's conduits."""

@@ -23,10 +23,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-import networkx as nx
-
 from repro.data.cities import city_by_name
 from repro.fibermap.elements import FiberMap
+from repro.perf.substrate import substrate_for
 from repro.risk.matrix import RiskMatrix
 
 #: Leasing into an existing conduit costs this fraction of trenching.
@@ -71,8 +70,9 @@ def _entrant_tenancy(
     name: str,
 ) -> Tuple[List[str], float]:
     """Conduits one entrant leases, plus the route mileage."""
-    graph = fiber_map.simple_conduit_graph()
-    cities = sorted(graph.nodes)
+    cs = substrate_for(fiber_map)
+    view = cs.conduit_view()
+    cities = [c for c in view.nodes if view.present(c)]
     weights = [city_by_name(c).population for c in cities]
     pops = sorted(set(rng.choices(cities, weights=weights, k=ENTRANT_POPS)))
     if len(pops) < 2:
@@ -86,15 +86,13 @@ def _entrant_tenancy(
             connected,
             key=lambda c: city_by_name(city).distance_km(city_by_name(c)),
         )
-        try:
-            path = nx.shortest_path(graph, city, partner, weight="length_km")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):  # pragma: no cover
+        path = view.shortest_path(city, partner, "length_km")
+        if path is None:  # pragma: no cover
             continue
         connected.append(city)
-        for u, v in zip(path, path[1:]):
-            data = graph[u][v]
-            conduit_ids.append(data["conduit_id"])
-            total_km += data["length_km"]
+        conduit_ids.extend(cs.path_conduits(view, path))
+        for km in view.weights["length_km"][view.path_edges(path)]:
+            total_km += float(km)
     return conduit_ids, total_km
 
 

@@ -11,13 +11,14 @@ exactly Suddenlink's situation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
-import networkx as nx
+import numpy as np
 
 from repro.fibermap.elements import FiberMap
 from repro.geo.coords import fiber_delay_ms
-from repro.routing.srlg import path_srlgs, shared_srlgs
+from repro.perf.substrate import substrate_for
+from repro.routing.srlg import shared_srlgs
 from repro.transport.network import EdgeKey
 
 #: Penalty (km-equivalent) per shared risk group when strict disjointness
@@ -48,28 +49,6 @@ class BackupPlan:
         return self.backup_conduits is not None
 
 
-def _footprint_graph(fiber_map: FiberMap, isp: str) -> nx.Graph:
-    graph = nx.Graph()
-    for cid, conduit in sorted(fiber_map.conduits.items()):
-        if isp not in conduit.tenants:
-            continue
-        a, b = conduit.edge
-        data = graph.get_edge_data(a, b)
-        if data is None or conduit.length_km < data["length_km"]:
-            graph.add_edge(
-                a, b, conduit_id=cid, length_km=conduit.length_km
-            )
-    return graph
-
-
-def _path_conduits(graph: nx.Graph, path: List[str]) -> Tuple[str, ...]:
-    return tuple(graph[u][v]["conduit_id"] for u, v in zip(path, path[1:]))
-
-
-def _path_km(graph: nx.Graph, path: List[str]) -> float:
-    return sum(graph[u][v]["length_km"] for u, v in zip(path, path[1:]))
-
-
 def plan_backup(
     fiber_map: FiberMap,
     isp: str,
@@ -81,44 +60,43 @@ def plan_backup(
     Returns ``None`` when the provider cannot connect the pair at all.
     The backup is ``None`` (unprotected) when removing the primary's
     risk groups disconnects the pair *and* no penalized alternative
-    distinct from the primary exists.
-    """
-    graph = _footprint_graph(fiber_map, isp)
-    try:
-        primary_path = nx.shortest_path(graph, a_key, b_key, weight="length_km")
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
-        return None
-    primary = _path_conduits(graph, primary_path)
-    primary_km = _path_km(graph, primary_path)
-    primary_groups = path_srlgs(fiber_map, primary)
+    distinct from the primary exists.  Raises ``ValueError`` for
+    identical endpoints, which need no path.
 
-    # Strict attempt: remove every edge in a primary risk group.
-    strict = graph.copy()
-    for edge in primary_groups:
-        if strict.has_edge(*edge):
-            strict.remove_edge(*edge)
+    Both paths are solved on the substrate's cached footprint view (the
+    provider's conduits, shortest parallel conduit per city pair).  A
+    risk group is a city pair and the view holds one edge per pair, so
+    the primary's risk groups are exactly its own edges: the strict
+    backup masks them, the penalized one surcharges them.
+    """
+    if a_key == b_key:
+        raise ValueError(f"identical endpoints: {a_key}")
+    cs = substrate_for(fiber_map)
+    view = cs.surviving_footprint_view(isp)
+    primary_path = view.shortest_path(a_key, b_key, "length_km")
+    if primary_path is None:
+        return None
+    primary = cs.path_conduits(view, primary_path)
+    primary_km = view.path_length(primary_path, "length_km")
+    primary_edges = view.path_edges(primary_path)
+
     backup: Optional[Tuple[str, ...]] = None
     backup_km: Optional[float] = None
-    try:
-        backup_path = nx.shortest_path(strict, a_key, b_key, weight="length_km")
-        backup = _path_conduits(strict, backup_path)
-        backup_km = _path_km(strict, backup_path)
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
+    strict = np.ones(view.num_edges, dtype=bool)
+    strict[primary_edges] = False
+    backup_path = view.shortest_path(a_key, b_key, "length_km", strict)
+    if backup_path is not None:
+        backup = cs.path_conduits(view, backup_path)
+        backup_km = view.path_length(backup_path, "length_km")
+    else:
         # Penalized attempt: allow overlap at a steep price.
-        penalized = graph.copy()
-        for edge in primary_groups:
-            if penalized.has_edge(*edge):
-                penalized[edge[0]][edge[1]]["length_km"] += SRLG_PENALTY_KM
-        try:
-            backup_path = nx.shortest_path(
-                penalized, a_key, b_key, weight="length_km"
-            )
-            candidate = _path_conduits(graph, backup_path)
-            if candidate != primary:
-                backup = candidate
-                backup_km = _path_km(graph, backup_path)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):  # pragma: no cover
-            backup = None
+        penalized = view.clone()
+        penalized.weights["length_km"][primary_edges] += SRLG_PENALTY_KM
+        backup_path = penalized.shortest_path(a_key, b_key, "length_km")
+        candidate = cs.path_conduits(view, backup_path)
+        if candidate != primary:
+            backup = candidate
+            backup_km = view.path_length(backup_path, "length_km")
     shared = (
         shared_srlgs(fiber_map, primary, backup)
         if backup is not None
@@ -126,7 +104,7 @@ def plan_backup(
     )
     return BackupPlan(
         isp=isp,
-        endpoints=(primary_path[0], primary_path[-1]),
+        endpoints=(a_key, b_key),
         primary_conduits=primary,
         backup_conduits=backup,
         primary_delay_ms=fiber_delay_ms(primary_km),

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.fibermap.elements import FiberMap
+from repro.perf.substrate import substrate_for
 from repro.routing.srlg import shared_srlgs
 from repro.transport.network import EdgeKey
 
@@ -54,21 +53,16 @@ class OpacityCase:
 def _isp_path(
     fiber_map: FiberMap, isp: str, a_key: str, b_key: str
 ) -> Optional[Tuple[str, ...]]:
-    graph = nx.Graph()
-    for cid, conduit in sorted(fiber_map.conduits.items()):
-        if isp not in conduit.tenants:
-            continue
-        u, v = conduit.edge
-        data = graph.get_edge_data(u, v)
-        if data is None or conduit.length_km < data["length_km"]:
-            graph.add_edge(u, v, conduit_id=cid, length_km=conduit.length_km)
-    try:
-        path = nx.shortest_path(graph, a_key, b_key, weight="length_km")
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
+    """The provider's shortest conduit path, solved on the substrate's
+    cached footprint view (shortest parallel conduit per city pair)."""
+    cs = substrate_for(fiber_map)
+    view = cs.surviving_footprint_view(isp)
+    if not view.present(a_key) or not view.present(b_key):
         return None
-    return tuple(
-        graph[u][v]["conduit_id"] for u, v in zip(path, path[1:])
-    )
+    path = view.shortest_path(a_key, b_key, "length_km")
+    if path is None:
+        return None
+    return cs.path_conduits(view, path)
 
 
 def check_pair(

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import networkx as nx
+import numpy as np
 
 from repro.fibermap.elements import FiberMap
 from repro.geo.coords import fiber_delay_ms
+from repro.perf.substrate import substrate_for
 from repro.transport.network import EdgeKey
 
 
@@ -35,23 +36,6 @@ class ParetoPath:
         return len(self.conduit_ids)
 
 
-def _footprint_graph(fiber_map: FiberMap, isp: Optional[str]) -> nx.Graph:
-    graph = nx.Graph()
-    for cid, conduit in sorted(fiber_map.conduits.items()):
-        if isp is not None and isp not in conduit.tenants:
-            continue
-        a, b = conduit.edge
-        data = graph.get_edge_data(a, b)
-        if data is None or conduit.num_tenants < data["risk"]:
-            graph.add_edge(
-                a, b,
-                conduit_id=cid,
-                length_km=conduit.length_km,
-                risk=conduit.num_tenants,
-            )
-    return graph
-
-
 def pareto_paths(
     fiber_map: FiberMap,
     a_key: str,
@@ -63,31 +47,39 @@ def pareto_paths(
     Sweeps the bottleneck threshold: for each feasible maximum tenant
     count, the shortest-delay path using only conduits at or below it.
     Dominated options are discarded; the result is sorted fastest first.
-    Restricting to *isp* uses only that provider's footprint.
+    Restricting to *isp* uses only that provider's footprint.  Raises
+    ``ValueError`` for identical endpoints, which have no path to rank.
+
+    Parallel conduits collapse to the least-shared one per city pair,
+    and each threshold is an edge mask on that one view.
     """
-    graph = _footprint_graph(fiber_map, isp)
-    if a_key not in graph or b_key not in graph:
+    if a_key == b_key:
+        raise ValueError(f"identical endpoints: {a_key}")
+    cs = substrate_for(fiber_map)
+    rows = (
+        np.arange(cs.num_conduits, dtype=np.int64)
+        if isp is None
+        else cs.rows_for_isp(isp)
+    )
+    view = cs.build_view(
+        rows,
+        cs.tenants[rows],
+        {"length_km": cs.length_km[rows]},
+        payload={"risk": cs.tenants[rows]},
+        cache_key=("fewest_tenants", isp),
+    )
+    if not view.present(a_key) or not view.present(b_key):
         return []
-    levels = sorted({d["risk"] for _, _, d in graph.edges(data=True)})
+    risk = view.payload["risk"]
     options: List[ParetoPath] = []
-    for level in levels:
-        sub = nx.Graph()
-        for u, v, d in graph.edges(data=True):
-            if d["risk"] <= level:
-                sub.add_edge(u, v, **d)
-        if a_key not in sub or b_key not in sub:
+    for level in np.unique(risk):
+        path = view.shortest_path(a_key, b_key, "length_km", risk <= level)
+        if path is None:
             continue
-        try:
-            path = nx.shortest_path(sub, a_key, b_key, weight="length_km")
-        except nx.NetworkXNoPath:
-            continue
-        km = sum(sub[u][v]["length_km"] for u, v in zip(path, path[1:]))
-        risks = [sub[u][v]["risk"] for u, v in zip(path, path[1:])]
+        risks = [int(r) for r in risk[view.path_edges(path)]]
         option = ParetoPath(
-            conduit_ids=tuple(
-                sub[u][v]["conduit_id"] for u, v in zip(path, path[1:])
-            ),
-            delay_ms=fiber_delay_ms(km),
+            conduit_ids=cs.path_conduits(view, path),
+            delay_ms=fiber_delay_ms(view.path_length(path, "length_km")),
             max_risk=max(risks),
             total_risk=sum(risks),
         )

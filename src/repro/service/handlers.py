@@ -188,12 +188,7 @@ def solve_latency_batch(
             continue
         path = path or [ai]
         km = view.path_length(path, "length_km")
-        conduit_ids = []
-        for u, v in zip(path, path[1:]):
-            edge = view.edge_index(view.nodes[u], view.nodes[v])
-            conduit_ids.append(
-                conduits.cids[int(view.payload["conduit"][edge])]
-            )
+        conduit_ids = conduits.path_conduits(view, path)
         outcomes[i] = LatencyResponse(
             city_a=request.city_a,
             city_b=request.city_b,
@@ -202,7 +197,7 @@ def solve_latency_batch(
             length_km=km,
             hops=len(conduit_ids),
             path=tuple(view.nodes[n] for n in path),
-            conduit_ids=tuple(conduit_ids),
+            conduit_ids=conduit_ids,
         )
     return outcomes  # type: ignore[return-value]
 

@@ -26,6 +26,7 @@ from repro.fibermap.elements import FiberMap
 from repro.fibermap.synthesis import GroundTruth, _stable_unit
 from repro.geo.coords import fiber_delay_ms
 from repro.perf.routing import RoutingCore
+from repro.perf.substrate import substrate_for
 from repro.traceroute.addressing import AddressPlan
 from repro.transport.network import canonical_edge
 
@@ -172,8 +173,9 @@ class InternetTopology:
         """A phantom provider rides existing conduits between its POPs."""
         if _stable_unit(f"mpls|{name}") < MPLS_PROBABILITY:
             self._mpls.add(name)
-        conduit_graph = fiber_map.simple_conduit_graph()
-        cities = sorted(conduit_graph.nodes)
+        cs = substrate_for(fiber_map)
+        view = cs.conduit_view()
+        cities = [c for c in view.nodes if view.present(c)]
         weights = [city_by_name(c).population for c in cities]
         count = self._rng.randint(10, 36)
         pops = sorted(set(self._rng.choices(cities, weights=weights, k=count)))
@@ -187,19 +189,12 @@ class InternetTopology:
                 connected,
                 key=lambda c: city_by_name(city).distance_km(city_by_name(c)),
             )
-            try:
-                path = nx.shortest_path(
-                    conduit_graph, city, partner, weight="length_km"
-                )
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
+            path = view.shortest_path(city, partner, "length_km")
+            if path is None:
                 continue
             connected.append(city)
-            conduit_ids = []
-            length = 0.0
-            for u, v in zip(path, path[1:]):
-                data = conduit_graph[u][v]
-                conduit_ids.append(data["conduit_id"])
-                length += data["length_km"]
+            conduit_ids = cs.path_conduits(view, path)
+            length = view.path_length(path, "length_km")
             ra = self._router_for(name, city)
             rb = self._router_for(name, partner)
             key = (name, *canonical_edge(city, partner))

@@ -15,5 +15,11 @@ suites can still require the package to be indistinguishable from them:
 * :mod:`tests.oracles.campaign` — the v1 object and v2 scalar per-trace
   record generators the columnar campaign replaced;
 * :mod:`tests.oracles.overlay` — the record-object overlay ingest;
-* :mod:`tests.oracles.service` — the NetworkX latency query.
+* :mod:`tests.oracles.service` — the NetworkX latency query;
+* :mod:`tests.oracles.routing` — the §6 backup planner, opacity path and
+  Pareto sweep over per-call footprint graphs, and the
+  ``simple_conduit_graph`` walk of the Title II entrants, the NSFNET
+  comparison and the phantom providers;
+* :mod:`tests.oracles.synthesis` — the ground-truth routers (US and
+  global) and the §2 step-3 aligner's NetworkX candidate loop.
 """

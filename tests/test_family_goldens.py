@@ -18,6 +18,8 @@ risk matrix, the routing substrate, and the §5 mitigation pipeline.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.experiments.runner import run_experiment
 from repro.families import DEFAULT_FAMILY, get_family
 from repro.scenario import STAGES, ScenarioConfig, load_scenario, us2015
@@ -26,6 +28,7 @@ from tests.test_golden_hashes import (
     GOLDEN,
     _digest,
     fiber_map_digest,
+    ground_truth_digest,
     risk_matrix_digest,
 )
 
@@ -35,6 +38,23 @@ GOLDEN_TEXT = {
     "fig10": "2312bd799ca474ef",
     "fig11": "b05e4bb1830d3348",
     "fig12": "48d2cadb441d69f0",
+    # Pinned before the §6 / policy / NSFNET / growth studies moved off
+    # per-call NetworkX graphs onto the compiled graph core.
+    "ext_protection": "b8ef1fdfc56a95bc",
+    "ext_opacity": "b76d9ea347512bf4",
+    "ext_policy": "00b7122a8bfdef23",
+    "ext_nsfnet": "02d330dcc6306efb",
+    "ext_growth": "3e461f1c96397f88",
+}
+
+#: The global2023 session scenario (seed 2023, 400 traces): artifact
+#: digests and experiment text digests, pinned before the cable router
+#: and the ROW aligner moved onto the compiled graph core.
+GLOBAL_GOLDEN = {
+    "ground_truth": "e738f0b551ba5bf6",
+    "constructed_map": "28ff3659da60a2eb",
+    "ext_protection": "f9312c9b023d0e97",
+    "ext_opacity": "8c6776cfe0c908d4",
 }
 
 
@@ -70,6 +90,35 @@ class TestExperimentTextGoldens:
     def test_fig12_text(self, scenario):
         result = run_experiment("fig12", scenario)
         assert _digest(result.text) == GOLDEN_TEXT["fig12"]
+
+
+    @pytest.mark.parametrize(
+        "experiment",
+        ["ext_protection", "ext_opacity", "ext_policy", "ext_nsfnet",
+         "ext_growth"],
+    )
+    def test_extension_text(self, scenario, experiment):
+        result = run_experiment(experiment, scenario)
+        assert _digest(result.text) == GOLDEN_TEXT[experiment]
+
+
+class TestGlobalFamilyGoldens:
+    """global2023: the cable router, the aligner and the §6 studies."""
+
+    def test_ground_truth_digest(self, global_scenario):
+        assert ground_truth_digest(global_scenario.ground_truth) == (
+            GLOBAL_GOLDEN["ground_truth"]
+        )
+
+    def test_constructed_map_digest(self, global_scenario):
+        assert fiber_map_digest(global_scenario.constructed_map) == (
+            GLOBAL_GOLDEN["constructed_map"]
+        )
+
+    @pytest.mark.parametrize("experiment", ["ext_protection", "ext_opacity"])
+    def test_extension_text(self, global_scenario, experiment):
+        result = run_experiment(experiment, global_scenario)
+        assert _digest(result.text) == GLOBAL_GOLDEN[experiment]
 
 
 class TestAliasEquivalence:

@@ -1,0 +1,111 @@
+"""Guard: ``src/repro`` routes on the compiled graph core only.
+
+Every shortest-path question in the package is answered by
+``repro.perf.substrate.GraphView`` (batched scipy Dijkstra, predecessor
+walks, edge masks).  This test walks the package source with ``ast``
+and fails on any call to a NetworkX shortest-path solver, and on any
+``scipy.sparse`` import outside ``perf/substrate.py`` — the one place
+a CSR matrix is built.  NetworkX itself stays: it is the map container,
+and ``nx.minimum_cut`` / connectivity helpers answer other questions.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+from typing import List, Set
+
+import repro
+
+PACKAGE = Path(repro.__file__).resolve().parent
+
+#: NetworkX shortest-path solvers (matched on the called name).
+SOLVER = re.compile(
+    r"^(shortest_path|bidirectional_dijkstra|dijkstra_path"
+    r"|single_source_dijkstra\w*|shortest_simple_paths|all_pairs_\w+)$"
+)
+
+#: The only module allowed to import ``scipy.sparse``.
+CSR_OWNER = PACKAGE / "perf" / "substrate.py"
+
+
+def _root_name(node: ast.expr):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _violations(path: Path) -> List[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    nx_aliases: Set[str] = set()
+    solver_names: Set[str] = set()
+    found: List[str] = []
+    where = path.relative_to(PACKAGE.parent)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "networkx":
+                    nx_aliases.add((alias.asname or alias.name).split(".")[0])
+                if alias.name.startswith("scipy.sparse") and path != CSR_OWNER:
+                    found.append(f"{where}:{node.lineno} imports {alias.name}")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            root = node.module.split(".")[0]
+            sparse = node.module.startswith("scipy.sparse") or (
+                node.module == "scipy"
+                and any(a.name == "sparse" for a in node.names)
+            )
+            if sparse and path != CSR_OWNER:
+                found.append(f"{where}:{node.lineno} imports {node.module}")
+            if root == "networkx":
+                for alias in node.names:
+                    if SOLVER.match(alias.name):
+                        solver_names.add(alias.asname or alias.name)
+                        found.append(
+                            f"{where}:{node.lineno} imports {alias.name}"
+                        )
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in solver_names:
+            found.append(f"{where}:{node.lineno} calls {func.id}")
+        elif (
+            isinstance(func, ast.Attribute)
+            and SOLVER.match(func.attr)
+            and _root_name(func) in nx_aliases
+        ):
+            found.append(f"{where}:{node.lineno} calls {func.attr}")
+    return found
+
+
+def test_no_networkx_shortest_path_solver_in_package():
+    found = [v for path in sorted(PACKAGE.rglob("*.py")) for v in _violations(path)]
+    assert found == [], "\n".join(found)
+
+
+def test_guard_detects_each_form(tmp_path, monkeypatch):
+    """The guard itself: aliases, from-imports and sparse imports."""
+    source = tmp_path / "repro" / "bad.py"
+    source.parent.mkdir()
+    source.write_text(
+        "import networkx as graphs\n"
+        "from networkx import bidirectional_dijkstra as bd\n"
+        "from scipy import sparse\n"
+        "graphs.shortest_path(None, 1, 2)\n"
+        "graphs.algorithms.all_pairs_dijkstra(None)\n"
+        "bd(None, 1, 2)\n"
+        "view.shortest_path('a', 'b', 'w')\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(
+        "tests.test_one_routing_path.PACKAGE", source.parent
+    )
+    found = _violations(source)
+    assert [v.split(" ", 1)[1] for v in found] == [
+        "imports bidirectional_dijkstra",
+        "imports scipy",
+        "calls shortest_path",
+        "calls all_pairs_dijkstra",
+        "calls bd",
+    ]

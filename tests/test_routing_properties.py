@@ -1,0 +1,110 @@
+"""Routing invariants as properties, on both map families.
+
+Over drawn city pairs, providers and edge masks of each family's
+constructed map (and of randomized fiber maps for the mask property):
+
+* a cut never shortens a path — a masked ``GraphView`` solve is never
+  shorter than the unmasked one;
+* a backup is never shorter than its primary, and it shares no risk
+  group whenever the pair stays connected without the primary's groups;
+* a Pareto frontier has strictly increasing delay and strictly
+  decreasing bottleneck risk, and starts at the unrestricted shortest
+  path over the same least-shared collapse.
+
+The Hypothesis profile is small so tier-1 stays fast.
+"""
+
+from __future__ import annotations
+
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.geo.coords import fiber_delay_ms
+from repro.perf.substrate import substrate_for
+from repro.routing.backup import plan_backup
+from repro.routing.pareto import pareto_paths
+from repro.routing.srlg import path_srlgs
+from tests.test_substrate import _random_fiber_map
+
+#: Small profile: the session scenarios are shared, so the fixture
+#: health check does not apply.
+SMALL = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _pair(data, cities):
+    a, b = data.draw(
+        st.lists(st.sampled_from(cities), min_size=2, max_size=2, unique=True)
+    )
+    return a, b
+
+
+def _present(view):
+    return [key for key in view.nodes if view.present(key)]
+
+
+@SMALL
+@given(data=st.data())
+def test_a_cut_never_shortens_a_path(family_scenario, data):
+    use_random = data.draw(st.booleans())
+    fiber_map = (
+        _random_fiber_map(data.draw(st.integers(0, 10_000)))
+        if use_random
+        else family_scenario.constructed_map
+    )
+    view = substrate_for(fiber_map).conduit_view()
+    a, b = _pair(data, _present(view))
+    weight = data.draw(st.sampled_from(["length_km", "risk"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(view.num_edges) >= data.draw(st.floats(0.0, 0.5))
+    full = view.shortest_path(a, b, weight)
+    cut = view.shortest_path(a, b, weight, mask)
+    if cut is None:
+        return
+    assert full is not None
+    assert view.path_length(cut, weight) >= view.path_length(full, weight)
+
+
+@SMALL
+@given(data=st.data())
+def test_backup_never_beats_primary_and_is_diverse_when_possible(
+    family_scenario, data
+):
+    fiber_map = family_scenario.constructed_map
+    isp = data.draw(st.sampled_from(sorted(fiber_map.isps())))
+    view = substrate_for(fiber_map).surviving_footprint_view(isp)
+    a, b = _pair(data, _present(view))
+    plan = plan_backup(fiber_map, isp, a, b)
+    if plan is None:
+        return
+    if plan.protected:
+        assert plan.backup_delay_ms >= plan.primary_delay_ms
+    graph = fiber_map.simple_conduit_graph(isp)
+    graph.remove_edges_from(path_srlgs(fiber_map, plan.primary_conduits))
+    if nx.has_path(graph, a, b):
+        assert plan.fully_diverse and plan.shared_groups == frozenset()
+
+
+@SMALL
+@given(data=st.data())
+def test_pareto_frontier_is_monotone(family_scenario, data):
+    fiber_map = family_scenario.constructed_map
+    isp = data.draw(st.sampled_from([None, *sorted(fiber_map.isps())]))
+    graph = fiber_map.simple_conduit_graph(isp)
+    a, b = _pair(data, sorted(graph.nodes))
+    frontier = pareto_paths(fiber_map, a, b, isp)
+    if not nx.has_path(graph, a, b):
+        assert frontier == []
+        return
+    delays = [option.delay_ms for option in frontier]
+    risks = [option.max_risk for option in frontier]
+    assert all(x < y for x, y in zip(delays, delays[1:]))
+    assert all(x > y for x, y in zip(risks, risks[1:]))
+    fastest = nx.shortest_path_length(graph, a, b, weight="length_km")
+    assert delays[0] == pytest.approx(fiber_delay_ms(fastest), rel=1e-12)
