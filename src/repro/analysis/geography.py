@@ -11,13 +11,14 @@ a refined-products pipeline; Houston-Atlanta along NGL pipelines).
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.fibermap.elements import Conduit, FiberMap
 from repro.geo.overlap import (
     DEFAULT_BUFFER_KM,
-    CorridorIndex,
     histogram,
     overlap_profile,
 )
@@ -62,34 +63,44 @@ class GeographyReport:
         return wins / len(self.colocations)
 
 
+#: Reports by fiber map, network and (buffer, spacing), weak-keyed like
+#: ``substrate_for``; computed under the lock, so once however many
+#: threads ask.
+_REPORTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_LOCK = threading.Lock()
+
+
 def geography_report(
     fiber_map: FiberMap,
     network: TransportationNetwork,
     buffer_km: float = DEFAULT_BUFFER_KM,
     spacing_km: float = 10.0,
-    index: Optional[CorridorIndex] = None,
 ) -> GeographyReport:
-    """Compute co-location of every conduit with road/rail/pipeline layers."""
-    if index is None:
-        index = network.corridor_index()
-    rows: List[ConduitColocation] = []
-    for conduit_id, conduit in sorted(fiber_map.conduits.items()):
-        profile = overlap_profile(
-            conduit.geometry, index, buffer_km=buffer_km, spacing_km=spacing_km
-        )
-        road = profile.fraction("road")
-        rail = profile.fraction("rail")
-        union = profile.union("road", "rail")
-        rows.append(
-            ConduitColocation(
-                conduit_id=conduit_id,
-                road=road,
-                rail=rail,
-                pipeline=profile.fraction("pipeline"),
-                road_or_rail=union,
+    """Co-location of every conduit with road/rail/pipeline layers,
+    computed once per (map, network, buffer, spacing).  Maps are not
+    edited once their builder returns, so a report never goes stale."""
+    with _LOCK:
+        by_network = _REPORTS.setdefault(fiber_map, weakref.WeakKeyDictionary())
+        reports = by_network.setdefault(network, {})
+        report = reports.get((buffer_km, spacing_km))
+        if report is None:
+            index = network.corridor_index()
+            rows = []
+            for conduit_id, conduit in sorted(fiber_map.conduits.items()):
+                profile = overlap_profile(conduit.geometry, index,
+                                          buffer_km=buffer_km,
+                                          spacing_km=spacing_km)
+                rows.append(ConduitColocation(
+                    conduit_id=conduit_id,
+                    road=profile.fraction("road"),
+                    rail=profile.fraction("rail"),
+                    pipeline=profile.fraction("pipeline"),
+                    road_or_rail=profile.union("road", "rail"),
+                ))
+            report = reports[(buffer_km, spacing_km)] = GeographyReport(
+                colocations=tuple(rows), buffer_km=buffer_km
             )
-        )
-    return GeographyReport(colocations=tuple(rows), buffer_km=buffer_km)
+    return report
 
 
 def non_transport_conduits(

@@ -18,7 +18,6 @@ from repro.geo.coords import (
     haversine_km,
     midpoint,
 )
-from repro.geo.grid import SpatialGridIndex
 from repro.geo.overlap import CorridorIndex, colocated_fraction, overlap_profile
 from repro.geo.polyline import Polyline
 from repro.geo.projection import LocalProjection
@@ -36,7 +35,6 @@ __all__ = [
     "midpoint",
     "Polyline",
     "LocalProjection",
-    "SpatialGridIndex",
     "CorridorIndex",
     "colocated_fraction",
     "overlap_profile",

@@ -62,12 +62,41 @@ def segment_distances_km(
     are projected into the local tangent plane of *point* and the
     clamped point-to-segment distance is evaluated in one shot.
     """
+    return _plane_distances_km(
+        point.lat, point.lon, np.cos(np.radians(point.lat)),
+        seg_lat_a, seg_lon_a, seg_lat_b, seg_lon_b,
+    )
+
+
+def segment_distance_matrix_km(
+    lats: Array,
+    lons: Array,
+    seg_lat_a: Array,
+    seg_lon_a: Array,
+    seg_lat_b: Array,
+    seg_lon_b: Array,
+) -> Array:
+    """Distances from many points to many segments, as a ``(points,
+    segments)`` matrix whose row *i* equals :func:`segment_distances_km`
+    of point *i* bit for bit: each point's cosine comes from the same
+    scalar ``np.cos`` call (an array ``np.cos`` may differ in the last
+    place, and buffer membership is decided at exact equality)."""
+    cos_ref = np.array([np.cos(np.radians(lat)) for lat in lats.tolist()])
+    return _plane_distances_km(
+        lats[:, None], lons[:, None], cos_ref[:, None],
+        seg_lat_a, seg_lon_a, seg_lat_b, seg_lon_b,
+    )
+
+
+def _plane_distances_km(lat, lon, cos_ref, seg_lat_a, seg_lon_a, seg_lat_b,
+                        seg_lon_b) -> Array:
+    """The clamped distances in the tangent plane at (*lat*, *lon*), whose
+    cosine is *cos_ref*; point and segment arguments broadcast."""
     km_per_deg = np.pi * EARTH_RADIUS_KM / 180.0
-    cos_ref = np.cos(np.radians(point.lat))
-    ax = (seg_lon_a - point.lon) * km_per_deg * cos_ref
-    ay = (seg_lat_a - point.lat) * km_per_deg
-    bx = (seg_lon_b - point.lon) * km_per_deg * cos_ref
-    by = (seg_lat_b - point.lat) * km_per_deg
+    ax = (seg_lon_a - lon) * km_per_deg * cos_ref
+    ay = (seg_lat_a - lat) * km_per_deg
+    bx = (seg_lon_b - lon) * km_per_deg * cos_ref
+    by = (seg_lat_b - lat) * km_per_deg
     dx = bx - ax
     dy = by - ay
     seg_len_sq = dx * dx + dy * dy

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -15,6 +17,11 @@ from repro.geo.polyline import Polyline
 from repro.perf.substrate import row_view
 
 EdgeKey = Tuple[str, str]
+
+#: One compiled corridor index per network (weak-keyed); the lock makes
+#: each build single-flight across threads.
+_INDEXES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_INDEX_LOCK = threading.Lock()
 
 
 def canonical_edge(a_key: str, b_key: str) -> EdgeKey:
@@ -190,12 +197,18 @@ class TransportationNetwork:
             line = leg if line is None else line.concat(leg)
         return line
 
-    def corridor_index(self, cell_deg: float = 0.5) -> CorridorIndex:
-        """Spatial index of all corridor geometry by infrastructure kind."""
-        index = CorridorIndex(cell_deg=cell_deg)
-        for record in self.edges():
-            for name in sorted(record.corridor_names):
-                index.add(record.geometries[name], record.kind_of[name])
+    def corridor_index(self) -> CorridorIndex:
+        """Spatial index of all corridor geometry by infrastructure kind,
+        built and compiled once.  Networks are not edited once their
+        builder returns, so the index never goes stale."""
+        with _INDEX_LOCK:
+            index = _INDEXES.get(self)
+            if index is None:
+                index = _INDEXES[self] = CorridorIndex()
+                for record in self.edges():
+                    for name in sorted(record.corridor_names):
+                        index.add(record.geometries[name], record.kind_of[name])
+                index.compile()
         return index
 
     def total_km(self, kind: Optional[str] = None) -> float:

@@ -1,9 +1,10 @@
 """NetworkX / scalar reference implementations, kept only as test oracles.
 
 The package answers every routing question on one compiled path (the
-graph core in ``repro.perf.substrate``) and builds campaigns only as
-columns.  The implementations it replaced live here, so the parity
-suites can still require the package to be indistinguishable from them:
+graph core in ``repro.perf.substrate``), every buffer-overlap question
+on one compiled corridor index, and builds campaigns only as columns.
+The implementations it replaced live here, so the parity suites can
+still require the package to be indistinguishable from them:
 
 * :mod:`tests.oracles.mitigation` — §5.1 risk graph, §5.2 footprint
   router and driver engine, §5.3 per-pair NetworkX solves, and the §6.3
@@ -21,5 +22,7 @@ suites can still require the package to be indistinguishable from them:
   ``simple_conduit_graph`` walk of the Title II entrants, the NSFNET
   comparison and the phantom providers;
 * :mod:`tests.oracles.synthesis` — the ground-truth routers (US and
-  global) and the §2 step-3 aligner's NetworkX candidate loop.
+  global) and the §2 step-3 aligner's NetworkX candidate loop;
+* :mod:`tests.oracles.geo` — the §3 per-point lat/lon grid index and
+  the per-sample co-location loop the compiled corridor index replaced.
 """

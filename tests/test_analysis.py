@@ -1,7 +1,12 @@
 """Tests for geography/connectivity analyses and text reporting."""
 
+import copy
+import sys
+import threading
+
 import pytest
 
+from repro.analysis import geography
 from repro.analysis.connectivity import connectivity_report, region_of
 from repro.analysis.geography import (
     geography_report,
@@ -46,6 +51,49 @@ class TestGeography:
         rows = non_transport_conduits(geo_report, built_map, threshold=0.9)
         values = [c.road_or_rail for _, c in rows]
         assert values == sorted(values)
+
+
+class TestGeographyMemo:
+    def test_fig5_reuses_the_report(self, built_map, network, geo_report):
+        assert geography_report(built_map, network, buffer_km=15.0) is geo_report
+        narrow = geography_report(built_map, network, buffer_km=5.0)
+        assert narrow is not geo_report and narrow.buffer_km == 5.0
+
+    def test_threads_share_one_computation(self, built_map, network,
+                                           monkeypatch):
+        """Eight threads ask for the report of one (fresh) map at once:
+        every conduit is profiled once, and all get the same object."""
+        fiber_map = copy.copy(built_map)
+        calls, lock = [], threading.Lock()
+        profile = geography.overlap_profile
+
+        def counting_profile(*args, **kwargs):
+            with lock:
+                calls.append(1)
+            return profile(*args, **kwargs)
+
+        monkeypatch.setattr(geography, "overlap_profile", counting_profile)
+        barrier = threading.Barrier(8)
+        results = [None] * 8
+
+        def worker(slot):
+            barrier.wait(timeout=30)
+            results[slot] = geography_report(fiber_map, network)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results[0] is not None
+        assert all(result is results[0] for result in results)
+        assert len(calls) == len(fiber_map.conduits)
 
 
 class TestConnectivity:

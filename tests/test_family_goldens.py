@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.geography import geography_report
+from repro.analysis.report import format_table
 from repro.experiments.runner import run_experiment
 from repro.families import DEFAULT_FAMILY, get_family
 from repro.scenario import STAGES, ScenarioConfig, load_scenario, us2015
@@ -35,6 +37,10 @@ from tests.test_golden_hashes import (
 #: Pre-refactor text digests (sha256 of ``result.text``, first 16 hex)
 #: for the shared test scenario: seed 2015, campaign_traces 3000.
 GOLDEN_TEXT = {
+    # §3 buffer overlap, pinned before the overlap kernel was compiled
+    # into arrays and the report memoized per map.
+    "fig4": "1222c652bbc37b91",
+    "fig5": "926f3e8459cfaa53",
     "fig10": "2312bd799ca474ef",
     "fig11": "b05e4bb1830d3348",
     "fig12": "48d2cadb441d69f0",
@@ -46,6 +52,15 @@ GOLDEN_TEXT = {
     "ext_nsfnet": "02d330dcc6306efb",
     "ext_growth": "3e461f1c96397f88",
 }
+
+#: The buffer-width ablation (Figure 4 sensitivity) at the §3 defaults.
+ABLATION_BUFFER = """\
+Ablation: buffer width vs mean co-location fraction
+buffer  road  rail  road|rail  road>rail
+----------------------------------------
+5 km    0.95  0.37  1.00       78%      
+15 km   0.98  0.50  1.00       66%      
+30 km   0.99  0.60  1.00       59%      """
 
 #: The global2023 session scenario (seed 2023, 400 traces): artifact
 #: digests and experiment text digests, pinned before the cable router
@@ -78,6 +93,31 @@ class TestRegistryPathArtifacts:
 
 class TestExperimentTextGoldens:
     """Rendered experiment text through the family-gated runner."""
+
+    @pytest.mark.parametrize("experiment", ["fig4", "fig5"])
+    def test_geography_text(self, scenario, experiment):
+        result = run_experiment(experiment, scenario)
+        assert _digest(result.text) == GOLDEN_TEXT[experiment]
+
+    def test_ablation_buffer_table(self, scenario):
+        rows = []
+        for buffer_km in (5.0, 15.0, 30.0):
+            report = geography_report(
+                scenario.constructed_map, scenario.network, buffer_km=buffer_km
+            )
+            rows.append((
+                f"{buffer_km:.0f} km",
+                f"{report.mean_fraction('road'):.2f}",
+                f"{report.mean_fraction('rail'):.2f}",
+                f"{report.mean_fraction('road_or_rail'):.2f}",
+                f"{report.road_beats_rail_fraction:.0%}",
+            ))
+        text = format_table(
+            ("buffer", "road", "rail", "road|rail", "road>rail"),
+            rows,
+            title="Ablation: buffer width vs mean co-location fraction",
+        )
+        assert text == ABLATION_BUFFER
 
     def test_fig10_text(self, scenario):
         result = run_experiment("fig10", scenario)

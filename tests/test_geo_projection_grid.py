@@ -1,4 +1,4 @@
-"""Tests for the local projection and the spatial grid index."""
+"""Tests for the local projection and the per-point grid oracle."""
 
 import math
 
@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo.coords import GeoPoint, haversine_km
-from repro.geo.grid import SpatialGridIndex
 from repro.geo.polyline import Polyline
 from repro.geo.projection import LocalProjection, point_segment_distance_km
+from tests.oracles.geo import SpatialGridIndex
 
 CENTER = GeoPoint(40.0, -100.0)
 

@@ -1,4 +1,5 @@
-"""Guard: ``src/repro`` routes on the compiled graph core only.
+"""Guard: ``src/repro`` routes on the compiled graph core only, and
+answers buffer overlap with the compiled corridor index only.
 
 Every shortest-path question in the package is answered by
 ``repro.perf.substrate.GraphView`` (batched scipy Dijkstra, predecessor
@@ -7,6 +8,11 @@ and fails on any call to a NetworkX shortest-path solver, and on any
 ``scipy.sparse`` import outside ``perf/substrate.py`` — the one place
 a CSR matrix is built.  NetworkX itself stays: it is the map container,
 and ``nx.minimum_cut`` / connectivity helpers answer other questions.
+
+Every §3 buffer-overlap question is answered by
+``repro.geo.overlap.CorridorIndex``; the per-point grid it replaced is
+the oracle in ``tests/oracles/geo.py``, so an import of
+``repro.geo.grid`` or of ``SpatialGridIndex`` fails too.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ SOLVER = re.compile(
     r"^(shortest_path|bidirectional_dijkstra|dijkstra_path"
     r"|single_source_dijkstra\w*|shortest_simple_paths|all_pairs_\w+)$"
 )
+
+#: The per-point overlap grid, now a test oracle.
+GRID_MODULE = "repro.geo.grid"
+GRID_NAME = "SpatialGridIndex"
 
 #: The only module allowed to import ``scipy.sparse``.
 CSR_OWNER = PACKAGE / "perf" / "substrate.py"
@@ -49,6 +59,8 @@ def _violations(path: Path) -> List[str]:
                     nx_aliases.add((alias.asname or alias.name).split(".")[0])
                 if alias.name.startswith("scipy.sparse") and path != CSR_OWNER:
                     found.append(f"{where}:{node.lineno} imports {alias.name}")
+                if alias.name.startswith(GRID_MODULE):
+                    found.append(f"{where}:{node.lineno} imports {alias.name}")
         elif isinstance(node, ast.ImportFrom) and node.module:
             root = node.module.split(".")[0]
             sparse = node.module.startswith("scipy.sparse") or (
@@ -56,6 +68,12 @@ def _violations(path: Path) -> List[str]:
                 and any(a.name == "sparse" for a in node.names)
             )
             if sparse and path != CSR_OWNER:
+                found.append(f"{where}:{node.lineno} imports {node.module}")
+            grid = node.module.startswith(GRID_MODULE) or any(
+                f"{node.module}.{a.name}" == GRID_MODULE or a.name == GRID_NAME
+                for a in node.names
+            )
+            if grid:
                 found.append(f"{where}:{node.lineno} imports {node.module}")
             if root == "networkx":
                 for alias in node.names:
@@ -92,6 +110,9 @@ def test_guard_detects_each_form(tmp_path, monkeypatch):
         "import networkx as graphs\n"
         "from networkx import bidirectional_dijkstra as bd\n"
         "from scipy import sparse\n"
+        "from repro.geo import grid\n"
+        "from repro.geo.overlap import SpatialGridIndex\n"
+        "import repro.geo.grid\n"
         "graphs.shortest_path(None, 1, 2)\n"
         "graphs.algorithms.all_pairs_dijkstra(None)\n"
         "bd(None, 1, 2)\n"
@@ -105,6 +126,9 @@ def test_guard_detects_each_form(tmp_path, monkeypatch):
     assert [v.split(" ", 1)[1] for v in found] == [
         "imports bidirectional_dijkstra",
         "imports scipy",
+        "imports repro.geo",
+        "imports repro.geo.overlap",
+        "imports repro.geo.grid",
         "calls shortest_path",
         "calls all_pairs_dijkstra",
         "calls bd",

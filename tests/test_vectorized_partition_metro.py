@@ -18,6 +18,8 @@ from repro.geo.vectorized import (
     pairwise_distance_matrix,
     path_length_km,
     points_to_arrays,
+    segment_distance_matrix_km,
+    segment_distances_km,
 )
 from repro.resilience.partition import (
     isp_partition_cuts,
@@ -71,6 +73,19 @@ class TestVectorized:
             np.array([seg_b.lat]), np.array([seg_b.lon]),
         )
         assert batch == pytest.approx(scalar, rel=1e-6, abs=1e-6)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25)
+    def test_distance_matrix_rows_equal_one_point_kernel(self, seed):
+        rng = np.random.default_rng(seed)
+        lats, lons = rng.uniform(-80, 80, 12), rng.uniform(-180, 180, 12)
+        segs = [rng.uniform(-80, 80, 30), rng.uniform(-180, 180, 30),
+                rng.uniform(-80, 80, 30), rng.uniform(-180, 180, 30)]
+        segs[2][:3], segs[3][:3] = segs[0][:3], segs[1][:3]  # degenerate
+        matrix = segment_distance_matrix_km(lats, lons, *segs)
+        for i, (lat, lon) in enumerate(zip(lats.tolist(), lons.tolist())):
+            row = segment_distances_km(GeoPoint(lat, lon), *segs)
+            assert np.array_equal(matrix[i], row)
 
     def test_min_over_many_segments(self):
         point = GeoPoint(40.0, -100.0)
