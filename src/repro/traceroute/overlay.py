@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.data.cities import city_by_name
 from repro.fibermap.elements import FiberMap
@@ -42,12 +43,20 @@ class ConduitTraffic:
     east_to_west: int = 0
     observed_isps: Set[str] = field(default_factory=set)
 
-    def count(self, direction: str) -> None:
-        self.total += 1
-        if direction == WEST_TO_EAST:
-            self.west_to_east += 1
-        else:
-            self.east_to_west += 1
+    def add(self, isp: str, west_to_east: int, east_to_west: int) -> None:
+        """Credit probes one provider sent over this conduit."""
+        self.total += west_to_east + east_to_west
+        self.west_to_east += west_to_east
+        self.east_to_west += east_to_west
+        self.observed_isps.add(isp)
+
+
+def _codes(values: List[Optional[str]], names: List[str]) -> np.ndarray:
+    """*values* as int positions in sorted *names*, −1 for ``None``."""
+    position = {name: i for i, name in enumerate(names)}
+    return np.array(
+        [-1 if v is None else position[v] for v in values], dtype=np.int64
+    )
 
 
 class TrafficOverlay:
@@ -91,14 +100,12 @@ class TrafficOverlay:
             return None
         return self._slug_to_isp.get(parts[-2])
 
-    def _conduit_path(
+    def _core_for(
         self, isp: Optional[str], city_a: str, city_b: str
-    ) -> Optional[Tuple[str, ...]]:
-        """Conduit ids between two hop cities, using the ISP's footprint
-        in the constructed map when it has one, else the generic map."""
-        key = (isp or "*", city_a, city_b)
-        if key in self._path_cache:
-            return self._path_cache[key]
+    ) -> Tuple[RoutingCore, nx.Graph]:
+        """The routing core (and its graph) a path between two hop cities
+        runs on: the ISP's footprint in the constructed map when it holds
+        both cities, else the generic map."""
         graph = None
         if isp is not None and isp in self._map.isps():
             graph = self._isp_graphs.get(isp)
@@ -112,12 +119,22 @@ class TrafficOverlay:
             core_key = "*"
         else:
             core_key = isp or "*"
-        result: Optional[Tuple[str, ...]] = None
         core = self._cores.get(core_key)
         if core is None:
             core = self._cores[core_key] = RoutingCore(
                 graph, weight="length_km"
             )
+        return core, graph
+
+    def _conduit_path(
+        self, isp: Optional[str], city_a: str, city_b: str
+    ) -> Optional[Tuple[str, ...]]:
+        """Conduit ids between two hop cities (see :meth:`_core_for`)."""
+        key = (isp or "*", city_a, city_b)
+        if key in self._path_cache:
+            return self._path_cache[key]
+        core, graph = self._core_for(isp, city_a, city_b)
+        result: Optional[Tuple[str, ...]] = None
         path = core.path(city_a, city_b)
         if path is not None and len(path) > 1:
             result = tuple(
@@ -125,6 +142,19 @@ class TrafficOverlay:
             )
         self._path_cache[key] = result
         return result
+
+    def _prepare_paths(self, segments: List[Tuple[str, str, str]]) -> None:
+        """Solve every uncached segment's destination row up front: one
+        batched :meth:`RoutingCore.prepare` per conduit graph instead of
+        one Dijkstra per destination."""
+        wanted: Dict[int, Tuple[RoutingCore, List[str]]] = {}
+        for isp, city_a, city_b in segments:
+            if (isp, city_a, city_b) in self._path_cache:
+                continue
+            core, _graph = self._core_for(isp, city_a, city_b)
+            wanted.setdefault(id(core), (core, []))[1].append(city_b)
+        for core, destinations in wanted.values():
+            core.prepare(destinations)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -137,8 +167,7 @@ class TrafficOverlay:
         ``_isp_from_name`` and ``resolve_hop_city`` are pure functions
         of one router's published DNS name and IP, so a campaign of
         millions of hops needs them evaluated only once per router in
-        the schema — the columnar path then interprets hops with two
-        list lookups.
+        the schema.
         """
         cached = self._schema_tables
         if cached is not None and cached[0] is schema:
@@ -159,74 +188,107 @@ class TrafficOverlay:
 
         Streams :meth:`TraceColumns.iter_batches` windows of
         :data:`INGEST_BATCH_SIZE` traces, so memory stays bounded by one
-        batch regardless of campaign size.  Per hop: provider from DNS,
-        city from geolocation, and the conduit path between consecutive
-        same-provider cities.
+        batch regardless of campaign size.  Each window is whole-array
+        work: hop provider and city are gathered from per-router code
+        tables, a mask finds the segments (consecutive hops of one
+        provider in two different resolved cities), and the segments
+        are tallied per ``(isp, city_a, city_b)`` key and direction.
+        After the last window each distinct key's conduit path is
+        resolved once and its tallies credited to the path's conduits,
+        keys in first-occurrence order, so conduits enter
+        :meth:`traffic` in the order a hop-by-hop walk meets them.
         """
         tracer = get_tracer()
         before_processed = self._traces_processed
         before_unresolved = self._hops_unresolved
         router_isp, router_city, city_lon = self._tables_for(columns.schema)
+        isp_names = sorted({isp for isp in router_isp if isp is not None})
+        city_names = sorted({c for c in router_city if c is not None})
+        isp_code = _codes(router_isp, isp_names)
+        city_code = _codes(router_city, city_names)
+        lon = np.asarray(city_lon, dtype=np.float64)
+        n_cities = len(city_names)
+        # Segment key -> [west_to_east, east_to_west], in first-seen order.
+        tallies: Dict[int, List[int]] = {}
         with tracer.span("overlay.add_traces"):
             for batch in columns.iter_batches(INGEST_BATCH_SIZE):
                 traces = batch.traces
-                src_cities = traces["src_city"].tolist()
-                dst_cities = traces["dst_city"].tolist()
-                reached = traces["reached"].tolist()
-                offsets = batch.hop_offsets.tolist()
-                routers = batch.hop_router.tolist()
-                for i in range(len(batch)):
-                    lo = offsets[i]
-                    hi = offsets[i + 1]
-                    if not reached[i] or hi - lo < 2:
-                        continue
-                    self._traces_processed += 1
-                    direction = (
-                        WEST_TO_EAST
-                        if city_lon[src_cities[i]] <= city_lon[dst_cities[i]]
-                        else EAST_TO_WEST
-                    )
-                    previous_city: Optional[str] = None
-                    previous_isp: Optional[str] = None
-                    for h in range(lo, hi):
-                        router = routers[h]
-                        isp = router_isp[router]
-                        city = router_city[router]
-                        if city is None:
-                            self._hops_unresolved += 1
-                            previous_city, previous_isp = None, isp
-                            continue
-                        if (
-                            previous_city is not None
-                            and previous_isp is not None
-                            and isp == previous_isp
-                            and city != previous_city
-                        ):
-                            conduits = self._conduit_path(
-                                isp, previous_city, city
-                            )
-                            if conduits:
-                                for conduit_id in conduits:
-                                    self._count(conduit_id, direction, isp)
-                        previous_city, previous_isp = city, isp
+                lengths = np.diff(batch.hop_offsets)
+                counted = traces["reached"] & (lengths >= 2)
+                self._traces_processed += int(np.count_nonzero(counted))
+                hop_trace = np.repeat(np.arange(len(batch)), lengths)
+                hop_counted = counted[hop_trace]
+                isp = isp_code[batch.hop_router]
+                city = city_code[batch.hop_router]
+                self._hops_unresolved += int(
+                    np.count_nonzero(hop_counted & (city < 0))
+                )
+                # Hop h ends a segment when h-1 is in the same counted
+                # trace, both cities resolve and differ, and both hops
+                # name the same provider.
+                ends = 1 + np.flatnonzero(
+                    hop_counted[1:]
+                    & (hop_trace[1:] == hop_trace[:-1])
+                    & (city[1:] >= 0)
+                    & (city[:-1] >= 0)
+                    & (city[1:] != city[:-1])
+                    & (isp[:-1] >= 0)
+                    & (isp[1:] == isp[:-1])
+                )
+                if not len(ends):
+                    continue
+                keys = (
+                    isp[ends] * n_cities + city[ends - 1]
+                ) * n_cities + city[ends]
+                east_to_west = (
+                    lon[traces["src_city"]] > lon[traces["dst_city"]]
+                )
+                direction = east_to_west[hop_trace[ends]]
+                distinct, first, inverse = np.unique(
+                    keys, return_index=True, return_inverse=True
+                )
+                counts = np.bincount(
+                    inverse * 2 + direction,
+                    minlength=2 * len(distinct),
+                ).reshape(-1, 2)
+                order = np.argsort(first)
+                for key, (w2e, e2w) in zip(
+                    distinct[order].tolist(), counts[order].tolist()
+                ):
+                    tally = tallies.get(key)
+                    if tally is None:
+                        tallies[key] = [w2e, e2w]
+                    else:
+                        tally[0] += w2e
+                        tally[1] += e2w
+            segments = [
+                (
+                    isp_names[key // (n_cities * n_cities)],
+                    city_names[key // n_cities % n_cities],
+                    city_names[key % n_cities],
+                )
+                for key in tallies
+            ]
+            self._prepare_paths(segments)
+            for (isp_name, city_a, city_b), (w2e, e2w) in zip(
+                segments, tallies.values()
+            ):
+                for conduit_id in self._conduit_path(
+                    isp_name, city_a, city_b
+                ) or ():
+                    traffic = self._traffic.get(conduit_id)
+                    if traffic is None:
+                        traffic = self._traffic[conduit_id] = ConduitTraffic(
+                            conduit_id=conduit_id,
+                            endpoints=self._map.conduit(conduit_id).edge,
+                        )
+                    traffic.add(isp_name, w2e, e2w)
             tracer.annotate(
                 traces_added=self._traces_processed - before_processed,
                 hops_unresolved=self._hops_unresolved - before_unresolved,
                 path_cache_entries=len(self._path_cache),
                 conduits_with_traffic=len(self._traffic),
             )
-
-    def _count(self, conduit_id: str, direction: str, isp: Optional[str]) -> None:
-        traffic = self._traffic.get(conduit_id)
-        if traffic is None:
-            conduit = self._map.conduit(conduit_id)
-            traffic = ConduitTraffic(
-                conduit_id=conduit_id, endpoints=conduit.edge
-            )
-            self._traffic[conduit_id] = traffic
-        traffic.count(direction)
-        if isp is not None:
-            traffic.observed_isps.add(isp)
 
     # ------------------------------------------------------------------
     # Results

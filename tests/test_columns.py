@@ -9,7 +9,9 @@ The invariants the columnar pipeline must hold:
   legacy object path produces (same strings, same float64 RTTs), so
   every golden hash pinned on record reprs still holds;
 * the streaming overlay consumes columns batch-by-batch and lands on
-  the same counters as the record-by-record path;
+  the same full state (conduit traffic in insertion order, counters,
+  resolved segment keys) as the record-by-record path and the per-hop
+  loop, at every batch size;
 * the ``.npz`` artifact round-trips losslessly through the cache with
   ``allow_pickle=False``, and corrupt entries quarantine like pickles.
 """
@@ -34,7 +36,11 @@ from repro.traceroute import overlay as overlay_module
 from repro.traceroute.overlay import EAST_TO_WEST, WEST_TO_EAST, TrafficOverlay
 from repro.traceroute.probe import ProbeEngine, TracerouteRecord
 from tests.oracles.campaign import trace_for_index
-from tests.oracles.overlay import ReferenceTrafficOverlay
+from tests.oracles.overlay import (
+    LoopTrafficOverlay,
+    ReferenceTrafficOverlay,
+    overlay_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -128,29 +134,39 @@ class TestBatchStreaming:
         assert hop_total == serial_columns.num_hops
 
     def test_overlay_streaming_matches_record_path(
-        self, scenario, serial_columns, monkeypatch
+        self, scenario, global_scenario, serial_columns, monkeypatch
     ):
-        fiber_map = scenario.constructed_map
-        topology = scenario.topology
-        database = scenario.geolocation
-        # Six streaming windows, so batch boundaries are crossed.
-        monkeypatch.setattr(overlay_module, "INGEST_BATCH_SIZE", 100)
-        by_columns = TrafficOverlay(fiber_map, topology, database)
-        by_columns.add_traces(serial_columns)
-        by_records = ReferenceTrafficOverlay(fiber_map, topology, database)
-        for record in serial_columns.records():
-            by_records.add_trace(record)
-        assert (
-            by_columns.top_conduits(WEST_TO_EAST, 100)
-            == by_records.top_conduits(WEST_TO_EAST, 100)
-        )
-        assert (
-            by_columns.top_conduits(EAST_TO_WEST, 100)
-            == by_records.top_conduits(EAST_TO_WEST, 100)
-        )
-        assert (
-            by_columns.isp_conduit_usage() == by_records.isp_conduit_usage()
-        )
+        for world, columns in (
+            (scenario, serial_columns),
+            (global_scenario, global_scenario.campaign),
+        ):
+            args = (world.constructed_map, world.topology, world.geolocation)
+            by_records = ReferenceTrafficOverlay(*args)
+            for record in columns.records():
+                by_records.add_trace(record)
+            expected = overlay_state(by_records)
+            assert expected[0], "the campaign must credit some conduit"
+            # Batch sizes from one trace per window to the whole
+            # campaign in one, so every batch boundary is crossed.
+            for batch_size in (1, 7, 100, 8192):
+                monkeypatch.setattr(
+                    overlay_module, "INGEST_BATCH_SIZE", batch_size
+                )
+                by_loop = LoopTrafficOverlay(*args)
+                by_loop.add_traces(columns)
+                by_columns = TrafficOverlay(*args)
+                by_columns.add_traces(columns)
+                assert overlay_state(by_loop) == expected
+                assert overlay_state(by_columns) == expected
+                for direction in (WEST_TO_EAST, EAST_TO_WEST):
+                    assert (
+                        by_columns.top_conduits(direction, 100)
+                        == by_records.top_conduits(direction, 100)
+                    )
+                assert (
+                    by_columns.isp_conduit_usage()
+                    == by_records.isp_conduit_usage()
+                )
 
 
 class TestNpzSerialization:

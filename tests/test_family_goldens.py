@@ -24,7 +24,9 @@ from repro.analysis.geography import geography_report
 from repro.analysis.report import format_table
 from repro.experiments.runner import run_experiment
 from repro.families import DEFAULT_FAMILY, get_family
-from repro.scenario import STAGES, ScenarioConfig, load_scenario, us2015
+from repro.scenario import (
+    STAGES, Scenario, ScenarioConfig, load_scenario, us2015,
+)
 
 from tests.test_golden_hashes import (
     GOLDEN,
@@ -170,3 +172,79 @@ class TestAliasEquivalence:
     def test_us2015_is_load_scenario_default(self):
         config = ScenarioConfig(seed=2015, campaign_traces=50)
         assert us2015(config=config) is load_scenario(config=config)
+
+
+#: §4.3 traffic overlay pins (``PYTHONHASHSEED=0``; the campaign's
+#: router paths tie-break on set order, so the overlay of a randomized
+#: interpreter varies): perfbench's ``overlay_digest`` formula, the
+#: ``traffic()`` key order, and the overlay-driven experiment texts.
+#: Recorded against the per-hop ingest loop before the vectorized pass
+#: replaced it.
+OVERLAY_GOLDEN = {
+    "us2015.overlay": "2c6b2a540c50d666",
+    "us2015.order": "0f4cd88b3646563f",
+    "us2015.table2_3": "b58869cae61c3513",
+    "us2015.table4": "85bb0d0c8f077471",
+    "us2015.fig9": "0d4d3607091fb2f8",
+    "global2023.overlay": "367d289055965a91",
+    "global2023.order": "2cfdf2b2d62f1143",
+}
+
+
+def overlay_pins() -> dict:
+    """Every ``OVERLAY_GOLDEN`` value for the two session scenarios."""
+    import json
+
+    from tests.conftest import GLOBAL_TEST_TRACES, TEST_CAMPAIGN_TRACES
+
+    scenarios = {
+        "us2015": Scenario(seed=2015, campaign_traces=TEST_CAMPAIGN_TRACES),
+        "global2023": Scenario(config=ScenarioConfig(
+            seed=2023, campaign_traces=GLOBAL_TEST_TRACES,
+            family="global2023",
+        )),
+    }
+    pins = {}
+    for family, scenario in scenarios.items():
+        overlay = scenario.overlay
+        rows = sorted(
+            (cid, t.west_to_east, t.east_to_west, sorted(t.observed_isps))
+            for cid, t in overlay.traffic().items()
+        )
+        counters = [overlay.traces_processed, overlay.hops_unresolved, rows]
+        pins[f"{family}.overlay"] = _digest(json.dumps(counters))
+        pins[f"{family}.order"] = _digest(json.dumps(list(overlay.traffic())))
+    for experiment in ("table2_3", "table4", "fig9"):
+        text = run_experiment(experiment, scenarios["us2015"]).text
+        pins[f"us2015.{experiment}"] = _digest(text)
+    return pins
+
+
+class TestOverlayGoldens:
+    """The overlay and its tables, in a hash-pinned child interpreter."""
+
+    @pytest.fixture(scope="class")
+    def pins(self):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONHASHSEED="0", REPRO_CACHE="0")
+        env.pop("REPRO_CACHE_DIR", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import json; from tests.test_family_goldens import "
+             "overlay_pins; print(json.dumps(overlay_pins()))"],
+            cwd=root, env=env, capture_output=True, text=True, check=True,
+        )
+        return json.loads(out.stdout.strip().splitlines()[-1])
+
+    @pytest.mark.parametrize("name", sorted(OVERLAY_GOLDEN))
+    def test_pin(self, pins, name):
+        assert pins[name] == OVERLAY_GOLDEN[name]
