@@ -11,7 +11,6 @@ pass:
 
 ``REPRO_BENCH_TRACES``        base-tier size (default 20000)
 ``REPRO_BENCH_TRACES_LARGE``  large-tier size (default 200000; 0 skips)
-``REPRO_BENCH_WORKERS``       campaign worker processes (default 1)
 ``REPRO_BENCH_MIN_RPS``       records/second floor the base tier must
                               clear under contract v2 (default 0 = no
                               gate)
@@ -57,7 +56,7 @@ def _timed_run(topology, traces: int, workers: int, contract: int):
 
 def test_campaign_scale(benchmark, scenario, report_output):
     traces = int(os.environ.get("REPRO_BENCH_TRACES", "20000"))
-    workers = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
+    workers = 1
     topology = scenario.topology
 
     # The routing core's Dijkstra rows are cached on the (shared)

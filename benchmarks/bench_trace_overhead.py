@@ -30,7 +30,7 @@ def _best_of(rounds, fn) -> float:
 
 def test_trace_overhead(scenario, report_output):
     traces = int(os.environ.get("REPRO_BENCH_TRACES", "20000"))
-    workers = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
+    workers = 1
     topology = scenario.topology
     config = CampaignConfig(num_traces=traces, seed=2021, workers=workers)
 

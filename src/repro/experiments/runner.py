@@ -3,14 +3,11 @@
 Running an experiment yields a typed :class:`ExperimentResult` — the
 raw ``data`` object, the formatted ``text`` artifact, and a
 ``to_json()`` machine-readable view — replacing the older two-callable
-``(run, format_result)`` contract at the call site.  For compatibility
-an ``ExperimentResult`` still unpacks like the legacy
-``(result, text)`` tuple; new code should use the named fields.
+``(run, format_result)`` contract at the call site.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
@@ -231,17 +228,6 @@ class ExperimentResult:
             "data": to_jsonable(self.data),
             "text": self.text,
         }
-
-    def __iter__(self) -> Iterator[Any]:
-        """Deprecated: unpack as the legacy ``(result, text)`` pair."""
-        warnings.warn(
-            "unpacking ExperimentResult as a (data, text) tuple is "
-            "deprecated; use the named .data and .text fields",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        yield self.data
-        yield self.text
 
 
 def run_experiment(

@@ -1,6 +1,10 @@
 """Integration tests: every experiment runs and matches the paper's shape."""
 
+import importlib.util
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,8 @@ EXT_IDS = (
     "ext_capacity", "ext_growth",
 )
 ALL_IDS = PAPER_IDS + EXT_IDS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestRegistry:
@@ -39,6 +45,39 @@ class TestRegistry:
         with pytest.raises(KeyError):
             run_experiment("fig99", scenario)
 
+    def test_every_experiment_is_timed_and_pinned_by_perfbench(
+        self, monkeypatch
+    ):
+        # perfbench is the only place experiments are timed; it is not a
+        # package, so its spec is loaded by path (registered while it
+        # executes, as its dataclasses look their module up).
+        module_spec = importlib.util.spec_from_file_location(
+            "perfbench_spec", ROOT / "perfbench" / "spec.py"
+        )
+        bench_spec = importlib.util.module_from_spec(module_spec)
+        monkeypatch.setitem(sys.modules, module_spec.name, bench_spec)
+        module_spec.loader.exec_module(bench_spec)
+        pins = json.loads((ROOT / "perfbench" / "pins.json").read_text())
+        assert set(bench_spec.EXPERIMENT_IDS) == set(EXPERIMENTS)
+        assert set(pins["experiments"]) == set(EXPERIMENTS)
+
+
+def test_docs_name_only_existing_bench_scripts():
+    docs = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
+    docs += sorted((ROOT / "docs").glob("*.md"))
+    pattern = re.compile(r"benchmarks/[^\s`'\"()]*?\.py\b")
+    named = {
+        (doc.name, path)
+        for doc in docs
+        for path in pattern.findall(doc.read_text(encoding="utf-8"))
+        if not set(path) & set("*?[{<")  # a glob or template, not a file
+    }
+    assert named  # the scan finds the kept benches
+    missing = sorted(
+        (doc, path) for doc, path in named if not (ROOT / path).exists()
+    )
+    assert missing == []
+
 
 class TestExperimentResult:
     def test_typed_result(self, scenario):
@@ -49,13 +88,6 @@ class TestExperimentResult:
         assert result.extension is False
         assert result.data.total_links == 1258
         assert "EarthLink" in result.text
-
-    def test_legacy_tuple_unpack_still_works_but_warns(self, scenario):
-        result = run_experiment("table1", scenario)
-        with pytest.deprecated_call():
-            data, text = result
-        assert data.total_links == 1258
-        assert isinstance(text, str)
 
     def test_to_json_round_trips(self, scenario):
         payload = run_experiment("table1", scenario).to_json()

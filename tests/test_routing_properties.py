@@ -9,7 +9,12 @@ constructed map (and of randomized fiber maps for the mask property):
   group whenever the pair stays connected without the primary's groups;
 * a Pareto frontier has strictly increasing delay and strictly
   decreasing bottleneck risk, and starts at the unrestricted shortest
-  path over the same least-shared collapse.
+  path over the same least-shared collapse;
+* §5.3 delays are ordered: the average existing path is never faster
+  than the best one, and neither the best existing path nor the best
+  right-of-way path beats line of sight.  The best existing path may
+  beat the best right-of-way path: conduits can follow rights-of-way
+  (pipelines, say) outside the family's ``row_kinds``.
 
 The Hypothesis profile is small so tier-1 stays fast.
 """
@@ -23,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.geo.coords import fiber_delay_ms
+from repro.mitigation.latency import latency_study
 from repro.perf.substrate import substrate_for
 from repro.routing.backup import plan_backup
 from repro.routing.pareto import pareto_paths
@@ -108,3 +114,19 @@ def test_pareto_frontier_is_monotone(family_scenario, data):
     assert all(x > y for x, y in zip(risks, risks[1:]))
     fastest = nx.shortest_path_length(graph, a, b, weight="length_km")
     assert delays[0] == pytest.approx(fiber_delay_ms(fastest), rel=1e-12)
+
+
+@SMALL
+@given(seed=st.integers(0, 2**16), max_pairs=st.integers(1, 40))
+def test_latency_delays_are_ordered(family_scenario, seed, max_pairs):
+    study = latency_study(
+        family_scenario.constructed_map,
+        family_scenario.network,
+        max_pairs=max_pairs,
+        seed=seed,
+        row_kinds=family_scenario.family.row_kinds[0],
+    )
+    assert study.pairs
+    for p in study.pairs:
+        assert p.avg_ms >= p.best_ms >= p.los_ms, p
+        assert p.row_ms >= p.los_ms, p
