@@ -9,12 +9,13 @@ deployments, and spurs.  This module quantifies each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-import networkx as nx
+import numpy as np
 
 from repro.data.cities import city_by_name
 from repro.fibermap.elements import FiberMap, MapStats
+from repro.perf.substrate import GraphView, substrate_for
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,29 @@ def region_of(city_key: str) -> str:
     return _REGIONS.get(city_by_name(city_key).state, "other")
 
 
+def hop_components(view: GraphView) -> Tuple[int, int]:
+    """``(components, diameter_hops)`` over the view's present nodes:
+    how many connected components they form, and the largest hop
+    eccentricity within any of them (NetworkX's ``diameter`` of each
+    component), from one batched hop-count Dijkstra."""
+    present = [key for key in view.nodes if view.present(key)]
+    if not present:
+        return 0, 0
+    hops = GraphView(
+        view.nodes, view.index, view.eu, view.ev,
+        {"hops": np.ones(view.num_edges)},
+    )
+    dist, _pred, _row_of = hops.dijkstra(present, "hops")
+    reach = np.isfinite(dist[:, [view.index[key] for key in present]])
+    # Each row's first reachable present node labels its component.
+    components = len(np.unique(np.argmax(reach, axis=1)))
+    return components, int(dist[np.isfinite(dist)].max())
+
+
 def connectivity_report(fiber_map: FiberMap, top: int = 10) -> ConnectivityReport:
     """Quantify the map's Figure 1 features."""
-    graph = fiber_map.simple_conduit_graph()
-    degrees = dict(graph.degree())
+    conduits = substrate_for(fiber_map)
+    degrees = dict(conduits.conduit_degrees())
     top_hubs = tuple(
         sorted(degrees.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
     )
@@ -81,20 +101,13 @@ def connectivity_report(fiber_map: FiberMap, top: int = 10) -> ConnectivityRepor
         for key in conduit.edge:
             region = region_of(key)
             density[region] = density.get(region, 0.0) + conduit.length_km / 2.0
-    connected = nx.is_connected(graph) if len(graph) > 0 else False
-    if connected:
-        diameter = nx.diameter(graph)
-    else:
-        diameter = max(
-            (nx.diameter(graph.subgraph(c)) for c in nx.connected_components(graph)),
-            default=0,
-        )
+    components, diameter = hop_components(conduits.conduit_view())
     return ConnectivityReport(
         stats=fiber_map.stats(),
         top_hubs=top_hubs,
         parallel_edges=parallel,
         spurs=spurs,
         region_density=density,
-        connected=connected,
+        connected=components == 1,
         diameter_hops=diameter,
     )

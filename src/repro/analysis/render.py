@@ -12,6 +12,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.fibermap.elements import FiberMap
 from repro.geo.polyline import Polyline
+from repro.perf.substrate import substrate_for
 from repro.transport.network import TransportationNetwork
 
 #: Continental-US bounding box.
@@ -102,8 +103,9 @@ def render_fiber_map(
         weight = conduit.num_tenants if weight_by_tenants else 1
         canvas.draw_polyline(conduit.geometry, weight=max(1, weight))
     if hub_symbols > 0:
-        graph = fiber_map.simple_conduit_graph()
-        hubs = sorted(graph.degree(), key=lambda kv: -kv[1])[:hub_symbols]
+        # Stable: tied hubs keep the substrate's first-seen city order.
+        degrees = substrate_for(fiber_map).conduit_degrees()
+        hubs = sorted(degrees, key=lambda kv: -kv[1])[:hub_symbols]
         from repro.data.cities import city_by_name
 
         for city_key, _ in hubs:

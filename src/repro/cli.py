@@ -668,6 +668,7 @@ def _cmd_serve(scenario: Scenario, args: argparse.Namespace, tracer) -> int:
 def _cmd_sweep(
     args: argparse.Namespace, cache: Any, as_json: bool
 ) -> int:
+    from repro.perf.cache import resolve_cache
     from repro.sweep import expand_grid, parse_grid, run_sweep
 
     try:
@@ -696,8 +697,7 @@ def _cmd_sweep(
         if args.isps
         else None
     )
-    if cache is False or (cache is None and not os.environ.get("REPRO_CACHE_DIR")
-                          and not os.environ.get("REPRO_CACHE")):
+    if resolve_cache(cache) is None:
         print(
             "note: no shared cache root (--cache-dir) — cells cannot "
             "deduplicate stage builds",

@@ -72,17 +72,6 @@ _STATION_RAW: List[Tuple[str, str, float, float, int]] = [
     ("Honolulu", "HI", 21.31, -157.86, 350000),
 ]
 
-#: Existing US cities that double as trans-oceanic landing/backhaul hubs.
-US_HUB_KEYS: Tuple[str, ...] = (
-    "New York, NY",
-    "Washington, DC",
-    "Ashburn, VA",
-    "Miami, FL",
-    "Los Angeles, CA",
-    "San Francisco, CA",
-    "Seattle, WA",
-)
-
 #: The station City objects (not yet registered; see ensure_registered).
 STATIONS: Tuple[City, ...] = tuple(City(*row) for row in _STATION_RAW)
 
@@ -168,11 +157,6 @@ BACKHAUL_CORRIDORS: Tuple[Corridor, ...] = (
 
 #: Every corridor of the global map, cables first.
 GLOBAL_CORRIDORS: Tuple[Corridor, ...] = CABLE_SYSTEMS + BACKHAUL_CORRIDORS
-
-
-def station_keys() -> List[str]:
-    """All node keys of the global map: stations plus US hubs."""
-    return [c.key for c in STATIONS] + list(US_HUB_KEYS)
 
 
 def ensure_registered() -> None:

@@ -38,11 +38,6 @@ class ConduitCapacity:
     lit_gbps: float
     probe_share: float
 
-    @property
-    def capacity_at_risk_gbps(self) -> float:
-        """Capacity destroyed if this conduit is cut."""
-        return self.lit_gbps
-
 
 @dataclass(frozen=True)
 class CapacityModel:

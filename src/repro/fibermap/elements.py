@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.geo.polyline import Polyline
 from repro.transport.network import EdgeKey, canonical_edge
 
@@ -25,10 +23,6 @@ class Node:
 
     city_key: str
     isps: Set[str] = field(default_factory=set)
-
-    @property
-    def degree_isps(self) -> int:
-        return len(self.isps)
 
 
 @dataclass
@@ -103,9 +97,9 @@ class FiberMap:
 
     Conduit identity is physical (one trench); provider links reference
     conduit ids, and tenancy is maintained automatically as links are
-    added.  The map supports the graph views used by §4 (risk) and §5
-    (mitigation): the conduit graph weighted by length or by shared risk,
-    and per-provider subgraphs.
+    added.  The graph views §4 (risk), §4.3 (overlay) and §5
+    (mitigation) route on are compiled from it once, by
+    :func:`repro.perf.substrate.substrate_for`.
     """
 
     def __init__(self) -> None:
@@ -254,50 +248,3 @@ class FiberMap:
     def tenancy(self) -> Dict[str, FrozenSet[str]]:
         """Map of conduit id to its (frozen) tenant set."""
         return {cid: frozenset(c.tenants) for cid, c in self._conduits.items()}
-
-    # ------------------------------------------------------------------
-    # Graph views
-    # ------------------------------------------------------------------
-    def conduit_graph(self, isp: Optional[str] = None) -> nx.MultiGraph:
-        """Conduits as a multigraph over cities.
-
-        Edge data: ``conduit_id``, ``length_km``, ``tenants`` (count).
-        When *isp* is given, only conduits that provider occupies are
-        included (its physical footprint).
-        """
-        graph = nx.MultiGraph()
-        for cid, conduit in sorted(self._conduits.items()):
-            if isp is not None and isp not in conduit.tenants:
-                continue
-            a, b = conduit.edge
-            graph.add_edge(
-                a,
-                b,
-                key=cid,
-                conduit_id=cid,
-                length_km=conduit.length_km,
-                tenants=conduit.num_tenants,
-            )
-        return graph
-
-    def simple_conduit_graph(self, isp: Optional[str] = None) -> nx.Graph:
-        """Simple-graph view: parallel conduits collapsed to the best one.
-
-        Edge data: ``conduit_id`` (least-shared conduit on that edge),
-        ``length_km`` (of that conduit), ``tenants`` (its tenant count).
-        """
-        graph = nx.Graph()
-        for cid, conduit in sorted(self._conduits.items()):
-            if isp is not None and isp not in conduit.tenants:
-                continue
-            a, b = conduit.edge
-            existing = graph.get_edge_data(a, b)
-            if existing is None or conduit.num_tenants < existing["tenants"]:
-                graph.add_edge(
-                    a,
-                    b,
-                    conduit_id=cid,
-                    length_km=conduit.length_km,
-                    tenants=conduit.num_tenants,
-                )
-        return graph

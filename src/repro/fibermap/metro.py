@@ -26,6 +26,7 @@ from repro.fibermap.elements import FiberMap
 from repro.fibermap.synthesis import _stable_unit
 from repro.geo.coords import GeoPoint, destination_point, haversine_km
 from repro.geo.polyline import Polyline
+from repro.perf.substrate import substrate_for
 
 #: Metro ring radius scales with population (km).
 _MIN_RADIUS_KM = 6.0
@@ -150,8 +151,8 @@ def metro_coverage(
     """Build rings for the *top* most-connected cities and measure them."""
     if top <= 0:
         raise ValueError("top must be positive")
-    graph = fiber_map.simple_conduit_graph()
-    hubs = sorted(graph.degree(), key=lambda kv: (-kv[1], kv[0]))[:top]
+    degrees = substrate_for(fiber_map).conduit_degrees()
+    hubs = sorted(degrees, key=lambda kv: (-kv[1], kv[0]))[:top]
     rings = tuple(
         build_metro_ring(fiber_map, city_key, seed=seed)
         for city_key, _ in hubs

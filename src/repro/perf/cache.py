@@ -446,19 +446,6 @@ class ArtifactCache:
                 continue
         return removed
 
-    def total_bytes(self) -> int:
-        """Bytes held by entries, orphans, and quarantined files."""
-        paths = (
-            [e.path for e in self.entries()]
-            + self.orphan_tmp_files()
-            + self.quarantined_files()
-        )
-        total = 0
-        for path in paths:
-            with contextlib.suppress(OSError):
-                total += path.stat().st_size
-        return total
-
     def info_text(self) -> str:
         entries = self.entries()
         orphans = self.orphan_tmp_files()

@@ -2,16 +2,19 @@
 
 The §4.3 campaign and overlay answer shortest-path queries toward a few
 hundred destinations, thousands of times each.  :class:`RoutingCore`
-compiles a NetworkX graph into the package's one compiled graph,
+adopts one of the package's compiled graphs,
 :class:`~repro.perf.substrate.GraphView`, and adds only a cache of
 per-destination Dijkstra rows: every solve is a
 :meth:`GraphView.dijkstra` call (batched across destinations by
 :meth:`RoutingCore.prepare`), and every path is a
 :meth:`GraphView.walk` over a cached predecessor row.
 
-The NetworkX route walk survives only as the test oracle
-(``tests/oracles/probe.py``), which the test suite cross-checks against
-this core on random (src, dst) pairs.
+The overlay's conduit cores wrap the views of
+:func:`~repro.perf.substrate.substrate_for` as they are;
+:meth:`RoutingCore.from_networkx` compiles the one graph that is not a
+fiber-map view, the router-level topology.  The NetworkX route walk
+survives only as the test oracle (``tests/oracles/probe.py``), which the
+test suite cross-checks against this core on random (src, dst) pairs.
 """
 
 from __future__ import annotations
@@ -24,11 +27,23 @@ from repro.perf.substrate import GraphView
 
 
 class RoutingCore(GraphView):
-    """A :class:`GraphView` of a NetworkX graph plus a per-destination
-    cache of ``(dist, pred)`` rows, so a campaign pays one Dijkstra per
-    distinct destination and an array walk per trace."""
+    """A :class:`GraphView` plus a per-destination cache of
+    ``(dist, pred)`` rows, so a campaign pays one Dijkstra per distinct
+    destination and an array walk per trace."""
 
-    def __init__(self, graph, weight: str = "ms"):
+    def __init__(self, view: GraphView, weight: str):
+        # Adopt the view's compiled arrays as they are (no copy).
+        super().__init__(
+            view.nodes, view.index, view.eu, view.ev, view.weights,
+            view.payload,
+        )
+        self.weight = weight
+        self._rows: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {}
+
+    @classmethod
+    def from_networkx(cls, graph, weight: str = "ms") -> "RoutingCore":
+        """Compile a NetworkX graph (the router-level topology) over its
+        sorted nodes, with *weight* as the one weight array."""
         nodes = sorted(graph.nodes)
         index = {node: i for i, node in enumerate(nodes)}
         eu: List[int] = []
@@ -39,9 +54,7 @@ class RoutingCore(GraphView):
             eu.append(min(ui, vi))
             ev.append(max(ui, vi))
             data.append(float(w))
-        super().__init__(nodes, index, eu, ev, {weight: data})
-        self.weight = weight
-        self._rows: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {}
+        return cls(GraphView(nodes, index, eu, ev, {weight: data}), weight)
 
     @property
     def num_prepared(self) -> int:

@@ -3,10 +3,11 @@
 :class:`GraphView` is the package's one compiled graph: int-indexed
 parallel edge arrays with named weights, solved by batched scipy
 Dijkstra and walked as predecessor arrays.  Everything that routes
-compiles into it — the §4.3 router-level topology and overlay conduit
-graphs through :class:`~repro.perf.routing.RoutingCore` (a GraphView
-plus a per-destination row cache); the §5, resilience and §6 backup,
-opacity and Pareto studies through the substrate below; ground-truth
+compiles into it — the §4.3 router-level topology through
+:class:`~repro.perf.routing.RoutingCore` (a GraphView plus a
+per-destination row cache); the §4.3 overlay's cores, the Figure 1
+summaries and the §5, resilience and §6 backup, opacity and Pareto
+studies through the substrate below; ground-truth
 synthesis and §2 step-3 alignment through clones of :func:`row_view`
 carrying their own weight array.
 
@@ -542,8 +543,9 @@ class ConduitSubstrate:
         """The collapsed conduit graph: min-tenant representative per
         pair, with ``risk`` and ``length_km`` weight views.
 
-        Reproduces both ``FiberMap.simple_conduit_graph()`` and the
-        robustness ``_risk_graph`` (they share the same collapse).
+        Reproduces the NetworkX ``simple_conduit_graph`` builder and the
+        robustness ``_risk_graph`` (``tests/oracles/``), which share
+        the same collapse.
         """
         rows = np.arange(self.num_conduits, dtype=np.int64)
         return self.build_view(
@@ -555,6 +557,38 @@ class ConduitSubstrate:
             },
             cache_key="conduit",
         )
+
+    def tenant_view(self, isp: Optional[str] = None) -> GraphView:
+        """The conduit graph, or *isp*'s footprint, collapsed to the
+        least-shared conduit per pair: a ``length_km`` weight and each
+        edge's tenant count as the ``risk`` payload (the §4.3 overlay's
+        per-provider graphs and the Pareto sweep)."""
+        rows = (
+            np.arange(self.num_conduits, dtype=np.int64)
+            if isp is None
+            else self.rows_for_isp(isp)
+        )
+        return self.build_view(
+            rows,
+            self.tenants[rows],
+            {"length_km": self.length_km[rows]},
+            payload={"risk": self.tenants[rows]},
+            cache_key=("fewest_tenants", isp),
+        )
+
+    def conduit_degrees(self) -> List[Tuple[str, int]]:
+        """Every city's degree in :meth:`conduit_view`, cities in the
+        order they first appear among conduit endpoints in sorted-id
+        order — the node order NetworkX gives the same graph, which the
+        Figure 1 hub marks keep on degree ties."""
+        view = self.conduit_view()
+        n = len(self.nodes)
+        degree = np.bincount(view.eu, minlength=n) + np.bincount(
+            view.ev, minlength=n
+        )
+        ends = np.column_stack([self.cu, self.cv]).ravel()
+        _, first = np.unique(ends, return_index=True)
+        return [(self.nodes[i], int(degree[i])) for i in ends[np.sort(first)]]
 
     def conduit_view_excluding(self, conduit_id: str) -> GraphView:
         """The conduit view with one conduit barred from use.

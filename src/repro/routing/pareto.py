@@ -56,18 +56,7 @@ def pareto_paths(
     if a_key == b_key:
         raise ValueError(f"identical endpoints: {a_key}")
     cs = substrate_for(fiber_map)
-    rows = (
-        np.arange(cs.num_conduits, dtype=np.int64)
-        if isp is None
-        else cs.rows_for_isp(isp)
-    )
-    view = cs.build_view(
-        rows,
-        cs.tenants[rows],
-        {"length_km": cs.length_km[rows]},
-        payload={"risk": cs.tenants[rows]},
-        cache_key=("fewest_tenants", isp),
-    )
+    view = cs.tenant_view(isp)
     if not view.present(a_key) or not view.present(b_key):
         return []
     risk = view.payload["risk"]

@@ -35,9 +35,6 @@ class AddressPlan:
         self._city_index[isp] = {}
         return network
 
-    def network_of(self, isp: str) -> ipaddress.IPv4Network:
-        return self._isp_nets[isp]
-
     def isps(self) -> List[str]:
         return sorted(self._isp_nets)
 

@@ -109,6 +109,13 @@ DEFAULT_DEST_ISPS: Tuple[Tuple[str, float], ...] = (
     ("GTT", 0.4),
 )
 
+#: Destination cities are weighted by population to this power
+#: (content concentrates in big metros).
+DEST_POPULATION_EXPONENT = 1.3
+
+#: Client cities are weighted by population to this power.
+CLIENT_POPULATION_EXPONENT = 0.9
+
 #: Smallest shard handed to one worker task; keeps task dispatch
 #: overhead negligible next to the tracing work.
 _MIN_CHUNK = 250
@@ -128,11 +135,6 @@ class CampaignConfig:
     seed: int = 41
     client_isps: Tuple[Tuple[str, float], ...] = DEFAULT_CLIENT_ISPS
     dest_isps: Tuple[Tuple[str, float], ...] = DEFAULT_DEST_ISPS
-    #: Destination cities are weighted by population to this power
-    #: (content concentrates in big metros).
-    dest_population_exponent: float = 1.3
-    #: Client cities are weighted by population to this power.
-    client_population_exponent: float = 0.9
     #: Worker processes: 1 runs in-process, 0 auto-detects CPU cores.
     #: The column stream is identical for every worker count.
     workers: int = 1
@@ -189,11 +191,11 @@ class _CampaignPlan:
         self.dest_names = [i for i, _ in dest]
         self.dest_cum = list(accumulate(w for _, w in dest))
         self.client_cities: Dict[str, Tuple[List[str], List[float]]] = {
-            isp: _city_table(topology, isp, config.client_population_exponent)
+            isp: _city_table(topology, isp, CLIENT_POPULATION_EXPONENT)
             for isp in self.client_names
         }
         self.dest_cities: Dict[str, Tuple[List[str], List[float]]] = {
-            isp: _city_table(topology, isp, config.dest_population_exponent)
+            isp: _city_table(topology, isp, DEST_POPULATION_EXPONENT)
             for isp in self.dest_names
         }
         #: Every router node a campaign trace can target — the batch the

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.data.cities import city_by_name
 from repro.fibermap.elements import FiberMap
 from repro.obs.tracer import get_tracer
 from repro.perf.routing import RoutingCore
+from repro.perf.substrate import substrate_for
 from repro.traceroute.columns import ColumnSchema, TraceColumns
 from repro.traceroute.geolocate import GeolocationDatabase, resolve_hop_city
 from repro.traceroute.topology import InternetTopology, _slug
@@ -75,10 +75,8 @@ class TrafficOverlay:
             _slug(name): name for name in topology.providers()
         }
         self._traffic: Dict[str, ConduitTraffic] = {}
-        self._generic_graph = fiber_map.simple_conduit_graph()
-        self._isp_graphs: Dict[str, nx.Graph] = {}
-        #: One compiled array routing core per conduit graph ("*" =
-        #: generic).
+        #: One routing core per conduit view of the map's substrate
+        #: ("*" = generic).
         self._cores: Dict[str, RoutingCore] = {}
         self._path_cache: Dict[Tuple[str, str, str], Optional[Tuple[str, ...]]] = {}
         self._traces_processed = 0
@@ -102,29 +100,23 @@ class TrafficOverlay:
 
     def _core_for(
         self, isp: Optional[str], city_a: str, city_b: str
-    ) -> Tuple[RoutingCore, nx.Graph]:
-        """The routing core (and its graph) a path between two hop cities
-        runs on: the ISP's footprint in the constructed map when it holds
-        both cities, else the generic map."""
-        graph = None
+    ) -> RoutingCore:
+        """The routing core a path between two hop cities runs on: the
+        ISP's footprint in the constructed map (collapsed to the
+        least-shared conduit per pair) when it holds both cities, else
+        the generic conduit view."""
         if isp is not None and isp in self._map.isps():
-            graph = self._isp_graphs.get(isp)
-            if graph is None:
-                graph = self._map.simple_conduit_graph(isp)
-                self._isp_graphs[isp] = graph
-            if city_a not in graph or city_b not in graph:
-                graph = None
-        if graph is None:
-            graph = self._generic_graph
-            core_key = "*"
-        else:
-            core_key = isp or "*"
-        core = self._cores.get(core_key)
+            core = self._cores.get(isp)
+            if core is None:
+                view = substrate_for(self._map).tenant_view(isp)
+                core = self._cores[isp] = RoutingCore(view, "length_km")
+            if core.present(city_a) and core.present(city_b):
+                return core
+        core = self._cores.get("*")
         if core is None:
-            core = self._cores[core_key] = RoutingCore(
-                graph, weight="length_km"
-            )
-        return core, graph
+            view = substrate_for(self._map).conduit_view()
+            core = self._cores["*"] = RoutingCore(view, "length_km")
+        return core
 
     def _conduit_path(
         self, isp: Optional[str], city_a: str, city_b: str
@@ -133,12 +125,12 @@ class TrafficOverlay:
         key = (isp or "*", city_a, city_b)
         if key in self._path_cache:
             return self._path_cache[key]
-        core, graph = self._core_for(isp, city_a, city_b)
+        core = self._core_for(isp, city_a, city_b)
         result: Optional[Tuple[str, ...]] = None
         path = core.path(city_a, city_b)
         if path is not None and len(path) > 1:
-            result = tuple(
-                graph[u][v]["conduit_id"] for u, v in zip(path, path[1:])
+            result = substrate_for(self._map).path_conduits(
+                core, [core.index[city] for city in path]
             )
         self._path_cache[key] = result
         return result
@@ -151,7 +143,7 @@ class TrafficOverlay:
         for isp, city_a, city_b in segments:
             if (isp, city_a, city_b) in self._path_cache:
                 continue
-            core, _graph = self._core_for(isp, city_a, city_b)
+            core = self._core_for(isp, city_a, city_b)
             wanted.setdefault(id(core), (core, []))[1].append(city_b)
         for core, destinations in wanted.values():
             core.prepare(destinations)

@@ -234,10 +234,6 @@ class InternetTopology:
     def graph(self) -> nx.Graph:
         return self._graph
 
-    @property
-    def address_plan(self) -> AddressPlan:
-        return self._plan
-
     def routing_core(self) -> RoutingCore:
         """One compiled routing core shared by every probe engine.
 
@@ -245,7 +241,7 @@ class InternetTopology:
         arrays and cached rows stay valid for the topology's lifetime.
         """
         if self._routing_core is None:
-            self._routing_core = RoutingCore(self._graph)
+            self._routing_core = RoutingCore.from_networkx(self._graph)
         return self._routing_core
 
     def conduit_edges(self) -> Dict[str, Tuple[int, ...]]:

@@ -125,7 +125,3 @@ class RowRegistry:
             for row_id in sorted(self._rows)
             if len(self._occupants[row_id]) >= min_occupants
         ]
-
-    def occupancy_counts(self) -> Dict[str, int]:
-        """Map of row_id to number of occupying providers."""
-        return {row_id: len(occ) for row_id, occ in self._occupants.items()}

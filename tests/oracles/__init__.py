@@ -15,7 +15,11 @@ still require the package to be indistinguishable from them:
 * :mod:`tests.oracles.probe` — the per-destination NetworkX route walk;
 * :mod:`tests.oracles.campaign` — the v1 object and v2 scalar per-trace
   record generators the columnar campaign replaced;
-* :mod:`tests.oracles.overlay` — the record-object overlay ingest;
+* :mod:`tests.oracles.overlay` — the record-object and per-hop overlay
+  ingests, and the overlay's conduit paths over NetworkX conduit graphs;
+* :mod:`tests.oracles.fibermap` — ``FiberMap``'s NetworkX conduit-graph
+  builders (``conduit_graph``, ``simple_conduit_graph``) and the
+  ``nx.diameter`` connectivity summary of Figure 1;
 * :mod:`tests.oracles.service` — the NetworkX latency query;
 * :mod:`tests.oracles.routing` — the §6 backup planner, opacity path and
   Pareto sweep over per-call footprint graphs, and the

@@ -48,6 +48,7 @@ from repro.mitigation.latency import (
 from repro.mitigation.robustness import _suggestion_for_isp
 from repro.risk.metrics import most_shared_conduits
 from repro.transport.network import EdgeKey, TransportationNetwork
+from tests.oracles.fibermap import simple_conduit_graph
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +331,7 @@ def _pair_delays_reference(
 ) -> List[PairDelays]:
     """NetworkX reference: per-pair graph solves (and a per-call ROW
     subgraph rebuild inside :func:`row_shortest_path_reference`)."""
-    conduit_graph = fiber_map.simple_conduit_graph()
+    conduit_graph = simple_conduit_graph(fiber_map)
     results: List[PairDelays] = []
     for a, b in ordered:
         if a not in conduit_graph or b not in conduit_graph:

@@ -1,18 +1,26 @@
-"""The two overlay ingests the vectorized columnar pass replaced.
+"""The two overlay ingests the vectorized columnar pass replaced, and
+the NetworkX conduit graphs its paths were resolved on.
 
 :class:`ReferenceTrafficOverlay` interprets record objects one hop at a
 time; :class:`LoopTrafficOverlay` is the per-hop loop over columnar
 batches that preceded the whole-array pass.  Both credit conduits one
 segment at a time through :meth:`_count`, so their ``traffic()`` order
 is the order a hop-by-hop walk meets each conduit.
+:class:`NetworkXConduitPaths` is the segment-to-conduit resolution as it
+ran before the overlay read substrate views: a NetworkX conduit graph
+per provider, each compiled into its own routing core.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
+
+import networkx as nx
 
 from repro.data.cities import city_by_name
+from repro.fibermap.elements import FiberMap
 from repro.obs.tracer import get_tracer
+from repro.perf.routing import RoutingCore
 from repro.traceroute import overlay as overlay_module
 from repro.traceroute.columns import TraceColumns
 from repro.traceroute.geolocate import resolve_hop_city
@@ -23,6 +31,7 @@ from repro.traceroute.overlay import (
     TrafficOverlay,
 )
 from repro.traceroute.probe import TracerouteRecord
+from tests.oracles.fibermap import simple_conduit_graph
 
 
 def overlay_state(overlay):
@@ -158,3 +167,50 @@ class LoopTrafficOverlay(_CountingOverlay):
                 path_cache_entries=len(self._path_cache),
                 conduits_with_traffic=len(self._traffic),
             )
+
+
+class NetworkXConduitPaths:
+    """``TrafficOverlay._conduit_path`` over NetworkX conduit graphs:
+    the provider's ``simple_conduit_graph(isp)`` when it holds both hop
+    cities, else the generic one, each compiled by
+    :meth:`RoutingCore.from_networkx`."""
+
+    def __init__(self, fiber_map: FiberMap):
+        self._map = fiber_map
+        self._generic_graph = simple_conduit_graph(fiber_map)
+        self._isp_graphs: Dict[str, nx.Graph] = {}
+        self._cores: Dict[str, RoutingCore] = {}
+
+    def _core_for(
+        self, isp: Optional[str], city_a: str, city_b: str
+    ) -> Tuple[RoutingCore, nx.Graph]:
+        graph = None
+        if isp is not None and isp in self._map.isps():
+            graph = self._isp_graphs.get(isp)
+            if graph is None:
+                graph = simple_conduit_graph(self._map, isp)
+                self._isp_graphs[isp] = graph
+            if city_a not in graph or city_b not in graph:
+                graph = None
+        if graph is None:
+            graph = self._generic_graph
+            core_key = "*"
+        else:
+            core_key = isp or "*"
+        core = self._cores.get(core_key)
+        if core is None:
+            core = self._cores[core_key] = RoutingCore.from_networkx(
+                graph, weight="length_km"
+            )
+        return core, graph
+
+    def conduit_path(
+        self, isp: Optional[str], city_a: str, city_b: str
+    ) -> Optional[Tuple[str, ...]]:
+        core, graph = self._core_for(isp, city_a, city_b)
+        path = core.path(city_a, city_b)
+        if path is None or len(path) < 2:
+            return None
+        return tuple(
+            graph[u][v]["conduit_id"] for u, v in zip(path, path[1:])
+        )

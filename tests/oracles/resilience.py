@@ -168,7 +168,7 @@ class DegradedTopology:
     def routing_core(self) -> RoutingCore:
         """A fresh compile of the degraded graph."""
         if self._routing_core is None:
-            self._routing_core = RoutingCore(self._graph)
+            self._routing_core = RoutingCore.from_networkx(self._graph)
         return self._routing_core
 
     def uses_mpls(self, isp: str) -> bool:

@@ -22,6 +22,7 @@ from repro.routing.backup import SRLG_PENALTY_KM, BackupPlan
 from repro.routing.opacity import OpacityCase
 from repro.routing.pareto import ParetoPath
 from repro.routing.srlg import path_srlgs, shared_srlgs
+from tests.oracles.fibermap import simple_conduit_graph
 
 
 def _shortest_footprint_graph(fiber_map: FiberMap, isp: str) -> nx.Graph:
@@ -233,7 +234,7 @@ def conduit_graph_path_reference(
     NSFNET comparison and the phantom providers each ran: the shortest
     conduit path as ``(city path, conduit ids, km)``, km accumulated hop
     by hop."""
-    graph = fiber_map.simple_conduit_graph()
+    graph = simple_conduit_graph(fiber_map)
     try:
         path = nx.shortest_path(graph, a_key, b_key, weight="length_km")
     except (nx.NetworkXNoPath, nx.NodeNotFound):

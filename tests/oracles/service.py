@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from repro.geo.coords import fiber_delay_ms
 from repro.service.schema import LatencyRequest, LatencyResponse
+from tests.oracles.fibermap import simple_conduit_graph
 
 
 def _nx_latency(scenario, request: LatencyRequest) -> LatencyResponse:
     """NetworkX reference path (no scipy): same collapse, same answer."""
     import networkx as nx
 
-    graph = scenario.constructed_map.simple_conduit_graph()
+    graph = simple_conduit_graph(scenario.constructed_map)
     unreachable = LatencyResponse(
         city_a=request.city_a, city_b=request.city_b,
         reachable=False, delay_ms=None, length_km=None,

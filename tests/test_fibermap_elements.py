@@ -5,6 +5,7 @@ import pytest
 from repro.fibermap.elements import FiberMap, Link
 from repro.geo.coords import GeoPoint
 from repro.geo.polyline import Polyline
+from repro.perf.substrate import substrate_for
 
 A, B, C = "Denver, CO", "Limon, CO", "Hays, KS"
 
@@ -125,10 +126,19 @@ class TestTenancyAndStats:
 
 
 class TestGraphViews:
+    """The conduit views the package routes on, compiled by the
+    substrate."""
+
     def test_multigraph_contains_parallel(self, small_map):
         small_map.add_conduit(A, B, "rail:UP:x", _geom(39.7, -105.0, 39.3, -103.7))
-        graph = small_map.conduit_graph()
-        assert graph.number_of_edges(*sorted((A, B))) == 2
+        conduits = substrate_for(small_map)
+        pair = sorted((conduits.index[A], conduits.index[B]))
+        rows = [
+            row for row in range(conduits.num_conduits)
+            if sorted((conduits.cu[row], conduits.cv[row])) == pair
+        ]
+        assert len(rows) == 2
+        assert conduits.conduit_view().num_edges == 2
 
     def test_simple_graph_picks_least_shared(self, small_map):
         parallel = small_map.add_conduit(
@@ -136,13 +146,15 @@ class TestGraphViews:
         )
         small_map.add_link("X", [A, B], ["C0001"])
         small_map.add_link("Y", [A, B], ["C0001"])
-        graph = small_map.simple_conduit_graph()
-        edge = graph.get_edge_data(*sorted((A, B)))
-        assert edge["conduit_id"] == parallel.conduit_id
-        assert edge["tenants"] == 0
+        conduits = substrate_for(small_map)
+        view = conduits.conduit_view()
+        edge = view.edge_index(A, B)
+        assert conduits.cids[view.payload["conduit"][edge]] == parallel.conduit_id
+        assert view.weights["risk"][edge] == 0
 
     def test_isp_filtered_graph(self, small_map):
         small_map.add_link("X", [A, B], ["C0001"])
-        graph = small_map.conduit_graph(isp="X")
-        assert graph.has_edge(*sorted((A, B)))
-        assert not graph.has_edge(*sorted((B, C)))
+        view = substrate_for(small_map).tenant_view("X")
+        assert view.edge_index(A, B) is not None
+        assert view.edge_index(B, C) is None
+        assert not view.present(C)

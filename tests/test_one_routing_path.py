@@ -3,11 +3,16 @@ answers buffer overlap with the compiled corridor index only.
 
 Every shortest-path question in the package is answered by
 ``repro.perf.substrate.GraphView`` (batched scipy Dijkstra, predecessor
-walks, edge masks).  This test walks the package source with ``ast``
-and fails on any call to a NetworkX shortest-path solver, and on any
-``scipy.sparse`` import outside ``perf/substrate.py`` — the one place
-a CSR matrix is built.  NetworkX itself stays: it is the map container,
-and ``nx.minimum_cut`` / connectivity helpers answer other questions.
+walks, edge masks), and every conduit graph is a view of the one
+compiled ``ConduitSubstrate``.  This test walks the package source with
+``ast`` and fails on any call to a NetworkX shortest-path solver, on
+any ``scipy.sparse`` import outside ``perf/substrate.py`` — the one
+place a CSR matrix is built — on any use of the NetworkX conduit-graph
+builders (``conduit_graph`` / ``simple_conduit_graph``, now the oracle
+in ``tests/oracles/fibermap.py``), and on a ``networkx`` import outside
+the three modules that still hold NetworkX graphs: the transportation
+network container, the router-level topology, and the §5 partition
+study's ``nx.minimum_cut``.
 
 Every §3 buffer-overlap question is answered by
 ``repro.geo.overlap.CorridorIndex``; the per-point grid it replaced is
@@ -39,6 +44,14 @@ GRID_NAME = "SpatialGridIndex"
 #: The only module allowed to import ``scipy.sparse``.
 CSR_OWNER = PACKAGE / "perf" / "substrate.py"
 
+#: The only modules allowed to import ``networkx`` (package-relative).
+NX_OWNERS = frozenset(
+    {"transport/network.py", "traceroute/topology.py", "resilience/partition.py"}
+)
+
+#: The NetworkX conduit-graph builders ``FiberMap`` used to carry.
+BUILDERS = frozenset({"conduit_graph", "simple_conduit_graph"})
+
 
 def _root_name(node: ast.expr):
     while isinstance(node, ast.Attribute):
@@ -52,11 +65,14 @@ def _violations(path: Path) -> List[str]:
     solver_names: Set[str] = set()
     found: List[str] = []
     where = path.relative_to(PACKAGE.parent)
+    nx_owner = path.relative_to(PACKAGE).as_posix() in NX_OWNERS
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == "networkx":
                     nx_aliases.add((alias.asname or alias.name).split(".")[0])
+                    if not nx_owner:
+                        found.append(f"{where}:{node.lineno} imports {alias.name}")
                 if alias.name.startswith("scipy.sparse") and path != CSR_OWNER:
                     found.append(f"{where}:{node.lineno} imports {alias.name}")
                 if alias.name.startswith(GRID_MODULE):
@@ -76,6 +92,8 @@ def _violations(path: Path) -> List[str]:
             if grid:
                 found.append(f"{where}:{node.lineno} imports {node.module}")
             if root == "networkx":
+                if not nx_owner:
+                    found.append(f"{where}:{node.lineno} imports {node.module}")
                 for alias in node.names:
                     if SOLVER.match(alias.name):
                         solver_names.add(alias.asname or alias.name)
@@ -83,6 +101,14 @@ def _violations(path: Path) -> List[str]:
                             f"{where}:{node.lineno} imports {alias.name}"
                         )
     for node in ast.walk(tree):
+        name = (
+            node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name)
+            else node.name if isinstance(node, ast.FunctionDef)
+            else None
+        )
+        if name in BUILDERS:
+            found.append(f"{where}:{node.lineno} uses {name}")
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -103,7 +129,8 @@ def test_no_networkx_shortest_path_solver_in_package():
 
 
 def test_guard_detects_each_form(tmp_path, monkeypatch):
-    """The guard itself: aliases, from-imports and sparse imports."""
+    """The guard itself: aliases, from-imports, sparse and networkx
+    imports, and the conduit-graph builders in any form."""
     source = tmp_path / "repro" / "bad.py"
     source.parent.mkdir()
     source.write_text(
@@ -116,7 +143,9 @@ def test_guard_detects_each_form(tmp_path, monkeypatch):
         "graphs.shortest_path(None, 1, 2)\n"
         "graphs.algorithms.all_pairs_dijkstra(None)\n"
         "bd(None, 1, 2)\n"
-        "view.shortest_path('a', 'b', 'w')\n",
+        "view.shortest_path('a', 'b', 'w')\n"
+        "fiber_map.simple_conduit_graph('X')\n"
+        "build = conduit_graph\n",
         encoding="utf-8",
     )
     monkeypatch.setattr(
@@ -124,6 +153,8 @@ def test_guard_detects_each_form(tmp_path, monkeypatch):
     )
     found = _violations(source)
     assert [v.split(" ", 1)[1] for v in found] == [
+        "imports networkx",
+        "imports networkx",
         "imports bidirectional_dijkstra",
         "imports scipy",
         "imports repro.geo",
@@ -132,4 +163,26 @@ def test_guard_detects_each_form(tmp_path, monkeypatch):
         "calls shortest_path",
         "calls all_pairs_dijkstra",
         "calls bd",
+        "uses conduit_graph",
+        "uses simple_conduit_graph",
+    ]
+
+
+def test_guard_allows_networkx_in_its_owners(tmp_path, monkeypatch):
+    """An owner module may import networkx; it still may not build a
+    conduit graph or call a solver."""
+    package = tmp_path / "repro"
+    source = package / "traceroute" / "topology.py"
+    source.parent.mkdir(parents=True)
+    source.write_text(
+        "import networkx as nx\n"
+        "graph = nx.Graph()\n"
+        "def simple_conduit_graph():\n"
+        "    return nx.shortest_path(graph, 1, 2)\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr("tests.test_one_routing_path.PACKAGE", package)
+    assert [v.split(" ", 1)[1] for v in _violations(source)] == [
+        "uses simple_conduit_graph",
+        "calls shortest_path",
     ]

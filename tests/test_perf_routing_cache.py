@@ -25,7 +25,7 @@ def _edge_cost(graph, path, weight="ms"):
 
 
 def _assert_distances_match_networkx(graph, seed):
-    core = RoutingCore(graph)
+    core = RoutingCore.from_networkx(graph)
     nodes = sorted(graph.nodes)
     rng = random.Random(seed)
     for _ in range(40):
@@ -41,7 +41,7 @@ def _assert_distances_match_networkx(graph, seed):
 def _assert_pickle_drops_rows(graph):
     import pickle
 
-    core = RoutingCore(graph)
+    core = RoutingCore.from_networkx(graph)
     core.prepare(sorted(graph.nodes)[:3])
     assert core.num_prepared == 3 and core._structs
     clone = pickle.loads(pickle.dumps(core))
@@ -58,7 +58,7 @@ class TestRoutingCore:
         # the path is real and its cost matches the optimum — not the
         # exact node sequence.
         graph = topology.graph
-        core = RoutingCore(graph)
+        core = RoutingCore.from_networkx(graph)
         nodes = sorted(graph.nodes)
         rng = random.Random(11)
         for _ in range(40):
@@ -75,14 +75,14 @@ class TestRoutingCore:
             )
 
     def test_trivial_and_unknown_queries(self, topology):
-        core = RoutingCore(topology.graph)
+        core = RoutingCore.from_networkx(topology.graph)
         node = sorted(topology.graph.nodes)[0]
         assert core.path(node, node) == [node]
         assert core.path(("NoSuch", "Nowhere"), node) is None
         assert core.distance(node, ("NoSuch", "Nowhere")) == float("inf")
 
     def test_prepare_batches_new_destinations(self, topology):
-        core = RoutingCore(topology.graph)
+        core = RoutingCore.from_networkx(topology.graph)
         nodes = sorted(topology.graph.nodes)[:5]
         assert core.prepare(nodes) == 5
         assert core.prepare(nodes) == 0  # already computed

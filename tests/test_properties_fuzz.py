@@ -17,6 +17,7 @@ from repro.fibermap.annotate import annotate_map
 from repro.fibermap.elements import FiberMap
 from repro.fibermap.serialization import fiber_map_from_dict, fiber_map_to_dict
 from repro.geo.polyline import Polyline
+from repro.perf.substrate import substrate_for
 from repro.risk.matrix import RiskMatrix
 from repro.risk.metrics import conduits_shared_by_at_least, sharing_cdf
 
@@ -107,11 +108,19 @@ def test_annotation_coverage_fuzz(seed):
 @settings(max_examples=30, deadline=None)
 def test_graph_views_agree_fuzz(seed):
     fiber_map = _build_random_map(seed)
-    multi = fiber_map.conduit_graph()
-    simple = fiber_map.simple_conduit_graph()
-    # Same node and edge coverage (parallel conduits collapse).
-    assert set(simple.nodes) <= set(multi.nodes)
-    for u, v in simple.edges:
-        assert multi.has_edge(u, v)
-    assert multi.number_of_edges() >= simple.number_of_edges()
-    assert multi.number_of_edges() == fiber_map.stats().num_conduits
+    conduits = substrate_for(fiber_map)
+    view = conduits.conduit_view()
+    rows = {
+        tuple(sorted(pair)) for pair in zip(conduits.cu.tolist(), conduits.cv.tolist())
+    }
+    # Parallel conduits collapse: one edge per pair that has a conduit.
+    assert set(zip(view.eu.tolist(), view.ev.tolist())) == rows
+    assert view.num_edges == len(rows) <= conduits.num_conduits
+    assert conduits.num_conduits == fiber_map.stats().num_conduits
+    # Each pair's edge is a least-shared conduit between its endpoints.
+    for edge, row in enumerate(view.payload["conduit"].tolist()):
+        a, b = fiber_map.conduit(conduits.cids[row]).edge
+        assert view.edge_index(a, b) == edge
+        assert view.weights["risk"][edge] == min(
+            c.num_tenants for c in fiber_map.conduits_between(a, b)
+        )

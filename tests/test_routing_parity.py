@@ -1,8 +1,10 @@
-"""Parity suite: §6 routing, ground-truth routers and the ROW aligner on
+"""Parity suite: §6 routing, ground-truth routers, the ROW aligner, the
+§4.3 overlay's conduit paths and the Figure 1 connectivity summary on
 the compiled graph core vs the NetworkX references they replaced.
 
-The references (``tests/oracles/routing.py`` and
-``tests/oracles/synthesis.py``) are the pre-port implementations moved
+The references (``tests/oracles/routing.py``,
+``tests/oracles/synthesis.py``, ``tests/oracles/overlay.py`` and
+``tests/oracles/fibermap.py``) are the pre-port implementations moved
 verbatim; every comparison here is exact equality, on both map families
 and on randomized fiber maps.
 """
@@ -10,11 +12,15 @@ and on randomized fiber maps.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
+import networkx as nx
 import numpy as np
 import pytest
 
+from repro.analysis.connectivity import connectivity_report, hop_components
 from repro.cli import main
+from repro.data.cities import CITIES
 from repro.data.isps import ISPS
 from repro.families.global2023 import (
     GLOBAL_ISPS,
@@ -28,7 +34,14 @@ from repro.perf.substrate import row_view, substrate_for
 from repro.routing.backup import plan_backup
 from repro.routing.opacity import check_pair
 from repro.routing.pareto import pareto_paths
+from repro.traceroute.overlay import TrafficOverlay
 from repro.transport.network import TransportationNetwork
+from tests.oracles.fibermap import (
+    connectivity_reference,
+    hub_order_reference,
+    simple_conduit_graph,
+)
+from tests.oracles.overlay import NetworkXConduitPaths
 from tests.oracles.routing import (
     check_pair_reference,
     conduit_graph_path_reference,
@@ -122,6 +135,66 @@ class TestSection6Parity:
             assert [view.nodes[i] for i in path] == ref_path
             assert list(cs.path_conduits(view, path)) == ref_conduits
             assert view.path_length(path, "length_km") == ref_km
+
+
+class TestConduitViewParity:
+    """The overlay's cores and the Figure 1 summaries read substrate
+    views; the NetworkX conduit graphs they were built on agree."""
+
+    def test_overlay_paths_match_networkx_cores(self, fiber_map):
+        # Sampled: every ordered pair on both families takes ~30 s.
+        rng = random.Random(11)
+        overlay = TrafficOverlay(
+            fiber_map, SimpleNamespace(providers=list), None
+        )
+        reference = NetworkXConduitPaths(fiber_map)
+        cities = sorted(fiber_map.nodes)
+        segments = []
+        for isp in [*fiber_map.isps(), "Unmapped"]:
+            own = sorted({l.endpoints for l in fiber_map.links_of(isp)})
+            pairs = rng.sample(own, min(6, len(own))) + [
+                tuple(rng.sample(cities, 2)) for _ in range(6)
+            ]
+            segments += [(isp, a, b) for a, b in pairs]
+            segments += [(isp, b, a) for a, b in pairs]
+        overlay._prepare_paths(segments)
+        ours = [overlay._conduit_path(*segment) for segment in segments]
+        assert ours == [reference.conduit_path(*s) for s in segments]
+        assert sum(path is not None for path in ours) > len(ours) // 2
+
+    def test_connectivity_report(self, fiber_map, monkeypatch):
+        if fiber_map.nodes.keys().isdisjoint(c.key for c in CITIES):
+            # Randomized maps name their own cities, which lie in no
+            # census region.
+            monkeypatch.setattr(
+                "repro.analysis.connectivity.region_of", lambda key: "other"
+            )
+        report = connectivity_report(fiber_map)
+        connected, diameter, components = connectivity_reference(fiber_map)
+        assert (report.connected, report.diameter_hops) == (connected, diameter)
+        conduits = substrate_for(fiber_map)
+        assert hop_components(conduits.conduit_view()) == (components, diameter)
+        degrees = hub_order_reference(fiber_map)
+        # Same cities, degrees and order: the Figure 1 hub marks keep it
+        # on ties.
+        assert conduits.conduit_degrees() == degrees
+        assert report.top_hubs == tuple(
+            sorted(degrees, key=lambda kv: (-kv[1], kv[0]))[:10]
+        )
+        assert report.spurs == tuple(sorted(c for c, d in degrees if d == 1))
+
+    def test_footprint_components(self, fiber_map):
+        """Per-provider views: split footprints and cities with no edge
+        in the view."""
+        conduits = substrate_for(fiber_map)
+        for isp in fiber_map.isps():
+            graph = simple_conduit_graph(fiber_map, isp)
+            parts = list(nx.connected_components(graph))
+            expected = (
+                len(parts),
+                max((nx.diameter(graph.subgraph(p)) for p in parts), default=0),
+            )
+            assert hop_components(conduits.tenant_view(isp)) == expected
 
 
 class TestIdenticalEndpoints:

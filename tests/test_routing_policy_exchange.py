@@ -19,6 +19,7 @@ from repro.routing.srlg import (
     srlg_of_conduit,
 )
 from tests.oracles import mitigation as oracle
+from tests.oracles.fibermap import simple_conduit_graph
 from tests.test_drivers import _synthetic_candidates
 from tests.test_substrate import _random_fiber_map
 
@@ -154,7 +155,7 @@ class TestExchange:
         )
         isps = fiber_map.isps()
         assert split == any(
-            not nx.is_connected(fiber_map.simple_conduit_graph(isp))
+            not nx.is_connected(simple_conduit_graph(fiber_map, isp))
             for isp in isps
         )
         candidates = _synthetic_candidates(fiber_map, seed, count=12)

@@ -5,6 +5,11 @@ constructed map (and of randomized fiber maps for the mask property):
 
 * a cut never shortens a path — a masked ``GraphView`` solve is never
   shorter than the unmasked one;
+* a router-level cut never shortens a trace: every path the routing
+  core re-traces around a drawn set of cut conduits avoids their router
+  adjacencies and is no shorter than the uncut distance;
+* a cut never merges components: removing conduit-graph edges never
+  lowers the connectivity summary's component count;
 * a backup is never shorter than its primary, and it shares no risk
   group whenever the pair stays connected without the primary's groups;
 * a Pareto frontier has strictly increasing delay and strictly
@@ -27,12 +32,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.connectivity import hop_components
 from repro.geo.coords import fiber_delay_ms
 from repro.mitigation.latency import latency_study
-from repro.perf.substrate import substrate_for
+from repro.perf.substrate import GraphView, substrate_for
+from repro.resilience.cuts import CutEvent
+from repro.resilience.traffic_shift import dead_edge_mask
 from repro.routing.backup import plan_backup
 from repro.routing.pareto import pareto_paths
 from repro.routing.srlg import path_srlgs
+from tests.oracles.fibermap import simple_conduit_graph
 from tests.test_substrate import _random_fiber_map
 
 #: Small profile: the session scenarios are shared, so the fixture
@@ -79,6 +88,50 @@ def test_a_cut_never_shortens_a_path(family_scenario, data):
 
 @SMALL
 @given(data=st.data())
+def test_a_router_level_cut_never_shortens_a_trace(family_scenario, data):
+    topology = family_scenario.topology
+    core = topology.routing_core()
+    cut = data.draw(
+        st.lists(
+            st.sampled_from(sorted(topology.conduit_edges())),
+            min_size=1, max_size=8, unique=True,
+        )
+    )
+    mask = dead_edge_mask(
+        topology, CutEvent(description="drawn", conduit_ids=frozenset(cut))
+    )
+    pairs = [_pair(data, core.nodes) for _ in range(8)]
+    for (src, dst), path in zip(pairs, core.paths_without(pairs, mask)):
+        if path is None:
+            continue
+        assert (path[0], path[-1]) == (src, dst)
+        hops = [core.index[node] for node in path]
+        assert mask[core.path_edges(hops)].all()
+        # The two sums run in opposite hop orders; allow their rounding.
+        assert core.path_length(hops, "ms") >= core.distance(src, dst) - 1e-9
+
+
+@SMALL
+@given(data=st.data())
+def test_a_cut_never_merges_components(family_scenario, data):
+    use_random = data.draw(st.booleans())
+    fiber_map = (
+        _random_fiber_map(data.draw(st.integers(0, 10_000)))
+        if use_random
+        else family_scenario.constructed_map
+    )
+    view = substrate_for(fiber_map).conduit_view()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    keep = rng.random(view.num_edges) >= data.draw(st.floats(0.0, 0.9))
+    cut = GraphView(view.nodes, view.index, view.eu[keep], view.ev[keep], {})
+    # A city that loses its last edge leaves the summary's node set; it
+    # was one more component of its own.
+    isolated = len(_present(view)) - len(_present(cut))
+    assert hop_components(cut)[0] + isolated >= hop_components(view)[0]
+
+
+@SMALL
+@given(data=st.data())
 def test_backup_never_beats_primary_and_is_diverse_when_possible(
     family_scenario, data
 ):
@@ -91,7 +144,7 @@ def test_backup_never_beats_primary_and_is_diverse_when_possible(
         return
     if plan.protected:
         assert plan.backup_delay_ms >= plan.primary_delay_ms
-    graph = fiber_map.simple_conduit_graph(isp)
+    graph = simple_conduit_graph(fiber_map, isp)
     graph.remove_edges_from(path_srlgs(fiber_map, plan.primary_conduits))
     if nx.has_path(graph, a, b):
         assert plan.fully_diverse and plan.shared_groups == frozenset()
@@ -102,7 +155,7 @@ def test_backup_never_beats_primary_and_is_diverse_when_possible(
 def test_pareto_frontier_is_monotone(family_scenario, data):
     fiber_map = family_scenario.constructed_map
     isp = data.draw(st.sampled_from([None, *sorted(fiber_map.isps())]))
-    graph = fiber_map.simple_conduit_graph(isp)
+    graph = simple_conduit_graph(fiber_map, isp)
     a, b = _pair(data, sorted(graph.nodes))
     frontier = pareto_paths(fiber_map, a, b, isp)
     if not nx.has_path(graph, a, b):

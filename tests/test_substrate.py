@@ -37,6 +37,7 @@ from repro.resilience.cuts import edge_cut
 from repro.resilience.impact import assess_cut
 from repro.resilience.montecarlo import random_cut_study, targeted_attack
 from repro.risk.matrix import RiskMatrix
+from tests.oracles.fibermap import simple_conduit_graph
 from tests.oracles.mitigation import (
     _risk_graph,
     improvement_curve_reference,
@@ -110,7 +111,7 @@ class TestGraphViewParity:
     def test_all_pairs_distances_match_networkx(self, seed):
         fiber_map = _random_fiber_map(seed)
         view = substrate_for(fiber_map).conduit_view()
-        graph = fiber_map.simple_conduit_graph()
+        graph = simple_conduit_graph(fiber_map)
         dist, _pred, row_of = view.dijkstra(view.nodes, "length_km")
         for a in view.nodes:
             expected = nx.single_source_dijkstra_path_length(
@@ -150,7 +151,7 @@ class TestGraphViewParity:
     def test_k_shortest_path_lengths_match_networkx(self, seed):
         fiber_map = _random_fiber_map(seed)
         view = substrate_for(fiber_map).conduit_view()
-        graph = fiber_map.simple_conduit_graph()
+        graph = simple_conduit_graph(fiber_map)
         rng = random.Random(seed + 1)
         nodes = sorted(graph.nodes)
         for _ in range(6):
@@ -183,9 +184,9 @@ def _core_graphs(scenario):
     graphs (``length_km``)."""
     fiber_map = scenario.constructed_map
     yield scenario.topology.graph, "ms"
-    yield fiber_map.simple_conduit_graph(), "length_km"
+    yield simple_conduit_graph(fiber_map), "length_km"
     for isp in fiber_map.isps()[:2]:
-        yield fiber_map.simple_conduit_graph(isp), "length_km"
+        yield simple_conduit_graph(fiber_map, isp), "length_km"
 
 
 def _undirected_rows(graph, weight, nodes, sources):
@@ -206,7 +207,7 @@ class TestCompiledCore:
 
     def test_rows_match_graphview_dijkstra(self, family_scenario):
         for graph, weight in _core_graphs(family_scenario):
-            core = RoutingCore(graph, weight=weight)
+            core = RoutingCore.from_networkx(graph, weight=weight)
             nodes = core.nodes
             sample = nodes[:: max(1, len(nodes) // 50)]
             assert core.prepare(sample) == len(sample)
@@ -295,7 +296,7 @@ class TestMaskedSolveReentrancy:
         import sys
         import threading
 
-        core = RoutingCore(scenario.topology.graph)
+        core = RoutingCore.from_networkx(scenario.topology.graph)
         rng = np.random.default_rng(7)
         threads = 8
         masks = [rng.random(core.num_edges) > 0.15 for _ in range(threads)]

@@ -437,3 +437,54 @@ class TestRunSweepEndToEnd:
         assert "unknown driver" in cell["error"]
         assert result.aggregates["cells_ok"] == 0
         assert result.aggregates["errors"]
+
+
+class TestCacheNote:
+    """``repro sweep`` warns that cells cannot share stage builds exactly
+    when the cache setting resolves to no cache."""
+
+    NOTE = "note: no shared cache root"
+
+    def _stderr(self, monkeypatch, capsys, env, argv=()):
+        import repro.sweep
+        from repro.cli import main
+
+        class _NoCells:
+            ok = True
+            cells = []
+
+            def to_jsonable(self):
+                return {}
+
+        for name in ("REPRO_CACHE", "REPRO_CACHE_DIR"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(
+            repro.sweep, "run_sweep", lambda *args, **kwargs: _NoCells()
+        )
+        assert main(["--json", *argv, "sweep", "--grid", "seed=7"]) == 0
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "env",
+        [
+            {"REPRO_CACHE": "0"},
+            {"REPRO_CACHE": "off", "REPRO_CACHE_DIR": "/nonexistent/x"},
+            {},
+        ],
+    )
+    def test_note_when_the_cache_is_off(self, monkeypatch, capsys, env):
+        assert self.NOTE in self._stderr(monkeypatch, capsys, env)
+
+    def test_note_under_no_cache(self, monkeypatch, capsys):
+        err = self._stderr(
+            monkeypatch, capsys, {"REPRO_CACHE_DIR": "/x"}, ["--no-cache"]
+        )
+        assert self.NOTE in err
+
+    @pytest.mark.parametrize(
+        "env", [{"REPRO_CACHE": "1"}, {"REPRO_CACHE_DIR": "/nonexistent/x"}]
+    )
+    def test_no_note_when_the_cache_is_on(self, monkeypatch, capsys, env):
+        assert self.NOTE not in self._stderr(monkeypatch, capsys, env)
