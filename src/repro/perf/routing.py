@@ -10,9 +10,9 @@ per-destination Dijkstra rows: every solve is a
 :meth:`GraphView.walk` over a cached predecessor row.
 
 The overlay's conduit cores wrap the views of
-:func:`~repro.perf.substrate.substrate_for` as they are;
-:meth:`RoutingCore.from_networkx` compiles the one graph that is not a
-fiber-map view, the router-level topology.  The NetworkX route walk
+:func:`~repro.perf.substrate.substrate_for` as they are; the one graph
+that is not a fiber-map view, the router-level topology, compiles its
+own :class:`GraphView` of router latencies.  The NetworkX route walk
 survives only as the test oracle (``tests/oracles/probe.py``), which the
 test suite cross-checks against this core on random (src, dst) pairs.
 """
@@ -39,22 +39,6 @@ class RoutingCore(GraphView):
         )
         self.weight = weight
         self._rows: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {}
-
-    @classmethod
-    def from_networkx(cls, graph, weight: str = "ms") -> "RoutingCore":
-        """Compile a NetworkX graph (the router-level topology) over its
-        sorted nodes, with *weight* as the one weight array."""
-        nodes = sorted(graph.nodes)
-        index = {node: i for i, node in enumerate(nodes)}
-        eu: List[int] = []
-        ev: List[int] = []
-        data: List[float] = []
-        for u, v, w in graph.edges(data=weight, default=0.0):
-            ui, vi = index[u], index[v]
-            eu.append(min(ui, vi))
-            ev.append(max(ui, vi))
-            data.append(float(w))
-        return cls(GraphView(nodes, index, eu, ev, {weight: data}), weight)
 
     @property
     def num_prepared(self) -> int:

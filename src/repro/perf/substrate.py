@@ -42,10 +42,11 @@ the same way, one per kind set.  Compiling costs milliseconds, so
 neither is persisted.
 
 scipy is a hard dependency and this module is the only place the
-package builds a CSR matrix or calls scipy's Dijkstra; no module calls
-a NetworkX shortest-path solver.  The NetworkX references live in
-``tests/oracles/``, where the parity suites cross-check them against
-the compiled core on both map families and randomized graphs.
+package builds a CSR matrix or calls scipy's Dijkstra or maximum flow
+(:func:`minimum_cut`, the §4 partition metric).  The package does not
+import NetworkX: the NetworkX references live in ``tests/oracles/``,
+where the parity suites cross-check them against the compiled core on
+both map families and randomized graphs.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from typing import (
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 #: scipy's sentinel for "no predecessor" in predecessor matrices.
@@ -653,13 +655,51 @@ class ConduitSubstrate:
 
 
 # ----------------------------------------------------------------------
+# Minimum cuts (the §4 partition metric)
+# ----------------------------------------------------------------------
+def minimum_cut(
+    capacity: Dict[Tuple[Hashable, Hashable], int],
+    source: Hashable,
+    sink: Hashable,
+) -> Tuple[int, FrozenSet[Hashable]]:
+    """Minimum *source*-*sink* cut of an undirected graph given as one
+    integer capacity per node pair (key each pair once, in either order).
+
+    Returns ``(value, sink_side)``.  The sink side is every node that
+    can still reach *sink* in the residual graph of a maximum flow: the
+    same set for every maximum flow, and NetworkX ``minimum_cut``'s east
+    side.  It is not the complement of the nodes reachable from
+    *source*, which differs whenever the minimum cut is not unique.
+    """
+    nodes = list(dict.fromkeys([source, sink, *(n for p in capacity for n in p)]))
+    index = {node: i for i, node in enumerate(nodes)}
+    u = [index[a] for a, _ in capacity]
+    v = [index[b] for _, b in capacity]
+    cap = np.asarray(list(capacity.values()), dtype=np.int32)
+    # Undirected: the same capacity in both directions.
+    graph = csr_matrix(
+        (np.concatenate([cap, cap]), (u + v, v + u)),
+        shape=(len(nodes), len(nodes)),
+        dtype=np.int32,
+    )
+    flow = maximum_flow(graph, index[source], index[sink])
+    residual = csr_matrix(graph - flow.flow)
+    residual.eliminate_zeros()  # saturated arcs
+    # Reaching the sink is reachability from it over reversed arcs.
+    reaches_sink = breadth_first_order(
+        residual.T, index[sink], directed=True, return_predecessors=False
+    )
+    return int(flow.flow_value), frozenset(nodes[i] for i in reaches_sink)
+
+
+# ----------------------------------------------------------------------
 # Transportation-network views (§5.2 candidates / §5.3 ROW paths)
 # ----------------------------------------------------------------------
 def compile_transport_view(network, kinds: Optional[Iterable[str]]) -> GraphView:
     """One kind-restricted right-of-way graph: per edge, the shortest
     covering geometry among the allowed kinds (every kind when *kinds*
     is ``None``).  Callers get it memoized through :func:`row_view`."""
-    nodes = sorted(network.graph.nodes)
+    nodes = network.cities()
     index = {k: i for i, k in enumerate(nodes)}
     kind_set = frozenset(kinds) if kinds is not None else None
     eu, ev, lengths = [], [], []

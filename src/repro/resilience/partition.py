@@ -14,13 +14,12 @@ included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Optional, Tuple
 
 from repro.data.cities import city_by_name
 from repro.fibermap.elements import FiberMap
-from repro.transport.network import EdgeKey
+from repro.perf.substrate import minimum_cut
+from repro.transport.network import EdgeKey, canonical_edge
 
 #: Cities with major undersea cable landing stations, by seaboard.
 WEST_LANDINGS = ("Seattle, WA", "San Francisco, CA", "Los Angeles, CA",
@@ -49,68 +48,60 @@ class PartitionReport:
         return self.min_cuts_with_undersea is not None
 
 
-def _coastal_anchors(fiber_map: FiberMap) -> Tuple[List[str], List[str]]:
-    west, east = [], []
-    for city_key in fiber_map.nodes:
-        lon = city_by_name(city_key).lon
-        if lon <= _WEST_LON:
-            west.append(city_key)
-        elif lon >= _EAST_LON:
-            east.append(city_key)
-    return sorted(west), sorted(east)
+#: The super-source and super-sink tied to every coastal city.
+_SOURCE, _SINK = "__WEST__", "__EAST__"
 
 
-def _row_graph(fiber_map: FiberMap) -> nx.Graph:
-    """ROW-level graph: one unit-capacity edge per city pair.
+def _west_east_capacities(
+    fiber_map: FiberMap, isp: Optional[str] = None
+) -> Dict[EdgeKey, int]:
+    """One unit of capacity per city pair (with one of *isp*'s conduits
+    when given), and 10**6 from the super-source to each west-coast city
+    on those pairs and from each east-coast one to the super-sink.
 
     Cuts are physical dig events, so parallel conduits collapse into one
     edge (one trench event severs them together).
     """
-    graph = nx.Graph()
-    for conduit in fiber_map.conduits.values():
-        graph.add_edge(*conduit.edge, capacity=1)
-    return graph
+    capacity = {
+        conduit.edge: 1
+        for conduit in fiber_map.conduits.values()
+        if isp is None or isp in conduit.tenants
+    }
+    for city in sorted({city for edge in capacity for city in edge}):
+        lon = city_by_name(city).lon
+        if lon <= _WEST_LON:
+            capacity[(_SOURCE, city)] = 10**6
+        elif lon >= _EAST_LON:
+            capacity[(_SINK, city)] = 10**6
+    return capacity
 
 
 def partition_report(fiber_map: FiberMap) -> PartitionReport:
     """Minimum west-east ROW cuts, with and without the undersea bypass."""
-    west, east = _coastal_anchors(fiber_map)
-    if not west or not east:
+    capacity = _west_east_capacities(fiber_map)
+    if not {_SOURCE, _SINK} <= {a for a, _ in capacity}:
         raise ValueError("map lacks coastal anchor cities")
-    graph = _row_graph(fiber_map)
-    source, sink = "__WEST__", "__EAST__"
-    for city in west:
-        if city in graph:
-            graph.add_edge(source, city, capacity=10**6)
-    for city in east:
-        if city in graph:
-            graph.add_edge(sink, city, capacity=10**6)
-    cut_value, (west_side, _east_side) = nx.minimum_cut(
-        graph, source, sink, capacity="capacity"
-    )
+    cut_value, east_side = minimum_cut(capacity, _SOURCE, _SINK)
     cut_edges = tuple(
         sorted(
-            (u, v) if u <= v else (v, u)
-            for u, v in nx.edge_boundary(graph, west_side)
-            if source not in (u, v) and sink not in (u, v)
+            (a, b) for (a, b), units in capacity.items()
+            if units == 1 and (a in east_side) != (b in east_side)
         )
     )
     # Undersea bypass: landing stations on each seaboard are mutually
-    # reachable by sea, which an inland backhoe cannot touch.
-    bypass = graph.copy()
+    # reachable by sea, which an inland backhoe cannot touch.  A bypass
+    # pair that is also a ROW edge takes the bypass capacity.
     landings = [
         c for c in WEST_LANDINGS + EAST_LANDINGS if c in fiber_map.nodes
     ]
     for i, a in enumerate(landings):
         for b in landings[i + 1:]:
-            bypass.add_edge(a, b, capacity=10**6)
-    cut_with_sea, _ = nx.minimum_cut(bypass, source, sink, capacity="capacity")
+            capacity[canonical_edge(a, b)] = 10**6
+    cut_with_sea, _ = minimum_cut(capacity, _SOURCE, _SINK)
     return PartitionReport(
         cut_edges=cut_edges,
-        min_cuts=int(cut_value),
-        min_cuts_with_undersea=(
-            int(cut_with_sea) if cut_with_sea < 10**6 else None
-        ),
+        min_cuts=cut_value,
+        min_cuts_with_undersea=cut_with_sea if cut_with_sea < 10**6 else None,
     )
 
 
@@ -118,20 +109,7 @@ def isp_partition_cuts(fiber_map: FiberMap, isp: str) -> int:
     """Minimum ROW cuts to split one provider's own network west-east.
 
     Returns 0 when the provider has no presence on one of the coasts
-    (nothing to partition).
+    (nothing to partition: no flow leaves the super-source or reaches
+    the super-sink).
     """
-    sub = nx.Graph()
-    for conduit in fiber_map.conduits.values():
-        if isp in conduit.tenants:
-            sub.add_edge(*conduit.edge, capacity=1)
-    west = [c for c in sub if city_by_name(c).lon <= _WEST_LON]
-    east = [c for c in sub if city_by_name(c).lon >= _EAST_LON]
-    if not west or not east:
-        return 0
-    source, sink = "__W__", "__E__"
-    for city in west:
-        sub.add_edge(source, city, capacity=10**6)
-    for city in east:
-        sub.add_edge(sink, city, capacity=10**6)
-    value, _ = nx.minimum_cut(sub, source, sink, capacity="capacity")
-    return int(value)
+    return minimum_cut(_west_east_capacities(fiber_map, isp), _SOURCE, _SINK)[0]

@@ -19,14 +19,12 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.data.cities import city_by_name
 from repro.fibermap.elements import FiberMap
 from repro.fibermap.synthesis import GroundTruth, _stable_unit
 from repro.geo.coords import fiber_delay_ms
 from repro.perf.routing import RoutingCore
-from repro.perf.substrate import substrate_for
+from repro.perf.substrate import GraphView, substrate_for
 from repro.traceroute.addressing import AddressPlan
 from repro.transport.network import canonical_edge
 
@@ -107,7 +105,9 @@ class InternetTopology:
         self._gt = ground_truth
         self._rng = random.Random(seed)
         self._plan = AddressPlan()
-        self._graph = nx.Graph()
+        #: Router adjacency -> latency (ms).  An intra-provider key joins
+        #: two routers of one provider; any other key is a peering.
+        self._links: Dict[Tuple[Tuple[str, str], Tuple[str, str]], float] = {}
         self._routers: Dict[Tuple[str, str], Router] = {}
         self._routers_by_ip: Dict[str, Router] = {}
         self._mpls: Set[str] = set()
@@ -147,7 +147,6 @@ class InternetTopology:
         )
         self._routers[node] = router
         self._routers_by_ip[ip] = router
-        self._graph.add_node(node)
         return router
 
     def _add_provider_from_links(self, isp: str, fiber_map: FiberMap) -> None:
@@ -162,11 +161,9 @@ class InternetTopology:
             )
             latency = fiber_delay_ms(length)
             key = (isp, *canonical_edge(a, b))
-            existing = self._graph.get_edge_data(ra.node, rb.node)
-            if existing is None or latency < existing["ms"]:
-                self._graph.add_edge(
-                    ra.node, rb.node, ms=latency, kind="intra", isp=isp
-                )
+            pair = canonical_edge(ra.node, rb.node)
+            if pair not in self._links or latency < self._links[pair]:
+                self._links[pair] = latency
                 self._link_conduits[key] = tuple(link.conduit_ids)
 
     def _add_phantom(self, name: str, fiber_map: FiberMap) -> None:
@@ -198,10 +195,7 @@ class InternetTopology:
             ra = self._router_for(name, city)
             rb = self._router_for(name, partner)
             key = (name, *canonical_edge(city, partner))
-            self._graph.add_edge(
-                ra.node, rb.node, ms=fiber_delay_ms(length), kind="intra",
-                isp=name,
-            )
+            self._links[canonical_edge(ra.node, rb.node)] = fiber_delay_ms(length)
             self._link_conduits[key] = tuple(conduit_ids)
 
     def _add_peerings(self) -> None:
@@ -219,29 +213,26 @@ class InternetTopology:
                     common, key=lambda c: -city_by_name(c).population
                 )[:MAX_PEERINGS_PER_PAIR]
                 for city_key in chosen:
-                    self._graph.add_edge(
-                        (isp_a, city_key),
-                        (isp_b, city_key),
-                        ms=PEERING_PENALTY_MS,
-                        kind="peering",
-                        isp=None,
-                    )
+                    pair = canonical_edge((isp_a, city_key), (isp_b, city_key))
+                    self._links[pair] = PEERING_PENALTY_MS
 
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
-    @property
-    def graph(self) -> nx.Graph:
-        return self._graph
-
     def routing_core(self) -> RoutingCore:
-        """One compiled routing core shared by every probe engine.
+        """One compiled routing core shared by every probe engine, over
+        the sorted routers with the ``ms`` latency as its weight.
 
-        The graph never mutates after construction, so the compiled
+        The links never change after construction, so the compiled
         arrays and cached rows stay valid for the topology's lifetime.
         """
         if self._routing_core is None:
-            self._routing_core = RoutingCore.from_networkx(self._graph)
+            nodes = sorted(self._routers)
+            index = {node: i for i, node in enumerate(nodes)}
+            eu = [index[u] for u, _ in self._links]
+            ev = [index[v] for _, v in self._links]
+            ms = {"ms": list(self._links.values())}
+            self._routing_core = RoutingCore(GraphView(nodes, index, eu, ev, ms), "ms")
         return self._routing_core
 
     def conduit_edges(self) -> Dict[str, Tuple[int, ...]]:
@@ -254,11 +245,11 @@ class InternetTopology:
         if self._conduit_edges is None:
             core = self.routing_core()
             by_conduit: Dict[str, List[int]] = {}
-            for u, v, data in self._graph.edges(data=True):
-                if data.get("kind") != "intra":
+            for u, v in self._links:
+                if u[0] != v[0]:  # a peering carries no fiber
                     continue
                 edge = core.edge_index(u, v)
-                for cid in self.conduits_for_hop(data.get("isp"), u[1], v[1]):
+                for cid in self.conduits_for_hop(u[0], u[1], v[1]):
                     by_conduit.setdefault(cid, []).append(edge)
             self._conduit_edges = {
                 cid: tuple(edges) for cid, edges in by_conduit.items()

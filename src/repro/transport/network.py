@@ -7,8 +7,6 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.data.cities import city_by_name
 from repro.data.corridors import Corridor
 from repro.geo.coords import haversine_km
@@ -24,8 +22,17 @@ _INDEXES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _INDEX_LOCK = threading.Lock()
 
 
+class UnknownCityError(KeyError):
+    """A city is on no allowed right-of-way corridor."""
+
+
+class NoRouteError(ValueError):
+    """Two cities are not connected over the allowed corridor kinds."""
+
+
 def canonical_edge(a_key: str, b_key: str) -> EdgeKey:
-    """Order-independent edge key between two city keys."""
+    """Order-independent edge key between two city keys (or two router
+    keys of the router-level topology)."""
     return (a_key, b_key) if a_key <= b_key else (b_key, a_key)
 
 
@@ -95,7 +102,7 @@ class TransportationNetwork:
     """
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        self._cities: Set[str] = set()
         self._edges: Dict[EdgeKey, RowEdge] = {}
 
     # ------------------------------------------------------------------
@@ -121,20 +128,13 @@ class TransportationNetwork:
         )
         record.kind_of[corridor.name] = corridor.kind
         record.grade_of[corridor.name] = corridor.grade
-        self._graph.add_edge(key[0], key[1])
-        # Edge weight: shortest covering geometry.
-        self._graph[key[0]][key[1]]["length_km"] = record.length_km
+        self._cities.update(key)
 
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying networkx graph (city keys as nodes)."""
-        return self._graph
-
     def cities(self) -> List[str]:
-        return sorted(self._graph.nodes)
+        return sorted(self._cities)
 
     def edges(self) -> List[RowEdge]:
         return [self._edges[k] for k in sorted(self._edges)]
@@ -148,11 +148,8 @@ class TransportationNetwork:
     def edges_of_kind(self, kind: str) -> List[RowEdge]:
         return [e for e in self.edges() if kind in e.kinds]
 
-    def neighbors(self, city_key: str) -> List[str]:
-        return sorted(self._graph.neighbors(city_key))
-
     def __contains__(self, city_key: str) -> bool:
-        return city_key in self._graph
+        return city_key in self._cities
 
     # ------------------------------------------------------------------
     # Queries
@@ -173,17 +170,17 @@ class TransportationNetwork:
 
         Each edge weighs the shortest covering geometry among the allowed
         *kinds* (every kind by default).  Returns ``(city_key_path,
-        length_km)``.  Raises ``networkx.NetworkXNoPath`` when the cities
-        are not connected over the allowed kinds, ``networkx.NodeNotFound``
+        length_km)``.  Raises :class:`NoRouteError` when the cities are
+        not connected over the allowed kinds, :class:`UnknownCityError`
         when either city is not on any allowed corridor.
         """
         view = row_view(self, kinds)
         for role, key in (("Source", a_key), ("Target", b_key)):
             if not view.present(key):
-                raise nx.NodeNotFound(f"{role} {key} is not in G")
+                raise UnknownCityError(f"{role} {key} is on no allowed corridor")
         path = view.shortest_path(a_key, b_key, "length_km")
         if path is None:
-            raise nx.NetworkXNoPath(f"No path between {a_key} and {b_key}.")
+            raise NoRouteError(f"No path between {a_key} and {b_key}.")
         return [view.nodes[i] for i in path], view.path_length(path, "length_km")
 
     def path_geometry(self, path: List[str]) -> Polyline:

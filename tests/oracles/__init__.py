@@ -10,8 +10,9 @@ still require the package to be indistinguishable from them:
   router and driver engine, §5.3 per-pair NetworkX solves, and the §6.3
   exchange planner with its per-candidate Dijkstra estimate;
 * :mod:`tests.oracles.resilience` — per-link NetworkX cut impact, the
-  step-by-step cumulative attack, and the traffic shift re-traced over
-  a NetworkX copy of the degraded router graph;
+  step-by-step cumulative attack, the traffic shift re-traced over
+  a NetworkX copy of the degraded router graph, and the §4 west-east
+  partition over ``nx.minimum_cut``;
 * :mod:`tests.oracles.probe` — the per-destination NetworkX route walk;
 * :mod:`tests.oracles.campaign` — the v1 object and v2 scalar per-trace
   record generators the columnar campaign replaced;
@@ -28,5 +29,8 @@ still require the package to be indistinguishable from them:
 * :mod:`tests.oracles.synthesis` — the ground-truth routers (US and
   global) and the §2 step-3 aligner's NetworkX candidate loop;
 * :mod:`tests.oracles.geo` — the §3 per-point lat/lon grid index and
-  the per-sample co-location loop the compiled corridor index replaced.
+  the per-sample co-location loop the compiled corridor index replaced;
+* :mod:`tests.oracles.graphs` — the NetworkX graphs of the ROW network
+  and the router topology (the package keeps none), and the compile of
+  a NetworkX graph into a routing core.
 """

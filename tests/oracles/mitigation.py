@@ -49,6 +49,7 @@ from repro.mitigation.robustness import _suggestion_for_isp
 from repro.risk.metrics import most_shared_conduits
 from repro.transport.network import EdgeKey, TransportationNetwork
 from tests.oracles.fibermap import simple_conduit_graph
+from tests.oracles.graphs import row_graph
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +290,7 @@ def _subgraph_for_kinds(
     network: TransportationNetwork, kinds: Optional[FrozenSet[str]]
 ) -> nx.Graph:
     if kinds is None:
-        return network.graph
+        return row_graph(network)
     sub = nx.Graph()
     for record in network._edges.values():
         usable = record.kinds & kinds

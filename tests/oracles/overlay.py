@@ -32,6 +32,7 @@ from repro.traceroute.overlay import (
 )
 from repro.traceroute.probe import TracerouteRecord
 from tests.oracles.fibermap import simple_conduit_graph
+from tests.oracles.graphs import core_from_networkx
 
 
 def overlay_state(overlay):
@@ -173,7 +174,7 @@ class NetworkXConduitPaths:
     """``TrafficOverlay._conduit_path`` over NetworkX conduit graphs:
     the provider's ``simple_conduit_graph(isp)`` when it holds both hop
     cities, else the generic one, each compiled by
-    :meth:`RoutingCore.from_networkx`."""
+    :func:`tests.oracles.graphs.core_from_networkx`."""
 
     def __init__(self, fiber_map: FiberMap):
         self._map = fiber_map
@@ -199,7 +200,7 @@ class NetworkXConduitPaths:
             core_key = isp or "*"
         core = self._cores.get(core_key)
         if core is None:
-            core = self._cores[core_key] = RoutingCore.from_networkx(
+            core = self._cores[core_key] = core_from_networkx(
                 graph, weight="length_km"
             )
         return core, graph

@@ -7,6 +7,7 @@ from typing import Dict, Tuple
 import networkx as nx
 
 from repro.traceroute.probe import ProbeEngine
+from tests.oracles.graphs import topology_graph
 
 
 class ReferenceProbeEngine(ProbeEngine):
@@ -16,13 +17,14 @@ class ReferenceProbeEngine(ProbeEngine):
 
     def __init__(self, topology, seed: int = 31):
         super().__init__(topology, seed=seed)
+        self._graph = topology_graph(topology)
         self._pred_cache: Dict[Tuple[str, str], Dict] = {}
 
     def _predecessors(self, dst_node: Tuple[str, str]) -> Dict:
         pred = self._pred_cache.get(dst_node)
         if pred is None:
             pred, _dist = nx.dijkstra_predecessor_and_distance(
-                self._topology.graph, dst_node, weight="ms"
+                self._graph, dst_node, weight="ms"
             )
             self._pred_cache[dst_node] = pred
         return pred
@@ -31,7 +33,7 @@ class ReferenceProbeEngine(ProbeEngine):
         self, src_node: Tuple[str, str], dst_node: Tuple[str, str]
     ):
         """The NetworkX reference path (cross-checked against the core)."""
-        graph = self._topology.graph
+        graph = self._graph
         if src_node not in graph or dst_node not in graph:
             return None
         pred = self._predecessors(dst_node)

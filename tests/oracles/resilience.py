@@ -6,7 +6,9 @@ every step from scratch (the package answers it with one reverse
 union-find sweep per provider), and the traffic shift that re-traces
 every record over a NetworkX copy of the router graph with the cut
 adjacencies removed (the package masks those edges on the topology's
-compiled routing core instead).
+compiled routing core instead); and the §4 west-east partition metric
+over ``nx.minimum_cut`` (the package solves it with one scipy maximum
+flow per cut, :func:`repro.perf.substrate.minimum_cut`).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import networkx as nx
 
+from repro.data.cities import city_by_name
 from repro.fibermap.elements import FiberMap
 from repro.perf.routing import RoutingCore
 from repro.resilience.cuts import CutEvent, edge_cut
@@ -24,11 +27,19 @@ from repro.resilience.montecarlo import (
     _random_edge_sequences,
     _targeted_edges,
 )
+from repro.resilience.partition import (
+    _EAST_LON,
+    _WEST_LON,
+    EAST_LANDINGS,
+    WEST_LANDINGS,
+    PartitionReport,
+)
 from repro.resilience.traffic_shift import TrafficShiftReport
 from repro.traceroute.overlay import TrafficOverlay
 from repro.traceroute.probe import ProbeEngine, TracerouteRecord
 from repro.traceroute.topology import InternetTopology
 from repro.transport.network import EdgeKey
+from tests.oracles.graphs import core_from_networkx, topology_graph
 
 
 def _surviving_graph(fiber_map: FiberMap, isp: str, event: CutEvent) -> nx.Graph:
@@ -142,7 +153,7 @@ class DegradedTopology:
     def __init__(self, topology: InternetTopology, event: CutEvent):
         self._topology = topology
         self._event = event
-        graph = topology.graph.copy()
+        graph = topology_graph(topology)
         dead_edges = []
         for u, v, data in graph.edges(data=True):
             if data.get("kind") != "intra":
@@ -168,7 +179,7 @@ class DegradedTopology:
     def routing_core(self) -> RoutingCore:
         """A fresh compile of the degraded graph."""
         if self._routing_core is None:
-            self._routing_core = RoutingCore.from_networkx(self._graph)
+            self._routing_core = core_from_networkx(self._graph)
         return self._routing_core
 
     def uses_mpls(self, isp: str) -> bool:
@@ -230,3 +241,83 @@ def traffic_shift_reference(
         mean_inflation_ms=mean,
         p95_inflation_ms=p95,
     )
+
+
+def _coastal_anchors(fiber_map: FiberMap) -> Tuple[List[str], List[str]]:
+    west, east = [], []
+    for city_key in fiber_map.nodes:
+        lon = city_by_name(city_key).lon
+        if lon <= _WEST_LON:
+            west.append(city_key)
+        elif lon >= _EAST_LON:
+            east.append(city_key)
+    return sorted(west), sorted(east)
+
+
+def _row_graph(fiber_map: FiberMap) -> nx.Graph:
+    """ROW-level graph: one unit-capacity edge per city pair."""
+    graph = nx.Graph()
+    for conduit in fiber_map.conduits.values():
+        graph.add_edge(*conduit.edge, capacity=1)
+    return graph
+
+
+def partition_report_reference(fiber_map: FiberMap) -> PartitionReport:
+    """:func:`repro.resilience.partition.partition_report` over
+    ``nx.minimum_cut``; the west side is NetworkX's first partition."""
+    west, east = _coastal_anchors(fiber_map)
+    if not west or not east:
+        raise ValueError("map lacks coastal anchor cities")
+    graph = _row_graph(fiber_map)
+    source, sink = "__WEST__", "__EAST__"
+    for city in west:
+        if city in graph:
+            graph.add_edge(source, city, capacity=10**6)
+    for city in east:
+        if city in graph:
+            graph.add_edge(sink, city, capacity=10**6)
+    cut_value, (west_side, _east_side) = nx.minimum_cut(
+        graph, source, sink, capacity="capacity"
+    )
+    cut_edges = tuple(
+        sorted(
+            (u, v) if u <= v else (v, u)
+            for u, v in nx.edge_boundary(graph, west_side)
+            if source not in (u, v) and sink not in (u, v)
+        )
+    )
+    bypass = graph.copy()
+    landings = [
+        c for c in WEST_LANDINGS + EAST_LANDINGS if c in fiber_map.nodes
+    ]
+    for i, a in enumerate(landings):
+        for b in landings[i + 1:]:
+            bypass.add_edge(a, b, capacity=10**6)
+    cut_with_sea, _ = nx.minimum_cut(bypass, source, sink, capacity="capacity")
+    return PartitionReport(
+        cut_edges=cut_edges,
+        min_cuts=int(cut_value),
+        min_cuts_with_undersea=(
+            int(cut_with_sea) if cut_with_sea < 10**6 else None
+        ),
+    )
+
+
+def isp_partition_cuts_reference(fiber_map: FiberMap, isp: str) -> int:
+    """:func:`repro.resilience.partition.isp_partition_cuts` over
+    ``nx.minimum_cut``."""
+    sub = nx.Graph()
+    for conduit in fiber_map.conduits.values():
+        if isp in conduit.tenants:
+            sub.add_edge(*conduit.edge, capacity=1)
+    west = [c for c in sub if city_by_name(c).lon <= _WEST_LON]
+    east = [c for c in sub if city_by_name(c).lon >= _EAST_LON]
+    if not west or not east:
+        return 0
+    source, sink = "__W__", "__E__"
+    for city in west:
+        sub.add_edge(source, city, capacity=10**6)
+    for city in east:
+        sub.add_edge(sink, city, capacity=10**6)
+    value, _ = nx.minimum_cut(sub, source, sink, capacity="capacity")
+    return int(value)

@@ -9,10 +9,9 @@ compiled ``ConduitSubstrate``.  This test walks the package source with
 any ``scipy.sparse`` import outside ``perf/substrate.py`` — the one
 place a CSR matrix is built — on any use of the NetworkX conduit-graph
 builders (``conduit_graph`` / ``simple_conduit_graph``, now the oracle
-in ``tests/oracles/fibermap.py``), and on a ``networkx`` import outside
-the three modules that still hold NetworkX graphs: the transportation
-network container, the router-level topology, and the §5 partition
-study's ``nx.minimum_cut``.
+in ``tests/oracles/fibermap.py``), and on any ``networkx`` import:
+NetworkX is a test-only dependency, and the graphs the oracles solve on
+are built in ``tests/oracles/graphs.py``.
 
 Every §3 buffer-overlap question is answered by
 ``repro.geo.overlap.CorridorIndex``; the per-point grid it replaced is
@@ -44,11 +43,6 @@ GRID_NAME = "SpatialGridIndex"
 #: The only module allowed to import ``scipy.sparse``.
 CSR_OWNER = PACKAGE / "perf" / "substrate.py"
 
-#: The only modules allowed to import ``networkx`` (package-relative).
-NX_OWNERS = frozenset(
-    {"transport/network.py", "traceroute/topology.py", "resilience/partition.py"}
-)
-
 #: The NetworkX conduit-graph builders ``FiberMap`` used to carry.
 BUILDERS = frozenset({"conduit_graph", "simple_conduit_graph"})
 
@@ -65,14 +59,12 @@ def _violations(path: Path) -> List[str]:
     solver_names: Set[str] = set()
     found: List[str] = []
     where = path.relative_to(PACKAGE.parent)
-    nx_owner = path.relative_to(PACKAGE).as_posix() in NX_OWNERS
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == "networkx":
                     nx_aliases.add((alias.asname or alias.name).split(".")[0])
-                    if not nx_owner:
-                        found.append(f"{where}:{node.lineno} imports {alias.name}")
+                    found.append(f"{where}:{node.lineno} imports {alias.name}")
                 if alias.name.startswith("scipy.sparse") and path != CSR_OWNER:
                     found.append(f"{where}:{node.lineno} imports {alias.name}")
                 if alias.name.startswith(GRID_MODULE):
@@ -92,8 +84,7 @@ def _violations(path: Path) -> List[str]:
             if grid:
                 found.append(f"{where}:{node.lineno} imports {node.module}")
             if root == "networkx":
-                if not nx_owner:
-                    found.append(f"{where}:{node.lineno} imports {node.module}")
+                found.append(f"{where}:{node.lineno} imports {node.module}")
                 for alias in node.names:
                     if SOLVER.match(alias.name):
                         solver_names.add(alias.asname or alias.name)
@@ -167,22 +158,3 @@ def test_guard_detects_each_form(tmp_path, monkeypatch):
         "uses simple_conduit_graph",
     ]
 
-
-def test_guard_allows_networkx_in_its_owners(tmp_path, monkeypatch):
-    """An owner module may import networkx; it still may not build a
-    conduit graph or call a solver."""
-    package = tmp_path / "repro"
-    source = package / "traceroute" / "topology.py"
-    source.parent.mkdir(parents=True)
-    source.write_text(
-        "import networkx as nx\n"
-        "graph = nx.Graph()\n"
-        "def simple_conduit_graph():\n"
-        "    return nx.shortest_path(graph, 1, 2)\n",
-        encoding="utf-8",
-    )
-    monkeypatch.setattr("tests.test_one_routing_path.PACKAGE", package)
-    assert [v.split(" ", 1)[1] for v in _violations(source)] == [
-        "uses simple_conduit_graph",
-        "calls shortest_path",
-    ]

@@ -9,7 +9,6 @@ import networkx as nx
 import pytest
 
 from repro.perf.cache import ArtifactCache, code_version, resolve_cache
-from repro.perf.routing import RoutingCore
 from repro.scenario import Scenario
 from repro.traceroute.campaign import (
     CampaignConfig,
@@ -17,6 +16,7 @@ from repro.traceroute.campaign import (
     run_campaign,
 )
 from repro.traceroute.probe import ProbeEngine
+from tests.oracles.graphs import core_from_networkx, topology_graph
 from tests.oracles.probe import ReferenceProbeEngine
 
 
@@ -25,7 +25,7 @@ def _edge_cost(graph, path, weight="ms"):
 
 
 def _assert_distances_match_networkx(graph, seed):
-    core = RoutingCore.from_networkx(graph)
+    core = core_from_networkx(graph)
     nodes = sorted(graph.nodes)
     rng = random.Random(seed)
     for _ in range(40):
@@ -41,7 +41,7 @@ def _assert_distances_match_networkx(graph, seed):
 def _assert_pickle_drops_rows(graph):
     import pickle
 
-    core = RoutingCore.from_networkx(graph)
+    core = core_from_networkx(graph)
     core.prepare(sorted(graph.nodes)[:3])
     assert core.num_prepared == 3 and core._structs
     clone = pickle.loads(pickle.dumps(core))
@@ -51,14 +51,14 @@ def _assert_pickle_drops_rows(graph):
 
 class TestRoutingCore:
     def test_distances_match_networkx(self, topology):
-        _assert_distances_match_networkx(topology.graph, seed=7)
+        _assert_distances_match_networkx(topology_graph(topology), seed=7)
 
     def test_paths_are_valid_and_optimal(self, topology):
         # Equal-cost ties may break differently than NetworkX, so check
         # the path is real and its cost matches the optimum — not the
         # exact node sequence.
-        graph = topology.graph
-        core = RoutingCore.from_networkx(graph)
+        graph = topology_graph(topology)
+        core = core_from_networkx(graph)
         nodes = sorted(graph.nodes)
         rng = random.Random(11)
         for _ in range(40):
@@ -75,26 +75,26 @@ class TestRoutingCore:
             )
 
     def test_trivial_and_unknown_queries(self, topology):
-        core = RoutingCore.from_networkx(topology.graph)
-        node = sorted(topology.graph.nodes)[0]
+        core = topology.routing_core()
+        node = core.nodes[0]
         assert core.path(node, node) == [node]
         assert core.path(("NoSuch", "Nowhere"), node) is None
         assert core.distance(node, ("NoSuch", "Nowhere")) == float("inf")
 
     def test_prepare_batches_new_destinations(self, topology):
-        core = RoutingCore.from_networkx(topology.graph)
-        nodes = sorted(topology.graph.nodes)[:5]
+        core = core_from_networkx(topology_graph(topology))
+        nodes = core.nodes[:5]
         assert core.prepare(nodes) == 5
         assert core.prepare(nodes) == 0  # already computed
         assert core.num_prepared == 5
 
     def test_pickle_drops_prepared_rows(self, topology):
-        _assert_pickle_drops_rows(topology.graph)
+        _assert_pickle_drops_rows(topology_graph(topology))
 
     def test_engine_matches_reference_path_costs(self, topology):
         fast = ProbeEngine(topology, seed=5)
         reference = ReferenceProbeEngine(topology, seed=5)
-        graph = topology.graph
+        graph = topology_graph(topology)
         nodes = sorted(graph.nodes)
         rng = random.Random(13)
         for _ in range(25):
@@ -114,11 +114,11 @@ class TestRoutingCoreFamilies:
 
     def test_distance_matches_networkx_oracle(self, family_scenario):
         _assert_distances_match_networkx(
-            family_scenario.topology.graph, seed=29
+            topology_graph(family_scenario.topology), seed=29
         )
 
     def test_pickle_carries_no_rows_or_solver_cache(self, family_scenario):
-        _assert_pickle_drops_rows(family_scenario.topology.graph)
+        _assert_pickle_drops_rows(topology_graph(family_scenario.topology))
 
 
 class TestParallelCampaign:

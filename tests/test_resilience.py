@@ -194,7 +194,7 @@ class TestTrafficShift:
         assert degraded.dead_router_adjacencies
         assert (
             degraded.graph.number_of_edges()
-            < scenario.topology.graph.number_of_edges()
+            < scenario.topology.routing_core().num_edges
         )
 
     def test_uncut_topology_noop(self, scenario, built_map):
@@ -208,7 +208,7 @@ class TestTrafficShift:
         )
         degraded = DegradedTopology(scenario.topology, event)
         lost = (
-            scenario.topology.graph.number_of_edges()
+            scenario.topology.routing_core().num_edges
             - degraded.graph.number_of_edges()
         )
         assert lost >= 0

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.fibermap.elements import FiberMap
@@ -192,3 +192,50 @@ class TestHammingProperty:
         d_ab = int((a != b).sum())
         assert d_ab == int((b != a).sum())
         assert (d_ab == 0) == (mask_a == mask_b)
+
+
+#: Small profile over the shared session scenarios (the fixture health
+#: check does not apply to them).
+FAMILY = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _family_matrix(scenario, truth):
+    """The scenario's risk matrix, or one over its ground-truth map."""
+    if truth:
+        fiber_map = scenario.ground_truth.fiber_map
+        return fiber_map, RiskMatrix(fiber_map)
+    return scenario.constructed_map, scenario.risk_matrix
+
+
+class TestRiskMatrixFamilyProperties:
+    """§4 invariants over drawn providers and conduits of both families'
+    constructed and ground-truth maps."""
+
+    @FAMILY
+    @given(data=st.data())
+    def test_entries_are_tenant_counts(self, family_scenario, data):
+        truth = data.draw(st.booleans())
+        fiber_map, matrix = _family_matrix(family_scenario, truth)
+        isp = data.draw(st.sampled_from(matrix.isps))
+        cid = data.draw(st.sampled_from(matrix.conduit_ids))
+        tenants = fiber_map.conduit(cid).tenants
+        assert matrix.sharing_count(cid) == len(tenants)
+        j = matrix.conduit_ids.index(cid)
+        assert matrix.row(isp)[j] == (len(tenants) if isp in tenants else 0)
+
+    @FAMILY
+    @given(data=st.data())
+    def test_hamming_distance_is_a_metric(self, family_scenario, data):
+        _, matrix = _family_matrix(family_scenario, data.draw(st.booleans()))
+        a, b, c = (data.draw(st.sampled_from(matrix.isps)) for _ in range(3))
+        d_ab = hamming_distance(matrix, a, b)
+        assert hamming_distance(matrix, a, a) == 0
+        assert d_ab == hamming_distance(matrix, b, a) >= 0
+        assert (d_ab == 0) == np.array_equal(matrix.row(a), matrix.row(b))
+        assert hamming_distance(matrix, a, c) <= d_ab + hamming_distance(
+            matrix, b, c
+        )

@@ -26,7 +26,6 @@ from repro.geo.polyline import Polyline
 from repro.mitigation.augmentation import improvement_curve
 from repro.mitigation.latency import latency_study
 from repro.mitigation.robustness import optimize_all_isps
-from repro.perf.routing import RoutingCore
 from repro.perf.substrate import (
     ConduitSubstrate,
     GraphView,
@@ -38,6 +37,7 @@ from repro.resilience.impact import assess_cut
 from repro.resilience.montecarlo import random_cut_study, targeted_attack
 from repro.risk.matrix import RiskMatrix
 from tests.oracles.fibermap import simple_conduit_graph
+from tests.oracles.graphs import core_from_networkx, topology_graph
 from tests.oracles.mitigation import (
     _risk_graph,
     improvement_curve_reference,
@@ -183,7 +183,7 @@ def _core_graphs(scenario):
     (``ms``), the generic conduit graph and two providers' conduit
     graphs (``length_km``)."""
     fiber_map = scenario.constructed_map
-    yield scenario.topology.graph, "ms"
+    yield topology_graph(scenario.topology), "ms"
     yield simple_conduit_graph(fiber_map), "length_km"
     for isp in fiber_map.isps()[:2]:
         yield simple_conduit_graph(fiber_map, isp), "length_km"
@@ -207,7 +207,7 @@ class TestCompiledCore:
 
     def test_rows_match_graphview_dijkstra(self, family_scenario):
         for graph, weight in _core_graphs(family_scenario):
-            core = RoutingCore.from_networkx(graph, weight=weight)
+            core = core_from_networkx(graph, weight=weight)
             nodes = core.nodes
             sample = nodes[:: max(1, len(nodes) // 50)]
             assert core.prepare(sample) == len(sample)
@@ -223,6 +223,19 @@ class TestCompiledCore:
                 assert np.array_equal(row, ref_pred[i])
                 assert np.array_equal(dist[row_of[node]], ref_dist[i])
                 assert core.distance(nodes[-1], node) == ref_dist[i][-1]
+
+    def test_topology_core_ignores_edge_order(self, family_scenario):
+        # The solver's CSR is index-sorted, so compiling the router
+        # adjacencies in any order yields the same rows, ties included.
+        core = family_scenario.topology.routing_core()
+        order = np.random.default_rng(3).permutation(core.num_edges)
+        shuffled = GraphView(core.nodes, core.index, core.eu[order],
+                             core.ev[order], {"ms": core.weights["ms"][order]})
+        sample = core.nodes[:: max(1, core.num_nodes // 60)]
+        dist, pred, _ = core.dijkstra(sample, "ms")
+        ref_dist, ref_pred, _ = shuffled.dijkstra(sample, "ms")
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(pred, ref_pred)
 
 
 class TestSingleFlightMemos:
@@ -296,7 +309,7 @@ class TestMaskedSolveReentrancy:
         import sys
         import threading
 
-        core = RoutingCore.from_networkx(scenario.topology.graph)
+        core = core_from_networkx(topology_graph(scenario.topology))
         rng = np.random.default_rng(7)
         threads = 8
         masks = [rng.random(core.num_edges) > 0.15 for _ in range(threads)]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.traceroute.addressing import AddressPlan
 from repro.traceroute.topology import PHANTOM_PROVIDERS, InternetTopology
+from tests.oracles.graphs import topology_graph
 
 
 class TestAddressPlan:
@@ -91,7 +92,7 @@ class TestTopology:
         assert 0.02 < fraction < 0.3
 
     def test_peering_edges_exist(self, topology):
-        graph = topology.graph
+        graph = topology_graph(topology)
         peerings = [
             (u, v) for u, v, d in graph.edges(data=True)
             if d["kind"] == "peering"
@@ -103,7 +104,7 @@ class TestTopology:
             assert u[0] != v[0]
 
     def test_intra_edges_have_latency(self, topology):
-        graph = topology.graph
+        graph = topology_graph(topology)
         for u, v, d in list(graph.edges(data=True))[:100]:
             assert d["ms"] > 0
 

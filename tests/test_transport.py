@@ -12,8 +12,13 @@ from repro.transport.builder import (
     corridor_leg_polyline,
     corridor_polyline,
 )
-from repro.transport.network import canonical_edge
+from repro.transport.network import (
+    NoRouteError,
+    UnknownCityError,
+    canonical_edge,
+)
 from repro.transport.rightofway import RowRegistry
+from tests.oracles.graphs import row_graph
 from tests.oracles.mitigation import row_shortest_path_reference
 
 
@@ -71,7 +76,7 @@ class TestBuilder:
 
 class TestNetwork:
     def test_connected(self, net):
-        assert nx.is_connected(net.graph)
+        assert nx.is_connected(row_graph(net))
 
     def test_edge_lookup(self, net):
         record = net.edge("Provo, UT", "Salt Lake City, UT")
@@ -104,11 +109,19 @@ class TestNetwork:
         assert km_rail >= km_all
 
     def test_row_path_unreachable_kind(self, net):
-        # The pipeline layer alone does not connect Seattle.
-        with pytest.raises((nx.NetworkXNoPath, nx.NodeNotFound)):
+        # Seattle is on no pipeline; Anaheim and Atlanta are, but on
+        # pipelines that do not meet.  The errors are a KeyError and a
+        # ValueError.
+        with pytest.raises(UnknownCityError) as unknown:
             net.row_shortest_path(
                 "Seattle, WA", "Miami, FL", kinds=("pipeline",)
             )
+        with pytest.raises(NoRouteError) as no_route:
+            net.row_shortest_path(
+                "Anaheim, CA", "Atlanta, GA", kinds=("pipeline",)
+            )
+        assert isinstance(unknown.value, KeyError)
+        assert isinstance(no_route.value, ValueError)
 
     def test_path_geometry_contiguous(self, net):
         path, km = net.row_shortest_path("Denver, CO", "Salt Lake City, UT")
@@ -201,12 +214,20 @@ class TestRowShortestPathParity:
 
     KIND_SETS = (None, ("road", "rail"), ("rail",), ("pipeline",))
 
-    @staticmethod
-    def _solve(fn):
+    #: The package's errors and the NetworkX errors they stand for.
+    OUTCOMES = {
+        UnknownCityError: "unknown city",
+        nx.NodeNotFound: "unknown city",
+        NoRouteError: "no path",
+        nx.NetworkXNoPath: "no path",
+    }
+
+    @classmethod
+    def _solve(cls, fn):
         try:
             return fn()
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as error:
-            return type(error)
+        except tuple(cls.OUTCOMES) as error:
+            return cls.OUTCOMES[type(error)]
 
     @pytest.mark.parametrize("kinds", KIND_SETS)
     def test_matches_reference(self, family_scenario, kinds):
@@ -214,7 +235,7 @@ class TestRowShortestPathParity:
         allowed = set(kinds) if kinds is not None else None
         cities = network.cities()
         # Pairs on the kind-restricted corridors too, so sparse kinds
-        # yield paths and NetworkXNoPath, not only NodeNotFound.
+        # yield paths and "no path", not only "unknown city".
         on_kinds = sorted({
             city for record in network.edges()
             if allowed is None or record.kinds & allowed
@@ -234,9 +255,9 @@ class TestRowShortestPathParity:
             want = self._solve(
                 lambda: row_shortest_path_reference(network, a, b, kinds)
             )
-            if isinstance(want, type):
-                assert got is want, (a, b, kinds)
-                outcomes.add(want.__name__)
+            if isinstance(want, str):
+                assert got == want, (a, b, kinds)
+                outcomes.add(want)
                 continue
             path, km = got
             assert km == want[1], (a, b, kinds)
@@ -254,4 +275,4 @@ class TestRowShortestPathParity:
                 total += min(usable)
             assert total == km
             outcomes.add("path")
-        assert "NodeNotFound" in outcomes
+        assert "unknown city" in outcomes

@@ -21,9 +21,16 @@ from repro.geo.vectorized import (
     segment_distance_matrix_km,
     segment_distances_km,
 )
+from repro.data.cities import city_by_name
+from repro.fibermap.elements import FiberMap
+from repro.geo.polyline import Polyline
 from repro.resilience.partition import (
     isp_partition_cuts,
     partition_report,
+)
+from tests.oracles.resilience import (
+    isp_partition_cuts_reference,
+    partition_report_reference,
 )
 
 lat_strategy = st.floats(min_value=25.0, max_value=49.0)
@@ -152,6 +159,53 @@ class TestPartition:
         # Suddenlink (south-central) has no west-coast presence.
         assert isp_partition_cuts(built_map, "Suddenlink") == 0
 
+
+
+def _maps(scenario):
+    yield "constructed", scenario.constructed_map
+    yield "truth", scenario.ground_truth.fiber_map
+
+
+class TestPartitionParity:
+    """The max-flow cuts equal ``nx.minimum_cut``'s, cut side included,
+    on both families' constructed and ground-truth maps."""
+
+    def test_report_matches_networkx(self, family_scenario):
+        for name, fiber_map in _maps(family_scenario):
+            assert partition_report(fiber_map) == partition_report_reference(
+                fiber_map
+            ), name
+
+    def test_isp_cuts_match_networkx(self, family_scenario):
+        for name, fiber_map in _maps(family_scenario):
+            for isp in fiber_map.isps():
+                assert isp_partition_cuts(
+                    fiber_map, isp
+                ) == isp_partition_cuts_reference(fiber_map, isp), (name, isp)
+
+    def test_cut_is_on_the_sink_side(self):
+        # A west-east chain with three distinct one-edge minimum cuts.
+        # NetworkX's east side is every node that still reaches the sink
+        # in the residual graph, so the reported cut is the edge nearest
+        # the east coast, not the one nearest the west.
+        chain = ("Seattle, WA", "Denver, CO", "Chicago, IL", "New York, NY")
+        fiber_map = FiberMap()
+        conduits = [
+            fiber_map.add_conduit(
+                a, b, row_id=f"row-{a}-{b}",
+                geometry=Polyline([city_by_name(a).location,
+                                   city_by_name(b).location]),
+            ).conduit_id
+            for a, b in zip(chain, chain[1:])
+        ]
+        fiber_map.add_link("AlphaNet", chain, conduits)
+        report = partition_report(fiber_map)
+        assert report == partition_report_reference(fiber_map)
+        assert report.cut_edges == (("Chicago, IL", "New York, NY"),)
+        assert report.min_cuts == 1
+        # Seattle and New York are landing stations on opposite coasts.
+        assert report.min_cuts_with_undersea is None
+        assert isp_partition_cuts(fiber_map, "AlphaNet") == 1
 
 class TestMetro:
     def test_ring_structure(self, built_map):
