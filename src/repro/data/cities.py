@@ -14,10 +14,14 @@ city-proper figures circa the early 2010s.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.geo.coords import GeoPoint, haversine_km
+import numpy as np
+
+from repro.geo.coords import EARTH_RADIUS_KM, GeoPoint, haversine_km
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,10 @@ class City:
         return _CODES[self.key]
 
     def distance_km(self, other: "City") -> float:
-        return haversine_km(self.location, other.location)
+        """Great-circle distance, read off the compiled :func:`city_table`
+        (equal to ``haversine_km`` of the two locations bit for bit)."""
+        table = city_table()
+        return table.distances.item(table.index[self.key], table.index[other.key])
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.key
@@ -467,6 +474,74 @@ def register_cities(cities: Iterable[City]) -> List[City]:
         _BY_CODE[code] = city
         added.append(city)
     return added
+
+
+class CityTable:
+    """Every registered city's row and pairwise great-circle distances,
+    compiled once.
+
+    Rows follow registration order, so the base :data:`CITIES` hold rows
+    ``0 .. len(CITIES) - 1`` in dataset order and extension cities
+    follow.  ``distances[i, j]`` equals ``haversine_km`` of city *i*'s and
+    city *j*'s locations bit for bit: the fill runs the scalar formula in
+    its exact operation order with ``math`` functions, because numpy's
+    array ``sin``/``arcsin`` may differ in the last place and the
+    nearest-neighbour choices that read the table break ties at exact
+    equality.  The matrix is symmetric (so is the scalar formula) and
+    read-only.
+    """
+
+    __slots__ = ("keys", "index", "distances")
+
+    def __init__(self, cities: Sequence[City]):
+        self.keys: Tuple[str, ...] = tuple(c.key for c in cities)
+        self.index: Dict[str, int] = {key: i for i, key in enumerate(self.keys)}
+        lats = [c.lat for c in cities]
+        lons = [c.lon for c in cities]
+        cos = [math.cos(math.radians(lat)) for lat in lats]
+        distances = np.zeros((len(cities), len(cities)))
+        for i, (lat_i, lon_i, cos_i) in enumerate(zip(lats, lons, cos)):
+            row = [0.0] * i
+            for j in range(i):
+                # haversine_km(city i, city j), operation for operation.
+                sin_dphi = math.sin(math.radians(lats[j] - lat_i) / 2.0)
+                sin_dlam = math.sin(math.radians(lons[j] - lon_i) / 2.0)
+                h = sin_dphi * sin_dphi + cos_i * cos[j] * sin_dlam * sin_dlam
+                h = min(1.0, max(0.0, h))
+                row[j] = 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+            distances[i, :i] = row
+            distances[:i, i] = row
+        distances.setflags(write=False)
+        self.distances = distances
+
+    def row(self, key: str) -> np.ndarray:
+        """Distances from *key* to every registered city, by row."""
+        return self.distances[self.index[key]]
+
+    def submatrix(self, keys: Sequence[str]) -> np.ndarray:
+        """The distances among *keys*, indexed by position in *keys*."""
+        rows = [self.index[key] for key in keys]
+        return self.distances[np.ix_(rows, rows)]
+
+
+_TABLE: Optional[CityTable] = None
+_TABLE_LOCK = threading.Lock()
+
+
+def city_table() -> CityTable:
+    """The compiled distance table over every registered city.
+
+    Filled on first use, and filled again (once) after
+    :func:`register_cities` adds cities.
+    """
+    global _TABLE
+    table = _TABLE
+    if table is None or len(table.keys) != len(_BY_KEY):
+        with _TABLE_LOCK:
+            if _TABLE is None or len(_TABLE.keys) != len(_BY_KEY):
+                _TABLE = CityTable(list(_BY_KEY.values()))
+            table = _TABLE
+    return table
 
 
 def city_by_name(name: str, state: Optional[str] = None) -> City:

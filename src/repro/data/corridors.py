@@ -14,10 +14,14 @@ which kind of right-of-way, and roughly how long each route is.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.data.cities import city_by_name
+import numpy as np
+
+from repro.data.cities import CITIES, city_by_name, city_table
 
 #: Infrastructure kinds (Figure 2 = road, Figure 3 = rail, Figure 5 = pipeline).
 #: ``sea`` is the submarine-cable extension: a corridor between two
@@ -542,10 +546,11 @@ def corridors_of_kind(kind: str) -> List[Corridor]:
     return [c for c in CORRIDORS if c.kind == kind]
 
 
+@functools.lru_cache(maxsize=None)
 def secondary_road_corridors(
     max_km: float = 230.0,
     probability: float = 0.5,
-) -> List[Corridor]:
+) -> Tuple[Corridor, ...]:
     """The dense US-route / state-highway grid, generated deterministically.
 
     The NationalAtlas roadway layer (Figure 2) is far denser than the
@@ -554,11 +559,11 @@ def secondary_road_corridors(
     primary corridor between them, a secondary road corridor exists with
     the given *probability*, decided by a stable hash of the pair (so the
     grid is identical across runs and independent of call order).
+
+    A pure function of constants, built once per process: the distance
+    test reads the compiled city table, and only pairs within *max_km*
+    are hashed.
     """
-    import hashlib
-
-    from repro.data.cities import CITIES
-
     primary_edges = set()
     for corridor in CORRIDORS:
         for a, b in corridor.edges():
@@ -571,21 +576,22 @@ def secondary_road_corridors(
 
     result: List[Corridor] = []
     cities = sorted(CITIES, key=lambda c: c.key)
-    for i, a in enumerate(cities):
-        for b in cities[i + 1:]:
-            if frozenset((a.key, b.key)) in primary_edges:
-                continue
-            if a.distance_km(b) > max_km:
-                continue
-            if pair_unit(a.key, b.key) >= probability:
-                continue
-            name = f"SR:{a.code}-{b.code}"
-            result.append(
-                Corridor(
-                    name=name,
-                    kind=KIND_ROAD,
-                    waypoints=(a.key, b.key),
-                    grade=GRADE_SECONDARY,
-                )
+    distances = city_table().submatrix([c.key for c in cities])
+    # Row-major over the upper triangle: the (i < j) pair order.
+    near_i, near_j = np.nonzero(np.triu(distances <= max_km, k=1))
+    for i, j in zip(near_i.tolist(), near_j.tolist()):
+        a, b = cities[i], cities[j]
+        if frozenset((a.key, b.key)) in primary_edges:
+            continue
+        if pair_unit(a.key, b.key) >= probability:
+            continue
+        name = f"SR:{a.code}-{b.code}"
+        result.append(
+            Corridor(
+                name=name,
+                kind=KIND_ROAD,
+                waypoints=(a.key, b.key),
+                grade=GRADE_SECONDARY,
             )
-    return result
+        )
+    return tuple(result)

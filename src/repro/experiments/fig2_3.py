@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.analysis.report import format_table
-from repro.data.corridors import CORRIDORS, secondary_road_corridors
+from repro.data.corridors import CORRIDORS, GRADE_SECONDARY
 from repro.scenario import Scenario
 
 
@@ -47,9 +47,15 @@ def run(scenario: Scenario) -> Fig23Result:
                 total_km=network.total_km(kind),
             )
         )
+    secondary = {
+        name
+        for record in network.edges()
+        for name, grade in record.grade_of.items()
+        if grade == GRADE_SECONDARY
+    }
     return Fig23Result(
         layers=tuple(layers),
-        secondary_corridors=len(secondary_road_corridors()),
+        secondary_corridors=len(secondary),
     )
 
 

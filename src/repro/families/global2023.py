@@ -31,6 +31,7 @@ from repro.families.base import MapFamily, register_family
 from repro.fibermap.elements import Conduit, FiberMap
 from repro.fibermap.synthesis import (
     GroundTruth,
+    _plan_links,
     _RowRouter,
     _select_pops,
     _stable_unit,
@@ -113,40 +114,6 @@ def build_global_network() -> TransportationNetwork:
     """The global transport network: cable systems + backhaul only."""
     ensure_registered()
     return build_transport_network(corridors=GLOBAL_CORRIDORS)
-
-
-def _plan_links_global(
-    pops: List[str], target_links: int, rng: random.Random
-) -> List[EdgeKey]:
-    """Plan which POP pairs a carrier connects (ocean-scale variant of
-    :func:`repro.fibermap.synthesis._plan_links`: same nearest-neighbor
-    spanning skeleton, distance decay at thousands of kilometers)."""
-    cities = {key: city_by_name(key) for key in pops}
-    ordered = sorted(pops, key=lambda k: -cities[k].population)
-    links: Set[EdgeKey] = set()
-    connected: List[str] = [ordered[0]]
-    for key in ordered[1:]:
-        partner = min(
-            connected, key=lambda c: cities[key].distance_km(cities[c])
-        )
-        links.add(canonical_edge(key, partner))
-        connected.append(key)
-    attempts = 0
-    max_attempts = target_links * 200
-    while len(links) < target_links and attempts < max_attempts:
-        attempts += 1
-        a = rng.choice(ordered)
-        b = rng.choice(ordered)
-        if a == b:
-            continue
-        edge = canonical_edge(a, b)
-        if edge in links:
-            continue
-        distance = cities[a].distance_km(cities[b])
-        scale = distance / LINK_DISTANCE_SCALE_KM
-        if rng.random() < 1.0 / (1.0 + scale ** 1.6):
-            links.add(edge)
-    return sorted(links)
 
 
 class _CableRouter(_RowRouter):
@@ -243,7 +210,9 @@ def synthesize_global_ground_truth(seed: int = 2023) -> GroundTruth:
 
     for profile in GLOBAL_ISPS:
         pops = _select_pops(profile, city_pool, rng)
-        planned = _plan_links_global(pops, profile.target_links, rng)
+        planned = _plan_links(
+            pops, profile.target_links, rng, LINK_DISTANCE_SCALE_KM
+        )
         router = _CableRouter(profile.name, network)
         planned.sort(
             key=lambda e: -city_by_name(e[0]).distance_km(city_by_name(e[1]))

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.fibermap.augment import RowAligner
 from repro.fibermap.elements import FiberMap, MapStats
 from repro.fibermap.publish import (
@@ -201,21 +203,19 @@ class MapConstructionPipeline:
         """Identify the ROW a published geometry follows on one edge.
 
         The candidate whose midpoint lies closest to the published route
-        wins; this is the geometric core of the paper's "link locations
-        align along the same geographic path" test.
+        wins (the first one on a tie); this is the geometric core of the
+        paper's "link locations align along the same geographic path"
+        test.  All candidates are scored in one kernel call.
         """
-        best_row = None
-        best_distance = float("inf")
-        for row in self._registry.rows_for_edge(*edge):
-            row_geometry = self._registry.geometry(row.row_id)
-            midpoint = row_geometry.point_at_km(row_geometry.length_km / 2.0)
-            distance = geometry.distance_to_point_km(midpoint)
-            if distance < best_distance:
-                best_distance = distance
-                best_row = row
-        if best_row is None:
+        rows = self._registry.rows_for_edge(*edge)
+        if not rows:
             raise KeyError(f"no rights-of-way registered for edge {edge}")
-        return best_row.row_id
+        if len(rows) == 1:
+            return rows[0].row_id
+        distances = geometry.distances_to_points_km(
+            [self._registry.midpoint(row.row_id) for row in rows]
+        )
+        return rows[int(np.argmin(distances))].row_id
 
     def _find_or_create_conduit(self, edge: EdgeKey, row_id: str) -> str:
         """Reuse the constructed conduit on (edge, row) or create it."""

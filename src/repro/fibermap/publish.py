@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.fibermap.elements import FiberMap, Link
 from repro.fibermap.synthesis import GroundTruth
+from repro.geo.coords import GeoPoint
 from repro.geo.polyline import Polyline
 from repro.transport.network import EdgeKey
 
@@ -75,17 +76,20 @@ class ProviderMap:
 
 
 def _link_geometry(fiber_map: FiberMap, link: Link) -> Polyline:
-    """Concatenated conduit geometry along a ground-truth link."""
-    line: Optional[Polyline] = None
+    """Concatenated conduit geometry along a ground-truth link, built as
+    one polyline over the legs' joined points."""
+    points: List[GeoPoint] = []
     for (a, b), cid in zip(
         zip(link.city_path, link.city_path[1:]), link.conduit_ids
     ):
         conduit = fiber_map.conduit(cid)
-        leg = conduit.geometry
+        leg = conduit.geometry.points
         if a != conduit.edge[0]:
-            leg = leg.reversed()
-        line = leg if line is None else line.concat(leg)
-    return line
+            leg = leg[::-1]
+        if points and leg[0] != points[-1]:
+            raise ValueError("polylines are not contiguous")
+        points.extend(leg[1:] if points else leg)
+    return Polyline(points)
 
 
 def publish_provider_maps(

@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.data.cities import City, city_by_name
+from repro.data.cities import City, city_by_name, city_table
 from repro.data.isps import ISPS, STYLE_NATIONAL, STYLE_STATES, ISPProfile
 from repro.fibermap.elements import Conduit, FiberMap
 from repro.perf.substrate import row_view
@@ -68,6 +68,9 @@ REUSE_DISCOUNT = 0.55
 #: cheaper than trenching a new one (§1, "substantial cost savings").
 #: Applies to lessees; facilities builders are indifferent.
 EXISTING_CONDUIT_DISCOUNT = 0.4
+#: Distance scale of extra-link acceptance: a candidate link this long
+#: is accepted with probability 1/2.
+LINK_DISTANCE_SCALE_KM = 300.0
 
 
 @dataclass
@@ -128,23 +131,26 @@ def _plan_links(
     pops: List[str],
     target_links: int,
     rng: random.Random,
+    scale_km: float = LINK_DISTANCE_SCALE_KM,
 ) -> List[EdgeKey]:
     """Plan which POP pairs a provider connects.
 
     A nearest-neighbor spanning skeleton guarantees connectivity; extra
     links (up to the Table 1 target) preferentially join nearby POPs,
-    which is how real backbones grow.
+    which is how real backbones grow: a candidate is accepted with a
+    probability decaying in its distance on a *scale_km* scale.  Both
+    read the POPs' rows of the compiled city table.
     """
     cities = {key: city_by_name(key) for key in pops}
     ordered = sorted(pops, key=lambda k: -cities[k].population)
+    position = {key: i for i, key in enumerate(ordered)}
+    distances = city_table().submatrix(ordered)
     links: Set[EdgeKey] = set()
-    connected: List[str] = [ordered[0]]
-    for key in ordered[1:]:
-        partner = min(
-            connected, key=lambda c: cities[key].distance_km(cities[c])
-        )
-        links.add(canonical_edge(key, partner))
-        connected.append(key)
+    for i in range(1, len(ordered)):
+        # Nearest of the POPs connected so far (ordered[:i]); argmin
+        # keeps min()'s first minimum.
+        partner = ordered[int(np.argmin(distances[i, :i]))]
+        links.add(canonical_edge(ordered[i], partner))
     attempts = 0
     max_attempts = target_links * 200
     while len(links) < target_links and attempts < max_attempts:
@@ -156,9 +162,8 @@ def _plan_links(
         edge = canonical_edge(a, b)
         if edge in links:
             continue
-        distance = cities[a].distance_km(cities[b])
-        # Accept with probability decaying in distance; 300 km scale.
-        if rng.random() < 1.0 / (1.0 + (distance / 300.0) ** 1.6):
+        distance = distances.item(position[a], position[b])
+        if rng.random() < 1.0 / (1.0 + (distance / scale_km) ** 1.6):
             links.add(edge)
     return sorted(links)
 

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.geo.coords import GeoPoint, great_circle_interpolate, haversine_km
 from repro.geo.vectorized import (
     haversine_km_batch,
     min_distance_to_segments_km,
     points_to_arrays,
+    segment_distance_matrix_km,
 )
 
 
@@ -126,6 +129,15 @@ class Polyline:
     def distance_to_point_km(self, point: GeoPoint) -> float:
         """Minimum distance from *point* to any segment of the polyline."""
         return min_distance_to_segments_km(point, *self._segment_arrays)
+
+    def distances_to_points_km(self, points: Sequence[GeoPoint]) -> np.ndarray:
+        """Minimum distance from each of *points* to the polyline, in one
+        kernel call; element *i* equals ``distance_to_point_km(points[i])``
+        bit for bit."""
+        lats, lons = points_to_arrays(points)
+        return segment_distance_matrix_km(
+            lats, lons, *self._segment_arrays
+        ).min(axis=1)
 
     def concat(self, other: "Polyline") -> "Polyline":
         """Join two polylines; *other* must start where this one ends."""

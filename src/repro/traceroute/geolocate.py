@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-from repro.data.cities import CITIES, city_by_code, city_by_name, nearest_city
+import numpy as np
+
+from repro.data.cities import CITIES, City, city_by_code, city_table
 from repro.fibermap.synthesis import _stable_unit
 from repro.traceroute.rngv2 import (
     RNG_CONTRACT_V1,
@@ -28,6 +30,8 @@ from repro.traceroute.topology import InternetTopology
 DEFAULT_ACCURACY = 0.85
 #: Probability it returns a nearby (wrong) city; the remainder is "unknown".
 DEFAULT_NEAR_MISS = 0.10
+#: A near miss names a city closer than this to the true one.
+NEAR_MISS_RADIUS_KM = 150.0
 
 _HINT_RE = re.compile(r"^ae-\d+\.cr\d+\.([a-z0-9]+)\.")
 
@@ -46,6 +50,16 @@ def decode_naming_hint(dns_name: str) -> Optional[str]:
         return city_by_code(code).key
     except KeyError:
         return None
+
+
+def near_miss_pool(city_key: str) -> List[City]:
+    """The base cities other than *city_key* within
+    :data:`NEAR_MISS_RADIUS_KM` of it, sorted by key: the candidates of
+    a near-miss answer, read off the city's row of the compiled table."""
+    # CITIES hold the table's leading rows, in dataset order.
+    row = city_table().row(city_key)[:len(CITIES)]
+    pool = (CITIES[i] for i in np.flatnonzero(row < NEAR_MISS_RADIUS_KM))
+    return sorted((c for c in pool if c.key != city_key), key=lambda c: c.key)
 
 
 class GeolocationDatabase:
@@ -100,15 +114,9 @@ class GeolocationDatabase:
             if u < accuracy:
                 answer: Optional[str] = router.city_key
             elif u < accuracy + near_miss:
-                true_city = city_by_name(router.city_key)
-                pool = [
-                    c
-                    for c in CITIES
-                    if c.key != true_city.key
-                    and true_city.distance_km(c) < 150.0
-                ]
+                pool = near_miss_pool(router.city_key)
                 if pool:
-                    answer = pick(sorted(pool, key=lambda c: c.key), index).key
+                    answer = pick(pool, index).key
                 else:
                     answer = router.city_key
             else:

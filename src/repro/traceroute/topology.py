@@ -19,7 +19,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.data.cities import city_by_name
+import numpy as np
+
+from repro.data.cities import city_by_name, city_table
 from repro.fibermap.elements import FiberMap
 from repro.fibermap.synthesis import GroundTruth, _stable_unit
 from repro.geo.coords import fiber_delay_ms
@@ -180,16 +182,18 @@ class InternetTopology:
             return
         # Spanning skeleton over the conduit graph.
         ordered = sorted(pops, key=lambda c: -city_by_name(c).population)
+        table = city_table()
         connected = [ordered[0]]
+        connected_rows = [table.index[ordered[0]]]
         for city in ordered[1:]:
-            partner = min(
-                connected,
-                key=lambda c: city_by_name(city).distance_km(city_by_name(c)),
-            )
+            # Nearest connected POP; argmin keeps min()'s first minimum.
+            nearest = np.argmin(table.row(city)[connected_rows])
+            partner = connected[int(nearest)]
             path = view.shortest_path(city, partner, "length_km")
             if path is None:
                 continue
             connected.append(city)
+            connected_rows.append(table.index[city])
             conduit_ids = cs.path_conduits(view, path)
             length = view.path_length(path, "length_km")
             ra = self._router_for(name, city)

@@ -55,6 +55,7 @@ def _meander_leg(
     if leg_km < spacing_km * 1.5 or amp_km <= 0.0:
         return points
     n = max(2, int(leg_km / spacing_km))
+    heading = bearing_deg(a, b) + 90.0
     for i in range(1, n):
         fraction = i / n
         base = great_circle_interpolate(a, b, fraction)
@@ -67,7 +68,6 @@ def _meander_leg(
             * math.sin(2.0 * math.pi * along_km / wavelength_km + phase)
         )
         if abs(offset) > 1e-9:
-            heading = bearing_deg(a, b) + 90.0
             base = destination_point(base, heading, offset)
         points.append(base)
     return points

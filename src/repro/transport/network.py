@@ -9,7 +9,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.data.cities import city_by_name
 from repro.data.corridors import Corridor
-from repro.geo.coords import haversine_km
 from repro.geo.overlap import CorridorIndex
 from repro.geo.polyline import Polyline
 from repro.perf.substrate import row_view
@@ -50,6 +49,10 @@ class RowEdge:
     geometries: Dict[str, Polyline] = field(default_factory=dict)
     kind_of: Dict[str, str] = field(default_factory=dict)
     grade_of: Dict[str, str] = field(default_factory=dict)
+    #: ``length_km``, cached until the next leg is added.
+    _length_km: Optional[float] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def is_primary(self) -> bool:
@@ -59,7 +62,9 @@ class RowEdge:
     @property
     def length_km(self) -> float:
         """Length of the shortest covering corridor geometry."""
-        return min(g.length_km for g in self.geometries.values())
+        if self._length_km is None:
+            self._length_km = min(g.length_km for g in self.geometries.values())
+        return self._length_km
 
     def geometry_for_kind(self, kind: str) -> Optional[Polyline]:
         """A representative geometry of the given *kind*, if any covers it."""
@@ -128,6 +133,7 @@ class TransportationNetwork:
         )
         record.kind_of[corridor.name] = corridor.kind
         record.grade_of[corridor.name] = corridor.grade
+        record._length_km = None
         self._cities.update(key)
 
     # ------------------------------------------------------------------
@@ -156,9 +162,7 @@ class TransportationNetwork:
     # ------------------------------------------------------------------
     def los_km(self, a_key: str, b_key: str) -> float:
         """Line-of-sight (great circle) distance between two cities."""
-        a = city_by_name(a_key).location
-        b = city_by_name(b_key).location
-        return haversine_km(a, b)
+        return city_by_name(a_key).distance_km(city_by_name(b_key))
 
     def row_shortest_path(
         self,

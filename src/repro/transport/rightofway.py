@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.data.cities import city_by_name
+from repro.geo.coords import GeoPoint
 from repro.geo.polyline import Polyline
 from repro.transport.network import EdgeKey, TransportationNetwork, canonical_edge
 
@@ -53,6 +54,7 @@ class RowRegistry:
         self._rows: Dict[str, RightOfWay] = {}
         self._by_edge: Dict[EdgeKey, List[str]] = {}
         self._occupants: Dict[str, Set[str]] = {}
+        self._midpoints: Dict[str, GeoPoint] = {}
         for record in network.edges():
             for name in sorted(record.corridor_names):
                 kind = record.kind_of[name]
@@ -102,6 +104,15 @@ class RowRegistry:
         row = self._rows[row_id]
         record = self._network.edge(*row.edge)
         return record.geometries[row.corridor_name]
+
+    def midpoint(self, row_id: str) -> GeoPoint:
+        """The point halfway along a ROW's geometry (computed once)."""
+        point = self._midpoints.get(row_id)
+        if point is None:
+            geometry = self.geometry(row_id)
+            point = geometry.point_at_km(geometry.length_km / 2.0)
+            self._midpoints[row_id] = point
+        return point
 
     def rows_in_state(self, state: str) -> List[RightOfWay]:
         return [r for r in self.rows() if state in r.states]

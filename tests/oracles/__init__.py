@@ -30,6 +30,11 @@ still require the package to be indistinguishable from them:
   global) and the §2 step-3 aligner's NetworkX candidate loop;
 * :mod:`tests.oracles.geo` — the §3 per-point lat/lon grid index and
   the per-sample co-location loop the compiled corridor index replaced;
+* :mod:`tests.oracles.cities` — the §2 set-up's scalar per-pair
+  city-distance loops (the link planners' spanning skeletons, the
+  geolocation near-miss pool, the secondary-road grid), step 1's
+  per-candidate ROW midpoint match and the per-hop link-geometry join
+  the compiled city table and one-shot kernels replaced;
 * :mod:`tests.oracles.graphs` — the NetworkX graphs of the ROW network
   and the router topology (the package keeps none), and the compile of
   a NetworkX graph into a routing core.
