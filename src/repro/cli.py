@@ -572,8 +572,20 @@ def _cmd_backup(scenario: Scenario, isp: str, city_a: str, city_b: str) -> int:
 
 
 def _cmd_partition(scenario: Scenario) -> int:
+    from repro.experiments import EXPERIMENTS
+    from repro.experiments.runner import UnsupportedExperimentError
     from repro.resilience import partition_report
 
+    # The west-east cut anchors on US longitudes; only families that
+    # declare the partition study get it.
+    family = scenario.family
+    if not family.supports("ext_partition"):
+        error = UnsupportedExperimentError(
+            "ext_partition", family.name,
+            family.supported_experiments(EXPERIMENTS),
+        )
+        print(str(error), file=sys.stderr)
+        return 2
     report = partition_report(scenario.constructed_map)
     print(f"minimum west-east right-of-way cuts: {report.min_cuts}")
     for a, b in report.cut_edges:

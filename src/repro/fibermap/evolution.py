@@ -4,8 +4,9 @@ The paper stresses that the physical map changes slowly ("installed
 conduits rarely become defunct, and deploying new conduits takes
 considerable time") and that sharing-friendly policy accelerates conduit
 reuse.  This module grows a ground-truth world forward year by year —
-each provider adds links at a configurable rate, routed with the same
-lease-vs-trench economics as the original synthesis — and records the
+each provider adds links at a configurable rate, deployed by the same
+route-and-occupy step (:func:`~repro.fibermap.synthesis.deploy_links`)
+and rules as the original synthesis — and records the
 sharing trajectory: does growth mostly pile into the existing tubes?
 """
 
@@ -13,13 +14,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
-from repro.data.isps import isp_by_name
 from repro.fibermap.elements import FiberMap, MapStats
 from repro.fibermap.serialization import fiber_map_from_dict, fiber_map_to_dict
-from repro.fibermap.synthesis import GroundTruth, _IspRouter, _occupy_edge
-from repro.transport.network import canonical_edge
+from repro.fibermap.synthesis import GroundTruth, deploy_links
+from repro.transport.network import EdgeKey, canonical_edge
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,27 @@ def _snapshot(fiber_map: FiberMap, year: int, new_links: int,
     )
 
 
+def _new_pairs(
+    pops: List[str],
+    existing_pairs: Set[EdgeKey],
+    budget: int,
+    rng: random.Random,
+) -> Iterator[Tuple[str, str]]:
+    """Up to *budget* POP pairs the provider does not link yet, drawn
+    lazily: each draw follows the previous link's row draws on *rng*."""
+    added = 0
+    attempts = 0
+    while added < budget and attempts < budget * 50:
+        attempts += 1
+        a, b = rng.sample(pops, 2)
+        pair = canonical_edge(a, b)
+        if pair in existing_pairs:
+            continue
+        existing_pairs.add(pair)
+        added += 1
+        yield a, b
+
+
 def simulate_growth(
     ground_truth: GroundTruth,
     years: int = 5,
@@ -84,26 +105,24 @@ def simulate_growth(
     The input ground truth is not mutated; growth happens on a deep copy
     of its fiber map.  Each year every provider adds
     ``round(annual_link_growth * current links)`` new links between
-    randomly chosen pairs of its existing POPs, routed with the original
-    synthesis economics (builders trench, lessees herd).
+    randomly chosen pairs of its existing POPs, deployed under the
+    ground truth's own rules (builders trench, lessees herd).
     """
     if years <= 0:
         raise ValueError("years must be positive")
     if annual_link_growth < 0:
         raise ValueError("growth rate must be non-negative")
     fiber_map = fiber_map_from_dict(fiber_map_to_dict(ground_truth.fiber_map))
-    registry = ground_truth.registry
-    network = ground_truth.network
+    profiles = {p.name: p for p in ground_truth.profiles}
     rng = random.Random(seed)
     used_row_ids: Set[str] = {
         c.row_id for c in fiber_map.conduits.values()
     }
     snapshots: List[YearSnapshot] = [_snapshot(fiber_map, 0, 0, 0)]
     for year in range(1, years + 1):
-        year_links = 0
-        conduits_before = fiber_map.stats().num_conduits
+        links_before = len(fiber_map.links)
+        conduits_before = len(fiber_map.conduits)
         for isp in fiber_map.isps():
-            profile = isp_by_name(isp)
             current = fiber_map.links_of(isp)
             budget = round(annual_link_growth * len(current))
             if budget <= 0:
@@ -111,34 +130,16 @@ def simulate_growth(
             pops = sorted({e for link in current for e in link.endpoints})
             if len(pops) < 2:
                 continue
-            existing_pairs = {link.endpoints for link in current}
-            edges_with_conduits = {
-                c.edge for c in fiber_map.conduits.values()
-            }
-            router = _IspRouter(profile, network, edges_with_conduits)
-            added = 0
-            attempts = 0
-            while added < budget and attempts < budget * 50:
-                attempts += 1
-                a, b = rng.sample(pops, 2)
-                pair = canonical_edge(a, b)
-                if pair in existing_pairs:
-                    continue
-                path = router.route(a, b)
-                router.mark_used(path)
-                conduit_ids = []
-                for u, v in zip(path, path[1:]):
-                    conduit = _occupy_edge(
-                        fiber_map, registry, canonical_edge(u, v),
-                        isp, used_row_ids, rng,
-                    )
-                    conduit_ids.append(conduit.conduit_id)
-                fiber_map.add_link(isp, path, conduit_ids)
-                existing_pairs.add(pair)
-                added += 1
-                year_links += 1
-        new_conduits = fiber_map.stats().num_conduits - conduits_before
-        snapshots.append(
-            _snapshot(fiber_map, year, year_links, new_conduits)
-        )
+            pairs = _new_pairs(
+                pops, {link.endpoints for link in current}, budget, rng
+            )
+            deploy_links(
+                fiber_map, ground_truth.registry, ground_truth.network,
+                profiles[isp], pairs, used_row_ids, rng, ground_truth.rules,
+            )
+        snapshots.append(_snapshot(
+            fiber_map, year,
+            len(fiber_map.links) - links_before,
+            len(fiber_map.conduits) - conduits_before,
+        ))
     return GrowthResult(snapshots=tuple(snapshots))

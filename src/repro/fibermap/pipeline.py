@@ -33,7 +33,6 @@ from repro.fibermap.records import RecordsCorpus, generate_records
 from repro.fibermap.synthesis import GroundTruth
 from repro.fibermap.validate import (
     choose_row_with_evidence,
-    geometry_row_distance_km,
     tenants_from_records,
 )
 from repro.geo.polyline import Polyline

@@ -13,6 +13,13 @@ This module synthesizes one with the economics the paper describes:
 * heavily tenanted corridors occasionally gain a second, parallel conduit
   (the paper's "parallel deployments (e.g., Kansas City to Denver)").
 
+This is the only deployment code: every map family runs it, and a
+family differs only in its carriers, its transport network and its
+:class:`DeploymentRules` (:data:`US_RULES` here; ``global2023`` keeps
+its own beside its carriers).  The growth projection
+(:mod:`repro.fibermap.evolution`) deploys its new links through
+:func:`deploy_links` too.
+
 Everything is driven by one integer seed; two runs with the same seed
 produce byte-identical maps.
 """
@@ -22,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -31,57 +38,117 @@ from repro.data.isps import ISPS, STYLE_NATIONAL, STYLE_STATES, ISPProfile
 from repro.fibermap.elements import Conduit, FiberMap
 from repro.perf.substrate import row_view
 from repro.transport.builder import build_transport_network
-from repro.transport.network import (
-    EdgeKey,
-    RowEdge,
-    TransportationNetwork,
-    canonical_edge,
-)
-from repro.transport.rightofway import RowRegistry
+from repro.transport.network import EdgeKey, TransportationNetwork, canonical_edge
+from repro.transport.rightofway import RightOfWay, RowRegistry
 
-#: Tenants on the least-loaded conduit of an edge before a parallel
-#: conduit becomes attractive.
-PARALLEL_THRESHOLD = 13
-#: Maximum parallel conduits per city-pair edge.
-MAX_PARALLEL = 2
-#: Fraction of edges with room for a parallel conduit (sticky per edge;
-#: pinch points that never split accumulate the extreme tenant counts of
-#: the paper's twelve most-shared conduits).
-PARALLEL_PROB = 0.35
-#: Probability a brand-new conduit picks a road ROW when one exists.
+#: Probability a brand-new US conduit picks a road ROW when one exists.
 ROAD_PREFERENCE = 0.8
-#: Relative routing cost of non-road rights-of-way.
-KIND_FACTORS = {"road": 1.0, "rail": 1.07, "pipeline": 1.12}
 #: Routing penalty of secondary (US-route / state-highway) corridors.
 #: Cable MSOs actively prefer the local-road grid of their own markets;
 #: other facilities builders are indifferent; lessees can only go where
 #: conduits already run, which keeps them on the primary trunk system.
+#: Only the US transport network has secondary corridors.
 SECONDARY_FACTOR_CABLE = 0.95
 SECONDARY_FACTOR_BUILDER = 1.05
 SECONDARY_FACTOR_LESSEE = 1.5
-#: Magnitude of per-provider route diversity (fraction of edge length).
-JITTER_SPREAD = 0.4
-#: Discount applied to edges a provider already uses (trunk reuse).
-REUSE_DISCOUNT = 0.55
-#: Discount for edges where *any* provider already installed a conduit:
-#: pulling fiber through an existing tube (IRU / dark-fiber lease) is far
-#: cheaper than trenching a new one (§1, "substantial cost savings").
-#: Applies to lessees; facilities builders are indifferent.
-EXISTING_CONDUIT_DISCOUNT = 0.4
-#: Distance scale of extra-link acceptance: a candidate link this long
-#: is accepted with probability 1/2.
-LINK_DISTANCE_SCALE_KM = 300.0
+
+
+@dataclass(frozen=True)
+class DeploymentRules:
+    """The economics one map family deploys fiber under.
+
+    Every family runs the same process (:func:`deploy_links`): route
+    each link over rights-of-way, then lease an existing conduit or
+    trench a new one.  Families differ only in these values.
+    """
+
+    #: Relative routing cost per right-of-way kind.
+    kind_factors: Dict[str, float]
+    #: Magnitude of per-provider route diversity (fraction of edge length).
+    jitter_spread: float
+    #: Discount applied to edges a provider already uses (trunk reuse).
+    reuse_discount: float
+    #: Discount, for lessees, on edges where *any* provider already
+    #: installed a conduit (the IRU / dark-fiber lease pull).
+    herd_discount: float
+    #: Distance scale of extra-link acceptance: a candidate link this
+    #: long is accepted with probability 1/2.
+    link_distance_scale_km: float
+    #: Tenants on the least-loaded conduit of an edge before a parallel
+    #: conduit becomes attractive.
+    parallel_threshold: int
+    #: Maximum parallel conduits per city-pair edge.
+    max_parallel: int
+    #: Fraction of edges with room for a parallel conduit (sticky per
+    #: edge: pinch points that never split accumulate the extreme
+    #: tenant counts).
+    parallel_prob: float
+    #: Salt of the per-edge hash that decides which edges can split.
+    split_salt: str
+    #: Chooses the right-of-way for a new conduit among an edge's rows
+    #: (roads first, see :meth:`RowRegistry.rows_for_edge`) and the row
+    #: ids already hosting a conduit; ``None`` when every row is taken.
+    pick_row: Callable[
+        [Sequence[RightOfWay], Set[str], random.Random], Optional[str]
+    ]
+
+
+def _pick_row_for_new_conduit(
+    rows: Sequence[RightOfWay],
+    used_row_ids: Set[str],
+    rng: random.Random,
+) -> Optional[str]:
+    """Choose the right-of-way for a brand-new US conduit.
+
+    Kinds are drawn with the empirical ROW mix of §3 — mostly roads,
+    some rail, occasionally a pipeline right-of-way (Figure 5) — among
+    the kinds still unused on the edge; returns ``None`` when every ROW
+    on the edge already hosts a conduit.
+    """
+    candidates = [r for r in rows if r.row_id not in used_row_ids]
+    if not candidates:
+        return None
+    by_kind = {"road": [], "rail": [], "pipeline": []}
+    for row in candidates:
+        by_kind[row.kind].append(row)
+    weights = {"road": ROAD_PREFERENCE, "rail": 0.18, "pipeline": 0.12}
+    available = [k for k in ("road", "rail", "pipeline") if by_kind[k]]
+    total = sum(weights[k] for k in available)
+    draw = rng.random() * total
+    for kind in available:
+        draw -= weights[kind]
+        if draw <= 0.0:
+            return by_kind[kind][0].row_id
+    return by_kind[available[-1]][0].row_id
+
+
+US_RULES = DeploymentRules(
+    kind_factors={"road": 1.0, "rail": 1.07, "pipeline": 1.12},
+    jitter_spread=0.4,
+    reuse_discount=0.55,
+    # Pulling fiber through an existing tube is far cheaper than
+    # trenching a new one (§1, "substantial cost savings").
+    herd_discount=0.4,
+    link_distance_scale_km=300.0,
+    parallel_threshold=13,
+    max_parallel=2,
+    parallel_prob=0.35,
+    split_salt="split",
+    pick_row=_pick_row_for_new_conduit,
+)
 
 
 @dataclass
 class GroundTruth:
-    """The synthesized world: actual conduits, tenancy, and substrates."""
+    """The synthesized world: actual conduits, tenancy, and substrates,
+    plus the rules it was deployed under (growth reuses them)."""
 
     fiber_map: FiberMap
     network: TransportationNetwork
     registry: RowRegistry
     seed: int
     profiles: Tuple[ISPProfile, ...]
+    rules: DeploymentRules
 
 
 def _stable_unit(token: str) -> float:
@@ -131,7 +198,7 @@ def _plan_links(
     pops: List[str],
     target_links: int,
     rng: random.Random,
-    scale_km: float = LINK_DISTANCE_SCALE_KM,
+    scale_km: float,
 ) -> List[EdgeKey]:
     """Plan which POP pairs a provider connects.
 
@@ -168,25 +235,52 @@ def _plan_links(
     return sorted(links)
 
 
-class _RowRouter:
+class _IspRouter:
     """Routes one provider's links on its own clone of the network's
-    compiled ROW view, weighted ``"w"`` by *weight_of*.  A used path's
-    edges drop to ``reuse_discount`` of their weight, once (the
-    keep-the-smaller rule of ``upsert_edge``), which consolidates the
-    provider onto its own trunks."""
+    compiled ROW view, weighted ``"w"``.
+
+    Edge weights combine geometry length, right-of-way kind preference,
+    a provider-specific deterministic jitter (route diversity across
+    providers), and the lessee pull toward edges that already host a
+    conduit.  A used path's edges drop to the reuse discount of their
+    weight, once (the keep-the-smaller rule of ``upsert_edge``), which
+    consolidates the provider onto its own trunks.
+    """
 
     def __init__(
         self,
+        profile: ISPProfile,
         network: TransportationNetwork,
-        weight_of: Callable[[RowEdge], float],
-        reuse_discount: float,
+        edges_with_conduits: Set[EdgeKey],
+        rules: DeploymentRules,
     ):
+        # Lessees are pulled hard toward edges that already host a conduit
+        # (an IRU is far cheaper than trenching); facilities builders are
+        # nearly indifferent and lay fiber where their own routing says.
+        herd = rules.herd_discount if not profile.builder else 1.0
+        if profile.tier == "cable":
+            secondary_factor = SECONDARY_FACTOR_CABLE
+        elif profile.builder:
+            secondary_factor = SECONDARY_FACTOR_BUILDER
+        else:
+            secondary_factor = SECONDARY_FACTOR_LESSEE
         self.view = row_view(network).clone()
         base = np.empty(self.view.num_edges)
         for record in network.edges():
-            base[self.view.edge_index(*record.edge)] = weight_of(record)
+            kind_factor = min(
+                rules.kind_factors[record.kind_of[name]]
+                * (secondary_factor if record.grade_of[name] == "secondary" else 1.0)
+                for name in record.corridor_names
+            )
+            jitter = 1.0 + rules.jitter_spread * _stable_unit(
+                f"{profile.name}|{record.edge[0]}|{record.edge[1]}"
+            )
+            weight = record.length_km * kind_factor * jitter
+            if record.edge in edges_with_conduits:
+                weight *= herd
+            base[self.view.edge_index(*record.edge)] = weight
         self.view.weights["w"] = base
-        self._reused = base * reuse_discount
+        self._reused = base * rules.reuse_discount
 
     def route(self, a_key: str, b_key: str) -> List[str]:
         path = self.view.shortest_path(a_key, b_key, "w")
@@ -200,82 +294,43 @@ class _RowRouter:
             self.view.upsert_edge(a, b, "w", {"w": reused})
 
 
-class _IspRouter(_RowRouter):
-    """Edge weights combine geometry length, right-of-way kind
-    preference, a provider-specific deterministic jitter (route
-    diversity across providers), and the lessee pull toward edges that
-    already host a conduit."""
-
-    def __init__(
-        self,
-        profile: ISPProfile,
-        network: TransportationNetwork,
-        edges_with_conduits: Set[EdgeKey],
-    ):
-        # Lessees are pulled hard toward edges that already host a conduit
-        # (an IRU is far cheaper than trenching); facilities builders are
-        # nearly indifferent and lay fiber where their own routing says.
-        herd = EXISTING_CONDUIT_DISCOUNT if not profile.builder else 1.0
-        if profile.tier == "cable":
-            secondary_factor = SECONDARY_FACTOR_CABLE
-        elif profile.builder:
-            secondary_factor = SECONDARY_FACTOR_BUILDER
-        else:
-            secondary_factor = SECONDARY_FACTOR_LESSEE
-
-        def weight_of(record: RowEdge) -> float:
-            kind_factor = min(
-                KIND_FACTORS[record.kind_of[name]]
-                * (secondary_factor if record.grade_of[name] == "secondary" else 1.0)
-                for name in record.corridor_names
-            )
-            jitter = 1.0 + JITTER_SPREAD * _stable_unit(
-                f"{profile.name}|{record.edge[0]}|{record.edge[1]}"
-            )
-            weight = record.length_km * kind_factor * jitter
-            if record.edge in edges_with_conduits:
-                weight *= herd
-            return weight
-
-        super().__init__(network, weight_of, REUSE_DISCOUNT)
-
-
-def _pick_row_for_new_conduit(
-    edge: EdgeKey,
+def deploy_links(
+    fiber_map: FiberMap,
     registry: RowRegistry,
+    network: TransportationNetwork,
+    profile: ISPProfile,
+    pairs: Iterable[Tuple[str, str]],
     used_row_ids: Set[str],
     rng: random.Random,
-) -> Optional[str]:
-    """Choose the right-of-way for a brand-new conduit on *edge*.
+    rules: DeploymentRules,
+) -> None:
+    """Route one provider's links between *pairs* of POPs and occupy (or
+    create) a conduit on every edge of each route.
 
-    Kinds are drawn with the empirical ROW mix of §3 — mostly roads,
-    some rail, occasionally a pipeline right-of-way (Figure 5) — among
-    the kinds still unused on the edge; returns ``None`` when every ROW
-    on the edge already hosts a conduit.
+    *fiber_map* and *used_row_ids* grow in place.  *pairs* is consumed
+    one link at a time, so a generator may draw from *rng* between the
+    row draws of consecutive links.
     """
-    candidates = [
-        r for r in registry.rows_for_edge(*edge) if r.row_id not in used_row_ids
-    ]
-    if not candidates:
-        return None
-    by_kind = {"road": [], "rail": [], "pipeline": []}
-    for row in candidates:
-        by_kind[row.kind].append(row)
-    weights = {"road": ROAD_PREFERENCE, "rail": 0.18, "pipeline": 0.12}
-    available = [k for k in ("road", "rail", "pipeline") if by_kind[k]]
-    total = sum(weights[k] for k in available)
-    draw = rng.random() * total
-    for kind in available:
-        draw -= weights[kind]
-        if draw <= 0.0:
-            return by_kind[kind][0].row_id
-    return by_kind[available[-1]][0].row_id
+    edges_with_conduits = {c.edge for c in fiber_map.conduits.values()}
+    router = _IspRouter(profile, network, edges_with_conduits, rules)
+    for a_key, b_key in pairs:
+        path = router.route(a_key, b_key)
+        router.mark_used(path)
+        conduit_ids = [
+            _occupy_edge(
+                fiber_map, registry, canonical_edge(u, v),
+                profile.name, used_row_ids, rng, rules,
+            ).conduit_id
+            for u, v in zip(path, path[1:])
+        ]
+        fiber_map.add_link(profile.name, path, conduit_ids)
 
 
 def synthesize_ground_truth(
     seed: int = 2015,
     network: Optional[TransportationNetwork] = None,
     profiles: Optional[Sequence[ISPProfile]] = None,
+    rules: DeploymentRules = US_RULES,
 ) -> GroundTruth:
     """Generate the full ground-truth world for one seed.
 
@@ -289,40 +344,30 @@ def synthesize_ground_truth(
     chosen = tuple(profiles) if profiles is not None else ISPS
     rng = random.Random(seed)
     fiber_map = FiberMap()
-    # Conduits already created, keyed by edge; rows already hosting one.
+    # Rows already hosting a conduit.
     used_row_ids: Set[str] = set()
-    on_network = set(network.cities())
-    city_pool = [city_by_name(k) for k in sorted(on_network)]
+    city_pool = [city_by_name(k) for k in sorted(network.cities())]
 
     for profile in chosen:
         pops = _select_pops(profile, city_pool, rng)
-        planned = _plan_links(pops, profile.target_links, rng)
-        edges_with_conduits = {
-            c.edge for c in fiber_map.conduits.values()
-        }
-        router = _IspRouter(profile, network, edges_with_conduits)
+        planned = _plan_links(
+            pops, profile.target_links, rng, rules.link_distance_scale_km
+        )
         # Route long links first so trunks form before short spurs route.
         planned.sort(
             key=lambda e: -city_by_name(e[0]).distance_km(city_by_name(e[1]))
         )
-        for a_key, b_key in planned:
-            path = router.route(a_key, b_key)
-            router.mark_used(path)
-            conduit_ids: List[str] = []
-            for u, v in zip(path, path[1:]):
-                conduit = _occupy_edge(
-                    fiber_map, registry, canonical_edge(u, v),
-                    profile.name, used_row_ids, rng,
-                )
-                conduit_ids.append(conduit.conduit_id)
-                registry.occupy(conduit.row_id, profile.name)
-            fiber_map.add_link(profile.name, path, conduit_ids)
+        deploy_links(
+            fiber_map, registry, network, profile, planned,
+            used_row_ids, rng, rules,
+        )
     return GroundTruth(
         fiber_map=fiber_map,
         network=network,
         registry=registry,
         seed=seed,
         profiles=chosen,
+        rules=rules,
     )
 
 
@@ -333,33 +378,43 @@ def _occupy_edge(
     isp: str,
     used_row_ids: Set[str],
     rng: random.Random,
+    rules: DeploymentRules,
 ) -> Conduit:
     """Find or create the conduit *isp* uses on one city-pair edge."""
-    existing = fiber_map.conduits_between(*edge)
-    if not existing:
-        row_id = _pick_row_for_new_conduit(edge, registry, used_row_ids, rng)
-        if row_id is None:  # pragma: no cover - rows always exist for edges
-            raise RuntimeError(f"no right-of-way available for edge {edge}")
+
+    def trench() -> Optional[Conduit]:
+        row_id = rules.pick_row(
+            registry.rows_for_edge(*edge), used_row_ids, rng
+        )
+        if row_id is None:
+            return None
         used_row_ids.add(row_id)
         return fiber_map.add_conduit(
             edge[0], edge[1], row_id, registry.geometry(row_id)
         )
+
+    existing = fiber_map.conduits_between(*edge)
+    if not existing:
+        conduit = trench()
+        if conduit is None:  # pragma: no cover - rows always exist for edges
+            raise RuntimeError(f"no right-of-way available for edge {edge}")
+        return conduit
     # Already a tenant somewhere on this edge?  Stay in that conduit.
     for conduit in existing:
         if isp in conduit.tenants:
             return conduit
     least_loaded = min(existing, key=lambda c: (c.num_tenants, c.conduit_id))
-    crowded = least_loaded.num_tenants >= PARALLEL_THRESHOLD
+    crowded = least_loaded.num_tenants >= rules.parallel_threshold
     # Whether an edge can host a parallel conduit is a property of the
     # place (is there room along another ROW?), so the decision is sticky
     # per edge: pinch points that never split accumulate the extreme
     # tenant counts the paper observes (12 conduits shared by >17 ISPs).
-    splittable = _stable_unit(f"split|{edge[0]}|{edge[1]}") < PARALLEL_PROB
-    if crowded and splittable and len(existing) < MAX_PARALLEL:
-        row_id = _pick_row_for_new_conduit(edge, registry, used_row_ids, rng)
-        if row_id is not None:
-            used_row_ids.add(row_id)
-            return fiber_map.add_conduit(
-                edge[0], edge[1], row_id, registry.geometry(row_id)
-            )
+    splittable = (
+        _stable_unit(f"{rules.split_salt}|{edge[0]}|{edge[1]}")
+        < rules.parallel_prob
+    )
+    if crowded and splittable and len(existing) < rules.max_parallel:
+        conduit = trench()
+        if conduit is not None:
+            return conduit
     return least_loaded

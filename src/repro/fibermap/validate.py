@@ -1,69 +1,19 @@
 """Validation and inference helpers for the map-construction pipeline.
 
-These implement the evidence logic of §2.2 and §2.4: aligning published
-geometry to known rights-of-way, ruling out candidate ROWs ("it may be
-that we simply need to rule out one or more ROWs in order to establish
-sufficient evidence for the path that a fiber link follows"), and
-accumulating conduit-sharing evidence from public records.
+These implement the evidence logic of §2.2 and §2.4: ruling out
+candidate ROWs ("it may be that we simply need to rule out one or more
+ROWs in order to establish sufficient evidence for the path that a fiber
+link follows"), and accumulating conduit-sharing evidence from public
+records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Tuple
 
 from repro.fibermap.records import RecordsCorpus
-from repro.geo.polyline import Polyline
 from repro.transport.network import EdgeKey
 from repro.transport.rightofway import RowRegistry
-
-#: A published geometry matches a ROW when its samples stay within this
-#: distance of the ROW geometry on average.
-ALIGNMENT_TOLERANCE_KM = 12.0
-#: Sampling density for alignment checks.
-ALIGNMENT_SPACING_KM = 25.0
-
-
-@dataclass(frozen=True)
-class RowAlignment:
-    """Result of aligning a geometry against one candidate right-of-way."""
-
-    row_id: str
-    mean_distance_km: float
-
-    @property
-    def aligned(self) -> bool:
-        return self.mean_distance_km <= ALIGNMENT_TOLERANCE_KM
-
-
-def geometry_row_distance_km(geometry: Polyline, row_geometry: Polyline,
-                             spacing_km: float = ALIGNMENT_SPACING_KM) -> float:
-    """Mean distance from samples of *geometry* to *row_geometry*."""
-    samples = geometry.resample(spacing_km)
-    return sum(row_geometry.distance_to_point_km(p) for p in samples) / len(samples)
-
-
-def align_geometry_to_row(
-    edge: EdgeKey,
-    geometry: Polyline,
-    registry: RowRegistry,
-) -> Optional[RowAlignment]:
-    """Best-matching right-of-way for a published link-leg geometry.
-
-    Candidates are the registered ROWs of *edge*; the closest one wins
-    when it is within tolerance, otherwise ``None`` (the geometry does
-    not follow any known ROW — the paper's Figure 5 situation before
-    pipeline ROWs were considered).
-    """
-    best: Optional[RowAlignment] = None
-    for row in registry.rows_for_edge(*edge):
-        distance = geometry_row_distance_km(geometry, registry.geometry(row.row_id))
-        alignment = RowAlignment(row_id=row.row_id, mean_distance_km=distance)
-        if best is None or alignment.mean_distance_km < best.mean_distance_km:
-            best = alignment
-    if best is not None and best.aligned:
-        return best
-    return None
 
 
 def choose_row_with_evidence(

@@ -6,7 +6,7 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.geo.coords import GeoPoint, great_circle_interpolate, haversine_km
+from repro.geo.coords import GeoPoint, great_circle_interpolate
 from repro.geo.vectorized import (
     haversine_km_batch,
     min_distance_to_segments_km,
@@ -144,42 +144,3 @@ class Polyline:
         if other.start != self.end:
             raise ValueError("polylines are not contiguous")
         return Polyline(self._points + other._points[1:])
-
-    def bounding_box(self) -> Tuple[float, float, float, float]:
-        """(min_lat, min_lon, max_lat, max_lon) of the route."""
-        lats = [p.lat for p in self._points]
-        lons = [p.lon for p in self._points]
-        return (min(lats), min(lons), max(lats), max(lons))
-
-
-def straightness(line: Polyline) -> float:
-    """Ratio of endpoint great-circle distance to route length, in (0, 1].
-
-    1.0 means the route follows the line of sight exactly; lower values
-    indicate circuitous deployment (the paper's §5.3 contrast between
-    deployed routes, rights-of-way, and line-of-sight).
-    """
-    direct = haversine_km(line.start, line.end)
-    if line.length_km < 1e-9:
-        return 1.0
-    return min(1.0, direct / line.length_km)
-
-
-def polyline_through(points: Sequence[GeoPoint], waypoints_per_segment: int = 0) -> Polyline:
-    """Build a polyline through *points*, optionally densified.
-
-    ``waypoints_per_segment`` extra great-circle points are inserted into
-    each consecutive pair, which makes buffer-overlap analysis smoother.
-    """
-    if waypoints_per_segment < 0:
-        raise ValueError("waypoints_per_segment must be >= 0")
-    if waypoints_per_segment == 0:
-        return Polyline(points)
-    dense: List[GeoPoint] = []
-    for a, b in zip(points, points[1:]):
-        dense.append(a)
-        for i in range(1, waypoints_per_segment + 1):
-            fraction = i / (waypoints_per_segment + 1)
-            dense.append(great_circle_interpolate(a, b, fraction))
-    dense.append(points[-1])
-    return Polyline(dense)

@@ -48,11 +48,3 @@ def simplify_polyline(line: Polyline, tolerance_km: float = 2.0) -> Polyline:
     if len(reduced) < 2:  # pragma: no cover - DP always keeps endpoints
         reduced = [line.start, line.end]
     return Polyline(reduced)
-
-
-def simplification_ratio(line: Polyline, tolerance_km: float = 2.0) -> float:
-    """Fraction of points removed at the given tolerance."""
-    simplified = simplify_polyline(line, tolerance_km)
-    if len(line) == 0:
-        return 0.0
-    return 1.0 - len(simplified) / len(line)

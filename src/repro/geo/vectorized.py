@@ -40,14 +40,6 @@ def haversine_km_batch(
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
 
 
-def pairwise_distance_matrix(points: Sequence[GeoPoint]) -> Array:
-    """Full NxN great-circle distance matrix."""
-    lats, lons = points_to_arrays(points)
-    return haversine_km_batch(
-        lats[:, None], lons[:, None], lats[None, :], lons[None, :]
-    )
-
-
 def segment_distances_km(
     point: GeoPoint,
     seg_lat_a: Array,
@@ -130,12 +122,3 @@ def min_distance_to_segments_km(
             )
         )
     )
-
-
-def path_length_km(points: Sequence[GeoPoint]) -> float:
-    """Total great-circle length of a point sequence."""
-    if len(points) < 2:
-        return 0.0
-    lats, lons = points_to_arrays(points)
-    legs = haversine_km_batch(lats[:-1], lons[:-1], lats[1:], lons[1:])
-    return float(legs.sum())

@@ -187,17 +187,6 @@ class TransportationNetwork:
             raise NoRouteError(f"No path between {a_key} and {b_key}.")
         return [view.nodes[i] for i in path], view.path_length(path, "length_km")
 
-    def path_geometry(self, path: List[str]) -> Polyline:
-        """Concatenated geometry along a city-key *path*."""
-        if len(path) < 2:
-            raise ValueError("path needs at least two cities")
-        line: Optional[Polyline] = None
-        for a_key, b_key in zip(path, path[1:]):
-            record = self.edge(a_key, b_key)
-            leg = record.geometry_oriented(a_key, b_key)
-            line = leg if line is None else line.concat(leg)
-        return line
-
     def corridor_index(self) -> CorridorIndex:
         """Spatial index of all corridor geometry by infrastructure kind,
         built and compiled once.  Networks are not edited once their

@@ -1,17 +1,18 @@
-"""Rights-of-way: jurisdiction, identity, and the sharing registry.
+"""Rights-of-way: jurisdiction and identity.
 
 The paper leans on state-specific ROW law ("laws governing rights of way
 are established on a state-by-state basis", §2.2) to drive systematic
 public-records searches, and infers conduit sharing when multiple
 providers' links align along the same ROW.  This module gives each
-corridor leg a stable ROW identity with state jurisdiction, and tracks
-which providers occupy it.
+corridor leg a stable ROW identity with state jurisdiction.  Who
+occupies a ROW is the tenancy of the one conduit built in it
+(:attr:`repro.fibermap.elements.Conduit.tenants`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List
 
 from repro.data.cities import city_by_name
 from repro.geo.coords import GeoPoint
@@ -43,17 +44,12 @@ def _row_id(kind: str, corridor_name: str, edge: EdgeKey) -> str:
 
 
 class RowRegistry:
-    """All rights-of-way of a transportation network plus occupancy.
-
-    Occupancy (which providers have pulled fiber through which ROW) is the
-    ground truth that public-records search later reveals pieces of.
-    """
+    """All rights-of-way of a transportation network."""
 
     def __init__(self, network: TransportationNetwork):
         self._network = network
         self._rows: Dict[str, RightOfWay] = {}
         self._by_edge: Dict[EdgeKey, List[str]] = {}
-        self._occupants: Dict[str, Set[str]] = {}
         self._midpoints: Dict[str, GeoPoint] = {}
         for record in network.edges():
             for name in sorted(record.corridor_names):
@@ -71,7 +67,6 @@ class RowRegistry:
                 )
                 self._rows[row_id] = row
                 self._by_edge.setdefault(record.edge, []).append(row_id)
-                self._occupants[row_id] = set()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -113,26 +108,3 @@ class RowRegistry:
             point = geometry.point_at_km(geometry.length_km / 2.0)
             self._midpoints[row_id] = point
         return point
-
-    def rows_in_state(self, state: str) -> List[RightOfWay]:
-        return [r for r in self.rows() if state in r.states]
-
-    # ------------------------------------------------------------------
-    # Occupancy
-    # ------------------------------------------------------------------
-    def occupy(self, row_id: str, provider: str) -> None:
-        """Record that *provider* has fiber in *row_id*."""
-        if row_id not in self._rows:
-            raise KeyError(row_id)
-        self._occupants[row_id].add(provider)
-
-    def occupants(self, row_id: str) -> FrozenSet[str]:
-        return frozenset(self._occupants[row_id])
-
-    def shared_rows(self, min_occupants: int = 2) -> List[RightOfWay]:
-        """ROWs with at least *min_occupants* providers."""
-        return [
-            self._rows[row_id]
-            for row_id in sorted(self._rows)
-            if len(self._occupants[row_id]) >= min_occupants
-        ]

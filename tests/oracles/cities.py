@@ -20,7 +20,7 @@ from typing import List, Optional, Set
 
 from repro.data.cities import CITIES, City, city_by_name
 from repro.data.corridors import CORRIDORS, GRADE_SECONDARY, KIND_ROAD, Corridor
-from repro.families.global2023 import LINK_DISTANCE_SCALE_KM
+from repro.families.global2023 import GLOBAL_RULES
 from repro.fibermap.elements import FiberMap, Link
 from repro.geo.coords import haversine_km
 from repro.geo.polyline import Polyline
@@ -96,7 +96,7 @@ def plan_links_global_reference(
         if edge in links:
             continue
         distance = scalar_distance_km(cities[a], cities[b])
-        scale = distance / LINK_DISTANCE_SCALE_KM
+        scale = distance / GLOBAL_RULES.link_distance_scale_km
         if rng.random() < 1.0 / (1.0 + scale ** 1.6):
             links.add(edge)
     return sorted(links)

@@ -5,9 +5,13 @@ Moved verbatim out of :mod:`repro.fibermap.synthesis`,
 each router built a NetworkX copy of the transport network and solved
 every link with ``nx.shortest_path``; the aligner copied it per
 provider and removed/restored edges to find alternates.  The package
-routes on a clone of the network's compiled right-of-way view with its
-own weight array, patched in place by the reuse discount, and the
-aligner masks edges instead.
+routes every family with one router, ``synthesis._IspRouter``, on a
+clone of the network's compiled right-of-way view with its own weight
+array, patched in place by the reuse discount, and the aligner masks
+edges instead.  The two routers here stay separate, as they were
+written: ``IspRouterReference`` is the US family's weighting and
+``CableRouterReference`` the global family's (no secondary-grade or
+herd terms), each reading its family's :class:`DeploymentRules`.
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import networkx as nx
 
 from repro.data.isps import ISPProfile
-from repro.families.global2023 import JITTER_SPREAD as CABLE_JITTER_SPREAD
-from repro.families.global2023 import KIND_FACTORS as CABLE_KIND_FACTORS
-from repro.families.global2023 import REUSE_DISCOUNT as CABLE_REUSE_DISCOUNT
+from repro.families.global2023 import GLOBAL_RULES
 from repro.fibermap.augment import (
     _DEFAULT_KIND_PENALTY,
     _EVIDENCE_CONDUIT_DISCOUNT,
@@ -33,13 +35,10 @@ from repro.fibermap.augment import (
 from repro.fibermap.elements import FiberMap
 from repro.fibermap.records import RecordsCorpus
 from repro.fibermap.synthesis import (
-    EXISTING_CONDUIT_DISCOUNT,
-    JITTER_SPREAD,
-    KIND_FACTORS,
-    REUSE_DISCOUNT,
     SECONDARY_FACTOR_BUILDER,
     SECONDARY_FACTOR_CABLE,
     SECONDARY_FACTOR_LESSEE,
+    US_RULES,
     _stable_unit,
 )
 from repro.transport.network import EdgeKey, TransportationNetwork, canonical_edge
@@ -66,7 +65,7 @@ class IspRouterReference:
         # Lessees are pulled hard toward edges that already host a conduit
         # (an IRU is far cheaper than trenching); facilities builders are
         # nearly indifferent and lay fiber where their own routing says.
-        herd = EXISTING_CONDUIT_DISCOUNT if not profile.builder else 1.0
+        herd = US_RULES.herd_discount if not profile.builder else 1.0
         if profile.tier == "cable":
             secondary_factor = SECONDARY_FACTOR_CABLE
         elif profile.builder:
@@ -75,11 +74,11 @@ class IspRouterReference:
             secondary_factor = SECONDARY_FACTOR_LESSEE
         for record in network.edges():
             kind_factor = min(
-                KIND_FACTORS[record.kind_of[name]]
+                US_RULES.kind_factors[record.kind_of[name]]
                 * (secondary_factor if record.grade_of[name] == "secondary" else 1.0)
                 for name in record.corridor_names
             )
-            jitter = 1.0 + JITTER_SPREAD * _stable_unit(
+            jitter = 1.0 + US_RULES.jitter_spread * _stable_unit(
                 f"{profile.name}|{record.edge[0]}|{record.edge[1]}"
             )
             weight = record.length_km * kind_factor * jitter
@@ -95,7 +94,7 @@ class IspRouterReference:
         for a, b in zip(path, path[1:]):
             edge = canonical_edge(a, b)
             base = self._base[edge]
-            discounted = base * REUSE_DISCOUNT
+            discounted = base * US_RULES.reuse_discount
             if self.graph[a][b]["w"] > discounted:
                 self.graph[a][b]["w"] = discounted
 
@@ -114,10 +113,10 @@ class CableRouterReference:
         self._base: Dict[EdgeKey, float] = {}
         for record in network.edges():
             kind_factor = min(
-                CABLE_KIND_FACTORS[record.kind_of[name]]
+                GLOBAL_RULES.kind_factors[record.kind_of[name]]
                 for name in record.corridor_names
             )
-            jitter = 1.0 + CABLE_JITTER_SPREAD * _stable_unit(
+            jitter = 1.0 + GLOBAL_RULES.jitter_spread * _stable_unit(
                 f"{isp}|{record.edge[0]}|{record.edge[1]}"
             )
             weight = record.length_km * kind_factor * jitter
@@ -130,7 +129,7 @@ class CableRouterReference:
     def mark_used(self, path: List[str]) -> None:
         for a, b in zip(path, path[1:]):
             edge = canonical_edge(a, b)
-            discounted = self._base[edge] * CABLE_REUSE_DISCOUNT
+            discounted = self._base[edge] * GLOBAL_RULES.reuse_discount
             if self.graph[a][b]["w"] > discounted:
                 self.graph[a][b]["w"] = discounted
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,12 +26,12 @@ from repro.data.stations import STATIONS, ensure_registered
 from repro.experiments import fig2_3
 from repro.families.global2023 import (
     GLOBAL_ISPS,
-    LINK_DISTANCE_SCALE_KM,
+    GLOBAL_RULES,
     build_global_network,
 )
 from repro.fibermap.pipeline import MapConstructionPipeline
 from repro.fibermap.publish import QUALITY_DETAILED, _link_geometry
-from repro.fibermap.synthesis import _plan_links, _select_pops
+from repro.fibermap.synthesis import US_RULES, _plan_links, _select_pops
 from repro.scenario import Scenario, ScenarioConfig
 from repro.traceroute.geolocate import near_miss_pool
 from repro.transport.builder import build_transport_network, corridor_leg_polyline
@@ -123,6 +124,12 @@ def _assert_plans_match(profiles, pool, seed, plan, reference):
         assert rng.getstate() == theirs.getstate()
 
 
+_us_plan = partial(_plan_links, scale_km=US_RULES.link_distance_scale_km)
+_global_plan = partial(
+    _plan_links, scale_km=GLOBAL_RULES.link_distance_scale_km
+)
+
+
 @pytest.fixture(scope="module")
 def us_pool():
     return _us_pool()
@@ -135,30 +142,24 @@ def global_pool():
 
 class TestPlanLinks:
     def test_us_matches_scalar_at_2015(self, us_pool):
-        _assert_plans_match(ISPS, us_pool, 2015, _plan_links,
+        _assert_plans_match(ISPS, us_pool, 2015, _us_plan,
                             plan_links_reference)
 
     def test_global_matches_scalar_at_2015(self, global_pool):
-        _assert_plans_match(
-            GLOBAL_ISPS, global_pool, 2015,
-            lambda p, t, r: _plan_links(p, t, r, LINK_DISTANCE_SCALE_KM),
-            plan_links_global_reference,
-        )
+        _assert_plans_match(GLOBAL_ISPS, global_pool, 2015, _global_plan,
+                            plan_links_global_reference)
 
     @SEEDS
     @given(seed=st.integers(0, 2**31 - 1))
     def test_us_matches_scalar(self, us_pool, seed):
-        _assert_plans_match(ISPS, us_pool, seed, _plan_links,
+        _assert_plans_match(ISPS, us_pool, seed, _us_plan,
                             plan_links_reference)
 
     @SEEDS
     @given(seed=st.integers(0, 2**31 - 1))
     def test_global_matches_scalar(self, global_pool, seed):
-        _assert_plans_match(
-            GLOBAL_ISPS, global_pool, seed,
-            lambda p, t, r: _plan_links(p, t, r, LINK_DISTANCE_SCALE_KM),
-            plan_links_global_reference,
-        )
+        _assert_plans_match(GLOBAL_ISPS, global_pool, seed, _global_plan,
+                            plan_links_global_reference)
 
 
 class TestNearMissPool:

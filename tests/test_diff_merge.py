@@ -9,6 +9,7 @@ from repro.fibermap.pipeline import MapConstructionPipeline
 from repro.fibermap.records import generate_records
 from repro.geo.coords import GeoPoint
 from repro.geo.polyline import Polyline
+from tests.test_golden_hashes import fiber_map_digest
 
 A, B, C = "Denver, CO", "Limon, CO", "Hays, KS"
 
@@ -138,8 +139,14 @@ class TestEvolution:
         means = [s.mean_tenancy for s in growth.snapshots]
         assert all(b >= a - 1e-9 for a, b in zip(means, means[1:]))
 
-    def test_input_not_mutated(self, scenario, growth):
-        assert scenario.ground_truth.fiber_map.stats().num_links == 2411
+    def test_input_not_mutated(self, scenario):
+        from repro.fibermap.evolution import simulate_growth
+
+        truth = scenario.ground_truth.fiber_map
+        before = fiber_map_digest(truth)
+        simulate_growth(scenario.ground_truth, years=2, seed=5)
+        assert fiber_map_digest(truth) == before
+        assert truth.stats().num_links == 2411
 
     def test_reuse_dominates(self, growth):
         assert growth.reuse_fraction > 0.5

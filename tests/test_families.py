@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.runner import (
     EXPERIMENTS,
     UnsupportedExperimentError,
@@ -128,6 +129,18 @@ class TestGlobalFamilyEndToEnd:
         assert err.experiment_id == "fig2_3"
         assert err.family == "global2023"
         assert "table1" in err.supported
+
+    def test_cli_partition_gated(self, capsys):
+        """The west-east partition study uses US longitude anchors, so a
+        family without ``ext_partition`` gets the gating error, not a
+        cut of the wrong map."""
+        assert main(["--family", "global2023", "partition"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == str(UnsupportedExperimentError(
+            "ext_partition", "global2023",
+            get_family("global2023").supported_experiments(EXPERIMENTS),
+        ))
 
 
 class TestSweepFamilyAxis:

@@ -71,12 +71,6 @@ class TestValidity:
         rows = [c.row_id for c in ground_truth.fiber_map.conduits.values()]
         assert len(set(rows)) == len(rows)
 
-    def test_registry_occupancy_consistent(self, ground_truth):
-        registry = ground_truth.registry
-        for conduit in list(ground_truth.fiber_map.conduits.values())[:100]:
-            occupants = registry.occupants(conduit.row_id)
-            assert conduit.tenants <= set(occupants) | conduit.tenants
-
     def test_regional_style_respected(self, ground_truth):
         from repro.data.cities import city_by_name
         from repro.data.isps import STYLE_STATES

@@ -5,9 +5,7 @@ import pytest
 from repro.fibermap.augment import RowAligner
 from repro.fibermap.records import generate_records
 from repro.fibermap.validate import (
-    align_geometry_to_row,
     choose_row_with_evidence,
-    geometry_row_distance_km,
     search_evidence,
     tenants_from_records,
 )
@@ -16,35 +14,6 @@ from repro.fibermap.validate import (
 @pytest.fixture(scope="module")
 def corpus(ground_truth):
     return generate_records(ground_truth, seed=11)
-
-
-class TestGeometryAlignment:
-    def test_geometry_matches_own_row(self, ground_truth):
-        registry = ground_truth.registry
-        conduit = next(iter(ground_truth.fiber_map.conduits.values()))
-        alignment = align_geometry_to_row(
-            conduit.edge, conduit.geometry, registry
-        )
-        assert alignment is not None
-        assert alignment.row_id == conduit.row_id
-        assert alignment.aligned
-
-    def test_distance_zero_to_self(self, ground_truth):
-        conduit = next(iter(ground_truth.fiber_map.conduits.values()))
-        assert geometry_row_distance_km(
-            conduit.geometry, conduit.geometry
-        ) < 0.5
-
-    def test_far_geometry_does_not_align(self, ground_truth):
-        from repro.geo.coords import GeoPoint
-        from repro.geo.polyline import Polyline
-
-        registry = ground_truth.registry
-        conduit = next(iter(ground_truth.fiber_map.conduits.values()))
-        bogus = Polyline([GeoPoint(25.5, -80.0), GeoPoint(26.5, -80.0)])
-        alignment = align_geometry_to_row(conduit.edge, bogus, registry)
-        # Either no candidate aligns, or alignment rejects by tolerance.
-        assert alignment is None
 
 
 class TestEvidence:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo.coords import GeoPoint, haversine_km
-from repro.geo.polyline import Polyline, polyline_through, straightness
+from repro.geo.polyline import Polyline
 
 A = GeoPoint(40.0, -100.0)
 B = GeoPoint(41.0, -100.0)
@@ -102,39 +102,8 @@ class TestGeometryQueries:
         with pytest.raises(ValueError):
             Polyline([A, B]).concat(Polyline([C, A]))
 
-    def test_bounding_box(self):
-        min_lat, min_lon, max_lat, max_lon = Polyline([A, B, C]).bounding_box()
-        assert min_lat == 40.0
-        assert max_lat == 41.0
-        assert min_lon == -100.0
-        assert max_lon == -99.0
-
     def test_segments(self):
         assert list(Polyline([A, B, C]).segments()) == [(A, B), (B, C)]
-
-
-class TestStraightness:
-    def test_straight_line(self):
-        assert straightness(Polyline([A, B])) == pytest.approx(1.0, abs=1e-6)
-
-    def test_detour_less_straight(self):
-        detour = Polyline([A, GeoPoint(40.5, -98.0), B])
-        assert straightness(detour) < 0.9
-
-
-class TestPolylineThrough:
-    def test_densification_count(self):
-        line = polyline_through([A, B], waypoints_per_segment=3)
-        assert len(line) == 5
-
-    def test_densification_preserves_endpoints(self):
-        line = polyline_through([A, B, C], waypoints_per_segment=2)
-        assert line.start == A
-        assert line.end == C
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            polyline_through([A, B], waypoints_per_segment=-1)
 
 
 class TestProperties:

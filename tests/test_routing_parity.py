@@ -23,13 +23,12 @@ from repro.cli import main
 from repro.data.cities import CITIES
 from repro.data.isps import ISPS
 from repro.families.global2023 import (
-    GLOBAL_ISPS,
-    _CableRouter,
+    GLOBAL_RULES,
     synthesize_global_ground_truth,
 )
 from repro.fibermap.augment import RowAligner
 from repro.fibermap.pipeline import MapConstructionPipeline
-from repro.fibermap.synthesis import _IspRouter, synthesize_ground_truth
+from repro.fibermap.synthesis import US_RULES, _IspRouter, synthesize_ground_truth
 from repro.perf.substrate import row_view, substrate_for
 from repro.routing.backup import plan_backup
 from repro.routing.opacity import check_pair
@@ -222,23 +221,24 @@ class TestIdenticalEndpoints:
         assert captured.out == ""
 
 
+def _reference_router(profile, network, edges_with_conduits, rules):
+    """The family's NetworkX router, called like ``_IspRouter``."""
+    if rules is GLOBAL_RULES:
+        return CableRouterReference(profile.name, network)
+    return IspRouterReference(profile, network, edges_with_conduits)
+
+
 def _routers(family_scenario):
-    """(port, reference) router factories for the scenario's family."""
+    """(port, reference) routers for the scenario's family: the one
+    ``_IspRouter`` under the family's rules against its own oracle."""
     network = family_scenario.network
-    if family_scenario.config.family == "global2023":
-        for profile in GLOBAL_ISPS[:4]:
-            yield (
-                _CableRouter(profile.name, network),
-                CableRouterReference(profile.name, network),
-            )
-        return
-    conduit_edges = {
-        c.edge for c in family_scenario.ground_truth.fiber_map.conduits.values()
-    }
-    for profile in ISPS[:4] + ISPS[-2:]:
+    truth = family_scenario.ground_truth
+    conduit_edges = {c.edge for c in truth.fiber_map.conduits.values()}
+    profiles = truth.profiles[:4] + truth.profiles[-2:]
+    for profile in profiles:
         yield (
-            _IspRouter(profile, network, conduit_edges),
-            IspRouterReference(profile, network, conduit_edges),
+            _IspRouter(profile, network, conduit_edges, truth.rules),
+            _reference_router(profile, network, conduit_edges, truth.rules),
         )
 
 
@@ -260,20 +260,17 @@ class TestRouterParity:
             assert np.array_equal(patched.toarray(), rebuilt.toarray())
 
     def test_unreachable_raises(self):
-        router = _IspRouter(ISPS[0], TransportationNetwork(), set())
+        router = _IspRouter(ISPS[0], TransportationNetwork(), set(), US_RULES)
         with pytest.raises(ValueError, match="no right-of-way path"):
             router.route("Denver, CO", "Chicago, IL")
 
     def test_whole_synthesis(self, family_scenario, monkeypatch):
+        monkeypatch.setattr(
+            "repro.fibermap.synthesis._IspRouter", _reference_router
+        )
         if family_scenario.config.family == "global2023":
-            monkeypatch.setattr(
-                "repro.families.global2023._CableRouter", CableRouterReference
-            )
             truth = synthesize_global_ground_truth(family_scenario.config.seed)
         else:
-            monkeypatch.setattr(
-                "repro.fibermap.synthesis._IspRouter", IspRouterReference
-            )
             truth = synthesize_ground_truth(
                 family_scenario.config.seed, network=family_scenario.network
             )
@@ -320,7 +317,7 @@ class TestAlignerParity:
         RowAligner(scenario.network, scenario.records).best_path(
             "AT&T", "Denver, CO", "Chicago, IL"
         )
-        router = _IspRouter(ISPS[0], scenario.network, set())
+        router = _IspRouter(ISPS[0], scenario.network, set(), US_RULES)
         router.mark_used(router.route("Denver, CO", "Chicago, IL"))
         assert set(view.weights) == set(before) == {"length_km"}
         assert np.array_equal(view.weights["length_km"], before["length_km"])

@@ -10,7 +10,7 @@ from repro.fibermap.capacity import (
 )
 from repro.geo.coords import GeoPoint, haversine_km
 from repro.geo.polyline import Polyline
-from repro.geo.simplify import simplification_ratio, simplify_polyline
+from repro.geo.simplify import simplify_polyline
 
 
 class TestSimplify:
@@ -39,14 +39,6 @@ class TestSimplify:
         simplified = simplify_polyline(conduit.geometry, tolerance)
         for point in conduit.geometry.points:
             assert simplified.distance_to_point_km(point) <= tolerance + 0.5
-
-    def test_ratio(self, built_map):
-        conduit = max(
-            built_map.conduits.values(), key=lambda c: c.length_km
-        )
-        ratio = simplification_ratio(conduit.geometry, 5.0)
-        assert 0.0 <= ratio < 1.0
-        assert ratio > 0.3  # densified geometry compresses well
 
     def test_invalid_tolerance(self):
         line = Polyline([GeoPoint(40.0, -100.0), GeoPoint(41.0, -100.0)])

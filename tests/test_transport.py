@@ -123,20 +123,6 @@ class TestNetwork:
         assert isinstance(unknown.value, KeyError)
         assert isinstance(no_route.value, ValueError)
 
-    def test_path_geometry_contiguous(self, net):
-        path, km = net.row_shortest_path("Denver, CO", "Salt Lake City, UT")
-        geometry = net.path_geometry(path)
-        from repro.data.cities import city_by_name
-
-        assert haversine_km(
-            geometry.start, city_by_name("Denver, CO").location
-        ) < 1.0
-        assert geometry.length_km == pytest.approx(km, rel=0.01)
-
-    def test_path_geometry_needs_two(self, net):
-        with pytest.raises(ValueError):
-            net.path_geometry(["Denver, CO"])
-
     def test_los_symmetric(self, net):
         assert net.los_km("Denver, CO", "Chicago, IL") == net.los_km(
             "Chicago, IL", "Denver, CO"
@@ -186,21 +172,6 @@ class TestRowRegistry:
     def test_row_states(self, registry):
         rows = registry.rows_for_edge("Provo, UT", "Salt Lake City, UT")
         assert all(r.states == frozenset({"UT"}) for r in rows)
-
-    def test_occupancy(self, registry):
-        row = registry.rows_for_edge("Provo, UT", "Salt Lake City, UT")[0]
-        registry.occupy(row.row_id, "TestISP")
-        assert "TestISP" in registry.occupants(row.row_id)
-        assert row in registry.shared_rows(min_occupants=1)
-
-    def test_occupy_unknown_row(self, registry):
-        with pytest.raises(KeyError):
-            registry.occupy("road:Fake:Nowhere--Elsewhere", "X")
-
-    def test_rows_in_state(self, registry):
-        utah = registry.rows_in_state("UT")
-        assert utah
-        assert all("UT" in r.states for r in utah)
 
     def test_geometry_available(self, registry):
         row = registry.rows()[0]

@@ -15,8 +15,6 @@ from repro.geo.projection import point_segment_distance_km
 from repro.geo.vectorized import (
     haversine_km_batch,
     min_distance_to_segments_km,
-    pairwise_distance_matrix,
-    path_length_km,
     points_to_arrays,
     segment_distance_matrix_km,
     segment_distances_km,
@@ -47,19 +45,6 @@ class TestVectorized:
             np.array([lat2]), np.array([lon2]),
         )
         assert batch[0] == pytest.approx(scalar, abs=1e-9)
-
-    def test_pairwise_matrix(self):
-        points = [
-            GeoPoint(40.0, -100.0), GeoPoint(41.0, -100.0),
-            GeoPoint(40.0, -99.0),
-        ]
-        matrix = pairwise_distance_matrix(points)
-        assert matrix.shape == (3, 3)
-        assert np.allclose(np.diag(matrix), 0.0)
-        assert np.allclose(matrix, matrix.T)
-        assert matrix[0, 1] == pytest.approx(
-            haversine_km(points[0], points[1])
-        )
 
     def test_points_to_arrays(self):
         points = [GeoPoint(40.0, -100.0), GeoPoint(41.0, -99.0)]
@@ -107,17 +92,6 @@ class TestVectorized:
         point = GeoPoint(40.0, -100.0)
         empty = np.array([])
         assert min_distance_to_segments_km(point, empty, empty, empty, empty) == float("inf")
-
-    def test_path_length(self):
-        points = [
-            GeoPoint(40.0, -100.0), GeoPoint(41.0, -100.0),
-            GeoPoint(41.0, -99.0),
-        ]
-        expected = haversine_km(points[0], points[1]) + haversine_km(
-            points[1], points[2]
-        )
-        assert path_length_km(points) == pytest.approx(expected)
-        assert path_length_km(points[:1]) == 0.0
 
 
 class TestPartition:
