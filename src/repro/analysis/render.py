@@ -8,7 +8,7 @@ transcontinental corridors — are visible without a GIS.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.fibermap.elements import FiberMap
 from repro.geo.polyline import Polyline

@@ -7,7 +7,6 @@ back the Figure 9/12-style comparisons.
 
 from __future__ import annotations
 
-import random
 from typing import List, Sequence, Tuple
 
 import numpy as np

@@ -11,7 +11,7 @@ otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: Footprint styles: where an ISP concentrates its POPs.
 STYLE_NATIONAL = "national"

@@ -11,7 +11,7 @@ routes are today's most-shared corridors — can be measured.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.data.cities import city_by_name
 

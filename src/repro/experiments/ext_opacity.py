@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.analysis.report import format_table
 from repro.routing.opacity import OpacityStudy, opacity_study

@@ -9,7 +9,6 @@ spurs along northern routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.analysis.connectivity import ConnectivityReport, connectivity_report
 from repro.analysis.report import format_table

@@ -8,7 +8,7 @@ achievable shared-risk reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.analysis.report import format_table
 from repro.mitigation.robustness import RobustnessSuggestion, optimize_all_isps

@@ -9,7 +9,7 @@ providers' trunks to reach its scattered markets).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.report import format_table
 from repro.mitigation.augmentation import (

@@ -8,7 +8,7 @@ counts, and total mileage per infrastructure kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.analysis.report import format_table
 from repro.data.corridors import CORRIDORS, GRADE_SECONDARY

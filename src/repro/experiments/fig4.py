@@ -8,7 +8,6 @@ highest of all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.analysis.geography import GeographyReport, geography_report
 from repro.analysis.report import format_histogram

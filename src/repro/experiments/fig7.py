@@ -29,7 +29,7 @@ requires = ("risk_matrix",)
 
 
 def run(scenario: Scenario) -> Fig7Result:
-    return Fig7Result(rows=tuple(isp_ranking(scenario.risk_matrix)))
+    return Fig7Result(rows=isp_ranking(scenario.risk_matrix))
 
 
 def format_result(result: Fig7Result) -> str:

@@ -8,7 +8,6 @@ ISPs on the Portland-Seattle conduit, which the map listed at 18).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.analysis.report import format_cdf
 from repro.risk.traffic import TrafficRiskReport, traffic_risk_report

@@ -9,7 +9,7 @@ initial map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.analysis.report import format_table
 from repro.fibermap.pipeline import Table1Row

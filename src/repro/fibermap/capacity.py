@@ -12,7 +12,7 @@ the most capacity, so one cut destroys disproportionate bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.data.cities import city_by_name
 from repro.fibermap.synthesis import GroundTruth

@@ -138,9 +138,3 @@ class Polyline:
         return segment_distance_matrix_km(
             lats, lons, *self._segment_arrays
         ).min(axis=1)
-
-    def concat(self, other: "Polyline") -> "Polyline":
-        """Join two polylines; *other* must start where this one ends."""
-        if other.start != self.end:
-            raise ValueError("polylines are not contiguous")
-        return Polyline(self._points + other._points[1:])

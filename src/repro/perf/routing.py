@@ -9,6 +9,13 @@ per-destination Dijkstra rows: every solve is a
 :meth:`RoutingCore.prepare`), and every path is a
 :meth:`GraphView.walk` over a cached predecessor row.
 
+A cut re-trace starts from :meth:`RoutingCore.routes` (a pair sample's
+intact paths and the edge ids they ride) and asks
+:meth:`RoutingCore.paths_without` for the paths around a set of removed
+edges: only the destinations of pairs whose path crosses one are solved
+again.  What a re-trace computes from the intact graph alone is kept in
+a small per-core memo (:meth:`RoutingCore.baseline`).
+
 The overlay's conduit cores wrap the views of
 :func:`~repro.perf.substrate.substrate_for` as they are; the one graph
 that is not a fiber-map view, the router-level topology, compiles its
@@ -19,11 +26,38 @@ test suite cross-checks against this core on random (src, dst) pairs.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.perf.substrate import GraphView
+
+#: How many baselines one core keeps (:meth:`RoutingCore.baseline`); the
+#: least recently used goes first.
+BASELINE_MEMO_SIZE = 4
+
+#: Guards every core's baseline memo.
+_BASELINE_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False)
+class PairRoutes:
+    """The intact routes of a pair sample, as :meth:`RoutingCore.routes`
+    finds them: what a cut re-trace starts from.
+
+    ``paths[i]`` is the node-key path of ``pairs[i]`` (``None`` when
+    unreachable or unknown).  ``edge_ids`` lists the edge ids of every
+    path, pair after pair, and ``edge_pair`` the pair each belongs to.
+    Equality is identity: the arrays have no single truth value.
+    """
+
+    pairs: Tuple[Tuple[Hashable, Hashable], ...]
+    paths: Tuple[Optional[Tuple[Hashable, ...]], ...]
+    edge_ids: "np.ndarray"
+    edge_pair: "np.ndarray"
 
 
 class RoutingCore(GraphView):
@@ -39,6 +73,7 @@ class RoutingCore(GraphView):
         )
         self.weight = weight
         self._rows: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {}
+        self._baselines: "OrderedDict[Hashable, object]" = OrderedDict()
 
     @property
     def num_prepared(self) -> int:
@@ -46,11 +81,13 @@ class RoutingCore(GraphView):
         return len(self._rows)
 
     def __getstate__(self):
-        # Rows and solver matrices are cheap to recompute and the rows
-        # can be tens of MB; drop both so pickled topologies stay small.
+        # Rows, solver matrices and baselines are cheap to recompute and
+        # the rows can be tens of MB; drop them so pickled topologies
+        # stay small.
         state = self.__dict__.copy()
         state["_rows"] = {}
         state["_structs"] = {}
+        state["_baselines"] = OrderedDict()
         return state
 
     # ------------------------------------------------------------------
@@ -113,31 +150,86 @@ class RoutingCore(GraphView):
         nodes = self.nodes
         return [nodes[i] for i in reversed(walked)]
 
-    def paths_without(
-        self,
-        pairs: Sequence[Tuple[Hashable, Hashable]],
-        edge_mask: "np.ndarray",
-    ) -> List[Optional[List[Hashable]]]:
-        """:meth:`path` for every ``(src, dst)`` pair on the graph minus
-        the edges *edge_mask* switches off (``False`` = removed).
-
-        One batched, masked solve over the distinct destinations; the
-        rows are not cached, since they describe a different graph.
-        """
-        index = self.index
-        _dist, pred, row_of = self.dijkstra(
-            [dst for _, dst in pairs], self.weight, edge_mask=edge_mask
-        )
-        out: List[Optional[List[Hashable]]] = []
-        for src, dst in pairs:
+    def routes(
+        self, pairs: Iterable[Tuple[Hashable, Hashable]]
+    ) -> "PairRoutes":
+        """The intact shortest path of every ``(src, dst)`` pair, with
+        the edge ids each one rides (see :meth:`paths_without`)."""
+        pairs = tuple(pairs)
+        self.prepare(dst for _, dst in pairs)
+        index, nodes = self.index, self.nodes
+        paths: List[Optional[Tuple[Hashable, ...]]] = []
+        edge_ids: List[int] = []
+        edge_pair: List[int] = []
+        for i, (src, dst) in enumerate(pairs):
             s = index.get(src)
-            if s is None or dst not in row_of:
-                out.append(None)
-            elif s == index[dst]:
-                out.append([src])
-            else:
-                out.append(self._key_path(pred[row_of[dst]], s, index[dst]))
+            d = index.get(dst)
+            walked = None if s is None or d is None else self.walk(
+                self._row(d)[1], d, s
+            )
+            if walked is None:
+                paths.append(None)
+                continue
+            walked.reverse()
+            paths.append(tuple(nodes[k] for k in walked))
+            hops = self.path_edges(walked)
+            edge_ids.extend(hops)
+            edge_pair.extend([i] * len(hops))
+        return PairRoutes(
+            pairs=pairs,
+            paths=tuple(paths),
+            edge_ids=np.asarray(edge_ids, dtype=np.int64),
+            edge_pair=np.asarray(edge_pair, dtype=np.int64),
+        )
+
+    def paths_without(
+        self, routes: "PairRoutes", edge_mask: "np.ndarray"
+    ) -> List[Optional[Tuple[Hashable, ...]]]:
+        """The path of every pair of *routes* on the graph minus the
+        edges *edge_mask* switches off (``False`` = removed).
+
+        Removing edges never shortens a path, so a pair whose intact
+        path avoids every removed edge keeps it (the very tuple of
+        ``routes.paths``).  Only the destinations of pairs that do cross
+        one are solved again, in one batched, masked Dijkstra whose rows
+        equal those of a solve over every destination; the rows are not
+        cached, since they describe a different graph.
+        """
+        out = list(routes.paths)
+        crossing = np.unique(routes.edge_pair[~edge_mask[routes.edge_ids]])
+        if crossing.size == 0:
+            return out
+        hit = [routes.pairs[i] for i in crossing.tolist()]
+        _dist, pred, row_of = self.dijkstra(
+            [dst for _, dst in hit], self.weight, edge_mask=edge_mask
+        )
+        index = self.index
+        for i, (src, dst) in zip(crossing.tolist(), hit):
+            path = self._key_path(pred[row_of[dst]], index[src], index[dst])
+            out[i] = None if path is None else tuple(path)
         return out
+
+    def baseline(self, key: Hashable, build: Callable[[], object]) -> object:
+        """``build()``, computed once per *key* while the key is among
+        the :data:`BASELINE_MEMO_SIZE` most recently used.
+
+        For results that depend on the intact graph only (a cut
+        re-trace's pair sample, its routes and its RTTs before the cut),
+        so that every cut after the first pays only for what it changes.
+        Concurrent first calls may each build; all get the first stored.
+        """
+        memo = self._baselines
+        with _BASELINE_LOCK:
+            if key in memo:
+                memo.move_to_end(key)
+                return memo[key]
+        value = build()
+        with _BASELINE_LOCK:
+            value = memo.setdefault(key, value)
+            memo.move_to_end(key)
+            while len(memo) > BASELINE_MEMO_SIZE:
+                memo.popitem(last=False)
+        return value
 
     def distance(self, src: Hashable, dst: Hashable) -> float:
         """Shortest-path cost, ``inf`` when unreachable or unknown."""

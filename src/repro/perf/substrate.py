@@ -602,22 +602,19 @@ class ConduitSubstrate:
         """
         base = self.conduit_view()
         row = self.row_of[conduit_id]
-        edge_pos = None
-        for pos, rep in enumerate(base.payload["conduit"]):
-            if int(rep) == row:
-                edge_pos = pos
-                break
-        if edge_pos is None:
+        hits = np.flatnonzero(base.payload["conduit"] == row)
+        if hits.size == 0:
             return base
-        pair = (int(self.cu[row]), int(self.cv[row]))
-        replacement = None
-        for other in range(self.num_conduits):
-            if other == row:
-                continue
-            if (int(self.cu[other]), int(self.cv[other])) != pair:
-                continue
-            if replacement is None or self.tenants[other] < self.tenants[replacement]:
-                replacement = other
+        edge_pos = int(hits[0])
+        parallel = np.flatnonzero(
+            (self.cu == self.cu[row]) & (self.cv == self.cv[row])
+        )
+        parallel = parallel[parallel != row]
+        # argmin keeps the first fewest-tenant conduit in row order.
+        replacement = (
+            int(parallel[np.argmin(self.tenants[parallel])])
+            if parallel.size else None
+        )
         mask = np.ones(base.num_edges, dtype=bool)
         if replacement is None:
             mask[edge_pos] = False

@@ -26,7 +26,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.data.cities import city_by_name
 from repro.fibermap.elements import FiberMap
 from repro.perf.substrate import substrate_for
-from repro.risk.matrix import RiskMatrix
 
 #: Leasing into an existing conduit costs this fraction of trenching.
 LEASE_COST_FRACTION = 0.12

@@ -11,7 +11,7 @@ every conduit whose geometry passes near the event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro.fibermap.elements import FiberMap
 from repro.geo.coords import GeoPoint

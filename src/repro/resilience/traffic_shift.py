@@ -10,19 +10,26 @@ observe — the paper's localized-outage discussion (§7) made concrete.
 The degraded network is never built as a graph.  The topology's
 compiled routing core stays as it is; the cut becomes an edge mask
 over it (the dead adjacencies come from the topology's conduit -> edge
-index), and the degraded paths are one masked, batched Dijkstra over
-the sample's destinations.  The per-call NetworkX copy this replaced is
-the test oracle in ``tests/oracles/resilience.py``.
+index).  What does not depend on the cut — the sampled pairs, their
+intact routes and hop tails, the RTTs before the cut — is computed once
+per (campaign, sample size, seed) and kept in the core's baseline memo;
+a cut then re-solves only the destinations of pairs whose intact path
+rides a dead adjacency, in one masked, batched Dijkstra.  The per-call
+NetworkX copy this replaced is the test oracle in
+``tests/oracles/resilience.py``; the masked solve over every
+destination is the one in ``tests/oracles/routing.py``.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.perf.routing import PairRoutes, RoutingCore
 from repro.resilience.cuts import CutEvent
 from repro.traceroute.columns import TraceColumns
 from repro.traceroute.probe import QUEUE_NOISE_MS, ProbeEngine
@@ -85,7 +92,7 @@ def _sample_pairs(
 
 
 def _hop_tail(
-    engine: ProbeEngine, path: Optional[list]
+    engine: ProbeEngine, path: Optional[Sequence[RouterNode]]
 ) -> Optional[Tuple[int, float]]:
     """``(visible hops, 2.0 * one_way at the last one)`` of a router
     path, from the probe engine's own visible-hop walk (``None`` when
@@ -116,6 +123,57 @@ def _last_rtts(
     return out
 
 
+class _WeakIdentity:
+    """A memo key for an object by identity that holds it weakly: it
+    keeps no object alive, and a key of a collected object equals no
+    other key (its ``id`` may be reused)."""
+
+    __slots__ = ("_ref", "_id")
+
+    def __init__(self, obj: object):
+        self._ref = weakref.ref(obj)
+        self._id = id(obj)
+
+    def __hash__(self) -> int:
+        return self._id
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _WeakIdentity):
+            return NotImplemented
+        obj = self._ref()
+        return obj is not None and obj is other._ref()
+
+
+@dataclass(frozen=True)
+class _Baseline:
+    """The cut-independent half of a re-trace: the sample's intact
+    routes, their hop tails and the RTTs before any cut."""
+
+    routes: PairRoutes
+    tails: Tuple[Optional[Tuple[int, float]], ...]
+    before: Tuple[Optional[float], ...]
+
+
+def _baseline(
+    core: RoutingCore,
+    topology: InternetTopology,
+    campaign: TraceColumns,
+    max_traces: Optional[int],
+    seed: int,
+) -> _Baseline:
+    """The baseline of one (campaign, *max_traces*, *seed*), memoized on
+    the topology's routing *core*."""
+
+    def build() -> _Baseline:
+        routes = core.routes(_sample_pairs(campaign, max_traces))
+        engine = ProbeEngine(topology)
+        tails = tuple(_hop_tail(engine, path) for path in routes.paths)
+        return _Baseline(routes, tails, tuple(_last_rtts(tails, seed)))
+
+    key = ("traffic_shift", _WeakIdentity(campaign), max_traces, seed)
+    return core.baseline(key, build)
+
+
 def traffic_shift(
     topology: InternetTopology,
     event: CutEvent,
@@ -128,28 +186,25 @@ def traffic_shift(
     Each distinct (src, dst) of the first *max_traces* traces is traced
     on both the intact and the degraded topology, each on its own noise
     stream seeded with *seed*, so the RTT difference isolates the
-    routing change.  The intact paths come from the topology's shared
-    routing core; the degraded ones from one masked solve on that core.
+    routing change.  The intact side is the memoized baseline; the
+    degraded paths come from a masked solve over the destinations the
+    cut touches.
     """
-    pairs = _sample_pairs(campaign, max_traces)
     core = topology.routing_core()
-    core.prepare(dst for _, dst in pairs)
+    base = _baseline(core, topology, campaign, max_traces, seed)
+    degraded = core.paths_without(base.routes, dead_edge_mask(topology, event))
     engine = ProbeEngine(topology)
-    intact = [core.path(*pair) for pair in pairs]
-    intact_tails = [_hop_tail(engine, path) for path in intact]
-    degraded = core.paths_without(pairs, dead_edge_mask(topology, event))
-    # Most traces never touched the cut: their path, hence their hop
-    # tail, is unchanged.
+    # Most traces never touched the cut: they keep their path object,
+    # hence their hop tail.
     degraded_tails = [
-        tail if path == old else _hop_tail(engine, path)
-        for path, old, tail in zip(degraded, intact, intact_tails)
+        tail if path is old else _hop_tail(engine, path)
+        for path, old, tail in zip(degraded, base.routes.paths, base.tails)
     ]
-    before = _last_rtts(intact_tails, seed)
     after = _last_rtts(degraded_tails, seed)
     slower = 0
     blackholed = 0
     inflations: List[float] = []
-    for rtt_before, rtt_after in zip(before, after):
+    for rtt_before, rtt_after in zip(base.before, after):
         if rtt_before is None:
             continue
         if rtt_after is None:
@@ -166,7 +221,7 @@ def traffic_shift(
     )
     return TrafficShiftReport(
         event_description=event.description,
-        traces_examined=len(pairs),
+        traces_examined=len(base.routes.pairs),
         traces_slower=slower,
         traces_blackholed=blackholed,
         mean_inflation_ms=mean,

@@ -10,6 +10,8 @@ shared conduits that §5.1 optimizes around.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -65,8 +67,29 @@ class IspRankRow:
     num_conduits: int
 
 
-def isp_ranking(matrix: RiskMatrix) -> List[IspRankRow]:
-    """ISPs ranked by increasing average shared risk (Figure 7)."""
+#: One ranking per matrix: a :class:`RiskMatrix` never changes.
+_RANKINGS: "weakref.WeakKeyDictionary[RiskMatrix, Tuple[IspRankRow, ...]]" = (
+    weakref.WeakKeyDictionary()
+)
+_RANKINGS_LOCK = threading.Lock()
+
+
+def isp_ranking(matrix: RiskMatrix) -> Tuple[IspRankRow, ...]:
+    """ISPs ranked by increasing average shared risk (Figure 7).
+
+    Computed once per matrix; every caller shares the one (immutable)
+    tuple.
+    """
+    with _RANKINGS_LOCK:
+        ranking = _RANKINGS.get(matrix)
+    if ranking is None:
+        ranking = _rank(matrix)
+        with _RANKINGS_LOCK:
+            ranking = _RANKINGS.setdefault(matrix, ranking)
+    return ranking
+
+
+def _rank(matrix: RiskMatrix) -> Tuple[IspRankRow, ...]:
     rows = []
     for isp in matrix.isps:
         occupied = matrix.row(isp)
@@ -88,7 +111,7 @@ def isp_ranking(matrix: RiskMatrix) -> List[IspRankRow]:
             )
         )
     rows.sort(key=lambda r: (r.average, r.isp))
-    return rows
+    return tuple(rows)
 
 
 def most_shared_conduits(matrix: RiskMatrix, top: int = 12) -> List[Tuple[str, int]]:

@@ -17,7 +17,6 @@ import numpy as np
 from repro.fibermap.elements import FiberMap
 from repro.geo.coords import fiber_delay_ms
 from repro.perf.substrate import substrate_for
-from repro.transport.network import EdgeKey
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ just its conduits.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable
 
 from repro.fibermap.elements import FiberMap
 from repro.transport.network import EdgeKey

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.data.cities import city_by_name
 from repro.data.corridors import CORRIDORS, Corridor, secondary_road_corridors

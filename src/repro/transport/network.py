@@ -73,25 +73,6 @@ class RowEdge:
                 return self.geometries[name]
         return None
 
-    def any_geometry(self) -> Polyline:
-        """A representative geometry (shortest one)."""
-        return min(self.geometries.values(), key=lambda g: g.length_km)
-
-    def geometry_oriented(self, a_key: str, b_key: str,
-                          corridor_name: Optional[str] = None) -> Polyline:
-        """Geometry running from *a_key* to *b_key*.
-
-        When *corridor_name* is given, use that corridor's leg; otherwise
-        the shortest covering geometry.
-        """
-        if canonical_edge(a_key, b_key) != self.edge:
-            raise ValueError(f"({a_key}, {b_key}) is not edge {self.edge}")
-        if corridor_name is not None:
-            line = self.geometries[corridor_name]
-        else:
-            line = self.any_geometry()
-        return line if a_key == self.edge[0] else line.reversed()
-
 
 class TransportationNetwork:
     """Road/rail/pipeline rights-of-way as a geometric graph over cities.

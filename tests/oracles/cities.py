@@ -25,6 +25,7 @@ from repro.fibermap.elements import FiberMap, Link
 from repro.geo.coords import haversine_km
 from repro.geo.polyline import Polyline
 from repro.transport.network import EdgeKey, canonical_edge
+from tests.oracles.geo import concat
 
 
 def scalar_distance_km(a: City, b: City) -> float:
@@ -162,7 +163,7 @@ def link_geometry_reference(fiber_map: FiberMap, link: Link) -> Polyline:
         leg = conduit.geometry
         if a != conduit.edge[0]:
             leg = leg.reversed()
-        line = leg if line is None else line.concat(leg)
+        line = leg if line is None else concat(line, leg)
     return line
 
 

