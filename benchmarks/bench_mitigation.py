@@ -6,11 +6,14 @@ Times Figure 10 (robustness), Figure 11 (augmentation), and Figure 12
 reference implementations kept in ``tests/oracles``, asserts the
 results agree, and reports the speedup in ``BENCH_mitigation.json`` —
 the acceptance number for the substrate (target: >= 5x on the combined
-sweep).
+sweep).  Figure 10 runs on a fresh copy of the map, so its substrate
+compiles before the clock starts but its §5.1 optimum memo is cold: a
+memo hit is not reported as a speedup.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 
 from repro.mitigation.augmentation import (
@@ -41,8 +44,10 @@ def _timed(steps):
 def _substrate_sweep(scenario):
     fiber_map = scenario.constructed_map
     network = scenario.network
+    cold_map = copy.deepcopy(fiber_map)
+    substrate_for(cold_map)
     return _timed([
-        ("fig10", lambda: optimize_all_isps(fiber_map, scenario.risk_matrix)),
+        ("fig10", lambda: optimize_all_isps(cold_map, scenario.risk_matrix)),
         ("fig11", lambda: improvement_curves(
             fiber_map,
             network,

@@ -14,21 +14,24 @@ path over the original single conduit, and **shared-risk reduction**
 tenant count along the optimized path.
 
 The optimization is *ISP-independent* — the alternate path around a
-conduit is a property of the conduit graph alone — so
-:func:`optimize_all_isps` computes each conduit's optimum once on the
-shared routing substrate (see :mod:`repro.perf.substrate`) and reuses it
-across every tenant, optionally fanning the per-conduit solves out over
-a thread pool.
+conduit is a property of the conduit graph alone — so each conduit's
+optimum is solved once per map on the shared routing substrate (see
+:mod:`repro.perf.substrate`), with the conduit's exclusion as an edge
+mask and weight override over the cached conduit view, and kept there
+for every tenant, Figure 10 and every ``audit``;
+:func:`optimize_all_isps` optionally fans the solves out over a thread
+pool.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fibermap.elements import FiberMap
-from repro.perf.substrate import substrate_for
+from repro.perf.substrate import ConduitSubstrate, substrate_for
 from repro.risk.matrix import RiskMatrix
 from repro.risk.metrics import most_shared_conduits
 
@@ -95,42 +98,31 @@ def _optimized_path(
     fiber_map: FiberMap, conduit_id: str
 ) -> Optional[Tuple[Tuple[str, ...], int]]:
     """The min-shared-risk alternate path around one conduit, as
-    ``(conduit_ids, max_risk)``: exclusion is an array patch of the
-    cached collapsed conduit view, the solve one CSR Dijkstra."""
+    ``(conduit_ids, max_risk)``: solved once per conduit and kept on the
+    map's substrate (:meth:`~repro.perf.substrate.ConduitSubstrate.optimum`)."""
     cs = substrate_for(fiber_map)
-    view = cs.conduit_view_excluding(conduit_id)
-    a, b = fiber_map.conduit(conduit_id).edge
-    if not view.present(a) or not view.present(b):
+    return cs.optimum(conduit_id, partial(_solve_optimum, cs, conduit_id))
+
+
+def _solve_optimum(
+    cs: ConduitSubstrate, conduit_id: str
+) -> Optional[Tuple[Tuple[str, ...], int]]:
+    """One CSR Dijkstra over the cached collapsed conduit view, with the
+    conduit's exclusion as an edge mask and a ``risk`` override."""
+    view = cs.conduit_view()
+    failure = cs.exclusion(conduit_id)
+    mask = failure.edge_mask
+    row = cs.row_of[conduit_id]
+    a, b = cs.nodes[cs.cu[row]], cs.nodes[cs.cv[row]]
+    if not view.present(a, mask) or not view.present(b, mask):
         return None
-    path = view.shortest_path(a, b, "risk")
+    path = view.shortest_path(
+        a, b, "risk", mask, failure.override(view, "risk", cs.tenants)
+    )
     if path is None:
         return None
-    rows = view.payload["conduit"][view.path_edges(path)]
-    return cs.path_conduits(view, path), int(cs.tenants[rows].max())
-
-
-def optimize_conduit_for_isp(
-    fiber_map: FiberMap,
-    matrix: RiskMatrix,
-    isp: str,
-    conduit_id: str,
-) -> Optional[SuggestionOutcome]:
-    """Minimum-shared-risk alternate path around one conduit.
-
-    Returns ``None`` when the conduit's endpoints have no alternate
-    connection (a true bridge in the conduit graph).
-    """
-    result = _optimized_path(fiber_map, conduit_id)
-    if result is None:
-        return None
-    conduits, max_risk = result
-    return SuggestionOutcome(
-        isp=isp,
-        conduit_id=conduit_id,
-        original_risk=fiber_map.conduit(conduit_id).num_tenants,
-        optimized_conduits=conduits,
-        optimized_max_risk=max_risk,
-    )
+    rows = failure.conduit_rows(view, view.path_edges(path))
+    return tuple(cs.cids[r] for r in rows), int(cs.tenants[rows].max())
 
 
 def _suggestion_for_isp(

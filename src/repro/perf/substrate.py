@@ -22,8 +22,10 @@ tenant counts, lengths, per-ISP tenancy masks) and derives cheap
 * a collapsed simple-graph view (parallel conduits reduced to one
   representative per city pair) with **named weight arrays** — risk
   (tenant count), ``length_km``, or any caller-supplied weight;
-* **edge masking / overrides**: "exclude this conduit" or "add this
-  private conduit" is an O(1) array edit on a view, not a graph rebuild;
+* **failures as data**: dead conduits are a per-call edge mask and
+  weight override over a cached view (:meth:`ConduitSubstrate.exclusion`,
+  :meth:`ConduitSubstrate.footprint_failure`), never a view of their
+  own; "add this private conduit" is an O(1) array edit on a view;
 * **batched multi-source Dijkstra**: one
   :func:`scipy.sparse.csgraph.dijkstra` call answers every source of a
   greedy step at once;
@@ -55,15 +57,18 @@ import copy
 import threading
 import weakref
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 import numpy as np
@@ -71,8 +76,15 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
+from repro.obs.tracer import get_tracer
+
 #: scipy's sentinel for "no predecessor" in predecessor matrices.
 _NO_PREDECESSOR = -9999
+
+_T = TypeVar("_T")
+
+#: Guards every substrate's §5.1 optimum memo.
+_MEMO_LOCK = threading.Lock()
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +136,8 @@ class GraphView:
     ``eu <= ev``, named float weight arrays, and optional integer
     payload arrays (e.g. the representative conduit row per edge).
     "Node in graph" semantics follow NetworkX: a node is *present* when
-    at least one edge touches it (:meth:`present`).
+    at least one edge touches it (:meth:`present`).  Each construction
+    bumps the tracer counter ``substrate.view_builds``.
     """
 
     def __init__(
@@ -150,6 +163,7 @@ class GraphView:
         }
         self._incident: Optional["np.ndarray"] = None
         self._structs: Dict[str, tuple] = {}
+        get_tracer().count("substrate.view_builds")
 
     # -- structure -----------------------------------------------------
     @property
@@ -179,10 +193,15 @@ class GraphView:
             self._incident = incident
         return self._incident
 
-    def present(self, key: str) -> bool:
-        """NetworkX node-membership: the key has at least one edge."""
+    def present(self, key: str, edge_mask: Optional["np.ndarray"] = None) -> bool:
+        """NetworkX node-membership: the key has at least one edge (one
+        that *edge_mask* keeps, when given)."""
         i = self.index.get(key)
-        return i is not None and bool(self._incidence()[i])
+        if i is None:
+            return False
+        if edge_mask is None:
+            return bool(self._incidence()[i])
+        return bool(edge_mask[(self.eu == i) | (self.ev == i)].any())
 
     def edge_index(self, a_key: str, b_key: str) -> Optional[int]:
         ai, bi = self.index.get(a_key), self.index.get(b_key)
@@ -242,6 +261,7 @@ class GraphView:
         source_keys: Sequence[str],
         weight: str,
         edge_mask: Optional["np.ndarray"] = None,
+        override: Optional["np.ndarray"] = None,
     ) -> Tuple["np.ndarray", "np.ndarray", Dict[str, int]]:
         """Batched multi-source Dijkstra: one scipy call for all sources.
 
@@ -249,6 +269,8 @@ class GraphView:
         row per source and ``row_of`` maps source key to its row.  Keys
         missing from the node index are silently dropped (callers check
         :meth:`present` for NetworkX ``NodeNotFound`` semantics).
+        *edge_mask* removes the edges it marks ``False``; *override*, one
+        value per edge, replaces the stored *weight* for this call only.
         """
         row_of: Dict[str, int] = {}
         indices: List[int] = []
@@ -262,24 +284,30 @@ class GraphView:
             empty = np.empty((0, self.num_nodes))
             return empty, empty.astype(np.int32), row_of
         dist, pred = _csgraph_dijkstra(
-            self._solver_matrix(weight, edge_mask),
+            self._solver_matrix(weight, edge_mask, override),
             directed=True,  # the matrix is symmetric; skips the transpose
             indices=indices,
             return_predecessors=True,
         )
         return np.atleast_2d(dist), np.atleast_2d(pred), row_of
 
-    def _solver_matrix(self, weight: str, edge_mask: Optional["np.ndarray"]):
+    def _solver_matrix(
+        self,
+        weight: str,
+        edge_mask: Optional["np.ndarray"],
+        override: Optional["np.ndarray"] = None,
+    ):
         """The symmetric CSR handed to scipy, with structure caching.
 
         The sparsity structure (indptr/indices plus the data-position of
         every edge) is computed once per weight and kept across
-        :meth:`upsert_edge` replacements; a masked call (a Yen
-        spur, a cut re-trace) gets a shallow copy that shares that
-        structure but owns a fresh data vector, with masked edges set to
-        ``inf`` — which Dijkstra never relaxes across, i.e. edge removal
-        without a matrix rebuild.  Nothing shared is written, so masked
-        solves on one view are safe from concurrent threads.
+        :meth:`upsert_edge` replacements; a masked or overridden call (a
+        Yen spur, a cut, a §5.1 exclusion) gets a shallow copy that
+        shares that structure but owns a fresh data vector — the
+        override's values, with masked edges set to ``inf``, which
+        Dijkstra never relaxes across, i.e. edge removal without a
+        matrix rebuild.  Nothing shared is written, so masked and
+        overridden solves on one view are safe from concurrent threads.
         """
         struct = self._structs.get(weight)
         if struct is None:
@@ -302,13 +330,17 @@ class GraphView:
             struct = (mat, edge_at_pos, pos_of_edge)
             self._structs[weight] = struct
         mat, edge_at_pos, _pos_of_edge = struct
-        if edge_mask is None:
+        if edge_mask is None and override is None:
             return mat
-        masked = copy.copy(mat)
-        masked.data = np.where(
-            edge_mask[edge_at_pos], self.weights[weight][edge_at_pos], np.inf
+        values = (self.weights[weight] if override is None else override)[
+            edge_at_pos
+        ]
+        patched = copy.copy(mat)
+        patched.data = (
+            values if edge_mask is None
+            else np.where(edge_mask[edge_at_pos], values, np.inf)
         )
-        return masked
+        return patched
 
     def walk(
         self, pred_row: "np.ndarray", src_idx: int, dst_idx: int
@@ -363,12 +395,13 @@ class GraphView:
         b_key: str,
         weight: str,
         edge_mask: Optional["np.ndarray"] = None,
+        override: Optional["np.ndarray"] = None,
     ) -> Optional[List[int]]:
         """Single-pair shortest path as node indices, ``None`` if none."""
         ai, bi = self.index.get(a_key), self.index.get(b_key)
         if ai is None or bi is None:
             return None
-        _dist, pred, row_of = self.dijkstra([a_key], weight, edge_mask)
+        _dist, pred, row_of = self.dijkstra([a_key], weight, edge_mask, override)
         return self.walk(pred[row_of[a_key]], ai, bi)
 
     # -- K shortest simple paths (Yen over the CSR core) ---------------
@@ -479,6 +512,8 @@ class ConduitSubstrate:
                 dtype=np.int64,
             )
         self._views: Dict[object, GraphView] = {}
+        self._optima: Dict[str, object] = {}
+        self._link_index: Optional[tuple] = None
 
     @property
     def num_conduits(self) -> int:
@@ -507,16 +542,17 @@ class ConduitSubstrate:
         order: "np.ndarray",
         weights: Dict[str, "np.ndarray"],
         payload: Optional[Dict[str, "np.ndarray"]] = None,
-        cache_key: Optional[object] = None,
+        *,
+        cache_key: Hashable,
     ) -> GraphView:
         """Collapse *rows* (aligned with *order*/weights/payload arrays)
-        into a simple-graph view: per city pair, the row with the
-        strictly smallest order weight wins, first in *rows* order on
-        ties (NetworkX ``data is None or w < data[...]`` semantics)."""
-        if cache_key is not None:
-            cached = self._views.get(cache_key)
-            if cached is not None:
-                return cached
+        into a simple-graph view, built once per *cache_key*: per city
+        pair, the row with the strictly smallest order weight wins,
+        first in *rows* order on ties (NetworkX ``data is None or
+        w < data[...]`` semantics)."""
+        cached = self._views.get(cache_key)
+        if cached is not None:
+            return cached
         best: Dict[Tuple[int, int], int] = {}
         cu, cv = self.cu, self.cv
         for pos in range(len(rows)):
@@ -537,8 +573,7 @@ class ConduitSubstrate:
                 **{k: v[keep] for k, v in (payload or {}).items()},
             },
         )
-        if cache_key is not None:
-            self._views[cache_key] = view
+        self._views[cache_key] = view
         return view
 
     def conduit_view(self) -> GraphView:
@@ -592,63 +627,146 @@ class ConduitSubstrate:
         _, first = np.unique(ends, return_index=True)
         return [(self.nodes[i], int(degree[i])) for i in ends[np.sort(first)]]
 
-    def conduit_view_excluding(self, conduit_id: str) -> GraphView:
-        """The conduit view with one conduit barred from use.
+    # -- failures: dead rows as data over a cached view ----------------
+    def _failure(
+        self,
+        view: GraphView,
+        rows: "np.ndarray",
+        order: "np.ndarray",
+        dead_rows: Iterable[int],
+    ) -> "Failure":
+        """*dead_rows* removed from *view*, the cached collapse of *rows*
+        by *order*, as data over it.
 
-        When the excluded conduit is not its pair's representative the
-        base view already avoids it; otherwise the next-best parallel
-        conduit takes over (or the pair edge disappears) — an O(parallel)
-        patch of the cached base view, not a rebuild.
+        A pair whose representative dies falls back to its next row in
+        the collapse order (the first such row in *rows* order on ties,
+        the collapse's strict ``<``) or, with none left, loses its edge:
+        exactly what collapsing the surviving rows would keep.  A pair
+        whose representative survives keeps it.
         """
-        base = self.conduit_view()
-        row = self.row_of[conduit_id]
-        hits = np.flatnonzero(base.payload["conduit"] == row)
-        if hits.size == 0:
-            return base
-        edge_pos = int(hits[0])
-        parallel = np.flatnonzero(
-            (self.cu == self.cu[row]) & (self.cv == self.cv[row])
+        held = view.payload["conduit"]
+        dead = np.fromiter(dead_rows, dtype=np.int64)
+        hit = np.flatnonzero(np.isin(held, dead))
+        mask: Optional["np.ndarray"] = None
+        edges: List[int] = []
+        replacements: List[int] = []
+        if hit.size:
+            alive = ~np.isin(rows, dead)
+            cu, cv = self.cu[rows], self.cv[rows]
+            for edge in hit.tolist():
+                row = held[edge]
+                pos = np.flatnonzero(
+                    alive & (cu == self.cu[row]) & (cv == self.cv[row])
+                )
+                if pos.size:
+                    edges.append(edge)
+                    # argmin keeps the first best row in rows order.
+                    replacements.append(int(rows[pos[np.argmin(order[pos])]]))
+                else:
+                    if mask is None:
+                        mask = np.ones(view.num_edges, dtype=bool)
+                    mask[edge] = False
+        return Failure(
+            mask,
+            np.asarray(edges, dtype=np.int64),
+            np.asarray(replacements, dtype=np.int64),
         )
-        parallel = parallel[parallel != row]
-        # argmin keeps the first fewest-tenant conduit in row order.
-        replacement = (
-            int(parallel[np.argmin(self.tenants[parallel])])
-            if parallel.size else None
-        )
-        mask = np.ones(base.num_edges, dtype=bool)
-        if replacement is None:
-            mask[edge_pos] = False
-            return GraphView(
-                self.nodes,
-                self.index,
-                base.eu[mask],
-                base.ev[mask],
-                {k: v[mask] for k, v in base.weights.items()},
-                {k: v[mask] for k, v in base.payload.items()},
-            )
-        view = base.clone()
-        view.weights["risk"][edge_pos] = float(self.tenants[replacement])
-        view.weights["length_km"][edge_pos] = self.length_km[replacement]
-        view.payload["conduit"][edge_pos] = replacement
-        return view
 
-    def surviving_footprint_view(
-        self, isp: str, dead_rows: Optional[set] = None
-    ) -> GraphView:
-        """The provider's conduit graph minus *dead_rows*, collapsed to
-        the shortest parallel conduit (the impact module's graph)."""
+    def exclusion(self, conduit_id: str) -> "Failure":
+        """One conduit barred from :meth:`conduit_view` (§5.1): its pair
+        falls back to the first fewest-tenant parallel conduit, or loses
+        its edge when it has none."""
+        return self._failure(
+            self.conduit_view(),
+            np.arange(self.num_conduits, dtype=np.int64),
+            self.tenants,
+            (self.row_of[conduit_id],),
+        )
+
+    def footprint_failure(self, isp: str, dead_rows: Iterable[int]) -> "Failure":
+        """*dead_rows* cut from :meth:`footprint_view`: each
+        pair falls back to the provider's first shortest surviving
+        parallel conduit, or loses its edge."""
         rows = self.rows_for_isp(isp)
-        if dead_rows:
-            rows = np.asarray(
-                [r for r in rows if int(r) not in dead_rows], dtype=np.int64
-            )
+        return self._failure(
+            self.footprint_view(isp),
+            rows,
+            self.length_km[rows],
+            dead_rows,
+        )
+
+    def footprint_view(self, isp: str) -> GraphView:
+        """The provider's conduit graph collapsed to the shortest
+        parallel conduit (the impact, backup and opacity graph); a cut's
+        survivors are a :meth:`footprint_failure` over it."""
+        rows = self.rows_for_isp(isp)
         order = self.length_km[rows]
         return self.build_view(
-            rows,
-            order,
-            {"length_km": order},
-            cache_key=("survivors", isp) if not dead_rows else None,
+            rows, order, {"length_km": order}, cache_key=("survivors", isp)
         )
+
+    def optimum(self, conduit_id: str, solve: Callable[[], _T]) -> _T:
+        """``solve()`` once per conduit for this substrate's lifetime: the
+        §5.1 optimum around a conduit depends on the map alone, so every
+        provider, Figure 10 and every ``audit`` share it.  Concurrent
+        first calls may each solve; all get the first stored value.
+        """
+        memo = self._optima
+        with _MEMO_LOCK:
+            if conduit_id in memo:
+                return memo[conduit_id]
+        value = solve()
+        with _MEMO_LOCK:
+            return memo.setdefault(conduit_id, value)
+
+    def links_crossing(self, fiber_map, conduit_ids: Iterable[str]) -> list:
+        """Every link of *fiber_map* (this substrate's map) riding one of
+        *conduit_ids*, in the map's link order — which is also each
+        provider's ``links_of`` order.  The conduit -> links index is
+        built on first use."""
+        index = self._link_index
+        if index is None:
+            links = list(fiber_map.links.values())
+            by_conduit: Dict[str, List[int]] = {}
+            for i, link in enumerate(links):
+                for cid in link.conduit_ids:
+                    by_conduit.setdefault(cid, []).append(i)
+            index = self._link_index = (links, by_conduit)
+        links, by_conduit = index
+        hit = {i for cid in conduit_ids for i in by_conduit.get(cid, ())}
+        return [links[i] for i in sorted(hit)]
+
+
+class Failure(NamedTuple):
+    """Dead conduit rows as data over one cached collapsed view.
+
+    ``edge_mask`` is ``False`` on each edge whose city pair lost every
+    row (``None`` when none did); ``edges[i]`` lost its representative
+    but kept a parallel row, ``rows[i]``, which takes over.
+    """
+
+    edge_mask: Optional["np.ndarray"]
+    edges: "np.ndarray"
+    rows: "np.ndarray"
+
+    def override(
+        self, view: GraphView, weight: str, per_row: "np.ndarray"
+    ) -> Optional["np.ndarray"]:
+        """*view*'s *weight* with each replaced edge taking its
+        replacement row's value from *per_row* (``None``: unchanged)."""
+        if not self.edges.size:
+            return None
+        values = view.weights[weight].copy()
+        values[self.edges] = per_row[self.rows]
+        return values
+
+    def conduit_rows(self, view: GraphView, edges: Sequence[int]) -> "np.ndarray":
+        """The conduit row each of *edges* rides under the failure."""
+        edges = np.asarray(edges, dtype=np.int64)
+        rows = view.payload["conduit"][edges]
+        for edge, row in zip(self.edges.tolist(), self.rows.tolist()):
+            rows[edges == edge] = row
+        return rows
 
 
 # ----------------------------------------------------------------------

@@ -85,21 +85,27 @@ Rerouter = Callable[[str, str], Optional[float]]
 def _substrate_rerouter(
     fiber_map: FiberMap, event: CutEvent, isp: str, hit_links
 ) -> Rerouter:
-    """One batched Dijkstra over the provider's surviving-footprint view
-    answers every hit link's reroute distance."""
+    """One batched Dijkstra over the provider's cached footprint view,
+    with the cut as an edge mask and a ``length_km`` override, answers
+    every hit link's reroute distance."""
     conduits = substrate_for(fiber_map)
-    dead_rows = {
+    dead_rows = [
         conduits.row_of[cid]
         for cid in event.conduit_ids
         if cid in conduits.row_of
-    }
-    view = conduits.surviving_footprint_view(isp, dead_rows)
+    ]
+    view = conduits.footprint_view(isp)
+    failure = conduits.footprint_failure(isp, dead_rows)
+    mask = failure.edge_mask
     dist, _pred, row_of = view.dijkstra(
-        [link.endpoints[0] for link in hit_links], "length_km"
+        [link.endpoints[0] for link in hit_links],
+        "length_km",
+        mask,
+        failure.override(view, "length_km", conduits.length_km),
     )
 
     def rerouted(a: str, b: str) -> Optional[float]:
-        if not view.present(a) or not view.present(b):
+        if not view.present(a, mask) or not view.present(b, mask):
             return None
         km = float(dist[row_of[a], view.index[b]])
         if km == float("inf"):
@@ -137,11 +143,21 @@ def assess_cut(
 ) -> CutImpact:
     """Assess one cut event across every tenant of the severed conduits.
 
-    Each provider's reroute distances come from one batched Dijkstra
-    over its surviving-footprint view on the routing substrate.
+    Each provider's hit links come from the substrate's conduit ->
+    links index, and its reroute distances from one batched Dijkstra
+    over its cached footprint view with the cut as data over it.
     """
+    hits: Dict[str, list] = {}
+    for link in substrate_for(fiber_map).links_crossing(
+        fiber_map, event.conduit_ids
+    ):
+        hits.setdefault(link.isp, []).append(link)
     return _assess_cut(
-        fiber_map, event, overlay, partial(_substrate_rerouter, fiber_map, event)
+        fiber_map,
+        event,
+        overlay,
+        partial(_substrate_rerouter, fiber_map, event),
+        hits,
     )
 
 
@@ -150,19 +166,17 @@ def _assess_cut(
     event: CutEvent,
     overlay: Optional[TrafficOverlay],
     rerouter_for: Callable[[str, list], Rerouter],
+    hits: Dict[str, list],
 ) -> CutImpact:
-    """:func:`assess_cut` with the per-provider rerouter supplied by the
-    caller (the test oracle supplies a NetworkX one)."""
+    """:func:`assess_cut` with the per-provider rerouter and each
+    provider's hit links (in ``links_of`` order) supplied by the caller
+    (the test oracles supply their own)."""
     tenants = set()
     for conduit_id in event.conduit_ids:
         tenants |= fiber_map.conduit(conduit_id).tenants
     per_isp: List[IspImpact] = []
     for isp in sorted(tenants):
-        hit_links = [
-            link
-            for link in fiber_map.links_of(isp)
-            if any(cid in event.conduit_ids for cid in link.conduit_ids)
-        ]
+        hit_links = hits.get(isp, [])
         if not hit_links:
             per_isp.append(IspImpact(isp, 0, 0, 0.0, 0.0))
             continue

@@ -67,12 +67,13 @@ def plan_backup(
     provider's conduits, shortest parallel conduit per city pair).  A
     risk group is a city pair and the view holds one edge per pair, so
     the primary's risk groups are exactly its own edges: the strict
-    backup masks them, the penalized one surcharges them.
+    backup masks them, the penalized one surcharges them in a per-call
+    weight override.
     """
     if a_key == b_key:
         raise ValueError(f"identical endpoints: {a_key}")
     cs = substrate_for(fiber_map)
-    view = cs.surviving_footprint_view(isp)
+    view = cs.footprint_view(isp)
     primary_path = view.shortest_path(a_key, b_key, "length_km")
     if primary_path is None:
         return None
@@ -90,9 +91,11 @@ def plan_backup(
         backup_km = view.path_length(backup_path, "length_km")
     else:
         # Penalized attempt: allow overlap at a steep price.
-        penalized = view.clone()
-        penalized.weights["length_km"][primary_edges] += SRLG_PENALTY_KM
-        backup_path = penalized.shortest_path(a_key, b_key, "length_km")
+        penalized = view.weights["length_km"].copy()
+        penalized[primary_edges] += SRLG_PENALTY_KM
+        backup_path = view.shortest_path(
+            a_key, b_key, "length_km", override=penalized
+        )
         candidate = cs.path_conduits(view, backup_path)
         if candidate != primary:
             backup = candidate

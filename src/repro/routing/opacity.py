@@ -56,7 +56,7 @@ def _isp_path(
     """The provider's shortest conduit path, solved on the substrate's
     cached footprint view (shortest parallel conduit per city pair)."""
     cs = substrate_for(fiber_map)
-    view = cs.surviving_footprint_view(isp)
+    view = cs.footprint_view(isp)
     if not view.present(a_key) or not view.present(b_key):
         return None
     path = view.shortest_path(a_key, b_key, "length_km")

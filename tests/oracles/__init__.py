@@ -13,6 +13,10 @@ still require the package to be indistinguishable from them:
   step-by-step cumulative attack, the traffic shift re-traced over
   a NetworkX copy of the degraded router graph, and the §4 west-east
   partition over ``nx.minimum_cut``;
+* :mod:`tests.oracles.views` — the per-failure views: a §5.1
+  exclusion as its own view, a cut's surviving footprint rebuilt per
+  cut, and the penalized backup on a ``clone()`` (the package solves
+  each as a mask and a weight override over one cached view);
 * :mod:`tests.oracles.probe` — the per-destination NetworkX route walk;
 * :mod:`tests.oracles.campaign` — the v1 object and v2 scalar per-trace
   record generators the columnar campaign replaced;

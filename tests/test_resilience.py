@@ -197,21 +197,23 @@ class TestTrafficShift:
             < scenario.topology.routing_core().num_edges
         )
 
-    def test_uncut_topology_noop(self, scenario, built_map):
+    def test_uncut_topology_noop(self, scenario):
         from repro.resilience.cuts import CutEvent
         from tests.oracles.resilience import DegradedTopology
 
-        # A cut of a conduit no router adjacency maps onto: pick a spur
-        # conduit with a single tenant and verify minimal edge loss.
-        event = CutEvent(
-            description="synthetic", conduit_ids=frozenset({"C0001"})
-        )
-        degraded = DegradedTopology(scenario.topology, event)
-        lost = (
-            scenario.topology.routing_core().num_edges
-            - degraded.graph.number_of_edges()
-        )
-        assert lost >= 0
+        # A conduit no router adjacency rides (every ground-truth conduit
+        # carries one, so a made-up id) loses no router edge; one that
+        # adjacencies ride loses exactly those adjacencies.
+        topology = scenario.topology
+        conduit_edges = topology.conduit_edges()
+        intact = topology.routing_core().num_edges
+        assert "C-unused" not in conduit_edges
+        for cid in ("C-unused", sorted(conduit_edges)[0]):
+            event = CutEvent(description=cid, conduit_ids=frozenset({cid}))
+            degraded = DegradedTopology(topology, event)
+            lost = intact - degraded.graph.number_of_edges()
+            assert lost == len(conduit_edges.get(cid, ()))
+        assert len(conduit_edges[sorted(conduit_edges)[0]]) > 0
 
     def test_dead_edge_mask_is_the_oracle_dead_adjacencies(
         self, family_scenario

@@ -165,7 +165,7 @@ def test_backup_never_beats_primary_and_is_diverse_when_possible(
 ):
     fiber_map = family_scenario.constructed_map
     isp = data.draw(st.sampled_from(sorted(fiber_map.isps())))
-    view = substrate_for(fiber_map).surviving_footprint_view(isp)
+    view = substrate_for(fiber_map).footprint_view(isp)
     a, b = _pair(data, _present(view))
     plan = plan_backup(fiber_map, isp, a, b)
     if plan is None:

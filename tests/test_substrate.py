@@ -25,7 +25,7 @@ from repro.geo.coords import GeoPoint
 from repro.geo.polyline import Polyline
 from repro.mitigation.augmentation import improvement_curve
 from repro.mitigation.latency import latency_study
-from repro.mitigation.robustness import optimize_all_isps
+from repro.mitigation.robustness import _solve_optimum, optimize_all_isps
 from repro.perf.substrate import (
     ConduitSubstrate,
     GraphView,
@@ -129,23 +129,20 @@ class TestGraphViewParity:
         fiber_map = _random_fiber_map(seed)
         conduits = substrate_for(fiber_map)
         for cid in sorted(fiber_map.conduits)[::3]:
-            view = conduits.conduit_view_excluding(cid)
             graph = _risk_graph(fiber_map, exclude=cid)
             a, b = fiber_map.conduit(cid).edge
             try:
                 expected = nx.shortest_path_length(graph, a, b, weight="risk")
             except (nx.NetworkXNoPath, nx.NodeNotFound):
                 expected = None
+            result = _solve_optimum(conduits, cid)
             if expected is None:
-                assert (
-                    not view.present(a)
-                    or not view.present(b)
-                    or view.shortest_path(a, b, "risk") is None
-                )
+                assert result is None
                 continue
-            path = view.shortest_path(a, b, "risk")
-            assert path is not None
-            assert view.path_length(path, "risk") == expected
+            assert result is not None
+            path, _max_risk = result
+            assert cid not in path
+            assert sum(fiber_map.conduit(c).num_tenants for c in path) == expected
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_k_shortest_path_lengths_match_networkx(self, seed):
