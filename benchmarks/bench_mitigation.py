@@ -9,6 +9,12 @@ the acceptance number for the substrate (target: >= 5x on the combined
 sweep).  Figure 10 runs on a fresh copy of the map, so its substrate
 compiles before the clock starts but its §5.1 optimum memo is cold: a
 memo hit is not reported as a speedup.
+
+A growth row times the §2 deployment projection (``simulate_growth``,
+the ext_growth experiment) with the package's ``_IspRouter`` against
+the NetworkX reference routers, monkeypatched in as the routing parity
+suite does, and asserts an identical trajectory.  It is reported beside
+the sweep, outside its combined total.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import copy
 import time
 
+from repro.fibermap.evolution import simulate_growth
 from repro.mitigation.augmentation import (
     candidate_new_edges,
     improvement_curves,
@@ -28,6 +35,7 @@ from tests.oracles.mitigation import (
     latency_study_reference,
     optimize_all_isps_reference,
 )
+from tests.oracles.synthesis import reference_router
 
 
 def _timed(steps):
@@ -80,7 +88,23 @@ def _reference_sweep(scenario):
     ])
 
 
-def test_mitigation(scenario, report_output):
+def _growth_row(scenario, monkeypatch):
+    """(substrate_s, reference_s) of the growth projection; the memoized
+    router terms are warm from the scenario's own synthesis."""
+    truth = scenario.ground_truth
+    started = time.perf_counter()
+    fast = simulate_growth(truth)
+    fast_s = time.perf_counter() - started
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.fibermap.synthesis._IspRouter", reference_router)
+        started = time.perf_counter()
+        reference = simulate_growth(truth)
+        reference_s = time.perf_counter() - started
+    assert fast == reference
+    return fast_s, reference_s
+
+
+def test_mitigation(scenario, report_output, monkeypatch):
     # Warm the shared stages and the compiled substrate so the timings
     # isolate the analyses.
     scenario.risk_matrix
@@ -100,6 +124,12 @@ def test_mitigation(scenario, report_output):
             f"  {key:<6} substrate {fast[key]:8.3f}  "
             f"reference {reference[key]:8.3f}  ({ratio:.1f}x)"
         )
+    growth_fast, growth_reference = _growth_row(scenario, monkeypatch)
+    lines.append(
+        f"  growth substrate {growth_fast:8.3f}  "
+        f"reference {growth_reference:8.3f}  "
+        f"({growth_reference / growth_fast:.1f}x, not in total)"
+    )
     text = "\n".join(lines)
     report_output(
         "mitigation",
@@ -107,4 +137,5 @@ def test_mitigation(scenario, report_output):
         substrate_s=fast,
         reference_s=reference,
         speedup=speedup,
+        growth_s={"substrate": growth_fast, "reference": growth_reference},
     )

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -235,6 +237,30 @@ def _plan_links(
     return sorted(links)
 
 
+#: Router terms that stay fixed per transport network, each indexed
+#: like ``row_view(network)``'s edges (it compiles ``network.edges()``
+#: in order): the edge keys, every provider's jitter units and the
+#: kind factors per rule set and secondary factor.  Weak-keyed and
+#: single-flight like ``row_view``, so they live as long as the network
+#: and every router of a provider (synthesis, each growth year) shares
+#: one hashing pass.
+_ROUTER_TERMS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_TERMS_LOCK = threading.Lock()
+
+
+def _router_term(
+    network: TransportationNetwork,
+    key: Tuple,
+    build: Callable[[List], object],
+):
+    with _TERMS_LOCK:
+        terms = _ROUTER_TERMS.setdefault(network, {})
+        value = terms.get(key)
+        if value is None:
+            value = terms[key] = build(network.edges())
+    return value
+
+
 class _IspRouter:
     """Routes one provider's links on its own clone of the network's
     compiled ROW view, weighted ``"w"``.
@@ -265,20 +291,40 @@ class _IspRouter:
         else:
             secondary_factor = SECONDARY_FACTOR_LESSEE
         self.view = row_view(network).clone()
-        base = np.empty(self.view.num_edges)
-        for record in network.edges():
-            kind_factor = min(
-                rules.kind_factors[record.kind_of[name]]
-                * (secondary_factor if record.grade_of[name] == "secondary" else 1.0)
-                for name in record.corridor_names
-            )
-            jitter = 1.0 + rules.jitter_spread * _stable_unit(
-                f"{profile.name}|{record.edge[0]}|{record.edge[1]}"
-            )
-            weight = record.length_km * kind_factor * jitter
-            if record.edge in edges_with_conduits:
-                weight *= herd
-            base[self.view.edge_index(*record.edge)] = weight
+        factors = rules.kind_factors
+        kind_factor = _router_term(
+            network,
+            ("kind", tuple(sorted(factors.items())), secondary_factor),
+            lambda records: np.array([
+                min(
+                    factors[record.kind_of[name]]
+                    * (secondary_factor
+                       if record.grade_of[name] == "secondary" else 1.0)
+                    for name in record.corridor_names
+                )
+                for record in records
+            ]),
+        )
+        units = _router_term(
+            network,
+            ("jitter", profile.name),
+            lambda records: np.array([
+                _stable_unit(f"{profile.name}|{record.edge[0]}|{record.edge[1]}")
+                for record in records
+            ]),
+        )
+        edges = _router_term(
+            network, ("edges",), lambda records: [r.edge for r in records]
+        )
+        jitter = 1.0 + rules.jitter_spread * units
+        # Left to right, as the scalar ``length * kind * jitter``.
+        weight = self.view.weights["length_km"] * kind_factor * jitter
+        herded = np.fromiter(
+            (edge in edges_with_conduits for edge in edges),
+            dtype=bool,
+            count=len(edges),
+        )
+        base = np.where(herded, weight * herd, weight)
         self.view.weights["w"] = base
         self._reused = base * rules.reuse_discount
 

@@ -170,28 +170,6 @@ def _footprint_view(conduits: ConduitSubstrate, isp: str) -> GraphView:
     )
 
 
-def _route_exposure(view: GraphView, demands: Sequence[EdgeKey]) -> float:
-    """Traffic-weighted average shared risk, walked off one batched
-    Dijkstra instead of one NetworkX solve per demand."""
-    total_risk = 0.0
-    total_hops = 0
-    _dist, pred, row_of = view.dijkstra([a for a, _ in demands], "w")
-    risk = view.weights["risk"]
-    edge_of = view._edge_of
-    for a, b in demands:
-        if not view.present(a) or not view.present(b):
-            continue
-        path = view.walk(pred[row_of[a]], view.index[a], view.index[b])
-        if path is None:
-            continue
-        for u, v in zip(path, path[1:]):
-            total_risk += float(risk[edge_of[(min(u, v), max(u, v))]])
-            total_hops += 1
-    if total_hops == 0:
-        return 0.0
-    return total_risk / total_hops
-
-
 def improvement_curve(
     fiber_map: FiberMap,
     network: TransportationNetwork,

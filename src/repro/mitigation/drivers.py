@@ -36,7 +36,6 @@ from repro.mitigation.augmentation import (
     AugmentationResult,
     _demand_costs,
     _footprint_view,
-    _route_exposure,
     candidate_gain,
     candidate_new_edges,
 )
@@ -48,8 +47,16 @@ Plan = Tuple[int, ...]
 
 
 class _SubstrateEngine:
-    """Array-backed routing state: one batched multi-source Dijkstra per
-    estimate, O(1) upserts per applied candidate (DESIGN §10)."""
+    """Array-backed routing state: batched multi-source Dijkstra solves,
+    O(1) upserts per applied candidate (DESIGN §10).
+
+    Each view state is solved at most once per source.  The exposure
+    walk solves the demand sources and keeps those rows; an estimate at
+    the same state reuses them and solves only the sources it adds (the
+    far demand endpoints and the candidates' endpoints).  ``apply`` and
+    ``reset`` drop the rows.  scipy solves every source independently,
+    so a row does not depend on which batch produced it.
+    """
 
     def __init__(
         self,
@@ -70,34 +77,84 @@ class _SubstrateEngine:
         ]
         self.pool = eligible[: _aug.MAX_CANDIDATES]
         self.pool_truncated = len(eligible) - len(self.pool)
+        index = self._base.index
+        self._demand_sources = [a for a, _ in self.demands]
+        # What only an estimate reads: far demand endpoints and
+        # candidate endpoints that are not demand sources.
+        self._estimate_sources = sorted(
+            {b for _, b in self.demands}
+            .union(*(edge for edge, _ in self.pool))
+            .difference(self._demand_sources)
+        )
+        # Demands whose endpoints the node index knows, as indices.
+        self._demand_ids = [
+            (a, index[a], index[b])
+            for a, b in self.demands
+            if a in index and b in index
+        ]
         self.view = self._base.clone()
-        self.baseline = _route_exposure(self.view, self.demands)
+        self._rows: Optional[tuple] = None
+        self._estimate_rows: Optional[tuple] = None
+        self.baseline = self._exposure()
+
+    def _solve(self, sources: List[str]) -> tuple:
+        dist, pred, row_of = self.view.dijkstra(sources, "w")
+        get_tracer().count("mitigation.augmentation.sources_solved", len(row_of))
+        return dist, pred, row_of
+
+    def _demand_rows(self) -> tuple:
+        if self._rows is None:
+            self._rows = self._solve(self._demand_sources)
+        return self._rows
+
+    def _exposure(self) -> float:
+        """Traffic-weighted average shared risk of the demands, each
+        walked off the demand sources' predecessor rows."""
+        view = self.view
+        _dist, pred, row_of = self._demand_rows()
+        present = view._incidence().tolist()
+        risk = view.weights["risk"].tolist()
+        edge_of = view._edge_of
+        total_risk = 0.0
+        total_hops = 0
+        for a, ai, bi in self._demand_ids:
+            if not (present[ai] and present[bi]):
+                continue
+            path = view.walk(pred[row_of[a]], ai, bi)
+            if path is None:
+                continue
+            for u, v in zip(path, path[1:]):
+                total_risk += risk[edge_of[(u, v) if u < v else (v, u)]]
+                total_hops += 1
+        if total_hops == 0:
+            return 0.0
+        return total_risk / total_hops
 
     def reset(self) -> None:
         self.view = self._base.clone()
+        self._rows = self._estimate_rows = None
 
     def estimate_scores(self, applied: Set[int]) -> List[Optional[float]]:
         view = self.view
-        demands = self.demands
-        pool = self.pool
-        # One scipy call answers every source this step needs: all
-        # demand endpoints plus both endpoints of every candidate.
-        all_sources = sorted(
-            {a for a, _ in demands}
-            | {b for _, b in demands}
-            | {e for edge, _ in pool for e in edge}
-        )
-        dist, _pred, row_of = view.dijkstra(all_sources, "w")
-        ai, bi, costs = _demand_costs(view, dist, row_of, demands)
+        dist, _pred, row_of = self._demand_rows()
+        if self._estimate_rows is None:
+            self._estimate_rows = self._solve(self._estimate_sources)
+        more_dist, _pred, more_row_of = self._estimate_rows
+
+        def row(key: str):
+            r = row_of.get(key)
+            return dist[r] if r is not None else more_dist[more_row_of[key]]
+
+        ai, bi, costs = _demand_costs(view, dist, row_of, self.demands)
         scores: List[Optional[float]] = []
-        for pos, (edge, length) in enumerate(pool):
+        for pos, (edge, length) in enumerate(self.pool):
             if pos in applied:
                 scores.append(None)
                 continue
-            du = dist[row_of[edge[0]]]
-            dv = dist[row_of[edge[1]]]
             new_weight = 1.0 + LENGTH_EPSILON * length
-            gain = candidate_gain(du, dv, ai, bi, costs, new_weight)
+            gain = candidate_gain(
+                row(edge[0]), row(edge[1]), ai, bi, costs, new_weight
+            )
             scores.append(gain - COST_PENALTY_PER_KM * length)
         return scores
 
@@ -110,7 +167,8 @@ class _SubstrateEngine:
             {"w": 1.0 + LENGTH_EPSILON * length, "risk": 1.0},
             payload={"conduit": -1},
         )
-        return _route_exposure(self.view, self.demands)
+        self._rows = self._estimate_rows = None
+        return self._exposure()
 
 
 class AugmentationEnv:

@@ -175,15 +175,20 @@ class GraphView:
         return int(self.eu.shape[0])
 
     def clone(self) -> "GraphView":
-        """A mutable copy sharing the node index (arrays are copied)."""
-        return GraphView(
-            self.nodes,
-            self.index,
-            self.eu.copy(),
-            self.ev.copy(),
-            {k: v.copy() for k, v in self.weights.items()},
-            {k: v.copy() for k, v in self.payload.items()},
-        )
+        """A mutable copy sharing the node index (arrays are copied, the
+        edge lookup is copied rather than rebuilt from them)."""
+        view = GraphView.__new__(GraphView)
+        view.nodes = self.nodes
+        view.index = self.index
+        view.eu = self.eu.copy()
+        view.ev = self.ev.copy()
+        view.weights = {k: v.copy() for k, v in self.weights.items()}
+        view.payload = {k: v.copy() for k, v in self.payload.items()}
+        view._edge_of = dict(self._edge_of)
+        view._incident = None
+        view._structs = {}
+        get_tracer().count("substrate.view_builds")
+        return view
 
     def _incidence(self) -> "np.ndarray":
         if self._incident is None:

@@ -3,7 +3,10 @@
 Moved verbatim out of :mod:`repro.mitigation`; the ``*_reference``
 wrappers at the bottom of each section run them end to end with the
 package's own pair selection, drivers and result types, so the parity
-suites compare whole analyses.
+suites compare whole analyses.  The §5.2 section also keeps the
+substrate engine's former per-call solves (an exposure walk and an
+estimate that each re-solve their sources), which the engine's cached
+rows must equal at every state.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from repro.mitigation import augmentation as _aug
 from repro.mitigation.augmentation import (
     COST_PENALTY_PER_KM,
     LENGTH_EPSILON,
+    _demand_costs,
+    candidate_gain,
     candidate_new_edges,
 )
 from repro.mitigation.drivers import AugmentationEnv, make_driver, run_driver
@@ -46,6 +51,7 @@ from repro.mitigation.latency import (
     _study_pairs,
 )
 from repro.mitigation.robustness import _suggestion_for_isp
+from repro.perf.substrate import GraphView
 from repro.risk.metrics import most_shared_conduits
 from repro.transport.network import EdgeKey, TransportationNetwork
 from tests.oracles.fibermap import simple_conduit_graph
@@ -236,6 +242,58 @@ class ReferenceAugmentationEnv(AugmentationEnv):
     @staticmethod
     def _make_engine(fiber_map, isp, candidates):
         return _ReferenceEngine(fiber_map, isp, candidates)
+
+
+def route_exposure_reference(view: GraphView, demands: Sequence[EdgeKey]) -> float:
+    """The substrate engine's exposure walk as it was: one batched
+    Dijkstra over the demand sources per call (moved out of
+    :mod:`repro.mitigation.augmentation`)."""
+    total_risk = 0.0
+    total_hops = 0
+    _dist, pred, row_of = view.dijkstra([a for a, _ in demands], "w")
+    risk = view.weights["risk"]
+    edge_of = view._edge_of
+    for a, b in demands:
+        if not view.present(a) or not view.present(b):
+            continue
+        path = view.walk(pred[row_of[a]], view.index[a], view.index[b])
+        if path is None:
+            continue
+        for u, v in zip(path, path[1:]):
+            total_risk += float(risk[edge_of[(min(u, v), max(u, v))]])
+            total_hops += 1
+    if total_hops == 0:
+        return 0.0
+    return total_risk / total_hops
+
+
+def estimate_scores_reference(
+    view: GraphView,
+    demands: Sequence[EdgeKey],
+    pool: Sequence[Tuple[EdgeKey, float]],
+    applied: Set[int],
+) -> List[Optional[float]]:
+    """The substrate engine's estimate as it was: every source it reads
+    (both demand endpoints, both candidate endpoints) re-solved in one
+    scipy call, whatever the exposure walk solved before."""
+    all_sources = sorted(
+        {a for a, _ in demands}
+        | {b for _, b in demands}
+        | {e for edge, _ in pool for e in edge}
+    )
+    dist, _pred, row_of = view.dijkstra(all_sources, "w")
+    ai, bi, costs = _demand_costs(view, dist, row_of, demands)
+    scores: List[Optional[float]] = []
+    for pos, (edge, length) in enumerate(pool):
+        if pos in applied:
+            scores.append(None)
+            continue
+        du = dist[row_of[edge[0]]]
+        dv = dist[row_of[edge[1]]]
+        new_weight = 1.0 + LENGTH_EPSILON * length
+        gain = candidate_gain(du, dv, ai, bi, costs, new_weight)
+        scores.append(gain - COST_PENALTY_PER_KM * length)
+    return scores
 
 
 def improvement_curve_reference(

@@ -134,6 +134,19 @@ class CableRouterReference:
                 self.graph[a][b]["w"] = discounted
 
 
+def reference_router(
+    profile: ISPProfile,
+    network: TransportationNetwork,
+    edges_with_conduits: Set[EdgeKey],
+    rules,
+):
+    """The family's NetworkX router, called like ``synthesis._IspRouter``
+    (monkeypatch it in to deploy a whole map on the references)."""
+    if rules is GLOBAL_RULES:
+        return CableRouterReference(profile.name, network)
+    return IspRouterReference(profile, network, edges_with_conduits)
+
+
 class RowAlignerReference(RowAligner):
     """The NetworkX aligner: a per-provider graph copy, and alternates
     found by removing middle edges in place and restoring them after."""

@@ -22,10 +22,7 @@ from repro.analysis.connectivity import connectivity_report, hop_components
 from repro.cli import main
 from repro.data.cities import CITIES
 from repro.data.isps import ISPS
-from repro.families.global2023 import (
-    GLOBAL_RULES,
-    synthesize_global_ground_truth,
-)
+from repro.families.global2023 import synthesize_global_ground_truth
 from repro.fibermap.augment import RowAligner
 from repro.fibermap.pipeline import MapConstructionPipeline
 from repro.fibermap.synthesis import US_RULES, _IspRouter, synthesize_ground_truth
@@ -47,11 +44,7 @@ from tests.oracles.routing import (
     pareto_paths_reference,
     plan_backup_reference,
 )
-from tests.oracles.synthesis import (
-    CableRouterReference,
-    IspRouterReference,
-    RowAlignerReference,
-)
+from tests.oracles.synthesis import RowAlignerReference, reference_router
 from tests.test_golden_hashes import fiber_map_digest
 from tests.test_substrate import SEEDS, _random_fiber_map
 
@@ -221,13 +214,6 @@ class TestIdenticalEndpoints:
         assert captured.out == ""
 
 
-def _reference_router(profile, network, edges_with_conduits, rules):
-    """The family's NetworkX router, called like ``_IspRouter``."""
-    if rules is GLOBAL_RULES:
-        return CableRouterReference(profile.name, network)
-    return IspRouterReference(profile, network, edges_with_conduits)
-
-
 def _routers(family_scenario):
     """(port, reference) routers for the scenario's family: the one
     ``_IspRouter`` under the family's rules against its own oracle."""
@@ -238,7 +224,7 @@ def _routers(family_scenario):
     for profile in profiles:
         yield (
             _IspRouter(profile, network, conduit_edges, truth.rules),
-            _reference_router(profile, network, conduit_edges, truth.rules),
+            reference_router(profile, network, conduit_edges, truth.rules),
         )
 
 
@@ -259,6 +245,28 @@ class TestRouterParity:
             rebuilt = ours.view._solver_matrix("w", None)
             assert np.array_equal(patched.toarray(), rebuilt.toarray())
 
+    def test_weights_equal_the_oracle_base(self, family_scenario):
+        """The array-built pre-herd weights, herd discount included,
+        equal the oracle's scalar loop on every edge and profile."""
+        network = family_scenario.network
+        truth = family_scenario.ground_truth
+        every_edge = {record.edge for record in network.edges()}
+        conduit_edges = {c.edge for c in truth.fiber_map.conduits.values()}
+        for edges_with_conduits in (set(), conduit_edges, every_edge):
+            for profile in truth.profiles:
+                ours = _IspRouter(
+                    profile, network, edges_with_conduits, truth.rules
+                )
+                reference = reference_router(
+                    profile, network, edges_with_conduits, truth.rules
+                )
+                weights = ours.view.weights["w"]
+                assert len(reference._base) == ours.view.num_edges
+                for edge, weight in reference._base.items():
+                    assert weights[ours.view.edge_index(*edge)] == weight, (
+                        profile.name, edge,
+                    )
+
     def test_unreachable_raises(self):
         router = _IspRouter(ISPS[0], TransportationNetwork(), set(), US_RULES)
         with pytest.raises(ValueError, match="no right-of-way path"):
@@ -266,7 +274,7 @@ class TestRouterParity:
 
     def test_whole_synthesis(self, family_scenario, monkeypatch):
         monkeypatch.setattr(
-            "repro.fibermap.synthesis._IspRouter", _reference_router
+            "repro.fibermap.synthesis._IspRouter", reference_router
         )
         if family_scenario.config.family == "global2023":
             truth = synthesize_global_ground_truth(family_scenario.config.seed)

@@ -26,6 +26,7 @@ from repro.geo.polyline import Polyline
 from repro.mitigation.augmentation import improvement_curve
 from repro.mitigation.latency import latency_study
 from repro.mitigation.robustness import _solve_optimum, optimize_all_isps
+from repro.obs.tracer import tracing
 from repro.perf.substrate import (
     ConduitSubstrate,
     GraphView,
@@ -220,6 +221,24 @@ class TestCompiledCore:
                 assert np.array_equal(row, ref_pred[i])
                 assert np.array_equal(dist[row_of[node]], ref_dist[i])
                 assert core.distance(nodes[-1], node) == ref_dist[i][-1]
+
+    def test_clone_copies_the_edge_lookup(self, scenario):
+        """A clone is a plain counted view whose edge lookup equals the
+        one rebuilt from its arrays, and edits leave the original."""
+        core = scenario.topology.routing_core()
+        with tracing() as tracer:
+            with tracer.span("clone"):
+                clone = core.clone()
+        assert tracer.spans[0].counters == {"substrate.view_builds": 1}
+        assert type(clone) is GraphView
+        rebuilt = GraphView(core.nodes, core.index, core.eu, core.ev,
+                            core.weights)
+        assert clone._edge_of == rebuilt._edge_of
+        before = dict(core._edge_of)
+        a, b = core.nodes[0], core.nodes[-1]
+        assert clone.upsert_edge(a, b, "ms", {"ms": 0.0})
+        assert clone.edge_index(a, b) == core.num_edges
+        assert core._edge_of == before and core.edge_index(a, b) is None
 
     def test_topology_core_ignores_edge_order(self, family_scenario):
         # The solver's CSR is index-sorted, so compiling the router
