@@ -13,8 +13,11 @@ memo hit is not reported as a speedup.
 A growth row times the §2 deployment projection (``simulate_growth``,
 the ext_growth experiment) with the package's ``_IspRouter`` against
 the NetworkX reference routers, monkeypatched in as the routing parity
-suite does, and asserts an identical trajectory.  It is reported beside
-the sweep, outside its combined total.
+suite does, and asserts an identical trajectory.  A policy row times the
+§6.2 trade-off curve (``open_access_tradeoff``, the ext_policy
+experiment), one walk over the entrants, against the per-count
+simulation it replaced (``tests/oracles/policy.py``) and asserts equal
+points.  Both are reported beside the sweep, outside its combined total.
 """
 
 from __future__ import annotations
@@ -30,11 +33,13 @@ from repro.mitigation.augmentation import (
 from repro.mitigation.latency import latency_study
 from repro.mitigation.robustness import optimize_all_isps
 from repro.perf.substrate import substrate_for
+from repro.policy.titleii import open_access_tradeoff
 from tests.oracles.mitigation import (
     improvement_curve_reference,
     latency_study_reference,
     optimize_all_isps_reference,
 )
+from tests.oracles.policy import open_access_tradeoff_reference
 from tests.oracles.synthesis import reference_router
 
 
@@ -104,6 +109,19 @@ def _growth_row(scenario, monkeypatch):
     return fast_s, reference_s
 
 
+def _policy_row(scenario):
+    """(walk_s, reference_s) of the §6.2 trade-off curve."""
+    fiber_map = scenario.constructed_map
+    started = time.perf_counter()
+    fast = open_access_tradeoff(fiber_map)
+    fast_s = time.perf_counter() - started
+    started = time.perf_counter()
+    reference = open_access_tradeoff_reference(fiber_map)
+    reference_s = time.perf_counter() - started
+    assert fast == reference
+    return fast_s, reference_s
+
+
 def test_mitigation(scenario, report_output, monkeypatch):
     # Warm the shared stages and the compiled substrate so the timings
     # isolate the analyses.
@@ -130,6 +148,12 @@ def test_mitigation(scenario, report_output, monkeypatch):
         f"reference {growth_reference:8.3f}  "
         f"({growth_reference / growth_fast:.1f}x, not in total)"
     )
+    policy_fast, policy_reference = _policy_row(scenario)
+    lines.append(
+        f"  policy substrate {policy_fast:8.3f}  "
+        f"reference {policy_reference:8.3f}  "
+        f"({policy_reference / policy_fast:.1f}x, not in total)"
+    )
     text = "\n".join(lines)
     report_output(
         "mitigation",
@@ -138,4 +162,5 @@ def test_mitigation(scenario, report_output, monkeypatch):
         reference_s=reference,
         speedup=speedup,
         growth_s={"substrate": growth_fast, "reference": growth_reference},
+        policy_s={"substrate": policy_fast, "reference": policy_reference},
     )

@@ -29,8 +29,9 @@ tenant counts, lengths, per-ISP tenancy masks) and derives cheap
 * **batched multi-source Dijkstra**: one
   :func:`scipy.sparse.csgraph.dijkstra` call answers every source of a
   greedy step at once;
-* an array-walk **K-shortest simple paths** (Yen over the CSR core)
-  replacing ``networkx.shortest_simple_paths`` in the §5.3 study;
+* **K-shortest simple paths** as one compiled
+  :func:`scipy.sparse.csgraph.yen` call per pair (the §5.3 study's
+  alternative paths);
 * **union-find connectivity** for cumulative cut sequences, so a
   targeted-attack step costs one reverse union sweep instead of a full
   per-step graph rebuild.
@@ -44,8 +45,8 @@ the same way, one per kind set.  Compiling costs milliseconds, so
 neither is persisted.
 
 scipy is a hard dependency and this module is the only place the
-package builds a CSR matrix or calls scipy's Dijkstra or maximum flow
-(:func:`minimum_cut`, the §4 partition metric).  The package does not
+package builds a CSR matrix or calls scipy's Dijkstra, Yen or maximum
+flow (:func:`minimum_cut`, the §4 partition metric).  The package does not
 import NetworkX: the NetworkX references live in ``tests/oracles/``,
 where the parity suites cross-check them against the compiled core on
 both map families and randomized graphs.
@@ -62,7 +63,6 @@ from typing import (
     FrozenSet,
     Hashable,
     Iterable,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -75,6 +75,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+from scipy.sparse.csgraph import yen as _csgraph_yen
 
 from repro.obs.tracer import get_tracer
 
@@ -307,7 +308,7 @@ class GraphView:
         The sparsity structure (indptr/indices plus the data-position of
         every edge) is computed once per weight and kept across
         :meth:`upsert_edge` replacements; a masked or overridden call (a
-        Yen spur, a cut, a §5.1 exclusion) gets a shallow copy that
+        cut, a §5.1 exclusion, a backup's penalty) gets a shallow copy that
         shares that structure but owns a fresh data vector — the
         override's values, with masked edges set to ``inf``, which
         Dijkstra never relaxes across, i.e. edge removal without a
@@ -409,71 +410,34 @@ class GraphView:
         _dist, pred, row_of = self.dijkstra([a_key], weight, edge_mask, override)
         return self.walk(pred[row_of[a_key]], ai, bi)
 
-    # -- K shortest simple paths (Yen over the CSR core) ---------------
-    def shortest_simple_paths(
-        self, a_key: str, b_key: str, weight: str
-    ) -> Iterator[Tuple[List[int], float]]:
-        """Simple paths in non-decreasing length, like
-        ``networkx.shortest_simple_paths``.
+    # -- K shortest simple paths (one compiled Yen call) ---------------
+    def k_shortest_paths(
+        self, a_key: str, b_key: str, weight: str, k: int
+    ) -> List[Tuple[List[int], float]]:
+        """Up to *k* simple paths in non-decreasing length, like the
+        first *k* of ``networkx.shortest_simple_paths``.
 
-        Yields ``(node_index_path, length)`` with the length recomputed
-        edge-by-edge in path order — exactly the float the §5.3 study
-        derives from each path, so candidate ordering and downstream
-        arithmetic agree bit-for-bit.
+        One :func:`scipy.sparse.csgraph.yen` call over the cached solver
+        matrix; each path is walked from its predecessor row and
+        returned as ``(node_index_path, length)`` with the length
+        recomputed by :meth:`path_length` — exactly the float the §5.3
+        study derives from each path.  Raises ``KeyError`` when the
+        pair is unknown or unconnected.
         """
-        import heapq
-
-        first = self.shortest_path(a_key, b_key, weight)
-        if first is None:
-            raise KeyError(f"no path between {a_key} and {b_key}")
-        accepted: List[List[int]] = []
-        candidates: List[Tuple[float, int, Tuple[int, ...]]] = []
-        seen: set = set()
-        counter = 0
-        heapq.heappush(
-            candidates,
-            (self.path_length(first, weight), counter, tuple(first)),
-        )
-        seen.add(tuple(first))
-        while candidates:
-            length, _, path_t = heapq.heappop(candidates)
-            path = list(path_t)
-            accepted.append(path)
-            yield path, length
-            # Spur from every node of the just-accepted path.
-            for i in range(len(path) - 1):
-                root = path[: i + 1]
-                masked = np.ones(self.num_edges, dtype=bool)
-                # Edges used by accepted paths sharing this root prefix.
-                for prev in accepted:
-                    if prev[: i + 1] == root and len(prev) > i + 1:
-                        idx = self._edge_of.get(
-                            (
-                                min(prev[i], prev[i + 1]),
-                                max(prev[i], prev[i + 1]),
-                            )
-                        )
-                        if idx is not None:
-                            masked[idx] = False
-                # Nodes of the root (except the spur node) are off-limits.
-                if i > 0:
-                    banned = np.zeros(self.num_nodes, dtype=bool)
-                    banned[root[:-1]] = True
-                    masked &= ~(banned[self.eu] | banned[self.ev])
-                spur = self.shortest_path(
-                    self.nodes[root[-1]], b_key, weight, edge_mask=masked
-                )
-                if spur is None:
-                    continue
-                candidate = tuple(root[:-1] + spur)
-                if candidate in seen:
-                    continue
-                seen.add(candidate)
-                counter += 1
-                heapq.heappush(
-                    candidates,
-                    (self.path_length(candidate, weight), counter, candidate),
-                )
+        ai, bi = self.index.get(a_key), self.index.get(b_key)
+        if ai is not None and bi is not None:
+            _dist, pred = _csgraph_yen(
+                self._solver_matrix(weight, None),
+                ai,
+                bi,
+                k,
+                directed=True,  # the matrix is symmetric; skips the transpose
+                return_predecessors=True,
+            )
+            if len(pred):
+                paths = [self.walk(row, ai, bi) for row in pred]
+                return [(path, self.path_length(path, weight)) for path in paths]
+        raise KeyError(f"no path between {a_key} and {b_key}")
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.data.cities import city_by_name
 from repro.fibermap.elements import FiberMap
@@ -104,6 +104,42 @@ def _sharing_stats(counts: Sequence[int]) -> Tuple[Dict[int, float], float]:
     return fractions, mean
 
 
+def _open_access_walk(
+    fiber_map: FiberMap, max_entrants: int, seed: int
+) -> Iterator[OpenAccessOutcome]:
+    """The outcome after each of 0..*max_entrants* entrants, in order.
+
+    One ``random.Random(seed)`` serves the entrants in turn, so the
+    outcome for *n* entrants is a prefix of the walk: each entrant's
+    tenancy is solved once, its mileage added to the running
+    ``leased_km`` in entrant order, and its distinct conduits to the
+    running tenant counts (a copy — the input map is not mutated).
+    """
+    rng = random.Random(seed)
+    conduits = list(fiber_map.conduits.values())
+    position = {c.conduit_id: i for i, c in enumerate(conduits)}
+    counts = [c.num_tenants for c in conduits]
+    before, mean_before = _sharing_stats(counts)
+    entrants = tuple(f"Entrant-{i + 1}" for i in range(max_entrants))
+    leased_km = 0.0
+    for n in range(max_entrants + 1):
+        if n:
+            conduit_ids, km = _entrant_tenancy(fiber_map, rng, entrants[n - 1])
+            leased_km += km
+            for cid in set(conduit_ids):
+                counts[position[cid]] += 1
+        after, mean_after = _sharing_stats(counts)
+        yield OpenAccessOutcome(
+            entrants=entrants[:n],
+            leased_km=leased_km,
+            build_own_km=leased_km,  # same routes, own trench
+            sharing_before=dict(before),
+            sharing_after=after,
+            mean_tenants_before=mean_before,
+            mean_tenants_after=mean_after,
+        )
+
+
 def simulate_open_access(
     fiber_map: FiberMap,
     num_entrants: int = 3,
@@ -116,33 +152,8 @@ def simulate_open_access(
     """
     if num_entrants < 0:
         raise ValueError("num_entrants must be non-negative")
-    rng = random.Random(seed)
-    counts_before = [c.num_tenants for c in fiber_map.conduits.values()]
-    before, mean_before = _sharing_stats(counts_before)
-    extra: Dict[str, set] = {cid: set() for cid in fiber_map.conduits}
-    entrants = tuple(f"Entrant-{i + 1}" for i in range(num_entrants))
-    leased_km = 0.0
-    build_own_km = 0.0
-    for name in entrants:
-        conduit_ids, km = _entrant_tenancy(fiber_map, rng, name)
-        leased_km += km
-        build_own_km += km  # same routes, own trench
-        for cid in conduit_ids:
-            extra[cid].add(name)
-    counts_after = [
-        c.num_tenants + len(extra[c.conduit_id])
-        for c in fiber_map.conduits.values()
-    ]
-    after, mean_after = _sharing_stats(counts_after)
-    return OpenAccessOutcome(
-        entrants=entrants,
-        leased_km=leased_km,
-        build_own_km=build_own_km,
-        sharing_before=before,
-        sharing_after=after,
-        mean_tenants_before=mean_before,
-        mean_tenants_after=mean_after,
-    )
+    *_, outcome = _open_access_walk(fiber_map, num_entrants, seed)
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -160,16 +171,17 @@ def open_access_tradeoff(
     max_entrants: int = 8,
     seed: int = 19,
 ) -> List[TradeoffPoint]:
-    """The §6.2 trade-off curve: entrants vs savings vs shared risk."""
-    points = []
-    for n in range(0, max_entrants + 1):
-        outcome = simulate_open_access(fiber_map, num_entrants=n, seed=seed)
-        points.append(
-            TradeoffPoint(
-                num_entrants=n,
-                capital_savings_fraction=outcome.capital_savings_fraction,
-                mean_tenants_after=outcome.mean_tenants_after,
-                sharing_increase=outcome.sharing_increase,
-            )
+    """The §6.2 trade-off curve: entrants vs savings vs shared risk.
+
+    One walk over the entrants: the point for *n* entrants reads the
+    walk's prefix, so each entrant's tenancy is solved once.
+    """
+    return [
+        TradeoffPoint(
+            num_entrants=len(outcome.entrants),
+            capital_savings_fraction=outcome.capital_savings_fraction,
+            mean_tenants_after=outcome.mean_tenants_after,
+            sharing_increase=outcome.sharing_increase,
         )
-    return points
+        for outcome in _open_access_walk(fiber_map, max_entrants, seed)
+    ]

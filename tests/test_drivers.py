@@ -351,8 +351,14 @@ class TestStochasticDrivers:
 class TestDriversOnSeedMap:
     """The acceptance battery on the realistic seed-2015 scenario map."""
 
-    ISPS = ("Telia", "Tata")
+    ISPS = ("TeliaSonera", "Tata")
     BUDGET = 16
+
+    def test_battery_providers_are_tenants(self, scenario):
+        """An unknown provider gives an empty search that every check
+        below would pass, so a rename must fail here instead."""
+        tenants = set().union(*scenario.constructed_map.tenancy().values())
+        assert set(self.ISPS) <= tenants
 
     def _curve(self, scenario, isp, driver, seed=2):
         return improvement_curve(
@@ -386,16 +392,17 @@ class TestDriversOnSeedMap:
         """The driver the fig11 experiment rides is the default one."""
         from repro.experiments import fig11
 
-        result = fig11.run(scenario, max_k=2, isps=["Telia"])
+        result = fig11.run(scenario, max_k=2, isps=["TeliaSonera"])
         direct = improvement_curves(
             scenario.constructed_map,
             scenario.network,
-            ["Telia"],
+            ["TeliaSonera"],
             max_k=2,
             workers=scenario.workers,
         )
         assert result.results == direct
-        assert result.results["Telia"].driver == "greedy"
+        assert result.results["TeliaSonera"].driver == "greedy"
+        assert result.results["TeliaSonera"].pool_size > 0
 
 
 class TestAugmentationEnv:

@@ -1,0 +1,54 @@
+"""Parity suite: the §6.2 open-access walk vs per-count simulations.
+
+:func:`repro.policy.titleii.open_access_tradeoff` walks the entrants
+once and reads the point for every entrant count off the running
+prefix; :func:`~repro.policy.titleii.simulate_open_access` rides the
+same walk.  The from-scratch per-count simulation they replaced is the
+oracle in ``tests/oracles/policy.py``; every point and outcome must
+equal it exactly (``==`` on floats), on both map families.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.policy import titleii
+from repro.policy.titleii import open_access_tradeoff, simulate_open_access
+from tests.oracles.policy import (
+    open_access_tradeoff_reference,
+    simulate_open_access_reference,
+)
+
+
+@pytest.mark.parametrize("seed", (19, 4))
+def test_tradeoff_matches_per_count_oracle(family_scenario, seed):
+    fiber_map = family_scenario.constructed_map
+    assert open_access_tradeoff(
+        fiber_map, max_entrants=8, seed=seed
+    ) == open_access_tradeoff_reference(fiber_map, max_entrants=8, seed=seed)
+
+
+@pytest.mark.parametrize("num_entrants", (0, 1, 3, 8))
+def test_simulate_matches_per_count_oracle(family_scenario, num_entrants):
+    fiber_map = family_scenario.constructed_map
+    assert simulate_open_access(
+        fiber_map, num_entrants=num_entrants
+    ) == simulate_open_access_reference(fiber_map, num_entrants=num_entrants)
+
+
+def test_each_entrant_solved_once(built_map, monkeypatch):
+    calls = []
+    solve = titleii._entrant_tenancy
+
+    def spy(fiber_map, rng, name):
+        calls.append(name)
+        return solve(fiber_map, rng, name)
+
+    monkeypatch.setattr(titleii, "_entrant_tenancy", spy)
+    points = open_access_tradeoff(built_map, max_entrants=8)
+    assert [p.num_entrants for p in points] == list(range(9))
+    assert calls == [f"Entrant-{i + 1}" for i in range(8)]
+
+
+def test_negative_max_entrants_gives_empty_curve(built_map):
+    assert open_access_tradeoff(built_map, max_entrants=-1) == []

@@ -12,6 +12,7 @@ reference.
 from __future__ import annotations
 
 import copy
+import itertools
 import random
 import threading
 import time
@@ -39,6 +40,7 @@ from repro.resilience.montecarlo import random_cut_study, targeted_attack
 from repro.risk.matrix import RiskMatrix
 from tests.oracles.fibermap import simple_conduit_graph
 from tests.oracles.graphs import core_from_networkx, topology_graph
+from tests.oracles.kshortest import shortest_simple_paths
 from tests.oracles.mitigation import (
     _risk_graph,
     improvement_curve_reference,
@@ -168,12 +170,16 @@ class TestGraphViewParity:
                 )
                 if len(reference) >= 5:
                     break
-            lengths = []
-            for _path, km in view.shortest_simple_paths(a, b, "length_km"):
-                lengths.append(km)
-                if len(lengths) >= 5:
-                    break
-            assert lengths == reference, (a, b)
+            walked = [
+                km
+                for _path, km in itertools.islice(
+                    shortest_simple_paths(view, a, b, "length_km"), 5
+                )
+            ]
+            lengths = [
+                km for _path, km in view.k_shortest_paths(a, b, "length_km", 5)
+            ]
+            assert lengths == walked == reference, (a, b)
 
 
 def _core_graphs(scenario):
