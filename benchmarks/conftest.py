@@ -4,10 +4,10 @@ Each benchmark (the CI-gated perf smokes and the ablation studies)
 times its work, prints its result, and persists it under
 ``benchmarks/output/`` — the text as ``<name>.txt`` plus a
 machine-readable ``BENCH_<name>.json`` (wall time, campaign size, cache
-hit/miss, the commit, host and dependency versions that produced it,
-and the run manifest of every stage traced so far).  The paper's tables and
-figures are regenerated by ``python -m repro run`` and timed by
-``perfbench/``, not here.
+hit/miss, the commit and whether the tree differed from it, the host
+and dependency versions that produced it, and the run manifest of every
+stage traced so far).  The paper's tables and figures are regenerated
+by ``python -m repro run`` and timed by ``perfbench/``, not here.
 
 The benchmark session runs with tracing **enabled**: a session-scoped
 :class:`repro.obs.Tracer` is installed globally, so every BENCH record
@@ -54,20 +54,38 @@ def scenario(bench_tracer) -> Scenario:
     )
 
 
-def _commit() -> Optional[str]:
-    """The checked-out commit the record was made at, ``None`` outside
-    a git checkout."""
+#: Where the session writes its records: rewriting them must not mark
+#: the next record's tree as changed.
+_OUTPUT_SPEC = ":(top,exclude)benchmarks/output"
+
+
+def _git(cwd: Path, *args: str) -> Optional[str]:
+    """``git args`` run in *cwd*: its stdout, ``None`` outside a git
+    checkout (or without git)."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
+            ["git", *args], cwd=cwd, capture_output=True, text=True,
             check=True,
         )
     except (OSError, subprocess.CalledProcessError):
         return None
-    return out.stdout.strip() or None
+    return out.stdout
+
+
+def _commit(cwd: Path = Path(__file__).parent) -> Optional[str]:
+    """The checked-out commit the record was made at, ``None`` outside
+    a git checkout."""
+    out = _git(cwd, "rev-parse", "HEAD")
+    return (out or "").strip() or None
+
+
+def _dirty(cwd: Path = Path(__file__).parent) -> Optional[bool]:
+    """Whether the tree differs from :func:`_commit` (a change, staged
+    or not, or an untracked file; the record outputs aside), ``None``
+    outside a git checkout.  A record made before its change was
+    committed names the parent commit; this flags it."""
+    out = _git(cwd, "status", "--porcelain", "--", _OUTPUT_SPEC)
+    return None if out is None else bool(out.strip())
 
 
 def _wall_time_s(request, started: float) -> float:
@@ -97,6 +115,7 @@ def report_output(request, scenario, bench_tracer):
         payload = {
             "name": name,
             "commit": _commit(),
+            "dirty": _dirty(),
             "wall_time_s": _wall_time_s(request, started),
             "campaign_traces": scenario.campaign_traces,
             "campaign_records": len(campaign) if campaign is not None else None,

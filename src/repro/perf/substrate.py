@@ -88,6 +88,30 @@ _T = TypeVar("_T")
 _MEMO_LOCK = threading.Lock()
 
 
+def walk_many(
+    pred: "np.ndarray", row: "np.ndarray", src: "np.ndarray",
+    dst: "np.ndarray",
+) -> "np.ndarray":
+    """Every ``src[i] -> dst[i]`` path, walked simultaneously.
+
+    ``pred[row[i]]`` is the predecessor row of the tree rooted at
+    ``dst[i]``, and every pair must be reachable.  Returns one row of
+    node indices per pair (``src[i], pred[src[i]], ...``); a path that
+    reaches its root first holds there while longer ones keep walking,
+    so a step is real where a node differs from the one before it.
+    """
+    frontier = np.asarray(src, dtype=np.int64)
+    cols = [frontier]
+    done = frontier == dst
+    for _ in range(pred.shape[1]):
+        if done.all():
+            return np.stack(cols, axis=1)
+        frontier = np.where(done, frontier, pred[row, frontier])
+        cols.append(frontier)
+        done = frontier == dst
+    raise RuntimeError("predecessor walk did not terminate")  # cycle guard
+
+
 # ----------------------------------------------------------------------
 # Union-find: incremental connectivity for cut sequences
 # ----------------------------------------------------------------------
@@ -208,6 +232,11 @@ class GraphView:
         if edge_mask is None:
             return bool(self._incidence()[i])
         return bool(edge_mask[(self.eu == i) | (self.ev == i)].any())
+
+    def present_many(self, keys: Sequence[Hashable]) -> "np.ndarray":
+        """:meth:`present` of every key, as one boolean array."""
+        idx = np.array([self.index.get(k, -1) for k in keys], dtype=np.int64)
+        return (idx >= 0) & self._incidence()[np.maximum(idx, 0)]
 
     def edge_index(self, a_key: str, b_key: str) -> Optional[int]:
         ai, bi = self.index.get(a_key), self.index.get(b_key)

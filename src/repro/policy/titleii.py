@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.data.cities import city_by_name
 from repro.fibermap.elements import FiberMap
-from repro.perf.substrate import substrate_for
+from repro.perf.substrate import ConduitSubstrate, GraphView, substrate_for
 
 #: Leasing into an existing conduit costs this fraction of trenching.
 LEASE_COST_FRACTION = 0.12
@@ -63,20 +64,45 @@ class OpenAccessOutcome:
         return self.mean_tenants_after - self.mean_tenants_before
 
 
+@dataclass(frozen=True)
+class _Ground:
+    """What every entrant of one walk builds on: the map's conduit view
+    (and its substrate), the cities it touches and their cumulative
+    population weights."""
+
+    substrate: ConduitSubstrate
+    view: GraphView
+    cities: Tuple[str, ...]
+    cum_weights: Tuple[int, ...]
+
+    @classmethod
+    def of(cls, fiber_map: FiberMap) -> "_Ground":
+        cs = substrate_for(fiber_map)
+        view = cs.conduit_view()
+        cities = tuple(c for c in view.nodes if view.present(c))
+        weights = accumulate(city_by_name(c).population for c in cities)
+        return cls(cs, view, cities, tuple(weights))
+
+
 def _entrant_tenancy(
-    fiber_map: FiberMap,
+    ground: _Ground,
     rng: random.Random,
     name: str,
 ) -> Tuple[List[str], float]:
-    """Conduits one entrant leases, plus the route mileage."""
-    cs = substrate_for(fiber_map)
-    view = cs.conduit_view()
-    cities = [c for c in view.nodes if view.present(c)]
-    weights = [city_by_name(c).population for c in cities]
-    pops = sorted(set(rng.choices(cities, weights=weights, k=ENTRANT_POPS)))
+    """Conduits one entrant leases, plus the route mileage.
+
+    Each POP after the most populous joins its nearest connected POP by
+    the shortest conduit path; every POP's shortest-path tree comes
+    from one batched Dijkstra over all of them.
+    """
+    pops = sorted(set(rng.choices(
+        ground.cities, cum_weights=ground.cum_weights, k=ENTRANT_POPS
+    )))
     if len(pops) < 2:
         return [], 0.0
+    cs, view = ground.substrate, ground.view
     ordered = sorted(pops, key=lambda c: -city_by_name(c).population)
+    _dist, pred, row_of = view.dijkstra(ordered[1:], "length_km")
     connected = [ordered[0]]
     conduit_ids: List[str] = []
     total_km = 0.0
@@ -85,7 +111,9 @@ def _entrant_tenancy(
             connected,
             key=lambda c: city_by_name(city).distance_km(city_by_name(c)),
         )
-        path = view.shortest_path(city, partner, "length_km")
+        path = view.walk(
+            pred[row_of[city]], view.index[city], view.index[partner]
+        )
         if path is None:  # pragma: no cover
             continue
         connected.append(city)
@@ -116,6 +144,7 @@ def _open_access_walk(
     running tenant counts (a copy — the input map is not mutated).
     """
     rng = random.Random(seed)
+    ground = _Ground.of(fiber_map)
     conduits = list(fiber_map.conduits.values())
     position = {c.conduit_id: i for i, c in enumerate(conduits)}
     counts = [c.num_tenants for c in conduits]
@@ -124,7 +153,7 @@ def _open_access_walk(
     leased_km = 0.0
     for n in range(max_entrants + 1):
         if n:
-            conduit_ids, km = _entrant_tenancy(fiber_map, rng, entrants[n - 1])
+            conduit_ids, km = _entrant_tenancy(ground, rng, entrants[n - 1])
             leased_km += km
             for cid in set(conduit_ids):
                 counts[position[cid]] += 1

@@ -75,6 +75,8 @@ from repro.traceroute.rngv2 import (  # noqa: F401 (re-exports)
     DEFAULT_BATCH_SIZE,
     MAX_ATTEMPTS_PER_TRACE,
     SUPPORTED_RNG_CONTRACTS,
+    _v2_state,
+    build_v2_tables,
     default_rng_contract,
     generate_columns_v2,
 )
@@ -285,6 +287,14 @@ def _shard_columns(
     return writer.finish()
 
 
+def _templates_held(engine: ProbeEngine) -> int:
+    """Hop templates *engine* holds: its contract-v2 store's plus its
+    contract-v1 cache's (``campaign.shard`` spans report the growth)."""
+    state = getattr(engine, "_rngv2_state", None)
+    held = len(engine._hop_templates)
+    return held if state is None else held + state[3].size
+
+
 def resolve_workers(workers: int) -> int:
     """Worker count with 0 meaning one per CPU core."""
     if workers == 0:
@@ -382,7 +392,8 @@ class _ShardSegments:
 # ----------------------------------------------------------------------
 # Worker-process state.  Populated once per worker by the pool
 # initializer; under the default ``fork`` start method the topology
-# (and its compiled routing core) is inherited copy-on-write.
+# (and its compiled routing core), the plan and the contract-v2 tables
+# the parent built are inherited copy-on-write.
 _WORKER_STATE: Optional[
     Tuple[ProbeEngine, _CampaignPlan, CampaignConfig, str]
 ] = None
@@ -391,6 +402,8 @@ _WORKER_STATE: Optional[
 def _init_worker(
     topology: InternetTopology,
     config: CampaignConfig,
+    plan: _CampaignPlan,
+    v2_tables: Optional[tuple],
     fault_injector: Optional[FaultInjector] = None,
     segment_token: str = "",
 ) -> None:
@@ -400,39 +413,43 @@ def _init_worker(
     # across pool respawns.
     set_fault_injector(fault_injector)
     engine = ProbeEngine(topology, seed=config.seed + 1)
-    plan = _CampaignPlan(topology, config)
     engine.prepare_destinations(plan.dest_nodes)
+    if v2_tables is not None:
+        _v2_state(engine, plan, v2_tables)
     _WORKER_STATE = (engine, plan, config, segment_token)
 
 
 def _run_chunk(
     bounds: Tuple[int, int]
-) -> Tuple[str, Dict[str, Any], float]:
+) -> Tuple[str, Dict[str, Any], float, int]:
     """One shard's columns, delivered through shared memory.
 
     The shard is traced into a :class:`ColumnWriter`, packed into a
     named segment as raw array bytes, and only ``(segment name, array
-    manifest, wall time)`` crosses the ``ProcessPoolExecutor`` result
-    pipe — no pickling of records, no copy of the columns.  The wall
-    time is measured inside the worker and attributed to a
-    ``campaign.shard`` span in the parent, which is how per-shard
-    observability crosses the process boundary.
+    manifest, wall time, templates built)`` crosses the
+    ``ProcessPoolExecutor`` result pipe — no pickling of records, no
+    copy of the columns.  The wall time and the number of hop
+    templates the shard had to build are measured inside the worker and
+    attributed to a ``campaign.shard`` span in the parent, which is how
+    per-shard observability crosses the process boundary.
     """
     start, stop = bounds
     injector = get_fault_injector()
     if injector is not None:
         injector.maybe_crash_worker(start)
     engine, plan, config, token = _WORKER_STATE
+    held = _templates_held(engine)
     started = time.perf_counter()
     columns = _shard_columns(engine, plan, config, start, stop)
     elapsed = time.perf_counter() - started
+    built = _templates_held(engine) - held
     name = _segment_name(token, start)
     segment = _create_segment(name, columns.transport_size())
     try:
         manifest = columns.pack_into(segment.buf)
     finally:
         segment.close()
-    return name, manifest, elapsed
+    return name, manifest, elapsed, built
 
 
 def run_campaign(
@@ -527,6 +544,11 @@ def _run_sharded(
     tracer = get_tracer()
     injector = get_fault_injector()
     schema = ColumnSchema.from_topology(topology)
+    # Built once here rather than in every worker's initializer.
+    v2_tables = (
+        build_v2_tables(topology, schema, plan)
+        if config.rng_contract == 2 else None
+    )
     # One tracker process shared (via fork) by parent and workers, so a
     # worker-registered segment is the same tracked resource the parent
     # unlinks — no spurious leak warnings at interpreter exit.
@@ -538,6 +560,7 @@ def _run_sharded(
     pending = list(bounds)
     restarts = 0
     backoff = max(0.0, config.retry_backoff_s)
+    pool: Optional[ProcessPoolExecutor] = None
     try:
         while pending:
             harvested = 0
@@ -545,7 +568,9 @@ def _run_sharded(
                 with ProcessPoolExecutor(
                     max_workers=min(n_workers, len(pending)),
                     initializer=_init_worker,
-                    initargs=(topology, config, injector, token),
+                    initargs=(
+                        topology, config, plan, v2_tables, injector, token,
+                    ),
                 ) as pool:
                     futures = {}
                     for b in pending:
@@ -553,7 +578,7 @@ def _run_sharded(
                         futures[pool.submit(_run_chunk, b)] = b
                     for future in as_completed(futures):
                         start, stop = futures[future]
-                        name, manifest, elapsed = future.result()
+                        name, manifest, elapsed, built = future.result()
                         # No local binding of the unpacked shard: its
                         # arrays view the segment buffer, and every
                         # view must be droppable (results.clear) before
@@ -567,6 +592,7 @@ def _run_sharded(
                             "campaign.shard", elapsed,
                             start=start, stop=stop,
                             records=int(manifest["num_traces"]),
+                            templates_built=built,
                         )
             except BrokenProcessPool:
                 pending = [b for b in pending if b not in results]
@@ -578,7 +604,7 @@ def _run_sharded(
                         restarts=restarts - 1,
                     )
                     _run_serial_fallback(
-                        topology, plan, config, pending, results
+                        topology, plan, config, pending, results, v2_tables
                     )
                     break
                 tracer.event(
@@ -593,6 +619,9 @@ def _run_sharded(
                 )
             else:
                 pending = [b for b in pending if b not in results]
+        # The executor keeps its initargs; drop it and the v2 tables
+        # before stitching, so they do not add to the peak footprint.
+        del pool, v2_tables
         parts.extend(results[b] for b in bounds)
         return TraceColumns.concatenate(schema, parts)
     finally:
@@ -609,12 +638,16 @@ def _run_serial_fallback(
     config: CampaignConfig,
     pending: List[Tuple[int, int]],
     results: Dict[Tuple[int, int], TraceColumns],
+    v2_tables: Optional[tuple],
 ) -> None:
     """Finish *pending* shards in-process (same columns as any worker)."""
     engine = ProbeEngine(topology, seed=config.seed + 1)
     engine.prepare_destinations(plan.dest_nodes)
+    if v2_tables is not None:
+        _v2_state(engine, plan, v2_tables)
     tracer = get_tracer()
     for start, stop in pending:
+        held = _templates_held(engine)
         started = time.perf_counter()
         results[(start, stop)] = _shard_columns(
             engine, plan, config, start, stop
@@ -622,4 +655,5 @@ def _run_serial_fallback(
         tracer.record_span(
             "campaign.shard", time.perf_counter() - started,
             start=start, stop=stop, records=stop - start, degraded=True,
+            templates_built=_templates_held(engine) - held,
         )

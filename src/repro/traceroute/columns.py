@@ -114,6 +114,7 @@ class ColumnSchema:
         self.router_index: Dict[Tuple[str, str], int] = {
             node: i for i, node in enumerate(self.router_nodes)
         }
+        self._digests: Dict[Optional[int], str] = {}
 
     @classmethod
     def from_topology(cls, topology: "InternetTopology") -> "ColumnSchema":
@@ -143,8 +144,15 @@ class ColumnSchema:
         *rng_contract* mixes the campaign's RNG contract version into
         the hash so v1 and v2 shard manifests can never be confused for
         one another; contract 1 (and ``None``) reproduce the historical
-        pure-schema digest.
+        pure-schema digest.  Memoized per contract: every shard a
+        campaign packs and unpacks asks for it.
         """
+        digest = self._digests.get(rng_contract)
+        if digest is None:
+            digest = self._digests[rng_contract] = self._digest(rng_contract)
+        return digest
+
+    def _digest(self, rng_contract: Optional[int]) -> str:
         h = hashlib.blake2b(digest_size=8)
         for table in (self.cities, self.isps, self.router_ips,
                       self.router_dns):

@@ -54,17 +54,18 @@ manifests, and npz payloads.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from repro.perf.substrate import _NO_PREDECESSOR
+from repro.perf.substrate import _NO_PREDECESSOR, walk_many
 from repro.traceroute.columns import TRACE_DTYPE, ColumnSchema, TraceColumns
 from repro.traceroute.probe import ACCESS_DELAY_MS, QUEUE_NOISE_MS, ProbeEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.traceroute.campaign import CampaignConfig, _CampaignPlan
+    from repro.traceroute.topology import InternetTopology
 
 #: The supported RNG contract versions.
 RNG_CONTRACT_V1 = 1
@@ -92,8 +93,6 @@ _MASK64 = (1 << 64) - 1
 _PURPOSE_ENDPOINT = 1
 _PURPOSE_NOISE = 2
 _PURPOSE_GEO = 3
-
-_SLOT = np.arange(HOP_NOISE_BUDGET)
 
 
 def default_rng_contract() -> int:
@@ -188,10 +187,13 @@ class _CoreTables:
     new endpoint pairs becomes a handful of fancy-indexing calls.
     """
 
-    def __init__(self, engine: ProbeEngine, tables: _PlanTables):
-        core = engine._core
-        topology = engine._topology
-        schema = engine.column_schema()
+    def __init__(
+        self,
+        topology: "InternetTopology",
+        schema: ColumnSchema,
+        tables: _PlanTables,
+    ):
+        core = topology.routing_core()
         nodes = core.nodes
         n = len(nodes)
         self.n_nodes = n
@@ -241,46 +243,57 @@ class _CoreTables:
         self.edge_w = np.tile(core.weights[core.weight], 2)[order]
 
 
-class _TemplateStore:
-    """Hop templates as padded 2-D rows, for vectorized assembly.
+def _grown(array: np.ndarray, used: int, need: int) -> np.ndarray:
+    """*array* with room for *need* leading entries (its first *used*
+    kept), doubling its length when it must grow."""
+    if need <= len(array):
+        return array
+    grown = np.zeros((max(need, 2 * len(array)),) + array.shape[1:],
+                     dtype=array.dtype)
+    grown[:used] = array[:used]
+    return grown
 
-    Each resolved endpoint pair owns one row: its visible-hop router
-    ids and doubled cumulative latencies padded to
-    :data:`HOP_NOISE_BUDGET` columns, its hop count (``-1`` marks an
-    unreachable pair), and its four schema endpoint ids.  Rows are
-    built in vectorized batches against the routing core; they are
-    bit-identical to one engine template per pair (the scalar oracle in
-    ``tests/oracles/campaign.py``) because a row-wise ``cumsum`` over
-    the path's edge weights replays the scalar path's sequential
-    left-to-right latency accumulation exactly.  Rows persist across
-    batches and shards within a worker.
+
+class _TemplateStore:
+    """Hop templates in flat arrays behind a dense pair table.
+
+    Template ``t`` (one per resolved endpoint pair) owns ``counts[t]``
+    consecutive entries of the flat ``hop_router`` and ``cum`` arrays
+    (its visible-hop router ids and doubled cumulative latencies) from
+    ``start[t]`` on; ``counts[t] == -1`` marks an unreachable pair.
+    ``endpoints[t]`` holds its four schema endpoint ids.  ``row_of`` is
+    indexed by the pair code ``cn * n_dest_nodes + dn`` and holds each
+    pair's template id, ``-1`` until it is built, so a batch's lookup
+    is one gather.  Templates are built in vectorized batches against
+    the routing core; they are bit-identical to one engine template per
+    pair (the scalar oracle in ``tests/oracles/campaign.py``) because a
+    row-wise ``cumsum`` over the path's edge weights replays the scalar
+    path's sequential left-to-right latency accumulation exactly.
+    Templates persist across batches and shards within a worker.
     """
 
-    def __init__(self) -> None:
-        self._row_of: Dict[int, int] = {}
-        cap = 1024
-        self.router_pad = np.zeros((cap, HOP_NOISE_BUDGET), dtype=np.int32)
-        self.cum_pad = np.zeros((cap, HOP_NOISE_BUDGET), dtype=np.float64)
-        self.counts = np.full(cap, -1, dtype=np.int64)
-        self.endpoints = np.zeros((cap, 4), dtype=np.int32)
-        self._used = 0
+    def __init__(self, tables: _PlanTables) -> None:
+        self.row_of = np.full(
+            len(tables.client_nodes) * tables.n_dest_nodes, -1,
+            dtype=np.int32,
+        )
+        self.start = np.zeros(1024, dtype=np.int64)
+        self.counts = np.zeros(1024, dtype=np.int64)
+        self.endpoints = np.zeros((1024, 4), dtype=np.int32)
+        self.hop_router = np.zeros(8192, dtype=np.int32)
+        self.cum = np.zeros(8192, dtype=np.float64)
+        #: Templates and flat hop entries in use.
+        self.size = 0
+        self.num_hops = 0
 
-    def _reserve(self, count: int) -> np.ndarray:
-        """Row ids for ``count`` new templates, growing the arrays."""
-        cap = len(self.counts)
-        while self._used + count > cap:
-            cap *= 2
-        if cap != len(self.counts):
-            for name in ("router_pad", "cum_pad", "counts", "endpoints"):
-                old = getattr(self, name)
-                new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
-                new[: len(old)] = old
-                if name == "counts":
-                    new[len(old):] = -1
-                setattr(self, name, new)
-        rows = np.arange(self._used, self._used + count, dtype=np.int64)
-        self._used += count
-        return rows
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the store's arrays (allocated, not just used)."""
+        return sum(
+            getattr(self, name).nbytes
+            for name in ("row_of", "start", "counts", "endpoints",
+                         "hop_router", "cum")
+        )
 
     def _check_budget(self, max_hops: int) -> None:
         if max_hops > HOP_NOISE_BUDGET:
@@ -289,12 +302,39 @@ class _TemplateStore:
                 f"budgets {HOP_NOISE_BUDGET} noise slots per trace"
             )
 
-    def _build_rows_vectorized(
+    def append(
+        self,
+        codes: np.ndarray,
+        counts: np.ndarray,
+        hop_router: np.ndarray,
+        cum: np.ndarray,
+        endpoints: np.ndarray,
+    ) -> None:
+        """Store one template per pair code: *counts* (``-1`` for an
+        unreachable pair), the hops of every reachable pair back to back
+        in *hop_router*/*cum*, and the ``(m, 4)`` *endpoints*."""
+        m, h = len(codes), len(hop_router)
+        t0, h0 = self.size, self.num_hops
+        for name in ("start", "counts", "endpoints"):
+            setattr(self, name, _grown(getattr(self, name), t0, t0 + m))
+        for name in ("hop_router", "cum"):
+            setattr(self, name, _grown(getattr(self, name), h0, h0 + h))
+        ends = h0 + np.cumsum(np.maximum(counts, 0))
+        self.start[t0:t0 + m] = ends - np.maximum(counts, 0)
+        self.counts[t0:t0 + m] = counts
+        self.endpoints[t0:t0 + m] = endpoints
+        self.hop_router[h0:h0 + h] = hop_router
+        self.cum[h0:h0 + h] = cum
+        self.row_of[codes] = np.arange(t0, t0 + m, dtype=np.int32)
+        self.size += m
+        self.num_hops += h
+
+    def _build(
         self, ct: _CoreTables, tables: _PlanTables, codes: np.ndarray
     ) -> None:
         """All of ``codes``' templates in one pass over the core arrays."""
-        rows = self._reserve(len(codes))
-        self._row_of.update(zip(codes.tolist(), rows.tolist()))
+        counts = np.full(len(codes), -1, dtype=np.int64)
+        endpoints = np.zeros((len(codes), 4), dtype=np.int32)
         cn, dn = np.divmod(codes, tables.n_dest_nodes)
         src = ct.client_core[cn]
         dst = ct.dest_core[dn]
@@ -303,22 +343,13 @@ class _TemplateStore:
         reach &= ct.pred[dn, safe_src] != _NO_PREDECESSOR
         ridx = np.flatnonzero(reach)
         if not ridx.size:
+            self.append(
+                codes, counts, np.zeros(0, dtype=np.int32),
+                np.zeros(0, dtype=np.float64), endpoints,
+            )
             return
-        src_r, dst_r, drow_r = src[ridx], dst[ridx], dn[ridx]
-        # Walk every pair's predecessor chain simultaneously; finished
-        # pairs hold at their destination while stragglers keep walking.
-        frontier = src_r.copy()
-        cols = [frontier]
-        done = frontier == dst_r
-        for _ in range(ct.n_nodes):
-            if done.all():
-                break
-            frontier = np.where(done, frontier, ct.pred[drow_r, frontier])
-            cols.append(frontier)
-            done = frontier == dst_r
-        else:  # pragma: no cover - cycle guard
-            raise RuntimeError("predecessor walk did not terminate")
-        paths = np.stack(cols, axis=1)
+        src_r, dst_r = src[ridx], dst[ridx]
+        paths = walk_many(ct.pred, dn[ridx], src_r, dst_r)
         length = paths.shape[1]
         # Real steps vs hold-at-destination padding.
         valid = np.ones(paths.shape, dtype=bool)
@@ -351,49 +382,58 @@ class _TemplateStore:
             | prev_differs
             | next_differs
         )
-        counts = visible.sum(axis=1)
+        counts[ridx] = visible.sum(axis=1)
         self._check_budget(int(counts.max(initial=0)))
-        # Compact the visible hops into the padded store rows.
+        # Row-major nonzero lists the visible hops template by template,
+        # which is the flat store's layout.
         vr, vc = np.nonzero(visible)
-        starts = np.zeros(len(counts), dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        slot = np.arange(len(vr)) - np.repeat(starts, counts)
-        target = rows[ridx]
-        self.counts[target] = counts
-        self.router_pad[target[vr], slot] = ct.router_id[paths[vr, vc]]
-        self.cum_pad[target[vr], slot] = 2.0 * one_way[vr, vc]
-        self.endpoints[target, 0] = ct.city_id[src_r]
-        self.endpoints[target, 1] = ct.isp_id[src_r]
-        self.endpoints[target, 2] = ct.city_id[dst_r]
-        self.endpoints[target, 3] = ct.isp_id[dst_r]
+        endpoints[ridx, 0] = ct.city_id[src_r]
+        endpoints[ridx, 1] = ct.isp_id[src_r]
+        endpoints[ridx, 2] = ct.city_id[dst_r]
+        endpoints[ridx, 3] = ct.isp_id[dst_r]
+        self.append(
+            codes, counts, ct.router_id[paths[vr, vc]],
+            2.0 * one_way[vr, vc], endpoints,
+        )
 
     def rows_for(
         self, tables: _PlanTables, core_tables: _CoreTables, codes: np.ndarray
     ) -> np.ndarray:
-        uniq, inverse = np.unique(codes, return_inverse=True)
-        known = np.array(
-            [self._row_of.get(code, -1) for code in uniq.tolist()],
-            dtype=np.int64,
-        )
-        missing = np.flatnonzero(known < 0)
-        if missing.size:
-            new = uniq[missing]
-            self._build_rows_vectorized(core_tables, tables, new)
-            lookup = self._row_of
-            for j in missing.tolist():
-                known[j] = lookup[int(uniq[j])]
-        return known[inverse]
+        """The template id of every pair code, building only the codes
+        no template holds yet."""
+        rows = self.row_of[codes]
+        missing = rows < 0
+        if missing.any():
+            self._build(core_tables, tables, np.unique(codes[missing]))
+            rows[missing] = self.row_of[codes[missing]]
+        return rows
+
+
+def build_v2_tables(
+    topology: "InternetTopology", schema: ColumnSchema, plan: "_CampaignPlan"
+) -> Tuple[_PlanTables, _CoreTables]:
+    """A campaign plan's sampling tables and the routing core's arrays:
+    what every shard of one campaign shares (a pool builds them once,
+    before it forks)."""
+    tables = _PlanTables(plan)
+    return tables, _CoreTables(topology, schema, tables)
 
 
 def _v2_state(
-    engine: ProbeEngine, plan: "_CampaignPlan"
+    engine: ProbeEngine,
+    plan: "_CampaignPlan",
+    prebuilt: Optional[Tuple[_PlanTables, _CoreTables]] = None,
 ) -> Tuple[_PlanTables, _CoreTables, _TemplateStore]:
     """Per-(engine, plan) vectorization state, cached on the engine so
-    it persists across the batches and shards one worker processes."""
+    it persists across the batches and shards one worker processes.
+    *prebuilt* supplies :func:`build_v2_tables`' result instead of
+    building it here."""
     state = getattr(engine, "_rngv2_state", None)
     if state is None or state[0] is not plan:
-        tables = _PlanTables(plan)
-        state = (plan, tables, _CoreTables(engine, tables), _TemplateStore())
+        tables, core_tables = prebuilt or build_v2_tables(
+            engine._topology, engine.column_schema(), plan
+        )
+        state = (plan, tables, core_tables, _TemplateStore(tables))
         engine._rngv2_state = state
     return state[1], state[2], state[3]
 
@@ -449,22 +489,24 @@ def _batch_columns(
             f"{MAX_ATTEMPTS_PER_TRACE} draws; topology too disconnected"
         )
     counts = store.counts[rows]
-    noise = _stream(
-        seed, _PURPOSE_NOISE, 0, b0 * HOP_NOISE_BLOCKS
-    ).random(n * HOP_NOISE_BUDGET).reshape(n, HOP_NOISE_BUDGET)
-    # Assembly only touches the first ``width`` slots (the deepest path
-    # in the batch); the stream still *owns* all 64 positions per
-    # trace, so the bytes are independent of this working-set trim.
-    width = int(counts.max(initial=0))
-    mask = _SLOT[:width] < counts[:, None]
-    # rtt = 2*one_way + noise, slot by slot — float64-identical to the
-    # v1 writer's fused ``cum + scale * noise``.
-    rtt_pad = np.take(store.cum_pad[:, :width], rows, axis=0)
-    rtt_pad += QUEUE_NOISE_MS * noise[:, :width]
-    hop_rtt = rtt_pad[mask]
-    hop_router = np.take(store.router_pad[:, :width], rows, axis=0)[mask]
     hop_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=hop_offsets[1:])
+    # One flat gather: hop ``k`` of trace ``t`` reads its template's
+    # entry ``start + k`` and noise slot ``t * 64 + k`` of the block the
+    # stream draws (every trace owns all 64 slots, whatever it reads).
+    position = np.arange(int(hop_offsets[-1]), dtype=np.int64)
+    first = hop_offsets[:-1]
+    at = np.repeat(store.start[rows] - first, counts) + position
+    slot = np.repeat(
+        np.arange(0, n * HOP_NOISE_BUDGET, HOP_NOISE_BUDGET) - first, counts
+    ) + position
+    noise = _stream(
+        seed, _PURPOSE_NOISE, 0, b0 * HOP_NOISE_BLOCKS
+    ).random(n * HOP_NOISE_BUDGET)
+    # rtt = 2*one_way + noise, hop by hop — float64-identical to the
+    # v1 writer's fused ``cum + scale * noise``.
+    hop_rtt = store.cum[at] + QUEUE_NOISE_MS * noise[slot]
+    hop_router = store.hop_router[at]
     traces = np.zeros(n, dtype=TRACE_DTYPE)
     endpoints = store.endpoints[rows]
     traces["src_city"] = endpoints[:, 0]

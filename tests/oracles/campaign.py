@@ -8,7 +8,7 @@ one :class:`TracerouteRecord` per trace index under either contract,
 draw for draw, so the parity suites can require every column to
 reconstruct exactly the record it builds.  :func:`build_rows_scalar`
 likewise fills a contract-v2 template store one engine template per
-pair, the reference of its vectorized row builder.
+pair, the reference of its vectorized template builder.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import List
 
 import numpy as np
 
+from repro.families import get_family
 from repro.traceroute.campaign import (
     CampaignConfig,
     _CampaignPlan,
@@ -43,6 +44,17 @@ from repro.traceroute.rngv2 import (
     _stream,
     _TemplateStore,
 )
+
+
+def family_campaign_config(scenario, **kwargs) -> CampaignConfig:
+    """A campaign config over *scenario*'s map family's providers (the
+    family's client and destination mixes, where it names them)."""
+    family = get_family(scenario.config.family)
+    if family.client_isps is not None:
+        kwargs.setdefault("client_isps", family.client_isps)
+    if family.dest_isps is not None:
+        kwargs.setdefault("dest_isps", family.dest_isps)
+    return CampaignConfig(**kwargs)
 
 
 def _pick_index(cum: List[float], u: float) -> int:
@@ -128,24 +140,35 @@ def build_rows_scalar(
     codes: np.ndarray,
 ) -> None:
     """Fill *store* with one engine template per pair: the scalar
-    reference of ``_TemplateStore._build_rows_vectorized``."""
-    rows = store._reserve(len(codes))
-    for row, code in zip(rows.tolist(), codes.tolist()):
+    reference of ``_TemplateStore._build``."""
+    counts: List[int] = []
+    routers: List[np.ndarray] = [np.zeros(0, dtype=np.int32)]
+    cums: List[np.ndarray] = [np.zeros(0, dtype=np.float64)]
+    endpoints: List[tuple] = []
+    for code in codes.tolist():
         cn, dn = divmod(code, tables.n_dest_nodes)
         template = engine._hop_template(
             tables.client_nodes[cn], tables.dest_nodes[dn]
         )
-        store._row_of[code] = row
         if template is False:
+            counts.append(-1)
+            endpoints.append((0, 0, 0, 0))
             continue
         k = len(template.router_ids)
         store._check_budget(k)
-        store.counts[row] = k
-        store.router_pad[row, :k] = template.router_ids
-        store.cum_pad[row, :k] = template.double_cum
-        store.endpoints[row] = (
+        counts.append(k)
+        routers.append(template.router_ids)
+        cums.append(template.double_cum)
+        endpoints.append((
             template.src_city_id,
             template.src_isp_id,
             template.dst_city_id,
             template.dst_isp_id,
-        )
+        ))
+    store.append(
+        codes,
+        np.asarray(counts, dtype=np.int64),
+        np.concatenate(routers),
+        np.concatenate(cums),
+        np.asarray(endpoints, dtype=np.int32).reshape(-1, 4),
+    )

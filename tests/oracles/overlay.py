@@ -21,6 +21,7 @@ from repro.data.cities import city_by_name
 from repro.fibermap.elements import FiberMap
 from repro.obs.tracer import get_tracer
 from repro.perf.routing import RoutingCore
+from repro.perf.substrate import substrate_for
 from repro.traceroute import overlay as overlay_module
 from repro.traceroute.columns import TraceColumns
 from repro.traceroute.geolocate import resolve_hop_city
@@ -48,7 +49,37 @@ def overlay_state(overlay):
 
 
 class _CountingOverlay(TrafficOverlay):
-    """:class:`TrafficOverlay` plus the one-segment conduit credit."""
+    """:class:`TrafficOverlay` plus the one-segment path resolution and
+    conduit credit."""
+
+    def _core_for(
+        self, isp: Optional[str], city_a: str, city_b: str
+    ) -> RoutingCore:
+        """The ISP's core when it holds both hop cities, else the
+        generic conduit view's."""
+        core = self._isp_core(isp)
+        if core is not None and core.present(city_a) and core.present(city_b):
+            return core
+        return self._generic_core()
+
+    def _conduit_path(
+        self, isp: Optional[str], city_a: str, city_b: str
+    ) -> Optional[Tuple[str, ...]]:
+        """One segment's conduit ids, solving its destination's row on
+        first use: the scalar reference of
+        :meth:`TrafficOverlay._conduit_paths`."""
+        key = (isp or "*", city_a, city_b)
+        if key in self._path_cache:
+            return self._path_cache[key]
+        core = self._core_for(isp, city_a, city_b)
+        result: Optional[Tuple[str, ...]] = None
+        path = core.path(city_a, city_b)
+        if path is not None and len(path) > 1:
+            result = substrate_for(self._map).path_conduits(
+                core, [core.index[city] for city in path]
+            )
+        self._path_cache[key] = result
+        return result
 
     def _count(
         self, conduit_id: str, direction: str, isp: Optional[str]
@@ -171,7 +202,7 @@ class LoopTrafficOverlay(_CountingOverlay):
 
 
 class NetworkXConduitPaths:
-    """``TrafficOverlay._conduit_path`` over NetworkX conduit graphs:
+    """``TrafficOverlay._conduit_paths`` over NetworkX conduit graphs:
     the provider's ``simple_conduit_graph(isp)`` when it holds both hop
     cities, else the generic one, each compiled by
     :func:`tests.oracles.graphs.core_from_networkx`."""

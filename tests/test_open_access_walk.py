@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.perf.substrate import GraphView
 from repro.policy import titleii
 from repro.policy.titleii import open_access_tradeoff, simulate_open_access
 from tests.oracles.policy import (
@@ -40,14 +41,29 @@ def test_each_entrant_solved_once(built_map, monkeypatch):
     calls = []
     solve = titleii._entrant_tenancy
 
-    def spy(fiber_map, rng, name):
+    def spy(ground, rng, name):
         calls.append(name)
-        return solve(fiber_map, rng, name)
+        return solve(ground, rng, name)
 
     monkeypatch.setattr(titleii, "_entrant_tenancy", spy)
     points = open_access_tradeoff(built_map, max_entrants=8)
     assert [p.num_entrants for p in points] == list(range(9))
     assert calls == [f"Entrant-{i + 1}" for i in range(8)]
+
+
+def test_one_batched_solve_per_entrant(built_map, monkeypatch):
+    # Each entrant solves all its POPs' trees in one Dijkstra call (one
+    # single-source solve per POP took 157 calls for 8 entrants).
+    solves = []
+    dijkstra = GraphView.dijkstra
+
+    def counting(self, *args, **kwargs):
+        solves.append(1)
+        return dijkstra(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphView, "dijkstra", counting)
+    open_access_tradeoff(built_map, max_entrants=8)
+    assert 0 < len(solves) <= 8
 
 
 def test_negative_max_entrants_gives_empty_curve(built_map):

@@ -7,9 +7,11 @@
   insertion order do not depend on the streaming batch size or on
   where a campaign is split between ``add_traces`` calls (a small
   Hypothesis property on both map families);
-* a work-count guard: one ``_conduit_path`` per distinct
-  ``(isp, city_a, city_b)`` key and at most one Dijkstra per conduit
-  graph per call — a deterministic count, not a timing.
+* a sharded (``workers=2``) campaign ingested over several windows
+  lands on the per-hop loop's state, on both map families;
+* a work-count guard: each distinct ``(isp, city_a, city_b)`` key is
+  resolved exactly once per overlay, with at most one Dijkstra per
+  conduit graph per call — a deterministic count, not a timing.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from hypothesis import strategies as st
 from repro.data.cities import city_by_name
 from repro.perf.substrate import GraphView
 from repro.traceroute import overlay as overlay_module
+from repro.traceroute.campaign import run_campaign
 from repro.traceroute.columns import TRACE_DTYPE, ColumnSchema, TraceColumns
 from repro.traceroute.overlay import TrafficOverlay
 from repro.traceroute.topology import _slug
+from tests.oracles.campaign import family_campaign_config
 from tests.oracles.overlay import LoopTrafficOverlay, overlay_state
 
 SMALL = settings(
@@ -210,16 +214,46 @@ def test_batch_size_and_split_point_do_not_matter(
 
 
 # ----------------------------------------------------------------------
+# A sharded campaign over several ingest batches
+# ----------------------------------------------------------------------
+def test_a_sharded_campaign_matches_the_loop(family_scenario, monkeypatch):
+    # 900 traces on 2 workers (pool shards), ingested in 4 windows of
+    # 256: the array merge across windows lands on the per-hop loop.
+    columns = run_campaign(
+        family_scenario.topology,
+        family_campaign_config(
+            family_scenario, num_traces=900, seed=2031, workers=2,
+            rng_contract=2,
+        ),
+    )
+    monkeypatch.setattr(overlay_module, "INGEST_BATCH_SIZE", 256)
+    assert len(list(columns.iter_batches(256))) >= 3
+    overlay = TrafficOverlay(*_world(family_scenario))
+    overlay.add_traces(columns)
+    oracle = LoopTrafficOverlay(*_world(family_scenario))
+    oracle.add_traces(columns)
+    assert overlay_state(overlay) == overlay_state(oracle)
+    assert overlay.traffic()
+
+
+# ----------------------------------------------------------------------
 # Work counts
 # ----------------------------------------------------------------------
 class TestWorkCounts:
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Count ``_conduit_path`` calls and Dijkstra calls per view."""
+        """Count the segments each batched walk resolves, the loop
+        oracle's ``_conduit_path`` calls and Dijkstra calls per view."""
         calls = Counter()
+        walked = Counter()
         solves = Counter()
-        conduit_path = TrafficOverlay._conduit_path
+        walk = TrafficOverlay._walk
+        conduit_path = LoopTrafficOverlay._conduit_path
         dijkstra = GraphView.dijkstra
+
+        def counting_walk(self, core, segments):
+            walked.update(segments)
+            return walk(self, core, segments)
 
         def counting_path(self, *args):
             calls["conduit_path"] += 1
@@ -229,36 +263,43 @@ class TestWorkCounts:
             solves[id(self)] += 1
             return dijkstra(self, *args, **kwargs)
 
-        monkeypatch.setattr(TrafficOverlay, "_conduit_path", counting_path)
+        monkeypatch.setattr(TrafficOverlay, "_walk", counting_walk)
+        monkeypatch.setattr(
+            LoopTrafficOverlay, "_conduit_path", counting_path
+        )
         monkeypatch.setattr(GraphView, "dijkstra", counting_dijkstra)
-        return calls, solves
+        return calls, walked, solves
 
     def test_one_path_per_key_one_solve_per_graph(
         self, family_scenario, counted
     ):
-        calls, solves = counted
+        _calls, walked, solves = counted
         campaign = family_scenario.campaign
-        calls.clear()
+        walked.clear()
         solves.clear()
         overlay = TrafficOverlay(*_world(family_scenario))
         half = len(campaign) // 2
         overlay.add_traces(window(campaign, 0, half))
-        assert calls["conduit_path"] == len(overlay._path_cache) > 0
+        # Every distinct key resolved, each exactly once.
+        assert set(walked) == set(overlay._path_cache)
+        assert max(walked.values()) == 1
         assert max(solves.values()) == 1
         second = window(campaign, half, len(campaign))
         fresh = TrafficOverlay(*_world(family_scenario))
         fresh.add_traces(second)
-        calls.clear()
+        known = set(overlay._path_cache)
+        walked.clear()
         solves.clear()
         overlay.add_traces(second)
-        # Once per key of this call, cached from the first half or not.
-        assert calls["conduit_path"] == len(fresh._path_cache)
+        # Only this call's keys that the first half left unresolved.
+        assert set(walked) == set(fresh._path_cache) - known
+        assert max(walked.values(), default=1) == 1
         assert max(solves.values(), default=0) <= 1
 
     def test_the_per_hop_loop_resolves_every_segment(self, scenario, counted):
         # The guard above bites: the loop it replaced resolves once per
         # segment and solves one destination at a time.
-        calls, solves = counted
+        calls, _walked, solves = counted
         campaign = scenario.campaign
         solves.clear()
         oracle = LoopTrafficOverlay(*_world(scenario))

@@ -19,7 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from repro.obs import tracing
+from repro.traceroute import campaign as campaign_module
 from repro.traceroute.campaign import (
     CampaignConfig,
     _CampaignPlan,
@@ -33,7 +37,11 @@ from repro.traceroute.columns import (
 from repro.traceroute.geolocate import GeolocationDatabase
 from repro.traceroute.probe import ProbeEngine
 from repro.traceroute import rngv2
-from tests.oracles.campaign import build_rows_scalar, trace_record_v2
+from tests.oracles.campaign import (
+    build_rows_scalar,
+    family_campaign_config,
+    trace_record_v2,
+)
 from tests.test_golden_hashes import record_digest
 
 #: The pre-v2 campaign goldens (recorded against PR 3, seed 2020 — the
@@ -130,6 +138,103 @@ class TestWorkerInvariance:
         assert _columns_equal(serial, sharded)
 
 
+#: Traces of the reference campaign the property reads prefixes of.
+PROPERTY_TRACES = 1200
+
+#: That reference campaign per map family, built on first use.
+_REFERENCES: dict = {}
+
+
+def _prefix(columns, count):
+    """The first *count* traces of *columns*."""
+    hops = int(columns.hop_offsets[count])
+    return (
+        columns.traces[:count],
+        columns.hop_offsets[: count + 1],
+        columns.hop_router[:hops],
+        columns.hop_rtt[:hops],
+    )
+
+
+@settings(
+    max_examples=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    num_traces=st.integers(1, PROPERTY_TRACES),
+    batch_size=st.integers(1, 4096),
+    workers=st.integers(1, 3),
+)
+@example(num_traces=900, batch_size=128, workers=3)
+def test_v2_columns_ignore_batch_trace_and_worker_counts(
+    family_scenario, num_traces, batch_size, workers
+):
+    # Stream positions are absolute trace indices, so any campaign is
+    # the byte-for-byte prefix of a longer one, however it is batched
+    # and sharded.
+    family = family_scenario.config.family
+    if family not in _REFERENCES:
+        _REFERENCES[family] = run_campaign(
+            family_scenario.topology,
+            family_campaign_config(
+                family_scenario, num_traces=PROPERTY_TRACES, seed=2020,
+                rng_contract=2,
+            ),
+        )
+    columns = run_campaign(
+        family_scenario.topology,
+        family_campaign_config(
+            family_scenario, num_traces=num_traces, seed=2020,
+            rng_contract=2, batch_size=batch_size, workers=workers,
+        ),
+    )
+    got = (columns.traces, columns.hop_offsets, columns.hop_router,
+           columns.hop_rtt)
+    want = _prefix(_REFERENCES[family], num_traces)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+class TestPoolTables:
+    def test_workers_inherit_the_parents_v2_tables(self, topology):
+        # The pool initializer adopts the tables the parent built
+        # instead of building its own.
+        config = _config(num_traces=600, rng_contract=2)
+        plan = _CampaignPlan(topology, config)
+        shared = rngv2.build_v2_tables(
+            topology, ColumnSchema.from_topology(topology), plan
+        )
+        saved = campaign_module._WORKER_STATE
+        try:
+            campaign_module._init_worker(topology, config, plan, shared)
+            engine, worker_plan, _config_, _token = (
+                campaign_module._WORKER_STATE
+            )
+        finally:
+            campaign_module._WORKER_STATE = saved
+        assert worker_plan is plan
+        tables, core_tables, store = rngv2._v2_state(engine, plan)
+        assert tables is shared[0] and core_tables is shared[1]
+        assert store.size == 0
+
+    def test_shard_spans_report_templates_built(self, topology):
+        config = _config(num_traces=900, workers=2, rng_contract=2)
+        with tracing() as tracer:
+            columns = run_campaign(topology, config)
+        spans = [
+            span for span in tracer.to_dicts()[0]["children"]
+            if span["name"] == "campaign.shard"
+        ]
+        built = [span["attrs"]["templates_built"] for span in spans]
+        assert len(spans) == 4 and all(b >= 0 for b in built)
+        # Every trace's pair was built by some worker at least once.
+        engine = ProbeEngine(topology, seed=config.seed + 1)
+        plan = _CampaignPlan(topology, config)
+        rngv2.generate_columns_v2(engine, plan, config, 0, len(columns))
+        distinct = rngv2._v2_state(engine, plan)[2].size
+        assert distinct <= sum(built) <= 2 * distinct
+
+
 class TestScalarReference:
     def test_batch_records_match_scalar_reference(self, topology):
         config = _config(num_traces=600, rng_contract=2)
@@ -142,37 +247,48 @@ class TestScalarReference:
             )
 
     def test_vectorized_templates_match_engine_templates(self, topology):
-        # The canary for the vectorized template builder: its padded
-        # rows must be bit-identical to the scalar oracle's (which
-        # wraps ``engine._hop_template``), for every pair a campaign
-        # actually draws.
+        # The canary for the vectorized template builder: every pair a
+        # campaign actually draws must hold the scalar oracle's hops,
+        # doubled cumulative latencies and endpoints (which wrap
+        # ``engine._hop_template``), bit for bit.
         config = _config(num_traces=600, rng_contract=2)
         engine = ProbeEngine(topology, seed=config.seed + 1)
         plan = _CampaignPlan(topology, config)
         rngv2.generate_columns_v2(engine, plan, config, 0, 600)
         tables, core_tables, store = rngv2._v2_state(engine, plan)
-        codes = np.array(sorted(store._row_of), dtype=np.int64)
-        reference = rngv2._TemplateStore()
-        rows = store.rows_for(tables, core_tables, codes)
+        codes = np.flatnonzero(store.row_of >= 0)
+        assert len(codes) == store.size > 0
+        reference = rngv2._TemplateStore(tables)
         build_rows_scalar(reference, engine, tables, codes)
-        ref_rows = np.array(
-            [reference._row_of[code] for code in codes.tolist()],
-            dtype=np.int64,
-        )
+        rows = store.rows_for(tables, core_tables, codes)
+        ref_rows = reference.rows_for(tables, core_tables, codes)
+        assert reference.size == len(codes)  # the lookup built nothing
         assert np.array_equal(store.counts[rows], reference.counts[ref_rows])
         assert np.array_equal(
             store.endpoints[rows], reference.endpoints[ref_rows]
         )
-        width = int(store.counts[rows].max())
-        mask = np.arange(width) < store.counts[rows][:, None]
-        assert np.array_equal(
-            store.router_pad[rows][:, :width][mask],
-            reference.router_pad[ref_rows][:, :width][mask],
-        )
-        assert np.array_equal(
-            store.cum_pad[rows][:, :width][mask],
-            reference.cum_pad[ref_rows][:, :width][mask],
-        )
+        for row, ref in zip(rows.tolist(), ref_rows.tolist()):
+            k = max(0, int(store.counts[row]))
+            got = slice(store.start[row], store.start[row] + k)
+            want = slice(reference.start[ref], reference.start[ref] + k)
+            assert (
+                store.hop_router[got].tobytes()
+                == reference.hop_router[want].tobytes()
+            )
+            assert store.cum[got].tobytes() == reference.cum[want].tobytes()
+
+    def test_template_store_stays_compact(self, topology):
+        # Templates share one flat hop array: the store holds the hops
+        # it resolved (within one doubling), not 64 slots per pair.
+        config = _config(num_traces=600, rng_contract=2)
+        engine = ProbeEngine(topology, seed=config.seed + 1)
+        plan = _CampaignPlan(topology, config)
+        rngv2.generate_columns_v2(engine, plan, config, 0, 600)
+        _tables, _core_tables, store = rngv2._v2_state(engine, plan)
+        reached = store.counts[: store.size]
+        assert store.num_hops == int(reached[reached > 0].sum())
+        assert len(store.hop_router) <= max(8192, 2 * store.num_hops)
+        assert len(store.counts) <= max(1024, 2 * store.size)
 
 
 class TestContractThreading:

@@ -149,8 +149,7 @@ class TestConduitViewParity:
             ]
             segments += [(isp, a, b) for a, b in pairs]
             segments += [(isp, b, a) for a, b in pairs]
-        overlay._prepare_paths(segments)
-        ours = [overlay._conduit_path(*segment) for segment in segments]
+        ours = overlay._conduit_paths(segments)
         assert ours == [reference.conduit_path(*s) for s in segments]
         assert sum(path is not None for path in ours) > len(ours) // 2
 
