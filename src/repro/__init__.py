@@ -9,9 +9,10 @@ traceroute overlay (§4), and risk/latency mitigation (§5).
 Quick start::
 
     from repro import us2015
+    from repro.risk.metrics import isp_ranking
     scenario = us2015()
     print(scenario.constructed_map.stats())
-    print(scenario.risk_matrix.isp_average_risk("Level 3"))
+    print(isp_ranking(scenario.risk_matrix)[0])
 
 Other map universes load through the family registry
 (:mod:`repro.families`)::

@@ -8,23 +8,19 @@ used in the long-haul-link definition, and the 20 provider identities.
 from repro.data.cities import (
     CITIES,
     City,
-    cities_in_states,
     cities_over,
     city_by_code,
     city_by_name,
-    nearest_city,
 )
 from repro.data.corridors import (
     CORRIDORS,
     Corridor,
-    corridors_of_kind,
 )
 from repro.data.isps import (
     ISPS,
     STEP1_ISPS,
     STEP3_ISPS,
     ISPProfile,
-    isp_by_name,
 )
 
 __all__ = [
@@ -33,14 +29,10 @@ __all__ = [
     "city_by_name",
     "city_by_code",
     "cities_over",
-    "cities_in_states",
-    "nearest_city",
     "CORRIDORS",
     "Corridor",
-    "corridors_of_kind",
     "ISPS",
     "STEP1_ISPS",
     "STEP3_ISPS",
     "ISPProfile",
-    "isp_by_name",
 ]

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geo.coords import EARTH_RADIUS_KM, GeoPoint, haversine_km
+from repro.geo.coords import EARTH_RADIUS_KM, GeoPoint
 
 
 @dataclass(frozen=True)
@@ -574,16 +574,3 @@ def cities_over(population: int) -> List[City]:
         (c for c in CITIES if c.population >= population),
         key=lambda c: -c.population,
     )
-
-
-def cities_in_states(states: Iterable[str]) -> List[City]:
-    wanted = set(states)
-    return [c for c in CITIES if c.state in wanted]
-
-
-def nearest_city(point: GeoPoint, candidates: Iterable[City] = None) -> City:
-    """The city closest to *point* among *candidates* (default: all)."""
-    pool = list(candidates) if candidates is not None else list(CITIES)
-    if not pool:
-        raise ValueError("no candidate cities")
-    return min(pool, key=lambda c: haversine_km(point, c.location))

@@ -539,13 +539,6 @@ if len(set(_names)) != len(_names):
     raise RuntimeError("duplicate corridor names")
 
 
-def corridors_of_kind(kind: str) -> List[Corridor]:
-    """All primary corridors of one infrastructure *kind*."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown corridor kind: {kind}")
-    return [c for c in CORRIDORS if c.kind == kind]
-
-
 @functools.lru_cache(maxsize=None)
 def secondary_road_corridors(
     max_km: float = 230.0,

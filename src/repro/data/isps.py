@@ -115,8 +115,7 @@ STEP3_ISPS: Tuple[ISPProfile, ...] = (
 #: All 20 providers, step-1 first.
 ISPS: Tuple[ISPProfile, ...] = STEP1_ISPS + STEP3_ISPS
 
-_BY_NAME: Dict[str, ISPProfile] = {p.name: p for p in ISPS}
-if len(_BY_NAME) != len(ISPS):
+if len({p.name for p in ISPS}) != len(ISPS):
     raise RuntimeError("duplicate ISP names")
 
 _total_step3_links = sum(p.target_links for p in STEP3_ISPS)
@@ -124,11 +123,6 @@ if _total_step3_links != 1153:
     raise RuntimeError(
         f"step-3 link calibration drifted: {_total_step3_links} != 1153"
     )
-
-
-def isp_by_name(name: str) -> ISPProfile:
-    """Look up a provider profile by exact name."""
-    return _BY_NAME[name]
 
 
 def isp_names() -> List[str]:

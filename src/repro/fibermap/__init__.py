@@ -24,8 +24,6 @@ from repro.fibermap.serialization import (
     fiber_map_from_dict,
     fiber_map_to_dict,
     fiber_map_to_geojson,
-    load_fiber_map,
-    save_fiber_map,
 )
 from repro.fibermap.synthesis import GroundTruth, synthesize_ground_truth
 
@@ -50,8 +48,6 @@ __all__ = [
     "fiber_map_to_dict",
     "fiber_map_from_dict",
     "fiber_map_to_geojson",
-    "save_fiber_map",
-    "load_fiber_map",
     "diff_maps",
     "MapDiff",
     "fidelity_gain",

@@ -60,12 +60,6 @@ class AnnotatedMap:
     def __len__(self) -> int:
         return len(self.annotations)
 
-    def by_id(self, conduit_id: str) -> ConduitAnnotation:
-        for annotation in self.annotations:
-            if annotation.conduit_id == conduit_id:
-                return annotation
-        raise KeyError(conduit_id)
-
     def critical(self) -> Tuple[ConduitAnnotation, ...]:
         """Conduits in the highest risk class, busiest first."""
         rows = [a for a in self.annotations if a.risk_class == "critical"]

@@ -52,12 +52,6 @@ class CapacityModel:
     def total_lit_gbps(self) -> float:
         return sum(c.lit_gbps for c in self.conduits)
 
-    def by_id(self, conduit_id: str) -> ConduitCapacity:
-        for conduit in self.conduits:
-            if conduit.conduit_id == conduit_id:
-                return conduit
-        raise KeyError(conduit_id)
-
     def top_capacity(self, top: int = 10) -> Tuple[ConduitCapacity, ...]:
         return tuple(
             sorted(

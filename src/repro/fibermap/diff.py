@@ -48,14 +48,6 @@ class MapDiff:
     unchanged: int
 
     @property
-    def is_empty(self) -> bool:
-        return (
-            not self.added_conduits
-            and not self.removed_conduits
-            and not self.tenancy_changes
-        )
-
-    @property
     def tenancies_added(self) -> int:
         return sum(len(c.added) for c in self.tenancy_changes)
 

@@ -235,9 +235,6 @@ class FiberMap:
             c for _, c in sorted(self._conduits.items()) if isp in c.tenants
         ]
 
-    def nodes_of(self, isp: str) -> List[str]:
-        return sorted(k for k, n in self._nodes.items() if isp in n.isps)
-
     def stats(self) -> MapStats:
         return MapStats(
             num_nodes=len(self._nodes),

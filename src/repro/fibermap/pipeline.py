@@ -84,12 +84,6 @@ class ConstructionReport:
     inferred_tenancies: int = 0
     accuracy: Optional[AccuracyReport] = None
 
-    @property
-    def final_stats(self) -> MapStats:
-        if not self.snapshots:
-            raise RuntimeError("pipeline has not run")
-        return self.snapshots[-1].stats
-
 
 class MapConstructionPipeline:
     """Runs the four-step §2 process against published artifacts."""

@@ -8,8 +8,7 @@ suitable for any GIS viewer.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, IO, Union
+from typing import Any, Dict
 
 from repro.fibermap.elements import FiberMap
 from repro.geo.coords import GeoPoint
@@ -71,26 +70,6 @@ def fiber_map_from_dict(data: Dict[str, Any]) -> FiberMap:
             if isp not in fiber_map.conduit(conduit_id).tenants:
                 fiber_map.add_tenant(conduit_id, isp)
     return fiber_map
-
-
-def save_fiber_map(fiber_map: FiberMap, fp: Union[str, IO[str]]) -> None:
-    """Write a fiber map as JSON to a path or open file."""
-    data = fiber_map_to_dict(fiber_map)
-    if isinstance(fp, str):
-        with open(fp, "w", encoding="utf-8") as handle:
-            json.dump(data, handle)
-    else:
-        json.dump(data, fp)
-
-
-def load_fiber_map(fp: Union[str, IO[str]]) -> FiberMap:
-    """Read a fiber map from a JSON path or open file."""
-    if isinstance(fp, str):
-        with open(fp, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    else:
-        data = json.load(fp)
-    return fiber_map_from_dict(data)
 
 
 def fiber_map_to_geojson(

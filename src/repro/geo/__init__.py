@@ -18,7 +18,7 @@ from repro.geo.coords import (
     haversine_km,
     midpoint,
 )
-from repro.geo.overlap import CorridorIndex, colocated_fraction, overlap_profile
+from repro.geo.overlap import CorridorIndex, overlap_profile
 from repro.geo.polyline import Polyline
 from repro.geo.projection import LocalProjection
 
@@ -36,6 +36,5 @@ __all__ = [
     "Polyline",
     "LocalProjection",
     "CorridorIndex",
-    "colocated_fraction",
     "overlap_profile",
 ]

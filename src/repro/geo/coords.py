@@ -46,9 +46,6 @@ class GeoPoint:
         """Great-circle distance to *other* in kilometers."""
         return haversine_km(self, other)
 
-    def as_tuple(self) -> tuple:
-        return (self.lat, self.lon)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.lat:.4f}, {self.lon:.4f})"
 

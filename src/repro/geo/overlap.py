@@ -72,10 +72,6 @@ class CorridorIndex:
         self._lines.append((line, kind))
         self._arrays = None
 
-    def add_many(self, lines: Iterable[Polyline], kind: str) -> None:
-        for line in lines:
-            self.add(line, kind)
-
     def compile(self) -> Dict[str, np.ndarray]:
         """Segment endpoints, kind codes (a kind's rank in ``sorted(kinds)``)
         and bbox cell ranges as arrays, built on first use after ``add``."""
@@ -203,17 +199,6 @@ def overlap_profile(
         samples=n,
         union_fractions=union_fractions,
     )
-
-
-def colocated_fraction(
-    route: Polyline,
-    index: CorridorIndex,
-    kind: str,
-    buffer_km: float = DEFAULT_BUFFER_KM,
-    spacing_km: float = DEFAULT_SAMPLE_SPACING_KM,
-) -> float:
-    """Fraction of *route* co-located with corridors of one *kind*."""
-    return overlap_profile(route, index, buffer_km, spacing_km).fraction(kind)
 
 
 #: Float round-off tolerance for fractions that were averaged or summed

@@ -9,7 +9,7 @@ geometry.  This is how we replace ArcGIS's planar overlay operations.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Tuple
+from typing import Tuple
 
 from repro.geo.coords import EARTH_RADIUS_KM, GeoPoint
 
@@ -34,16 +34,6 @@ class LocalProjection:
         dx = (point.lon - self.reference.lon) * self._km_per_deg * self._cos_ref
         dy = (point.lat - self.reference.lat) * self._km_per_deg
         return (dx, dy)
-
-    def to_xy_many(self, points: Iterable[GeoPoint]) -> List[XY]:
-        return [self.to_xy(p) for p in points]
-
-    def to_geo(self, xy: XY) -> GeoPoint:
-        """Inverse projection from local (x, y) kilometers back to lat/lon."""
-        x, y = xy
-        lat = self.reference.lat + y / self._km_per_deg
-        lon = self.reference.lon + x / (self._km_per_deg * self._cos_ref)
-        return GeoPoint(lat, lon)
 
 
 def point_segment_distance_km(

@@ -63,10 +63,6 @@ class ExchangeConduit:
     def num_members(self) -> int:
         return len(self.members)
 
-    @property
-    def total_cost(self) -> float:
-        return self.length_km * COST_PER_KM
-
 
 def plan_exchange(
     fiber_map: FiberMap,

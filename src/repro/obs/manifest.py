@@ -101,36 +101,6 @@ class RunManifest:
             )
         return flat
 
-    def span_names(self) -> List[str]:
-        """Every span name in the tree, depth-first (with duplicates)."""
-        return [span["name"] for _, _, span in _walk(self.spans)]
-
-    def span_tree(self) -> List[Any]:
-        """The structural shape of the run: timings stripped.
-
-        Two runs of the same configuration and seed produce identical
-        span trees (names, structural attributes, counters, nesting);
-        only durations differ.  ``started_s``/``duration_s`` and other
-        float-valued attributes are excluded as timing-dependent.
-        """
-
-        def strip(span: Dict[str, Any]) -> Dict[str, Any]:
-            node: Dict[str, Any] = {"name": span["name"]}
-            attrs = {
-                k: v
-                for k, v in span.get("attrs", {}).items()
-                if not isinstance(v, float)
-            }
-            if attrs:
-                node["attrs"] = attrs
-            if span.get("counters"):
-                node["counters"] = span["counters"]
-            if span.get("children"):
-                node["children"] = [strip(c) for c in span["children"]]
-            return node
-
-        return [strip(span) for span in self.spans]
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "schema": SCHEMA_VERSION,

@@ -66,19 +66,21 @@ class RoutingCore(GraphView):
     destination and an array walk per trace."""
 
     def __init__(self, view: GraphView, weight: str):
-        # Adopt the view's compiled arrays as they are (no copy).
-        super().__init__(
-            view.nodes, view.index, view.eu, view.ev, view.weights,
-            view.payload,
-        )
+        # Adopt the view as it is, like ``clone`` without the copies: its
+        # arrays, edge lookup, incidence and solver structures are shared,
+        # so wrapping a view builds no view.
+        self.nodes = view.nodes
+        self.index = view.index
+        self.eu = view.eu
+        self.ev = view.ev
+        self.weights = view.weights
+        self.payload = view.payload
+        self._edge_of = view._edge_of
+        self._incident = view._incident
+        self._structs = view._structs
         self.weight = weight
         self._rows: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {}
         self._baselines: "OrderedDict[Hashable, object]" = OrderedDict()
-
-    @property
-    def num_prepared(self) -> int:
-        """Destinations whose rows are already computed."""
-        return len(self._rows)
 
     def __getstate__(self):
         # Rows, solver matrices and baselines are cheap to recompute and

@@ -12,11 +12,9 @@ from repro.policy.titleii import (
     OpenAccessOutcome,
     TradeoffPoint,
     open_access_tradeoff,
-    simulate_open_access,
 )
 
 __all__ = [
-    "simulate_open_access",
     "OpenAccessOutcome",
     "open_access_tradeoff",
     "TradeoffPoint",

@@ -169,22 +169,6 @@ def _open_access_walk(
         )
 
 
-def simulate_open_access(
-    fiber_map: FiberMap,
-    num_entrants: int = 3,
-    seed: int = 19,
-) -> OpenAccessOutcome:
-    """Admit *num_entrants* open-access entrants and measure the fallout.
-
-    The input map is not mutated; tenancy effects are computed on a
-    copy of the tenant counts.
-    """
-    if num_entrants < 0:
-        raise ValueError("num_entrants must be non-negative")
-    *_, outcome = _open_access_walk(fiber_map, num_entrants, seed)
-    return outcome
-
-
 @dataclass(frozen=True)
 class TradeoffPoint:
     """One point of the savings-vs-risk trade-off curve."""

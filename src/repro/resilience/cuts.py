@@ -11,7 +11,7 @@ every conduit whose geometry passes near the event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional
 
 from repro.fibermap.elements import FiberMap
 from repro.geo.coords import GeoPoint
@@ -97,15 +97,3 @@ def disaster_cut(
         conduit_ids=frozenset(hit),
         location=center,
     )
-
-
-def cuts_for_city(fiber_map: FiberMap, city_key: str) -> Tuple[CutEvent, ...]:
-    """All single-ROW cut events incident to one city."""
-    edges = sorted(
-        {
-            c.edge
-            for c in fiber_map.conduits.values()
-            if city_key in c.edge
-        }
-    )
-    return tuple(edge_cut(fiber_map, *edge) for edge in edges)

@@ -60,12 +60,6 @@ class CutImpact:
     def total_pairs_disconnected(self) -> int:
         return sum(i.pairs_disconnected for i in self.per_isp)
 
-    def impact_of(self, isp: str) -> Optional[IspImpact]:
-        for impact in self.per_isp:
-            if impact.isp == isp:
-                return impact
-        return None
-
 
 def probes_crossing(traffic: Dict[str, object], conduit_ids) -> int:
     """Probe traffic that crossed the given conduits (overlay units)."""

@@ -85,16 +85,9 @@ class RiskMatrix:
         """Vector of tenant counts per conduit (column order)."""
         return np.array([len(t) for t in self._tenants], dtype=int)
 
-    def tenants_of(self, conduit_id: str) -> FrozenSet[str]:
-        return self._tenants[self._conduit_index[conduit_id]]
-
     def row(self, isp: str) -> np.ndarray:
         """One ISP's row of shared-risk values."""
         return self._matrix[self._isp_index[isp]]
-
-    def presence_row(self, isp: str) -> np.ndarray:
-        """Binary occupancy vector for one ISP (1 where it is a tenant)."""
-        return (self._matrix[self._isp_index[isp]] > 0).astype(int)
 
     def conduits_of(self, isp: str) -> List[str]:
         """Conduit ids where *isp* is a tenant."""
@@ -102,23 +95,3 @@ class RiskMatrix:
         return [
             self._conduit_ids[j] for j in np.nonzero(row)[0]
         ]
-
-    def isp_average_risk(self, isp: str) -> float:
-        """Average tenant count over the conduits an ISP occupies.
-
-        This is the per-row average behind Figure 7 ("average number of
-        ISPs that share conduits in a given ISP's network").
-        """
-        row = self.row(isp)
-        occupied = row[row > 0]
-        if occupied.size == 0:
-            return 0.0
-        return float(occupied.mean())
-
-    def isp_risk_percentiles(self, isp: str, q: Sequence[float]) -> List[float]:
-        """Percentiles of the sharing counts over an ISP's conduits."""
-        row = self.row(isp)
-        occupied = row[row > 0]
-        if occupied.size == 0:
-            return [0.0 for _ in q]
-        return [float(v) for v in np.percentile(occupied, list(q))]

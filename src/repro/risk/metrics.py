@@ -125,11 +125,3 @@ def most_shared_conduits(matrix: RiskMatrix, top: int = 12) -> List[Tuple[str, i
     return [
         (matrix.conduit_ids[j], int(counts[j])) for j in order[:top]
     ]
-
-
-def conduits_with_at_least(matrix: RiskMatrix, k: int) -> List[str]:
-    """Ids of conduits shared by at least *k* ISPs."""
-    counts = matrix.sharing_counts()
-    return [
-        matrix.conduit_ids[j] for j in np.nonzero(counts >= k)[0]
-    ]

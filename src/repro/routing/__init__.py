@@ -10,7 +10,7 @@ backup paths that avoid the primary's risk groups.
 
 from repro.routing.backup import BackupPlan, plan_backup, protection_report
 from repro.routing.opacity import OpacityCase, OpacityStudy, check_pair, opacity_study
-from repro.routing.pareto import ParetoPath, best_under_risk_budget, pareto_paths
+from repro.routing.pareto import ParetoPath, pareto_paths
 from repro.routing.srlg import (
     path_srlgs,
     shared_srlgs,
@@ -25,7 +25,6 @@ __all__ = [
     "protection_report",
     "BackupPlan",
     "pareto_paths",
-    "best_under_risk_budget",
     "ParetoPath",
     "check_pair",
     "opacity_study",

@@ -81,17 +81,3 @@ def pareto_paths(
             frontier.append(option)
             best_risk = option.max_risk
     return frontier
-
-
-def best_under_risk_budget(
-    fiber_map: FiberMap,
-    a_key: str,
-    b_key: str,
-    max_tenants: int,
-    isp: Optional[str] = None,
-) -> Optional[ParetoPath]:
-    """Fastest path whose worst conduit has at most *max_tenants*."""
-    for option in pareto_paths(fiber_map, a_key, b_key, isp):
-        if option.max_risk <= max_tenants:
-            return option
-    return None

@@ -37,19 +37,3 @@ def shared_srlgs(
 ) -> FrozenSet[Srlg]:
     """Risk groups common to two conduit paths (ideally empty)."""
     return path_srlgs(fiber_map, path_a) & path_srlgs(fiber_map, path_b)
-
-
-def srlg_diversity(
-    fiber_map: FiberMap,
-    path_a: Iterable[str],
-    path_b: Iterable[str],
-) -> float:
-    """1.0 when fully risk-disjoint, 0.0 when one path's groups are all
-    shared with the other."""
-    groups_a = path_srlgs(fiber_map, path_a)
-    groups_b = path_srlgs(fiber_map, path_b)
-    if not groups_a or not groups_b:
-        return 1.0
-    overlap = len(groups_a & groups_b)
-    smaller = min(len(groups_a), len(groups_b))
-    return 1.0 - overlap / smaller

@@ -57,14 +57,3 @@ class AddressPlan:
     def lookup(self, ip: str) -> Optional[Tuple[str, str]]:
         """Ground-truth (isp, city) for an address issued by this plan."""
         return self._reverse.get(ip)
-
-    def isp_of(self, ip: str) -> Optional[str]:
-        """Provider owning *ip*, by prefix (works without prior issue)."""
-        try:
-            address = ipaddress.IPv4Address(ip)
-        except ipaddress.AddressValueError:
-            return None
-        for isp, network in self._isp_nets.items():
-            if address in network:
-                return isp
-        return None

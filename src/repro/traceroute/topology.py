@@ -111,17 +111,14 @@ class InternetTopology:
         #: two routers of one provider; any other key is a peering.
         self._links: Dict[Tuple[Tuple[str, str], Tuple[str, str]], float] = {}
         self._routers: Dict[Tuple[str, str], Router] = {}
-        self._routers_by_ip: Dict[str, Router] = {}
         self._mpls: Set[str] = set()
         self._link_conduits: Dict[Tuple[str, str, str], Tuple[str, ...]] = {}
-        self._phantom_names: Tuple[str, ...] = ()
         self._routing_core: Optional[RoutingCore] = None
         self._conduit_edges: Optional[Dict[str, Tuple[int, ...]]] = None
         fiber_map = ground_truth.fiber_map
         for isp in fiber_map.isps():
             self._add_provider_from_links(isp, fiber_map)
         if include_phantoms:
-            self._phantom_names = PHANTOM_PROVIDERS
             for name in PHANTOM_PROVIDERS:
                 self._add_phantom(name, fiber_map)
         self._add_peerings()
@@ -148,7 +145,6 @@ class InternetTopology:
             has_hint=has_hint,
         )
         self._routers[node] = router
-        self._routers_by_ip[ip] = router
         return router
 
     def _add_provider_from_links(self, isp: str, fiber_map: FiberMap) -> None:
@@ -260,18 +256,11 @@ class InternetTopology:
             }
         return self._conduit_edges
 
-    @property
-    def phantom_names(self) -> Tuple[str, ...]:
-        return self._phantom_names
-
     def providers(self) -> List[str]:
         return sorted({isp for isp, _ in self._routers})
 
     def router(self, isp: str, city_key: str) -> Router:
         return self._routers[(isp, city_key)]
-
-    def router_by_ip(self, ip: str) -> Optional[Router]:
-        return self._routers_by_ip.get(ip)
 
     def routers_of(self, isp: str) -> List[Router]:
         return [

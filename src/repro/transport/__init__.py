@@ -7,7 +7,7 @@ queries used by the map pipeline (§2), the geography analysis (§3), and
 the mitigation frameworks (§5).
 """
 
-from repro.transport.builder import build_transport_network, corridor_polyline
+from repro.transport.builder import build_transport_network
 from repro.transport.network import RowEdge, TransportationNetwork
 from repro.transport.rightofway import RightOfWay, RowRegistry
 
@@ -15,7 +15,6 @@ __all__ = [
     "TransportationNetwork",
     "RowEdge",
     "build_transport_network",
-    "corridor_polyline",
     "RightOfWay",
     "RowRegistry",
 ]

@@ -73,22 +73,6 @@ def _meander_leg(
     return points
 
 
-def corridor_polyline(
-    corridor: Corridor,
-    amp_km: float = DEFAULT_MEANDER_AMP_KM,
-    wavelength_km: float = DEFAULT_MEANDER_WAVELENGTH_KM,
-    spacing_km: float = DEFAULT_POINT_SPACING_KM,
-) -> Polyline:
-    """Full meandered geometry of *corridor* through all its waypoints."""
-    phase = _corridor_phase(corridor.name)
-    points: List[GeoPoint] = []
-    locations = [city_by_name(key).location for key in corridor.waypoints]
-    for a, b in zip(locations, locations[1:]):
-        points.extend(_meander_leg(a, b, phase, amp_km, wavelength_km, spacing_km))
-    points.append(locations[-1])
-    return Polyline(points)
-
-
 def corridor_leg_polyline(
     corridor: Corridor,
     a_key: str,

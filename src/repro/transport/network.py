@@ -129,9 +129,6 @@ class TransportationNetwork:
     def edge(self, a_key: str, b_key: str) -> RowEdge:
         return self._edges[canonical_edge(a_key, b_key)]
 
-    def has_edge(self, a_key: str, b_key: str) -> bool:
-        return canonical_edge(a_key, b_key) in self._edges
-
     def edges_of_kind(self, kind: str) -> List[RowEdge]:
         return [e for e in self.edges() if kind in e.kinds]
 

@@ -64,8 +64,8 @@ def simulate_open_access_reference(
     num_entrants: int = 3,
     seed: int = 19,
 ) -> OpenAccessOutcome:
-    """:func:`repro.policy.titleii.simulate_open_access`, per entrant
-    count from scratch."""
+    """The outcome after *num_entrants* entrants, simulated from
+    scratch (the package reads it off ``titleii._open_access_walk``)."""
     rng = random.Random(seed)
     counts_before = [c.num_tenants for c in fiber_map.conduits.values()]
     before, mean_before = _sharing_stats(counts_before)

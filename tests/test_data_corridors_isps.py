@@ -6,7 +6,6 @@ from repro.data.cities import city_by_name
 from repro.data.corridors import (
     CORRIDORS,
     Corridor,
-    corridors_of_kind,
     secondary_road_corridors,
 )
 from repro.data.isps import (
@@ -14,9 +13,12 @@ from repro.data.isps import (
     STEP1_ISPS,
     STEP3_ISPS,
     ISPProfile,
-    isp_by_name,
     isp_names,
 )
+
+
+#: The provider profiles by name (names are unique, the dataset checks).
+_BY_NAME = {p.name: p for p in ISPS}
 
 
 class TestCorridors:
@@ -30,16 +32,12 @@ class TestCorridors:
         assert len(set(names)) == len(names)
 
     def test_kind_partition(self):
-        total = (
-            len(corridors_of_kind("road"))
-            + len(corridors_of_kind("rail"))
-            + len(corridors_of_kind("pipeline"))
-        )
-        assert total == len(CORRIDORS)
+        kinds = {c.kind for c in CORRIDORS}
+        assert kinds <= {"road", "rail", "pipeline"}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            corridors_of_kind("canal")
+            Corridor("Erie", "canal", ("Albany, NY", "Buffalo, NY"))
 
     def test_edges_are_consecutive_pairs(self):
         i5 = next(c for c in CORRIDORS if c.name == "I-5")
@@ -125,9 +123,8 @@ class TestIsps:
         assert sum(p.target_links for p in ISPS) == 2411
 
     def test_lookup(self):
-        assert isp_by_name("Level 3").tier == "tier1"
-        with pytest.raises(KeyError):
-            isp_by_name("Atlantis Telecom")
+        assert _BY_NAME["Level 3"].tier == "tier1"
+        assert "Atlantis Telecom" not in _BY_NAME
 
     def test_names_order(self):
         names = isp_names()
@@ -135,8 +132,8 @@ class TestIsps:
         assert len(names) == 20
 
     def test_geocoded_property(self):
-        assert isp_by_name("AT&T").geocoded
-        assert not isp_by_name("Sprint").geocoded
+        assert _BY_NAME["AT&T"].geocoded
+        assert not _BY_NAME["Sprint"].geocoded
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -148,11 +145,11 @@ class TestIsps:
 
     def test_builders_include_cable(self):
         for name in ("Comcast", "Cox", "TWC", "Suddenlink"):
-            assert isp_by_name(name).builder
+            assert _BY_NAME[name].builder
 
     def test_lessees_include_foreign_tier1s(self):
         for name in ("Deutsche Telekom", "NTT", "Tata", "XO"):
-            assert not isp_by_name(name).builder
+            assert not _BY_NAME[name].builder
 
 
 class TestNsfnet:

@@ -100,7 +100,7 @@ class TestCampaignCrashRecovery:
             with tracing() as tracer:
                 survived = run_campaign(topology, config, workers=2)
         assert survived == reference
-        names = RunManifest.from_tracer(tracer).span_names()
+        names = [span.name for span in tracer.walk()]
         assert names.count("campaign.retry") >= 1
         assert names.count("campaign.shard") == 3
 
@@ -122,7 +122,7 @@ class TestCampaignCrashRecovery:
             with tracing() as tracer:
                 survived = run_campaign(topology, config, workers=2)
         assert survived == reference
-        names = RunManifest.from_tracer(tracer).span_names()
+        names = [span.name for span in tracer.walk()]
         assert "campaign.degraded" in names
 
 
@@ -288,7 +288,7 @@ class TestCorruptEntryRecovery:
         assert not any(
             e.stage == "ground_truth" for e in ArtifactCache(tmp_path).entries()
         )
-        names = RunManifest.from_tracer(tracer).span_names()
+        names = [span.name for span in tracer.walk()]
         assert "cache.degraded" in names and "faults.write_fail" in names
 
 

@@ -122,7 +122,9 @@ class TestTenancyAndStats:
         assert [c.conduit_id for c in small_map.conduits_of("X")] == [
             "C0001", "C0002",
         ]
-        assert small_map.nodes_of("X") == sorted([A, B, C])
+        assert sorted(
+            key for key, node in small_map.nodes.items() if "X" in node.isps
+        ) == sorted([A, B, C])
 
 
 class TestGraphViews:

@@ -1,7 +1,5 @@
 """Tests for the four-step map-construction pipeline (§2)."""
 
-import pytest
-
 from repro.data.isps import STEP1_ISPS, STEP3_ISPS
 from repro.fibermap.pipeline import MapConstructionPipeline
 
@@ -40,13 +38,7 @@ class TestSnapshots:
             assert after.stats.num_nodes >= before.stats.num_nodes
 
     def test_final_links_2411(self, construction_report):
-        assert construction_report.final_stats.num_links == 2411
-
-    def test_final_stats_property(self, construction_report):
-        assert (
-            construction_report.final_stats
-            == construction_report.snapshots[-1].stats
-        )
+        assert construction_report.snapshots[-1].stats.num_links == 2411
 
 
 class TestConstructedMap:
@@ -108,9 +100,3 @@ class TestPipelineMechanics:
         pipeline = MapConstructionPipeline(ground_truth)
         assert len(pipeline.provider_maps) == 20
         assert len(pipeline.corpus) > 0
-
-    def test_final_stats_before_run_raises(self):
-        from repro.fibermap.pipeline import ConstructionReport
-
-        with pytest.raises(RuntimeError):
-            ConstructionReport().final_stats

@@ -9,8 +9,6 @@ from repro.fibermap.serialization import (
     fiber_map_from_dict,
     fiber_map_to_dict,
     fiber_map_to_geojson,
-    load_fiber_map,
-    save_fiber_map,
 )
 
 
@@ -49,15 +47,17 @@ class TestJsonRoundtrip:
 
     def test_file_like_roundtrip(self, built_map):
         buffer = io.StringIO()
-        save_fiber_map(built_map, buffer)
+        json.dump(fiber_map_to_dict(built_map), buffer)
         buffer.seek(0)
-        restored = load_fiber_map(buffer)
+        restored = fiber_map_from_dict(json.load(buffer))
         assert restored.stats() == built_map.stats()
 
     def test_path_roundtrip(self, built_map, tmp_path):
-        path = str(tmp_path / "map.json")
-        save_fiber_map(built_map, path)
-        restored = load_fiber_map(path)
+        path = tmp_path / "map.json"
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(fiber_map_to_dict(built_map), handle)
+        with open(path, encoding="utf-8") as handle:
+            restored = fiber_map_from_dict(json.load(handle))
         assert restored.stats() == built_map.stats()
 
 

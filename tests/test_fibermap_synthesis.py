@@ -1,9 +1,17 @@
 """Tests for ground-truth synthesis: determinism, calibration, validity."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
-from repro.data.isps import ISPS, isp_by_name
-from repro.fibermap.synthesis import synthesize_ground_truth
+from repro.data.isps import ISPS
+from repro.fibermap.elements import FiberMap
+from repro.fibermap.synthesis import (
+    US_RULES,
+    _occupy_edge,
+    synthesize_ground_truth,
+)
 from repro.transport.network import canonical_edge
 
 
@@ -51,7 +59,7 @@ class TestValidity:
         network = ground_truth.network
         for link in list(ground_truth.fiber_map.links.values())[:200]:
             for a, b in zip(link.city_path, link.city_path[1:]):
-                assert network.has_edge(a, b)
+                assert network.edge(a, b).edge == canonical_edge(a, b)
 
     def test_link_conduits_match_path(self, ground_truth):
         fiber_map = ground_truth.fiber_map
@@ -75,7 +83,7 @@ class TestValidity:
         from repro.data.cities import city_by_name
         from repro.data.isps import STYLE_STATES
 
-        profile = isp_by_name("Suddenlink")
+        profile = next(p for p in ISPS if p.name == "Suddenlink")
         states = set(STYLE_STATES[profile.style])
         endpoints = {
             e
@@ -84,6 +92,59 @@ class TestValidity:
         }
         for key in endpoints:
             assert city_by_name(key).state in states
+
+
+class TestOccupyEdge:
+    """``_occupy_edge`` on a hand-built edge whose conduits are all
+    crowded, with every edge splittable (``parallel_prob=1.0``) and a
+    spare right-of-way in the registry.  No sampled seed re-crowds an
+    edge that already holds ``max_parallel`` conduits, so only this case
+    pins the cap."""
+
+    RULES = replace(US_RULES, parallel_prob=1.0)
+
+    def _crowded(self, ground_truth, conduits):
+        """A map holding *conduits* crowded conduits on an edge with a
+        spare right-of-way; the first conduit is the least loaded."""
+        registry = ground_truth.registry
+        edge = next(
+            row.edge
+            for row in registry.rows()
+            if len(registry.rows_for_edge(*row.edge)) > self.RULES.max_parallel
+        )
+        fiber_map = FiberMap()
+        used_row_ids = set()
+        for k, row in enumerate(registry.rows_for_edge(*edge)[:conduits]):
+            conduit = fiber_map.add_conduit(
+                edge[0], edge[1], row.row_id, registry.geometry(row.row_id)
+            )
+            for t in range(self.RULES.parallel_threshold + k):
+                fiber_map.add_tenant(conduit.conduit_id, f"Tenant-{k}-{t}")
+            used_row_ids.add(row.row_id)
+        return fiber_map, registry, edge, used_row_ids
+
+    def _occupy(self, fiber_map, registry, edge, used_row_ids):
+        return _occupy_edge(
+            fiber_map, registry, edge, "Entrant", used_row_ids,
+            random.Random(7), self.RULES,
+        )
+
+    def test_full_edge_leases_the_least_loaded_conduit(self, ground_truth):
+        full = self.RULES.max_parallel
+        fiber_map, registry, edge, used_row_ids = self._crowded(ground_truth, full)
+        least_loaded = fiber_map.conduits_between(*edge)[0]
+        conduit = self._occupy(fiber_map, registry, edge, used_row_ids)
+        assert conduit is least_loaded
+        assert len(fiber_map.conduits_between(*edge)) == full
+
+    def test_edge_with_room_trenches_a_parallel_conduit(self, ground_truth):
+        fiber_map, registry, edge, used_row_ids = self._crowded(
+            ground_truth, self.RULES.max_parallel - 1
+        )
+        before = set(used_row_ids)
+        conduit = self._occupy(fiber_map, registry, edge, used_row_ids)
+        assert conduit.row_id not in before
+        assert len(fiber_map.conduits_between(*edge)) == self.RULES.max_parallel
 
 
 class TestDeterminism:

@@ -50,9 +50,6 @@ class TestGeoPoint:
     def test_distance_method_matches_function(self):
         assert NYC.distance_km(LA) == haversine_km(NYC, LA)
 
-    def test_as_tuple(self):
-        assert NYC.as_tuple() == (40.71, -74.01)
-
 
 class TestHaversine:
     def test_nyc_la_distance(self):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.geo.coords import GeoPoint
 from repro.geo.overlap import (
     CorridorIndex,
-    colocated_fraction,
     histogram,
     overlap_profile,
 )
@@ -35,11 +34,6 @@ class TestCorridorIndex:
         assert index.kinds_near(p, 15.0) == {"road", "rail"}
         assert index.kinds_near(p, 2.0) == set()
 
-    def test_add_many(self):
-        idx = CorridorIndex()
-        idx.add_many([ROAD, FAR], "road")
-        assert idx.kinds == {"road"}
-
 
 class TestOverlapProfile:
     def test_route_on_corridor_fully_colocated(self, index):
@@ -60,9 +54,6 @@ class TestOverlapProfile:
     def test_sample_count_positive(self, index):
         profile = overlap_profile(ROAD, index, spacing_km=50.0)
         assert profile.samples >= 2
-
-    def test_colocated_fraction_shortcut(self, index):
-        assert colocated_fraction(ROAD, index, "road") == 1.0
 
     def test_unknown_kind_fraction_zero(self, index):
         assert overlap_profile(ROAD, index).fraction("pipeline") == 0.0

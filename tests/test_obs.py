@@ -13,6 +13,7 @@ from repro.obs import (
     to_jsonable,
     tracing,
 )
+from repro.obs.manifest import _walk
 from repro.perf.cache import ArtifactCache
 from repro.scenario import Scenario, ScenarioConfig
 
@@ -224,13 +225,6 @@ class TestRunManifest:
         assert "cache=miss" in text and "records+5" in text
         assert "command=test" in text
 
-    def test_span_tree_strips_float_attrs(self):
-        tracer = Tracer()
-        with tracer.span("a", n=3, elapsed=1.25):
-            pass
-        tree = RunManifest.from_tracer(tracer).span_tree()
-        assert tree == [{"name": "a", "attrs": {"n": 3}}]
-
 
 def _traced_run(seed: int, traces: int) -> RunManifest:
     """Build a fresh small scenario end to end under a fresh tracer."""
@@ -243,6 +237,27 @@ def _traced_run(seed: int, traces: int) -> RunManifest:
     return RunManifest.from_tracer(tracer, config=config.to_dict())
 
 
+def _span_names(manifest: RunManifest) -> set:
+    return {span["name"] for _, _, span in _walk(manifest.spans)}
+
+
+def _shape(manifest: RunManifest) -> list:
+    """Every span depth-first as (path, structural attributes,
+    counters): the run with its timings and float attributes stripped."""
+    return [
+        (
+            path,
+            {
+                k: v
+                for k, v in span.get("attrs", {}).items()
+                if not isinstance(v, float)
+            },
+            span.get("counters", {}),
+        )
+        for path, _, span in _walk(manifest.spans)
+    ]
+
+
 class TestManifestOfARun:
     #: One traced end-to-end run, shared by the coverage and determinism
     #: assertions (class-scoped: two builds total for the determinism
@@ -252,7 +267,7 @@ class TestManifestOfARun:
         return _traced_run(907, 80), _traced_run(907, 80)
 
     def test_manifest_covers_every_stage(self, manifests):
-        names = set(manifests[0].span_names())
+        names = _span_names(manifests[0])
         assert {
             "experiment.table1",
             "scenario.ground_truth",
@@ -275,14 +290,14 @@ class TestManifestOfARun:
 
     def test_same_config_same_span_tree(self, manifests):
         first, second = manifests
-        assert first.span_tree() == second.span_tree()
+        assert _shape(first) == _shape(second)
         assert set(first.timings()) == set(second.timings())
         assert first.config == second.config
 
     def test_different_seed_differs_structurally(self, manifests):
         other = _traced_run(908, 80)
         # Same span names (the stages are the same shape) ...
-        assert set(other.span_names()) == set(manifests[0].span_names())
+        assert _span_names(other) == _span_names(manifests[0])
         # ... but the structural attributes (map sizes, overlay counts)
         # reflect the different world.
-        assert other.span_tree() != manifests[0].span_tree()
+        assert _shape(other) != _shape(manifests[0])

@@ -2,8 +2,8 @@
 
 :func:`repro.policy.titleii.open_access_tradeoff` walks the entrants
 once and reads the point for every entrant count off the running
-prefix; :func:`~repro.policy.titleii.simulate_open_access` rides the
-same walk.  The from-scratch per-count simulation they replaced is the
+prefix; :func:`outcome_after` reads a whole outcome off the same
+walk.  The from-scratch per-count simulation they replaced is the
 oracle in ``tests/oracles/policy.py``; every point and outcome must
 equal it exactly (``==`` on floats), on both map families.
 """
@@ -14,11 +14,19 @@ import pytest
 
 from repro.perf.substrate import GraphView
 from repro.policy import titleii
-from repro.policy.titleii import open_access_tradeoff, simulate_open_access
+from repro.policy.titleii import OpenAccessOutcome, open_access_tradeoff
 from tests.oracles.policy import (
     open_access_tradeoff_reference,
     simulate_open_access_reference,
 )
+
+
+def outcome_after(
+    fiber_map, num_entrants: int, seed: int = 19
+) -> OpenAccessOutcome:
+    """The walk's outcome once *num_entrants* entrants have joined."""
+    *_, outcome = titleii._open_access_walk(fiber_map, num_entrants, seed)
+    return outcome
 
 
 @pytest.mark.parametrize("seed", (19, 4))
@@ -32,8 +40,8 @@ def test_tradeoff_matches_per_count_oracle(family_scenario, seed):
 @pytest.mark.parametrize("num_entrants", (0, 1, 3, 8))
 def test_simulate_matches_per_count_oracle(family_scenario, num_entrants):
     fiber_map = family_scenario.constructed_map
-    assert simulate_open_access(
-        fiber_map, num_entrants=num_entrants
+    assert outcome_after(
+        fiber_map, num_entrants
     ) == simulate_open_access_reference(fiber_map, num_entrants=num_entrants)
 
 

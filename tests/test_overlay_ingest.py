@@ -11,7 +11,8 @@
   lands on the per-hop loop's state, on both map families;
 * a work-count guard: each distinct ``(isp, city_a, city_b)`` key is
   resolved exactly once per overlay, with at most one Dijkstra per
-  conduit graph per call — a deterministic count, not a timing.
+  conduit graph per call — a deterministic count, not a timing — and
+  the overlay's routing cores build no view of their own.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.data.cities import city_by_name
-from repro.perf.substrate import GraphView
+from repro.fibermap.serialization import fiber_map_from_dict, fiber_map_to_dict
+from repro.obs import tracing
+from repro.perf.substrate import GraphView, substrate_for
 from repro.traceroute import overlay as overlay_module
 from repro.traceroute.campaign import run_campaign
 from repro.traceroute.columns import TRACE_DTYPE, ColumnSchema, TraceColumns
@@ -306,3 +309,46 @@ class TestWorkCounts:
         oracle.add_traces(campaign)
         assert calls["conduit_path"] > 2 * len(oracle._path_cache)
         assert max(solves.values()) > 1
+
+    def test_cores_build_no_views(self, family_scenario):
+        # A core adopts its substrate view as it is: an overlay adds the
+        # substrate's own tenant_view/conduit_view builds to
+        # ``substrate.view_builds`` and nothing per core.
+        fiber_map, topology, database = _world(family_scenario)
+        campaign = family_scenario.campaign
+
+        def warmed_copy():
+            """The map on a compiled substrate none of whose views is built."""
+            copy = fiber_map_from_dict(fiber_map_to_dict(fiber_map))
+            substrate_for(copy)
+            return copy
+
+        def view_builds(build):
+            with tracing() as tracer:
+                with tracer.span("build"):
+                    result = build()
+            builds = sum(
+                span.counters.get("substrate.view_builds", 0)
+                for span in tracer.walk()
+            )
+            return builds, result
+
+        copy = warmed_copy()
+
+        def overlay_on_copy():
+            overlay = TrafficOverlay(copy, topology, database)
+            overlay.add_traces(campaign)
+            return overlay
+
+        builds, overlay = view_builds(overlay_on_copy)
+        assert builds > 0
+        other_map = warmed_copy()
+        other = substrate_for(other_map)
+        views, _ = view_builds(lambda: [
+            other.conduit_view() if key == "*" else other.tenant_view(key)
+            for key in overlay._cores
+        ])
+        assert builds == views
+        # Every view is built now: a second overlay builds none.
+        again, _ = view_builds(overlay_on_copy)
+        assert again == 0

@@ -10,6 +10,7 @@ import pytest
 
 from repro.fibermap.validate import search_evidence, tenants_from_records
 from repro.risk.metrics import most_shared_conduits, sharing_fractions
+from repro.traceroute.topology import PHANTOM_PROVIDERS
 
 
 class TestSection24SearchWorkflow:
@@ -62,7 +63,7 @@ class TestSection41RiskMatrixNarrative:
         # 'We choose Level 3 as a base network due to its very rich
         # connectivity in the US.'
         occupancy = {
-            isp: int(risk_matrix.presence_row(isp).sum())
+            isp: len(risk_matrix.conduits_of(isp))
             for isp in risk_matrix.isps
         }
         ranked = sorted(occupancy, key=lambda i: -occupancy[i])
@@ -93,7 +94,7 @@ class TestSection43ExtraTenants:
         assert best >= 5
 
     def test_inferred_tenants_include_phantoms(self, overlay, built_map, scenario):
-        phantoms = set(scenario.topology.phantom_names)
+        phantoms = set(PHANTOM_PROVIDERS)
         seen = set()
         for cid in built_map.conduits:
             seen |= overlay.inferred_additional_isps(cid)

@@ -43,9 +43,9 @@ def _assert_pickle_drops_rows(graph):
 
     core = core_from_networkx(graph)
     core.prepare(sorted(graph.nodes)[:3])
-    assert core.num_prepared == 3 and core._structs
+    assert len(core._rows) == 3 and core._structs
     clone = pickle.loads(pickle.dumps(core))
-    assert clone.num_prepared == 0 and clone._structs == {}
+    assert len(clone._rows) == 0 and clone._structs == {}
     assert clone.num_nodes == core.num_nodes
 
 
@@ -86,7 +86,7 @@ class TestRoutingCore:
         nodes = core.nodes[:5]
         assert core.prepare(nodes) == 5
         assert core.prepare(nodes) == 0  # already computed
-        assert core.num_prepared == 5
+        assert len(core._rows) == 5
 
     def test_pickle_drops_prepared_rows(self, topology):
         _assert_pickle_drops_rows(topology_graph(topology))

@@ -6,7 +6,6 @@ from repro.geo.coords import GeoPoint
 from repro.resilience.cuts import (
     CutEvent,
     conduit_cut,
-    cuts_for_city,
     disaster_cut,
     edge_cut,
 )
@@ -63,10 +62,12 @@ class TestCutEvents:
             CutEvent(description="nothing", conduit_ids=frozenset())
 
     def test_cuts_for_city(self, built_map):
-        events = cuts_for_city(built_map, "Denver, CO")
-        assert events
-        for event in events:
-            for cid in event.conduit_ids:
+        edges = sorted(
+            {c.edge for c in built_map.conduits.values() if "Denver, CO" in c.edge}
+        )
+        assert edges
+        for edge in edges:
+            for cid in edge_cut(built_map, *edge).conduit_ids:
                 assert "Denver, CO" in built_map.conduit(cid).edge
 
 
@@ -102,9 +103,10 @@ class TestImpact:
     def test_impact_of_lookup(self, built_map, top_conduit):
         event = conduit_cut(built_map, top_conduit)
         impact = assess_cut(built_map, event)
-        isp = impact.per_isp[0].isp
-        assert impact.impact_of(isp) is impact.per_isp[0]
-        assert impact.impact_of("Nobody") is None
+        by_isp = {i.isp: i for i in impact.per_isp}
+        assert len(by_isp) == len(impact.per_isp)
+        assert by_isp[impact.per_isp[0].isp] is impact.per_isp[0]
+        assert "Nobody" not in by_isp
 
     def test_bigger_event_bigger_impact(self, built_map, top_conduit):
         single = assess_cut(built_map, conduit_cut(built_map, top_conduit))
@@ -318,7 +320,7 @@ class TestSelectiveRetrace:
         # A pickled copy has a cold core: no rows and no baseline, so the
         # threads race on building both.
         shared = pickle.loads(pickle.dumps(topology))
-        assert shared.routing_core().num_prepared == 0
+        assert len(shared.routing_core()._rows) == 0
         barrier = threading.Barrier(len(events))
         results = [None] * len(events)
 

@@ -17,7 +17,6 @@ from repro.risk.hamming import (
 from repro.risk.matrix import RiskMatrix
 from repro.risk.metrics import (
     conduits_shared_by_at_least,
-    conduits_with_at_least,
     isp_ranking,
     most_shared_conduits,
     sharing_cdf,
@@ -57,7 +56,7 @@ class TestMatrixInvariants:
     def test_entries_equal_column_tenant_counts(self, risk_matrix, built_map):
         values = risk_matrix.values
         for j, cid in enumerate(risk_matrix.conduit_ids[:100]):
-            tenants = risk_matrix.tenants_of(cid)
+            tenants = built_map.conduit(cid).tenants & set(risk_matrix.isps)
             count = len(tenants)
             column = values[:, j]
             nonzero = column[column > 0]
@@ -68,10 +67,6 @@ class TestMatrixInvariants:
         with pytest.raises(ValueError):
             risk_matrix.values[0, 0] = 99
 
-    def test_presence_row_binary(self, risk_matrix):
-        row = risk_matrix.presence_row("AT&T")
-        assert set(np.unique(row)) <= {0, 1}
-
     def test_sharing_counts_match(self, risk_matrix):
         counts = risk_matrix.sharing_counts()
         for j, cid in enumerate(risk_matrix.conduit_ids[:50]):
@@ -80,23 +75,21 @@ class TestMatrixInvariants:
     def test_conduits_of_matches_presence(self, risk_matrix):
         for isp in risk_matrix.isps[:5]:
             conduits = risk_matrix.conduits_of(isp)
-            assert len(conduits) == risk_matrix.presence_row(isp).sum()
+            assert len(conduits) == (risk_matrix.row(isp) > 0).sum()
 
     def test_average_risk_bounds(self, risk_matrix):
-        for isp in risk_matrix.isps:
-            avg = risk_matrix.isp_average_risk(isp)
-            assert 1.0 <= avg <= len(risk_matrix.isps)
+        for row in isp_ranking(risk_matrix):
+            assert 1.0 <= row.average <= len(risk_matrix.isps)
 
     def test_percentiles_ordered(self, risk_matrix):
-        for isp in risk_matrix.isps[:5]:
-            p25, p50, p75 = risk_matrix.isp_risk_percentiles(isp, (25, 50, 75))
-            assert p25 <= p50 <= p75
+        for row in isp_ranking(risk_matrix):
+            assert row.p25 <= row.p75
 
     def test_empty_isp_average(self):
         fm, _ = _tiny_map()
         matrix = RiskMatrix(fm, isps=["Level 3", "Sprint", "Ghost"])
-        assert matrix.isp_average_risk("Ghost") == 0.0
-        assert matrix.isp_risk_percentiles("Ghost", (50,)) == [0.0]
+        ghost = next(r for r in isp_ranking(matrix) if r.isp == "Ghost")
+        assert (ghost.average, ghost.p25, ghost.p75) == (0.0, 0.0, 0.0)
 
 
 class TestMetrics:
@@ -145,11 +138,6 @@ class TestMetrics:
         counts = [n for _, n in top]
         assert counts == sorted(counts, reverse=True)
         assert len(top) == 12
-
-    def test_conduits_with_at_least(self, risk_matrix):
-        ids = conduits_with_at_least(risk_matrix, 10)
-        for cid in ids:
-            assert risk_matrix.sharing_count(cid) >= 10
 
 
 class TestHamming:

@@ -6,21 +6,18 @@ import networkx as nx
 import pytest
 
 from repro.experiments.runner import run_experiment
-from repro.mitigation.exchange import plan_exchange
-from repro.policy.titleii import (
-    open_access_tradeoff,
-    simulate_open_access,
-)
+from repro.mitigation.exchange import COST_PER_KM, plan_exchange
+from repro.policy.titleii import open_access_tradeoff
 from repro.routing.backup import plan_backup, protection_report
 from repro.routing.srlg import (
     path_srlgs,
     shared_srlgs,
-    srlg_diversity,
     srlg_of_conduit,
 )
 from tests.oracles import mitigation as oracle
 from tests.oracles.fibermap import simple_conduit_graph
 from tests.test_drivers import _synthetic_candidates
+from tests.test_open_access_walk import outcome_after
 from tests.test_substrate import _random_fiber_map
 
 
@@ -50,8 +47,7 @@ class TestSrlg:
         link = next(l for l in built_map.links.values() if l.num_hops >= 2)
         same = shared_srlgs(built_map, link.conduit_ids, link.conduit_ids)
         assert len(same) == link.num_hops
-        assert srlg_diversity(built_map, link.conduit_ids, link.conduit_ids) == 0.0
-        assert srlg_diversity(built_map, [], link.conduit_ids) == 1.0
+        assert shared_srlgs(built_map, [], link.conduit_ids) == frozenset()
 
 
 class TestBackupPlanning:
@@ -109,7 +105,7 @@ class TestExchange:
             assert conduit.total_gain > 0
             # Cost shares sum to the construction cost.
             assert sum(m.cost_share for m in conduit.members) == pytest.approx(
-                conduit.total_cost
+                conduit.length_km * COST_PER_KM
             )
 
     def test_membership_cheaper_than_solo(self, scenario):
@@ -175,7 +171,7 @@ class TestExchange:
 
 class TestTitleII:
     def test_outcome_consistency(self, built_map):
-        outcome = simulate_open_access(built_map, num_entrants=3, seed=4)
+        outcome = outcome_after(built_map, 3, seed=4)
         assert len(outcome.entrants) == 3
         assert outcome.leased_km > 0
         assert outcome.mean_tenants_after >= outcome.mean_tenants_before
@@ -183,19 +179,19 @@ class TestTitleII:
             assert outcome.sharing_after[k] >= outcome.sharing_before[k] - 1e-9
 
     def test_zero_entrants_noop(self, built_map):
-        outcome = simulate_open_access(built_map, num_entrants=0)
+        outcome = outcome_after(built_map, 0)
         assert outcome.mean_tenants_after == outcome.mean_tenants_before
         assert outcome.leased_km == 0.0
         assert outcome.capital_savings_fraction == 0.0
 
     def test_savings_substantial(self, built_map):
-        outcome = simulate_open_access(built_map, num_entrants=3)
+        outcome = outcome_after(built_map, 3)
         # Leasing at 12% of trenching cost -> ~88% savings.
         assert outcome.capital_savings_fraction == pytest.approx(0.88, abs=0.01)
 
     def test_map_not_mutated(self, built_map):
         before = built_map.tenancy()
-        simulate_open_access(built_map, num_entrants=5)
+        outcome_after(built_map, 5)
         assert built_map.tenancy() == before
 
     def test_tradeoff_curve_monotone(self, built_map):
@@ -204,10 +200,6 @@ class TestTitleII:
         risks = [p.mean_tenants_after for p in points]
         assert all(b >= a - 1e-9 for a, b in zip(risks, risks[1:]))
         assert points[0].sharing_increase == 0.0
-
-    def test_validation(self, built_map):
-        with pytest.raises(ValueError):
-            simulate_open_access(built_map, num_entrants=-1)
 
 
 class TestOpacity:

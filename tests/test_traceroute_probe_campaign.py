@@ -31,10 +31,10 @@ class TestProbeEngine:
     ):
         src_city, dst_city = endpoints
         record = engine.trace(src_city, "Comcast", dst_city, "Level 3")
-        first = topology.router_by_ip(record.hops[0].ip)
-        last = topology.router_by_ip(record.hops[-1].ip)
-        assert first.isp == "Comcast" and first.city_key == src_city
-        assert last.isp == "Level 3" and last.city_key == dst_city
+        first = topology.router("Comcast", src_city)
+        last = topology.router("Level 3", dst_city)
+        assert record.hops[0].ip == first.ip
+        assert record.hops[-1].ip == last.ip
 
     def test_rtts_nondecreasing_modulo_noise(self, engine, endpoints):
         src_city, dst_city = endpoints

@@ -10,7 +10,6 @@ from repro.geo.coords import haversine_km
 from repro.transport.builder import (
     build_transport_network,
     corridor_leg_polyline,
-    corridor_polyline,
 )
 from repro.transport.network import (
     NoRouteError,
@@ -41,9 +40,9 @@ class TestCanonicalEdge:
 class TestBuilder:
     def test_corridor_polyline_longer_than_los(self):
         i5 = next(c for c in CORRIDORS if c.name == "I-5")
-        line = corridor_polyline(i5)
-        los = haversine_km(line.start, line.end)
-        assert line.length_km > los
+        legs = [corridor_leg_polyline(i5, a, b) for a, b in i5.edges()]
+        los = haversine_km(legs[0].start, legs[-1].end)
+        assert sum(leg.length_km for leg in legs) > los
 
     def test_meander_bounded(self):
         # Meander adds at most a few percent per leg.
@@ -69,7 +68,10 @@ class TestBuilder:
 
     def test_deterministic(self):
         i10 = next(c for c in CORRIDORS if c.name == "I-10")
-        assert corridor_polyline(i10) == corridor_polyline(i10)
+        for a, b in i10.edges():
+            assert corridor_leg_polyline(i10, a, b) == corridor_leg_polyline(
+                i10, a, b
+            )
 
     def test_secondary_increases_edges(self, net, primary_net):
         assert len(net.edges()) > len(primary_net.edges())
@@ -85,8 +87,9 @@ class TestNetwork:
         assert "road" in record.kinds
 
     def test_has_edge(self, net):
-        assert net.has_edge("Salt Lake City, UT", "Provo, UT")
-        assert not net.has_edge("Miami, FL", "Seattle, WA")
+        assert net.edge("Salt Lake City, UT", "Provo, UT")
+        with pytest.raises(KeyError):
+            net.edge("Miami, FL", "Seattle, WA")
 
     def test_kinds_of_edges(self, net):
         roads = net.edges_of_kind("road")
@@ -99,7 +102,7 @@ class TestNetwork:
         assert path[0] == "Seattle, WA"
         assert path[-1] == "Miami, FL"
         for a, b in zip(path, path[1:]):
-            assert net.has_edge(a, b)
+            assert net.edge(a, b).edge == canonical_edge(a, b)
         assert km >= net.los_km("Seattle, WA", "Miami, FL")
 
     def test_row_path_kind_restriction(self, net):
