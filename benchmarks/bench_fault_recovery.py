@@ -23,9 +23,10 @@ def test_fault_recovery_overhead(benchmark, scenario, report_output):
         num_traces=traces, seed=2021, workers=2, retry_backoff_s=0.01
     )
     # Untimed warm-up: the first campaign on the shared topology pays
-    # one-time costs (routing-core solves, pool start-up) that would
-    # otherwise land on the clean run only and make recovery look
-    # cheaper than a clean run.
+    # one-time costs (compiling its routing core) that would otherwise
+    # land on the clean run only and make recovery look cheaper than a
+    # clean run.  The destination rows are not among them: a pool
+    # solves them in its workers on every campaign.
     run_campaign(topology, config)
     started = time.perf_counter()
     clean = run_campaign(topology, config)

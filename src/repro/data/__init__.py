@@ -8,7 +8,6 @@ used in the long-haul-link definition, and the 20 provider identities.
 from repro.data.cities import (
     CITIES,
     City,
-    cities_over,
     city_by_code,
     city_by_name,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "City",
     "city_by_name",
     "city_by_code",
-    "cities_over",
     "CORRIDORS",
     "Corridor",
     "ISPS",

@@ -448,7 +448,7 @@ def register_cities(cities: Iterable[City]) -> List[City]:
     Added cities join the lookup tables — ``city_by_name`` (by full
     ``"Name, CC"`` key), ``city_by_code``, and therefore router
     naming-hint decoding — but **not** the base :data:`CITIES` tuple, so
-    the US map-construction pools, ``cities_over`` thresholds, and the
+    the US map-construction pools, population thresholds, and the
     geolocation candidate sets are byte-identical with or without any
     extension registered.  Codes are derived with the same deterministic
     collision-handling scheme as the base dataset.
@@ -566,11 +566,3 @@ def city_by_name(name: str, state: Optional[str] = None) -> City:
 def city_by_code(code: str) -> City:
     """Look up a city by its short code."""
     return _BY_CODE[code]
-
-
-def cities_over(population: int) -> List[City]:
-    """Cities with population >= *population*, largest first."""
-    return sorted(
-        (c for c in CITIES if c.population >= population),
-        key=lambda c: -c.population,
-    )

@@ -3,15 +3,17 @@
 The paper's thesis is that shared infrastructure must survive component
 failure; this module lets the toolkit hold itself to the same standard.
 A :class:`FaultPlan` describes *which* faults to inject — worker-process
-crashes inside campaign shards, corrupted cache payloads, failed cache
-writes — and a :class:`FaultInjector` carries that plan across process
-boundaries and decides, deterministically, when each fault fires.
+crashes inside campaign shards or destination-row tasks, corrupted
+cache payloads, failed cache writes — and a :class:`FaultInjector`
+carries that plan across process boundaries and decides,
+deterministically, when each fault fires.
 
 Determinism has two parts:
 
 * **Selection** is pure: whether a fault targets a given key (a shard's
-  start index, a cache stage name) is a hash of ``(seed, kind, key)``,
-  so the same plan always picks the same victims.
+  start index, a rows task's part, a cache stage name) is a hash of
+  ``(seed, kind, key)``, so the same plan always picks the same
+  victims.
 * **Repetition** is bounded: every selected fault fires at most
   ``repeats`` times per key, tracked by ``O_CREAT | O_EXCL`` marker
   files under a state directory that survives worker-pool respawns.
@@ -74,7 +76,10 @@ class FaultPlan:
     seed: int = 0
     #: Shard start indices whose worker is killed (``os._exit``).
     crash_shards: Tuple[int, ...] = ()
-    #: Probability any shard's worker is killed.
+    #: Rows-task parts (``k`` of a pool's ``k::n_workers`` destination
+    #: split) whose worker is killed.
+    crash_rows: Tuple[int, ...] = ()
+    #: Probability any shard's or rows task's worker is killed.
     crash_rate: float = 0.0
     #: Cache stages whose stored payload is corrupted on disk.
     corrupt_stages: Tuple[str, ...] = ()
@@ -109,7 +114,7 @@ class FaultPlan:
                 kwargs[name] = int(raw)
             elif name.endswith("_rate"):
                 kwargs[name] = float(raw)
-            elif name == "crash_shards":
+            elif name in ("crash_shards", "crash_rows"):
                 kwargs[name] = tuple(
                     int(v) for v in raw.split(":") if v
                 )
@@ -119,7 +124,7 @@ class FaultPlan:
 
     def any_faults(self) -> bool:
         return bool(
-            self.crash_shards or self.crash_rate
+            self.crash_shards or self.crash_rows or self.crash_rate
             or self.corrupt_stages or self.corrupt_rate
             or self.write_fail_stages or self.write_fail_rate
         )
@@ -189,6 +194,19 @@ class FaultInjector:
         if self._fires(
             "crash", str(shard_start),
             self.plan.crash_shards, self.plan.crash_rate,
+        ):
+            os._exit(13)
+
+    def maybe_crash_rows(self, part: int) -> None:
+        """Kill this process if the plan targets rows task *part*.
+
+        Keyed apart from shard starts (rows part 0 is not shard 0), so
+        ``crash_shards`` keeps naming shards only, while ``crash_rate``
+        reaches both kinds of task.
+        """
+        if self._fires(
+            "crash_rows", str(part),
+            self.plan.crash_rows, self.plan.crash_rate,
         ):
             os._exit(13)
 

@@ -32,8 +32,7 @@ actually sees:
   same poisoned entry forever.
 * **Orphaned temp files** — ``*.tmp`` files left by an interrupted
   ``store`` are reported by ``info``, removed by ``clear``, and swept
-  by ``sweep_orphans`` / ``prune`` once they are old enough to be
-  provably dead.
+  by ``prune`` once they are old enough to be provably dead.
 * **Stale lock files** — single-flight build locks under
   ``<root>/locks/`` accumulate across code versions; ``clear`` and
   ``prune`` sweep the ones no process holds (a non-blocking ``flock``
@@ -424,24 +423,6 @@ class ArtifactCache:
                 else:
                     path.unlink()
                 removed += 1
-            except OSError:
-                continue
-        return removed
-
-    def sweep_orphans(self, max_age_s: float = ORPHAN_TMP_AGE_S) -> int:
-        """Delete orphaned ``*.tmp`` files older than *max_age_s*.
-
-        The age guard keeps a concurrent writer's in-flight temp file
-        safe; ``clear`` (which empties everything anyway) sweeps
-        unconditionally.
-        """
-        cutoff = time.time() - max_age_s
-        removed = 0
-        for path in self.orphan_tmp_files():
-            try:
-                if path.stat().st_mtime <= cutoff:
-                    path.unlink()
-                    removed += 1
             except OSError:
                 continue
         return removed

@@ -34,10 +34,6 @@ class IspImpact:
     #: Worst extra one-way delay (ms).
     max_reroute_delay_ms: float
 
-    @property
-    def survivable(self) -> bool:
-        return self.pairs_disconnected == 0
-
 
 @dataclass(frozen=True)
 class CutImpact:

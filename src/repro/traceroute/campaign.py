@@ -25,24 +25,34 @@ A campaign materializes as :class:`~repro.traceroute.columns.TraceColumns`
 — numpy columns plus interned string tables — not a list of record
 objects; the columns still behave as a sequence of
 :class:`~repro.traceroute.probe.TracerouteRecord` for every legacy
-consumer.  Pool workers fill a named ``multiprocessing.shared_memory``
-segment with their shard's raw column bytes and return only the segment
-name and an array manifest; the parent maps each segment, stitches all
-shards into the final columns with one pass, and unlinks every segment
-(a finally-scoped sweep also covers segments orphaned by crashed
-workers or a KeyboardInterrupt, so ``/dev/shm`` never accumulates).
+consumer.
+
+The pool path runs in two phases on one forked pool.  Under contract
+v2 the parent creates a shared-memory stack with one predecessor row
+per campaign destination and forks before any Dijkstra runs; first,
+rows task ``k`` solves destinations ``k::n_workers`` in one batched
+call and writes their rows into the stack (a ``campaign.rows`` span
+each).  Then the shard tasks trace over the filled stack: each worker
+fills a named ``multiprocessing.shared_memory`` segment with its
+shard's raw column bytes and returns only the segment name and an
+array manifest (a ``campaign.shard`` span each); the parent maps each
+segment, stitches all shards into the final columns with one pass, and
+unlinks every segment, the row stack included (a finally-scoped sweep
+also covers segments orphaned by crashed workers or a
+KeyboardInterrupt, so ``/dev/shm`` never accumulates).  Contract v1 has
+no rows phase: each worker fills its own routing core's row cache.
 
 That same per-index property makes the pool path *fault-tolerant for
 free*: when a worker process dies (OOM kill, segfault, injected crash)
 the broken pool is torn down, re-spawned after a bounded exponential
-backoff, and only the incomplete shards are requeued — replaying a
-shard cannot change its columns.  After ``max_pool_restarts``
-consecutive restarts with no progress the remaining shards degrade to
-an in-process serial run, so a campaign always completes with the exact
-column stream a fault-free run would have produced.  Recovery is
-observable: each restart emits a ``campaign.retry`` tracer event and
-the serial fallback emits ``campaign.degraded``, both visible in run
-manifests.
+backoff, and only the incomplete rows tasks and shards are requeued —
+a rows task rewrites its own fixed rows and replaying a shard cannot
+change its columns.  After ``max_pool_restarts`` consecutive restarts
+with no progress the remaining tasks degrade to an in-process serial
+run, so a campaign always completes with the exact column stream a
+fault-free run would have produced.  Recovery is observable: each
+restart emits a ``campaign.retry`` tracer event and the serial
+fallback emits ``campaign.degraded``, both visible in run manifests.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import itertools
+import multiprocessing
 import os
 import random
 import time
@@ -60,6 +71,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 try:  # the POSIX C helper behind SharedMemory; lets the janitor unlink
     import _posixshmem  # segments too malformed to attach to
@@ -311,6 +324,11 @@ def _segment_name(token: str, start: int) -> str:
     return f"repro-{token}-{start:x}"
 
 
+def _pred_segment_name(token: str) -> str:
+    """The campaign's destination-row stack (parent-owned)."""
+    return f"repro-{token}-pred"
+
+
 def _unlink_stale_segment(name: str) -> None:
     """Remove a leftover segment that may not be attachable.
 
@@ -369,6 +387,13 @@ class _ShardSegments:
     def expect(self, start: int) -> None:
         self._expected.add(_segment_name(self.token, start))
 
+    def create(self, name: str, size: int) -> shared_memory.SharedMemory:
+        """A segment the parent itself owns, swept with the rest."""
+        segment = _create_segment(name, max(1, size))
+        self._expected.add(name)
+        self._attached.append(segment)
+        return segment
+
     def attach(self, name: str) -> shared_memory.SharedMemory:
         segment = shared_memory.SharedMemory(name=name)
         self._expected.add(name)
@@ -391,9 +416,10 @@ class _ShardSegments:
 
 # ----------------------------------------------------------------------
 # Worker-process state.  Populated once per worker by the pool
-# initializer; under the default ``fork`` start method the topology
-# (and its compiled routing core), the plan and the contract-v2 tables
-# the parent built are inherited copy-on-write.
+# initializer; the pool forks, so the topology (and its compiled
+# routing core), the plan and the contract-v2 tables the parent built
+# are inherited copy-on-write — all but the tables' destination-row
+# stack, a shared-memory mapping every worker writes through.
 _WORKER_STATE: Optional[
     Tuple[ProbeEngine, _CampaignPlan, CampaignConfig, str]
 ] = None
@@ -413,10 +439,29 @@ def _init_worker(
     # across pool respawns.
     set_fault_injector(fault_injector)
     engine = ProbeEngine(topology, seed=config.seed + 1)
-    engine.prepare_destinations(plan.dest_nodes)
-    if v2_tables is not None:
+    if v2_tables is None:
+        # Contract v1 traces through the core's row cache: each worker
+        # solves every destination (in parallel, so in the wall time
+        # the parent would have spent on them alone).
+        engine.prepare_destinations(plan.dest_nodes)
+    else:
         _v2_state(engine, plan, v2_tables)
     _WORKER_STATE = (engine, plan, config, segment_token)
+
+
+def _run_rows(part_of: Tuple[int, int]) -> Tuple[int, float]:
+    """One rows task: destination rows ``part::parts`` of the contract-v2
+    stack, solved in one batched Dijkstra and written in place into the
+    parent's shared-memory segment.  Returns ``(rows solved, seconds)``
+    for the parent's ``campaign.rows`` span."""
+    part, parts = part_of
+    injector = get_fault_injector()
+    if injector is not None:
+        injector.maybe_crash_rows(part)
+    engine, plan, _config, _token = _WORKER_STATE
+    started = time.perf_counter()
+    solved = _v2_state(engine, plan)[1].solve_rows(part, parts)
+    return solved, time.perf_counter() - started
 
 
 def _run_chunk(
@@ -499,11 +544,6 @@ def run_campaign(
         mode="pool", rng_contract=config.rng_contract,
         batch_size=config.batch_size,
     ):
-        # Warm the shared routing core before forking so every worker
-        # inherits the batched predecessor arrays instead of recomputing.
-        core_factory = getattr(topology, "routing_core", None)
-        if core_factory is not None:
-            core_factory().prepare(plan.dest_nodes)
         chunk = max(_MIN_CHUNK, -(-config.num_traces // (n_workers * 4)))
         bounds = [
             (start, min(start + chunk, config.num_traces))
@@ -525,30 +565,34 @@ def _run_sharded(
 ) -> TraceColumns:
     """Run every shard to completion, surviving worker-process deaths.
 
-    A dead worker breaks the whole ``ProcessPoolExecutor``; shard
-    segments harvested before the break are kept, the pool is
+    Under contract v2 one pool runs two phases.  Rows tasks come first:
+    task ``k`` solves destinations ``k::n_workers`` of ``plan.dest_nodes``
+    in one batched Dijkstra and writes their predecessor rows into the
+    campaign's ``(n_dest, n_nodes)`` stack, a shared-memory segment the
+    parent creates but never fills, so the parent runs no Dijkstra.
+    Once every row is in, the shard tasks trace over the stack.  (Under
+    contract v1 there is no rows phase: each worker's initializer fills
+    its own routing core's row cache.)
+
+    A dead worker breaks the whole ``ProcessPoolExecutor``; rows and
+    shard segments harvested before the break are kept, the pool is
     re-spawned after an exponentially backed-off delay, and only
-    incomplete shards are requeued.  Requeueing is safe because each
-    trace index owns a private RNG stream: replaying a shard reproduces
-    its columns exactly.  Consecutive no-progress restarts beyond
-    ``config.max_pool_restarts`` degrade the remaining shards to an
-    in-process serial run (a pool that cannot hold workers — fork bomb
-    protection, rlimits, cgroup OOM — must not make the campaign
-    unfinishable).
+    incomplete tasks are requeued.  Requeueing is safe because a rows
+    task rewrites its own fixed rows and each trace index owns a
+    private RNG stream: replaying either reproduces its bytes exactly.
+    Consecutive no-progress restarts beyond ``config.max_pool_restarts``
+    degrade the remaining tasks to an in-process serial run (a pool
+    that cannot hold workers — fork bomb protection, rlimits, cgroup
+    OOM — must not make the campaign unfinishable).
 
     Every shared-memory segment the campaign can have created is closed
-    and unlinked in the ``finally`` sweep, including segments orphaned
-    by crashed workers and segments in flight when a KeyboardInterrupt
-    lands.
+    and unlinked in the ``finally`` sweep, including the row stack,
+    segments orphaned by crashed workers and segments in flight when a
+    KeyboardInterrupt lands.
     """
     tracer = get_tracer()
     injector = get_fault_injector()
     schema = ColumnSchema.from_topology(topology)
-    # Built once here rather than in every worker's initializer.
-    v2_tables = (
-        build_v2_tables(topology, schema, plan)
-        if config.rng_contract == 2 else None
-    )
     # One tracker process shared (via fork) by parent and workers, so a
     # worker-registered segment is the same tracked resource the parent
     # unlinks — no spurious leak warnings at interpreter exit.
@@ -558,20 +602,48 @@ def _run_sharded(
     results: Dict[Tuple[int, int], TraceColumns] = {}
     parts: List[TraceColumns] = []
     pending = list(bounds)
+    v2_tables: Optional[tuple] = None
+    row_parts: List[int] = []
     restarts = 0
     backoff = max(0.0, config.retry_backoff_s)
     pool: Optional[ProcessPoolExecutor] = None
     try:
-        while pending:
+        if config.rng_contract == 2:
+            # Built once here rather than in every worker's initializer.
+            shape = (len(plan.dest_nodes), topology.routing_core().num_nodes)
+            stack = segments.create(
+                _pred_segment_name(token), 4 * shape[0] * shape[1]
+            )
+            v2_tables = build_v2_tables(
+                topology, schema, plan,
+                np.ndarray(shape, dtype=np.int32, buffer=stack.buf),
+            )
+            row_parts = list(range(n_workers))
+        while row_parts or pending:
             harvested = 0
             try:
                 with ProcessPoolExecutor(
-                    max_workers=min(n_workers, len(pending)),
+                    max_workers=min(
+                        n_workers, max(len(row_parts), len(pending))
+                    ),
+                    mp_context=multiprocessing.get_context("fork"),
                     initializer=_init_worker,
                     initargs=(
                         topology, config, plan, v2_tables, injector, token,
                     ),
                 ) as pool:
+                    futures = {
+                        pool.submit(_run_rows, (k, n_workers)): k
+                        for k in row_parts
+                    }
+                    for future in as_completed(futures):
+                        solved, elapsed = future.result()
+                        row_parts.remove(futures[future])
+                        harvested += 1
+                        tracer.record_span(
+                            "campaign.rows", elapsed,
+                            part=futures[future], rows_solved=solved,
+                        )
                     futures = {}
                     for b in pending:
                         segments.expect(b[0])
@@ -600,15 +672,18 @@ def _run_sharded(
                 if restarts > config.max_pool_restarts:
                     tracer.event(
                         "campaign.degraded", mode="serial",
+                        rows_remaining=len(row_parts),
                         shards_remaining=len(pending),
                         restarts=restarts - 1,
                     )
                     _run_serial_fallback(
-                        topology, plan, config, pending, results, v2_tables
+                        topology, plan, config, pending, results,
+                        v2_tables, row_parts, n_workers,
                     )
                     break
                 tracer.event(
                     "campaign.retry", attempt=restarts,
+                    rows_remaining=len(row_parts),
                     shards_remaining=len(pending), backoff_s=backoff,
                 )
                 if backoff > 0.0:
@@ -620,7 +695,8 @@ def _run_sharded(
             else:
                 pending = [b for b in pending if b not in results]
         # The executor keeps its initargs; drop it and the v2 tables
-        # before stitching, so they do not add to the peak footprint.
+        # (whose row stack views a segment) before stitching, so they
+        # do not add to the peak footprint.
         del pool, v2_tables
         parts.extend(results[b] for b in bounds)
         return TraceColumns.concatenate(schema, parts)
@@ -639,13 +715,24 @@ def _run_serial_fallback(
     pending: List[Tuple[int, int]],
     results: Dict[Tuple[int, int], TraceColumns],
     v2_tables: Optional[tuple],
+    row_parts: List[int],
+    n_parts: int,
 ) -> None:
-    """Finish *pending* shards in-process (same columns as any worker)."""
+    """Finish the rows tasks in *row_parts* and the *pending* shards
+    in-process (same bytes as any worker)."""
     engine = ProbeEngine(topology, seed=config.seed + 1)
-    engine.prepare_destinations(plan.dest_nodes)
-    if v2_tables is not None:
-        _v2_state(engine, plan, v2_tables)
     tracer = get_tracer()
+    if v2_tables is None:
+        engine.prepare_destinations(plan.dest_nodes)
+    else:
+        for part in row_parts:
+            started = time.perf_counter()
+            solved = v2_tables[1].solve_rows(part, n_parts)
+            tracer.record_span(
+                "campaign.rows", time.perf_counter() - started,
+                part=part, rows_solved=solved, degraded=True,
+            )
+        _v2_state(engine, plan, v2_tables)
     for start, stop in pending:
         held = _templates_held(engine)
         started = time.perf_counter()

@@ -126,14 +126,6 @@ class TrafficOverlay:
             core = self._cores["*"] = RoutingCore(view, "length_km")
         return core
 
-    def _conduit_paths(
-        self, segments: Sequence[Tuple[str, str, str]]
-    ) -> List[Optional[Tuple[str, ...]]]:
-        """Conduit ids between the hop cities of every ``(isp, city_a,
-        city_b)`` segment, ``None`` where no path joins them."""
-        self._resolve(segments)
-        return [self._path_cache[s] for s in segments]
-
     def _resolve(self, segments: Sequence[Tuple[str, str, str]]) -> None:
         """Resolve every segment this overlay has not resolved yet.
 
@@ -257,7 +249,7 @@ class TrafficOverlay:
         After the last window one array merge sums every window's
         tallies per key and orders the keys by their first hop; the new
         keys' conduit paths are resolved together
-        (:meth:`_conduit_paths`), and the tallies are credited to the
+        (:meth:`_resolve`), and the tallies are credited to the
         conduits with ``bincount``, so conduits enter :meth:`traffic`
         in the order a hop-by-hop walk meets them.
         """

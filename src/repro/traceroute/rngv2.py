@@ -182,9 +182,15 @@ class _CoreTables:
     """Vectorized views of the routing core for batch template building.
 
     Per-node schema ids and MPLS flags indexed by core node number, the
-    stacked predecessor rows of every campaign destination, and a flat
-    sorted ``(u * n + v) -> weight`` edge table, so a whole batch of
-    new endpoint pairs becomes a handful of fancy-indexing calls.
+    predecessor rows of every campaign destination, and a flat sorted
+    ``(u * n + v) -> weight`` edge table, so a whole batch of new
+    endpoint pairs becomes a handful of fancy-indexing calls.
+
+    ``pred`` is the caller's ``(len(tables.dest_nodes), n_nodes)`` int32
+    stack, row ``d`` for destination ``d``; construction never reads it.
+    The serial path fills it from the core's row cache
+    (:meth:`fill_from_core`); a pool hands in a shared-memory stack that
+    its workers fill slice by slice (:meth:`solve_rows`).
     """
 
     def __init__(
@@ -192,8 +198,9 @@ class _CoreTables:
         topology: "InternetTopology",
         schema: ColumnSchema,
         tables: _PlanTables,
+        pred: np.ndarray,
     ):
-        core = topology.routing_core()
+        core = self.core = topology.routing_core()
         nodes = core.nodes
         n = len(nodes)
         self.n_nodes = n
@@ -225,15 +232,7 @@ class _CoreTables:
         self.dest_core = np.array(
             [core_of(node) for node in tables.dest_nodes], dtype=np.int64
         )
-        core.prepare(tables.dest_nodes)
-        no_pred = np.full(n, _NO_PREDECESSOR, dtype=np.int32)
-        self.pred = np.stack(
-            [
-                np.asarray(core.predecessors(nodes[ci]), dtype=np.int32)
-                if ci >= 0 else no_pred
-                for ci in self.dest_core.tolist()
-            ]
-        )
+        self.pred = pred
         # Both directions of every edge, sorted by ``u * n + v``.
         eu = core.eu.astype(np.int64)
         ev = core.ev.astype(np.int64)
@@ -241,6 +240,34 @@ class _CoreTables:
         order = np.argsort(keys, kind="stable")
         self.edge_key = keys[order]
         self.edge_w = np.tile(core.weights[core.weight], 2)[order]
+
+    def fill_from_core(self) -> None:
+        """Copy every destination's row out of the core's row cache,
+        which solves the rows it lacks in one batched call and keeps
+        them for later path queries on the same topology."""
+        nodes = self.core.nodes
+        live = np.flatnonzero(self.dest_core >= 0)
+        keys = [nodes[ci] for ci in self.dest_core[live].tolist()]
+        self.core.prepare(keys)
+        self.pred[self.dest_core < 0] = _NO_PREDECESSOR
+        for d, key in zip(live.tolist(), keys):
+            self.pred[d] = self.core.predecessors(key)
+
+    def solve_rows(self, part: int, parts: int) -> int:
+        """Solve destination rows ``part::parts`` in one batched
+        Dijkstra and write them into the stack, bypassing the core's
+        row cache; returns the rows solved.  A part owns fixed rows, so
+        solving it again rewrites the same bytes."""
+        rows = np.arange(part, len(self.dest_core), parts)
+        cores = self.dest_core[rows]
+        self.pred[rows[cores < 0]] = _NO_PREDECESSOR
+        live = rows[cores >= 0]
+        if live.size:
+            nodes = self.core.nodes
+            keys = [nodes[ci] for ci in self.dest_core[live].tolist()]
+            _, pred, row_of = self.core.dijkstra(keys, self.core.weight)
+            self.pred[live] = pred[[row_of[key] for key in keys]]
+        return int(live.size)
 
 
 def _grown(array: np.ndarray, used: int, need: int) -> np.ndarray:
@@ -410,13 +437,17 @@ class _TemplateStore:
 
 
 def build_v2_tables(
-    topology: "InternetTopology", schema: ColumnSchema, plan: "_CampaignPlan"
+    topology: "InternetTopology",
+    schema: ColumnSchema,
+    plan: "_CampaignPlan",
+    pred: np.ndarray,
 ) -> Tuple[_PlanTables, _CoreTables]:
     """A campaign plan's sampling tables and the routing core's arrays:
     what every shard of one campaign shares (a pool builds them once,
-    before it forks)."""
+    before it forks).  *pred* is the destination-row stack the core
+    tables read (see :class:`_CoreTables`); the caller fills it."""
     tables = _PlanTables(plan)
-    return tables, _CoreTables(topology, schema, tables)
+    return tables, _CoreTables(topology, schema, tables, pred)
 
 
 def _v2_state(
@@ -427,12 +458,19 @@ def _v2_state(
     """Per-(engine, plan) vectorization state, cached on the engine so
     it persists across the batches and shards one worker processes.
     *prebuilt* supplies :func:`build_v2_tables`' result instead of
-    building it here."""
+    building it here (from the core's row cache)."""
     state = getattr(engine, "_rngv2_state", None)
     if state is None or state[0] is not plan:
-        tables, core_tables = prebuilt or build_v2_tables(
-            engine._topology, engine.column_schema(), plan
-        )
+        if prebuilt is None:
+            pred = np.empty(
+                (len(plan.dest_nodes), engine._core.num_nodes),
+                dtype=np.int32,
+            )
+            prebuilt = build_v2_tables(
+                engine._topology, engine.column_schema(), plan, pred
+            )
+            prebuilt[1].fill_from_core()
+        tables, core_tables = prebuilt
         state = (plan, tables, core_tables, _TemplateStore(tables))
         engine._rngv2_state = state
     return state[1], state[2], state[3]

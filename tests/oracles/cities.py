@@ -28,6 +28,14 @@ from repro.transport.network import EdgeKey, canonical_edge
 from tests.oracles.geo import concat
 
 
+def cities_over(population: int) -> List[City]:
+    """Cities with population >= *population*, largest first."""
+    return sorted(
+        (c for c in CITIES if c.population >= population),
+        key=lambda c: -c.population,
+    )
+
+
 def scalar_distance_km(a: City, b: City) -> float:
     """``City.distance_km`` before the table: one scalar haversine."""
     return haversine_km(a.location, b.location)

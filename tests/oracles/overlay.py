@@ -36,6 +36,14 @@ from tests.oracles.fibermap import simple_conduit_graph
 from tests.oracles.graphs import core_from_networkx
 
 
+def conduit_paths(overlay, segments):
+    """Conduit ids between the hop cities of every ``(isp, city_a,
+    city_b)`` segment, ``None`` where no path joins them, as *overlay*
+    resolves them (one batched walk per conduit graph)."""
+    overlay._resolve(segments)
+    return [overlay._path_cache[s] for s in segments]
+
+
 def overlay_state(overlay):
     """Everything an ingest decides: conduit traffic in insertion order
     (``ConduitTraffic ==`` covers ``observed_isps``), the counters and
@@ -66,8 +74,7 @@ class _CountingOverlay(TrafficOverlay):
         self, isp: Optional[str], city_a: str, city_b: str
     ) -> Optional[Tuple[str, ...]]:
         """One segment's conduit ids, solving its destination's row on
-        first use: the scalar reference of
-        :meth:`TrafficOverlay._conduit_paths`."""
+        first use: the scalar reference of :func:`conduit_paths`."""
         key = (isp or "*", city_a, city_b)
         if key in self._path_cache:
             return self._path_cache[key]
@@ -202,7 +209,7 @@ class LoopTrafficOverlay(_CountingOverlay):
 
 
 class NetworkXConduitPaths:
-    """``TrafficOverlay._conduit_paths`` over NetworkX conduit graphs:
+    """:func:`conduit_paths` over NetworkX conduit graphs:
     the provider's ``simple_conduit_graph(isp)`` when it holds both hop
     cities, else the generic one, each compiled by
     :func:`tests.oracles.graphs.core_from_networkx`."""

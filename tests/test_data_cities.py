@@ -6,8 +6,8 @@ from repro.data.cities import (
     CITIES,
     city_by_code,
     city_by_name,
-    cities_over,
 )
+from tests.oracles.cities import cities_over
 
 
 class TestDataset:

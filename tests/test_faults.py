@@ -3,9 +3,10 @@
 The guarantees under test mirror the paper's own thesis — survive
 component failure:
 
-* a campaign whose workers are killed mid-run still produces records
-  byte-identical to a fault-free serial run, with the recovery visible
-  as ``campaign.retry`` / ``campaign.degraded`` events in the manifest;
+* a campaign whose workers are killed mid-run — in the destination-row
+  phase or in a shard — still produces records byte-identical to a
+  fault-free serial run, with the recovery visible as
+  ``campaign.retry`` / ``campaign.degraded`` events in the manifest;
 * the artifact cache survives concurrent writers, quarantines corrupt
   entries instead of re-failing on them forever, sweeps orphaned temp
   files, and degrades (rather than fails) when a store write errors.
@@ -29,6 +30,7 @@ from repro.obs import (
     set_fault_injector,
     tracing,
 )
+from repro.obs import faults as faults_module
 from repro.obs.faults import FaultInjector
 from repro.perf.cache import ArtifactCache
 from repro.scenario import Scenario
@@ -78,6 +80,28 @@ class TestFaultPlan:
         assert picks_a == picks_b
         assert any(picks_a) and not all(picks_a)
 
+    def test_rows_crashes_are_keyed_apart_from_shards(
+        self, tmp_path, monkeypatch
+    ):
+        def exit_(code):
+            raise SystemExit(code)
+
+        monkeypatch.setattr(faults_module.os, "_exit", exit_)
+        assert FaultPlan.from_spec("crash_rows=0:1").crash_rows == (0, 1)
+        shards = FaultInjector(FaultPlan(crash_shards=(0,)), tmp_path / "s")
+        shards.maybe_crash_rows(0)  # rows part 0 is not shard 0
+        with pytest.raises(SystemExit):
+            shards.maybe_crash_worker(0)
+        rows = FaultInjector(FaultPlan(crash_rows=(0,)), tmp_path / "r")
+        rows.maybe_crash_worker(0)
+        with pytest.raises(SystemExit):
+            rows.maybe_crash_rows(0)
+        ambient = FaultInjector(FaultPlan(crash_rate=1.0), tmp_path / "a")
+        with pytest.raises(SystemExit):
+            ambient.maybe_crash_rows(0)
+        with pytest.raises(SystemExit):
+            ambient.maybe_crash_worker(0)
+
     def test_faults_fire_at_most_repeats_times(self, tmp_path):
         plan = FaultPlan(seed=1, write_fail_stages=("stage",), repeats=2)
         injector = FaultInjector(plan, state_dir=tmp_path)
@@ -124,6 +148,58 @@ class TestCampaignCrashRecovery:
         assert survived == reference
         names = [span.name for span in tracer.walk()]
         assert "campaign.degraded" in names
+
+
+class TestRowsPhaseRecovery:
+    """Worker deaths while the pool solves the destination rows."""
+
+    CONFIG = CampaignConfig(
+        num_traces=600, seed=47, retry_backoff_s=0.01, rng_contract=2
+    )
+
+    @staticmethod
+    def _same_bytes(a, b):
+        return all(
+            x.tobytes() == y.tobytes()
+            for x, y in zip(
+                (a.traces, a.hop_offsets, a.hop_router, a.hop_rtt),
+                (b.traces, b.hop_offsets, b.hop_router, b.hop_rtt),
+            )
+        )
+
+    def test_killed_rows_task_is_replayed(self, topology):
+        reference = run_campaign(topology, self.CONFIG, workers=1)
+        before = _repro_shm_entries()
+        with fault_injection(FaultPlan(seed=1, crash_rows=(1,))):
+            with tracing() as tracer:
+                survived = run_campaign(topology, self.CONFIG, workers=2)
+        assert self._same_bytes(survived, reference)
+        names = [span.name for span in tracer.walk()]
+        assert names.count("campaign.retry") >= 1
+        assert "campaign.degraded" not in names
+        rows = [s for s in tracer.walk() if s.name == "campaign.rows"]
+        assert sorted(s.attrs["part"] for s in rows) == [0, 1]
+        assert not any(s.attrs.get("degraded") for s in rows)
+        assert _repro_shm_entries() == before
+
+    def test_serial_fallback_solves_the_missing_rows(self, topology):
+        config = CampaignConfig(
+            num_traces=600, seed=47, max_pool_restarts=0,
+            retry_backoff_s=0.01, rng_contract=2,
+        )
+        reference = run_campaign(topology, config, workers=1)
+        before = _repro_shm_entries()
+        plan = FaultPlan(seed=1, crash_rows=(0, 1), repeats=100)
+        with fault_injection(plan):
+            with tracing() as tracer:
+                survived = run_campaign(topology, config, workers=2)
+        assert self._same_bytes(survived, reference)
+        names = [span.name for span in tracer.walk()]
+        assert "campaign.degraded" in names
+        rows = [s for s in tracer.walk() if s.name == "campaign.rows"]
+        assert sorted(s.attrs["part"] for s in rows) == [0, 1]
+        assert all(s.attrs.get("degraded") for s in rows)
+        assert _repro_shm_entries() == before
 
 
 def _repro_shm_entries():
@@ -313,9 +389,9 @@ class TestOrphanSweeping:
         stale.write_bytes(b"dead")
         old = time.time() - 7200
         os.utime(stale, (old, old))
-        assert cache.sweep_orphans() == 1  # default hour-long guard
+        assert cache.prune().orphans_swept == 1  # default hour-long guard
         assert fresh.exists() and not stale.exists()
-        assert cache.sweep_orphans(max_age_s=0.0) == 1
+        assert cache.prune(orphan_age_s=0.0).orphans_swept == 1
         assert not fresh.exists()
 
 

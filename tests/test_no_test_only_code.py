@@ -8,7 +8,8 @@ class or method whose name nothing outside ``tests/`` references.
 Callers are the modules under ``src/``, ``tools/``, ``examples/``,
 ``benchmarks/`` and ``perfbench/``.  A reference is a loaded name, an
 attribute name, or an identifier inside a string constant (which
-covers ``getattr`` by name and dispatch tables).  A package
+covers ``getattr`` by name and dispatch tables); a docstring is prose,
+not a reference, so its identifiers do not count.  A package
 ``__init__.py`` holds only re-exports, so it is not a caller, and an
 ``__all__`` entry is not a reference.  Dunder methods are exempt: the
 interpreter calls them.  ``ALLOWED`` names the few definitions that
@@ -62,10 +63,23 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _docstrings(tree: ast.Module) -> Iterator[ast.Constant]:
+    """The docstring node of the module and of every class and function."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef) + FUNCTIONS):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                yield first.value
+
+
 def references(tree: ast.Module) -> Set[str]:
     """Loaded names, attribute names and identifiers in string
-    constants, ``__all__`` entries excepted."""
-    exports: Set[int] = set()
+    constants, ``__all__`` entries and docstrings excepted."""
+    exports: Set[int] = {id(doc) for doc in _docstrings(tree)}
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__"
@@ -148,6 +162,7 @@ def test_the_guard_sees_test_only_code():
         ),
     }
     callers = [
+        "'''Mentions ``Box.unused`` in prose only.'''\n"
         "__all__ = ['exported']\n"
         "def run(box):\n"
         "    '''Calls ``documented`` too.'''\n"
@@ -157,5 +172,6 @@ def test_the_guard_sees_test_only_code():
     ]
     assert find_test_only(modules, callers) == {
         "pkg/mod.exported": 3,
+        "pkg/mod.documented": 5,
         "pkg/mod.Box.unused": 8,
     }

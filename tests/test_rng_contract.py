@@ -17,12 +17,15 @@ rng-compat CI job can run this file under either contract.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import tracing
+from repro.perf.substrate import GraphView
 from repro.traceroute import campaign as campaign_module
 from repro.traceroute.campaign import (
     CampaignConfig,
@@ -201,8 +204,12 @@ class TestPoolTables:
         # instead of building its own.
         config = _config(num_traces=600, rng_contract=2)
         plan = _CampaignPlan(topology, config)
+        pred = np.empty(
+            (len(plan.dest_nodes), topology.routing_core().num_nodes),
+            dtype=np.int32,
+        )
         shared = rngv2.build_v2_tables(
-            topology, ColumnSchema.from_topology(topology), plan
+            topology, ColumnSchema.from_topology(topology), plan, pred
         )
         saved = campaign_module._WORKER_STATE
         try:
@@ -233,6 +240,43 @@ class TestPoolTables:
         rngv2.generate_columns_v2(engine, plan, config, 0, len(columns))
         distinct = rngv2._v2_state(engine, plan)[2].size
         assert distinct <= sum(built) <= 2 * distinct
+
+    def test_the_pool_solves_each_destination_row_once(
+        self, topology, monkeypatch
+    ):
+        # The rows tasks split the destinations between the workers, so
+        # the parent runs no Dijkstra and each reachable destination's
+        # row is solved exactly once.  A pickled copy of the topology
+        # starts with an empty row cache.
+        fresh = pickle.loads(pickle.dumps(topology))
+        config = _config(num_traces=900, workers=2, rng_contract=2)
+        parent_solves = []
+        solve = GraphView.dijkstra
+
+        def spy(view, sources, *args, **kwargs):
+            # Forked workers append to their own copy of the list.
+            parent_solves.append(len(sources))
+            return solve(view, sources, *args, **kwargs)
+
+        monkeypatch.setattr(GraphView, "dijkstra", spy)
+        with tracing() as tracer:
+            columns = run_campaign(fresh, config)
+        monkeypatch.undo()
+        assert parent_solves == []
+        core = fresh.routing_core()
+        assert core._rows == {}
+        spans = [s for s in tracer.walk() if s.name == "campaign.rows"]
+        assert sorted(s.attrs["part"] for s in spans) == [0, 1]
+        reachable = {
+            node for node in _CampaignPlan(fresh, config).dest_nodes
+            if fresh.has_router(*node) and node in core.index
+        }
+        solved = sum(s.attrs["rows_solved"] for s in spans)
+        assert solved == len(reachable) > 0
+        serial = run_campaign(
+            topology, _config(num_traces=900, workers=1, rng_contract=2)
+        )
+        assert _columns_equal(columns, serial)
 
 
 class TestScalarReference:

@@ -37,7 +37,7 @@ from tests.oracles.fibermap import (
     hub_order_reference,
     simple_conduit_graph,
 )
-from tests.oracles.overlay import NetworkXConduitPaths
+from tests.oracles.overlay import NetworkXConduitPaths, conduit_paths
 from tests.oracles.routing import (
     check_pair_reference,
     conduit_graph_path_reference,
@@ -149,7 +149,7 @@ class TestConduitViewParity:
             ]
             segments += [(isp, a, b) for a, b in pairs]
             segments += [(isp, b, a) for a, b in pairs]
-        ours = overlay._conduit_paths(segments)
+        ours = conduit_paths(overlay, segments)
         assert ours == [reference.conduit_path(*s) for s in segments]
         assert sum(path is not None for path in ours) > len(ours) // 2
 

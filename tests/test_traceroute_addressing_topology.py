@@ -108,10 +108,13 @@ class TestTopology:
         for cid in conduits:
             assert cid in ground_truth.fiber_map.conduits
 
-    def test_conduits_for_unknown_hop(self, topology):
-        assert topology.conduits_for_hop("AT&T", "Miami, FL", "Seattle, WA") in (
-            (), topology.conduits_for_hop("AT&T", "Miami, FL", "Seattle, WA")
+    def test_conduits_for_unknown_hop(self, topology, ground_truth):
+        assert topology.conduits_for_hop("AT&T", "Miami, FL", "Seattle, WA") == ()
+        # Positive control: one of the same provider's real hops.
+        link = next(
+            l for l in ground_truth.fiber_map.links.values() if l.isp == "AT&T"
         )
+        assert topology.conduits_for_hop("AT&T", *link.endpoints)
 
     def test_mpls_assignment_deterministic(self, topology, ground_truth):
         again = InternetTopology(ground_truth, seed=topology._rng and 2018)
