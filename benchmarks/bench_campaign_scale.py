@@ -5,8 +5,9 @@ Times one full ``run_campaign`` (now returning a
 benchmark topology under **both RNG contracts** — v2 (counter-based
 vectorized streams, the default and the gated headline) and v1 (the
 legacy per-trace Mersenne streams, kept for golden compatibility) —
-then a larger tier as a stepping stone toward the paper's 4.9M-trace
-scale.  Knobs, all environment variables so CI can run a reduced smoke
+then the same base tier through the two-worker process pool under
+each contract (timed, not gated), then a larger tier as a stepping
+stone toward the paper's 4.9M-trace scale.  Knobs, all environment variables so CI can run a reduced smoke
 pass:
 
 ``REPRO_BENCH_TRACES``        base-tier size (default 20000)
@@ -34,6 +35,8 @@ LARGE_TRACES = int(os.environ.get("REPRO_BENCH_TRACES_LARGE", "200000"))
 MAX_RSS_PER_100K_MB = float(
     os.environ.get("REPRO_BENCH_MAX_RSS_PER_100K_MB", "192")
 )
+#: Worker processes of the base tier's pool runs.
+POOL_WORKERS = 2
 
 
 def _peak_rss_mb() -> float:
@@ -133,6 +136,22 @@ def test_campaign_scale(benchmark, scenario, report_output):
             "large_rss_growth_per_100k_mb": per_100k,
         }
 
+    # The base tier through the pool, per contract, after the large
+    # tier so these runs cannot raise the RSS high-water mark the
+    # large tier's budget reads.  Their rows tasks solve the
+    # destination rows in the workers on every run, so the warm
+    # routing cache does not shorten them.
+    pool = {}
+    for contract in (RNG_CONTRACT_V1, RNG_CONTRACT_V2):
+        pooled, elapsed = _timed_run(
+            topology, traces, POOL_WORKERS, contract
+        )
+        assert pooled.rng_contract == contract
+        assert len(pooled) == traces
+        suffix = "_v1" if contract == RNG_CONTRACT_V1 else ""
+        pool[f"pool_records_per_s{suffix}"] = traces / elapsed
+        del pooled
+
     if MIN_RPS:
         assert rps >= MIN_RPS, (
             f"campaign throughput {rps:,.0f} records/s (contract v2) "
@@ -150,5 +169,7 @@ def test_campaign_scale(benchmark, scenario, report_output):
         v2_speedup=rps / v1_rps if v1_rps else None,
         columnar_bytes=columns.nbytes,
         min_rps_gate=MIN_RPS or None,
+        pool_workers=POOL_WORKERS,
+        **pool,
         **large,
     )

@@ -17,8 +17,9 @@ place:
 * **Laziness under a warm cache** — a persisted stage that hits the
   cache never materializes its dependencies, so e.g. a warm overlay is
   served without rebuilding the campaign beneath it.
-* **Concurrency** — :meth:`materialize_many` can fan independent
-  stages out over a thread pool where the dependency structure allows.
+* **Concurrency** — per-stage locks keep each build single-flight
+  when threads (the what-if service's handlers) materialize the same
+  stage at once.
 
 Fault injection reaches the engine through the same seams production
 failures do: the artifact cache's store path consults the process
@@ -160,48 +161,11 @@ class StageGraph:
                 self._values[name] = self._execute(stage)
         return self._values[name]
 
-    def materialize_many(
-        self, names: Iterable[str], max_workers: int = 0
-    ) -> None:
-        """Materialize several stages, optionally fanning out over threads.
-
-        With ``max_workers <= 1`` stages materialize serially and
-        lazily — a warm persisted stage never touches its dependencies.
-        With more workers, the full dependency closure is scheduled
-        over a thread pool, running independent stages concurrently
-        (per-stage locks keep each build single-flight).  Under an
-        enabled tracer the fan-out degrades to serial: the tracer's
-        span stack is per-process, and an interleaved tree would be
-        worse than a slower exact one.
-        """
-        names = list(names)
-        if max_workers <= 1 or get_tracer().enabled:
-            for name in names:
-                self.materialize(name)
-            return
-        from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-        targets = [
-            n for n in self.order(names) if n not in self._values
-        ]
-        target_set = set(targets)
-        waiting = {
-            n: {d for d in self.stage(n).deps if d in target_set}
-            for n in targets
-        }
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {}
-            while waiting or futures:
-                ready = [n for n, deps in waiting.items() if not deps]
-                for name in ready:
-                    del waiting[name]
-                    futures[pool.submit(self.materialize, name)] = name
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    finished = futures.pop(future)
-                    future.result()  # propagate build errors
-                    for deps in waiting.values():
-                        deps.discard(finished)
+    def materialize_many(self, names: Iterable[str]) -> None:
+        """Materialize several stages serially and lazily — a warm
+        persisted stage never touches its dependencies."""
+        for name in names:
+            self.materialize(name)
 
     def peek(self, name: str) -> Any:
         """The stage's value if already materialized, else ``None``."""

@@ -42,7 +42,8 @@ from repro.experiments import (  # noqa: F401 (re-export convenience)
     table4,
     table5,
 )
-from repro.scenario import STAGE_OF_ATTRIBUTE, STAGES, Scenario, us2015
+from repro.families.stages import STAGE_OF_ATTRIBUTE
+from repro.scenario import STAGES, Scenario, us2015
 
 _STAGE_NAMES: FrozenSet[str] = frozenset(s.name for s in STAGES)
 
@@ -274,7 +275,6 @@ def run_experiment(
 def run_all(
     scenario: Optional[Scenario] = None,
     ids: Optional[Iterable[str]] = None,
-    stage_workers: int = 0,
 ) -> Iterator[ExperimentResult]:
     """Run experiments in id order, streaming each result.
 
@@ -286,11 +286,6 @@ def run_all(
     callers can render incrementally instead of waiting for the full
     sweep.  (Previously returned a fully materialized list of
     ``(id, text)`` pairs; iterate and use the named fields instead.)
-
-    ``stage_workers > 1`` prefetches the union of the selected
-    experiments' required stages over a thread pool before the first
-    experiment runs, fanning independent stage builds (e.g. the
-    constructed map and the traceroute campaign) out concurrently.
     """
     scenario = scenario if scenario is not None else us2015()
     family = scenario.family
@@ -307,10 +302,5 @@ def run_all(
                 family.name,
                 family.supported_experiments(EXPERIMENTS),
             )
-    if stage_workers > 1:
-        needed = sorted(
-            {s for i in selected for s in EXPERIMENTS[i].requires}
-        )
-        scenario.graph.materialize_many(needed, max_workers=stage_workers)
     for experiment_id in selected:
         yield run_experiment(experiment_id, scenario)

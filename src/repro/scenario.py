@@ -48,7 +48,6 @@ from repro.families import (
     MapFamily,
     get_family,
 )
-from repro.families.stages import STAGE_OF_ATTRIBUTE  # noqa: F401 (compat re-export)
 from repro.fibermap.elements import FiberMap
 from repro.fibermap.pipeline import ConstructionReport
 from repro.fibermap.publish import ProviderMap

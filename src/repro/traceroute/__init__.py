@@ -22,7 +22,7 @@ provides the equivalent machinery end-to-end:
 
 from repro.traceroute.addressing import AddressPlan
 from repro.traceroute.campaign import CampaignConfig, run_campaign
-from repro.traceroute.columns import ColumnSchema, ColumnWriter, TraceColumns
+from repro.traceroute.columns import ColumnSchema, TraceColumns
 from repro.traceroute.geolocate import GeolocationDatabase, decode_naming_hint
 from repro.traceroute.overlay import ConduitTraffic, TrafficOverlay
 from repro.traceroute.probe import Hop, ProbeEngine, TracerouteRecord
@@ -36,7 +36,6 @@ __all__ = [
     "Hop",
     "TracerouteRecord",
     "ColumnSchema",
-    "ColumnWriter",
     "TraceColumns",
     "CampaignConfig",
     "run_campaign",

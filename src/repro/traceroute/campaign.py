@@ -21,26 +21,34 @@ stream *contracts* implement that property (``config.rng_contract``):
   shard draw thousands of traces per numpy call instead of paying the
   ~14.5 µs/trace Python RNG floor.
 
+The contracts differ only in their draws.  Both generate a batch of
+traces the same way: draw each trace's endpoint pair (redrawing
+degenerate and unreachable pairs), resolve the batch's pairs to hop
+templates in one lookup (:class:`~repro.traceroute.rngv2._TemplateStore`,
+built against the routing core's destination rows), draw one noise
+value per visible hop, and gather the columns.  Contract v1's draw is
+the one function :func:`_v1_batch_columns`.
+
 A campaign materializes as :class:`~repro.traceroute.columns.TraceColumns`
 — numpy columns plus interned string tables — not a list of record
 objects; the columns still behave as a sequence of
 :class:`~repro.traceroute.probe.TracerouteRecord` for every legacy
 consumer.
 
-The pool path runs in two phases on one forked pool.  Under contract
-v2 the parent creates a shared-memory stack with one predecessor row
-per campaign destination and forks before any Dijkstra runs; first,
-rows task ``k`` solves destinations ``k::n_workers`` in one batched
-call and writes their rows into the stack (a ``campaign.rows`` span
-each).  Then the shard tasks trace over the filled stack: each worker
-fills a named ``multiprocessing.shared_memory`` segment with its
-shard's raw column bytes and returns only the segment name and an
-array manifest (a ``campaign.shard`` span each); the parent maps each
-segment, stitches all shards into the final columns with one pass, and
-unlinks every segment, the row stack included (a finally-scoped sweep
-also covers segments orphaned by crashed workers or a
-KeyboardInterrupt, so ``/dev/shm`` never accumulates).  Contract v1 has
-no rows phase: each worker fills its own routing core's row cache.
+The pool path runs in two phases on one forked pool, under either
+contract.  The parent creates a shared-memory stack with one
+predecessor row per campaign destination and forks before any Dijkstra
+runs; first, rows task ``k`` solves destinations ``k::n_workers`` in
+one batched call and writes their rows into the stack (a
+``campaign.rows`` span each).  Then the shard tasks trace over the
+filled stack: each worker fills a named
+``multiprocessing.shared_memory`` segment with its shard's raw column
+bytes and returns only the segment name and an array manifest (a
+``campaign.shard`` span each); the parent maps each segment, stitches
+all shards into the final columns with one pass, and unlinks every
+segment, the row stack included (a finally-scoped sweep also covers
+segments orphaned by crashed workers or a KeyboardInterrupt, so
+``/dev/shm`` never accumulates).
 
 That same per-index property makes the pool path *fault-tolerant for
 free*: when a worker process dies (OOM kill, segfault, injected crash)
@@ -70,7 +78,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from itertools import accumulate
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -82,15 +90,22 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from repro.data.cities import city_by_name
 from repro.obs.faults import FaultInjector, get_fault_injector, set_fault_injector
 from repro.obs.tracer import get_tracer
+from repro.perf.substrate import _NO_PREDECESSOR
 from repro.traceroute.columns import ColumnSchema, TraceColumns, unpack_shard
 from repro.traceroute.probe import ProbeEngine
-from repro.traceroute.rngv2 import (  # noqa: F401 (re-exports)
+from repro.traceroute.rngv2 import (
     DEFAULT_BATCH_SIZE,
     MAX_ATTEMPTS_PER_TRACE,
+    RNG_CONTRACT_V1,
     SUPPORTED_RNG_CONTRACTS,
+    _CoreTables,
+    _gather_columns,
+    _PlanTables,
+    _TemplateStore,
     _v2_state,
     build_v2_tables,
     default_rng_contract,
+    generate_columns,
     generate_columns_v2,
 )
 from repro.traceroute.topology import InternetTopology
@@ -165,8 +180,9 @@ class CampaignConfig:
     #: :mod:`repro.traceroute.rngv2`).  Defaults from the
     #: ``REPRO_RNG_CONTRACT`` environment, else v2.
     rng_contract: int = field(default_factory=default_rng_contract)
-    #: v2 vectorization batch (traces materialized per numpy call);
-    #: never affects the column bytes, only peak working-set size.
+    #: Traces drawn per batch (one template lookup, one column
+    #: gather); never affects the column bytes, only peak working-set
+    #: size.
     batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
@@ -230,30 +246,6 @@ def _trace_seed(seed: int, index: int) -> int:
     )
 
 
-def _pick(rng: random.Random, values: List[str], cum: List[float]) -> str:
-    """One weighted draw; same semantics as ``rng.choices`` with
-    ``cum_weights`` but without its per-call overhead."""
-    return values[bisect(cum, rng.random() * cum[-1], 0, len(values) - 1)]
-
-
-def _v1_endpoints(
-    plan: _CampaignPlan, rng: random.Random
-) -> Iterator[Tuple[str, str, str, str]]:
-    """Contract-v1 endpoint draws ``(src_city, src_isp, dst_city,
-    dst_isp)`` from one trace's stream, skipping degenerate pairs, for
-    at most :data:`MAX_ATTEMPTS_PER_TRACE` draws.  The caller's noise
-    draws for a candidate happen before the next candidate is drawn."""
-    for _ in range(MAX_ATTEMPTS_PER_TRACE):
-        src_isp = _pick(rng, plan.client_names, plan.client_cum)
-        dst_isp = _pick(rng, plan.dest_names, plan.dest_cum)
-        cities, cum = plan.client_cities[src_isp]
-        src_city = _pick(rng, cities, cum)
-        cities, cum = plan.dest_cities[dst_isp]
-        dst_city = _pick(rng, cities, cum)
-        if src_city != dst_city or src_isp != dst_isp:
-            yield src_city, src_isp, dst_city, dst_isp
-
-
 def _unreachable(index: int) -> RuntimeError:
     return RuntimeError(
         f"trace {index}: no reachable (src, dst) pair after "
@@ -261,24 +253,77 @@ def _unreachable(index: int) -> RuntimeError:
     )
 
 
-def _columns_for_index(
-    engine: ProbeEngine,
-    plan: _CampaignPlan,
+def _v1_batch_columns(
+    tables: _PlanTables,
+    core_tables: _CoreTables,
+    store: _TemplateStore,
     config: CampaignConfig,
-    writer,
-    index: int,
-) -> None:
-    """Append trace *index* to *writer* under contract v1.
+    schema: ColumnSchema,
+    b0: int,
+    b1: int,
+) -> TraceColumns:
+    """The contract-v1 columns of traces ``[b0, b1)``.
 
-    Draw-for-draw the same RNG stream as the object reference in
-    ``tests/oracles/campaign.py`` — endpoint picks, degenerate redraws,
-    per-hop noise — so the columns reconstruct its exact records.
+    Trace ``i`` draws from its private ``random.Random(_trace_seed(seed,
+    i))``: each attempt picks the client ISP, the destination ISP, the
+    client city and the destination city (one ``random()`` each, a
+    ``bisect`` over the cumulative weights), and a degenerate pair (the
+    same router node) or an unreachable one (no predecessor in the
+    shared destination-row stack) is redrawn, for at most
+    :data:`MAX_ATTEMPTS_PER_TRACE` attempts.  Once the batch's
+    templates are resolved in one lookup, each trace draws one
+    ``random()`` per visible hop from the same stream — the object
+    reference in ``tests/oracles/campaign.py`` draw for draw.
     """
-    rng = random.Random(_trace_seed(config.seed, index))
-    for endpoints in _v1_endpoints(plan, rng):
-        if engine.trace_into(writer, *endpoints, rng):
-            return
-    raise _unreachable(index)
+    client_cum = tables.client_cum.tolist()
+    dest_cum = tables.dest_cum.tolist()
+    client_cities = [
+        (int(base), cum.tolist())
+        for base, cum in zip(tables.client_base, tables.client_city_cum)
+    ]
+    dest_cities = [
+        (int(base), cum.tolist())
+        for base, cum in zip(tables.dest_base, tables.dest_city_cum)
+    ]
+    client_gid = tables.client_gid.tolist()
+    dest_gid = tables.dest_gid.tolist()
+    client_core = core_tables.client_core.tolist()
+    pred = core_tables.pred
+    streams: List[random.Random] = []
+    codes: List[int] = []
+    for index in range(b0, b1):
+        rng = random.Random(_trace_seed(config.seed, index))
+        draw = rng.random
+        for _ in range(MAX_ATTEMPTS_PER_TRACE):
+            ci = bisect(client_cum, draw() * client_cum[-1],
+                        0, len(client_cum) - 1)
+            di = bisect(dest_cum, draw() * dest_cum[-1],
+                        0, len(dest_cum) - 1)
+            base, cum = client_cities[ci]
+            cn = base + bisect(cum, draw() * cum[-1], 0, len(cum) - 1)
+            base, cum = dest_cities[di]
+            dn = base + bisect(cum, draw() * cum[-1], 0, len(cum) - 1)
+            if client_gid[cn] == dest_gid[dn]:
+                continue
+            # A destination without a router has an all-unreachable row.
+            src = client_core[cn]
+            if src >= 0 and pred[dn, src] != _NO_PREDECESSOR:
+                break
+        else:
+            raise _unreachable(index)
+        streams.append(rng)
+        codes.append(cn * tables.n_dest_nodes + dn)
+    rows = store.rows_for(
+        tables, core_tables, np.asarray(codes, dtype=np.int64)
+    )
+    noise: List[float] = []
+    for rng, hops in zip(streams, store.counts[rows].tolist()):
+        draw = rng.random
+        noise += [draw() for _ in range(hops)]
+    return _gather_columns(
+        store, schema, rows, np.asarray(noise, dtype=np.float64),
+        RNG_CONTRACT_V1,
+    )
 
 
 def _shard_columns(
@@ -294,18 +339,16 @@ def _shard_columns(
     construction."""
     if config.rng_contract == 2:
         return generate_columns_v2(engine, plan, config, start, stop)
-    writer = engine.begin_columns(stop - start)
-    for index in range(start, stop):
-        _columns_for_index(engine, plan, config, writer, index)
-    return writer.finish()
+    return generate_columns(
+        engine, plan, config, start, stop, _v1_batch_columns
+    )
 
 
 def _templates_held(engine: ProbeEngine) -> int:
-    """Hop templates *engine* holds: its contract-v2 store's plus its
-    contract-v1 cache's (``campaign.shard`` spans report the growth)."""
+    """Hop templates *engine*'s template store holds (``campaign.shard``
+    spans report the growth)."""
     state = getattr(engine, "_rngv2_state", None)
-    held = len(engine._hop_templates)
-    return held if state is None else held + state[3].size
+    return 0 if state is None else state[3].size
 
 
 def resolve_workers(workers: int) -> int:
@@ -417,9 +460,10 @@ class _ShardSegments:
 # ----------------------------------------------------------------------
 # Worker-process state.  Populated once per worker by the pool
 # initializer; the pool forks, so the topology (and its compiled
-# routing core), the plan and the contract-v2 tables the parent built
-# are inherited copy-on-write — all but the tables' destination-row
-# stack, a shared-memory mapping every worker writes through.
+# routing core), the plan and the sampling and core tables the parent
+# built are inherited copy-on-write — all but the tables'
+# destination-row stack, a shared-memory mapping every worker writes
+# through.
 _WORKER_STATE: Optional[
     Tuple[ProbeEngine, _CampaignPlan, CampaignConfig, str]
 ] = None
@@ -429,7 +473,7 @@ def _init_worker(
     topology: InternetTopology,
     config: CampaignConfig,
     plan: _CampaignPlan,
-    v2_tables: Optional[tuple],
+    tables: Tuple[_PlanTables, _CoreTables],
     fault_injector: Optional[FaultInjector] = None,
     segment_token: str = "",
 ) -> None:
@@ -439,18 +483,12 @@ def _init_worker(
     # across pool respawns.
     set_fault_injector(fault_injector)
     engine = ProbeEngine(topology, seed=config.seed + 1)
-    if v2_tables is None:
-        # Contract v1 traces through the core's row cache: each worker
-        # solves every destination (in parallel, so in the wall time
-        # the parent would have spent on them alone).
-        engine.prepare_destinations(plan.dest_nodes)
-    else:
-        _v2_state(engine, plan, v2_tables)
+    _v2_state(engine, plan, tables)
     _WORKER_STATE = (engine, plan, config, segment_token)
 
 
 def _run_rows(part_of: Tuple[int, int]) -> Tuple[int, float]:
-    """One rows task: destination rows ``part::parts`` of the contract-v2
+    """One rows task: destination rows ``part::parts`` of the campaign's
     stack, solved in one batched Dijkstra and written in place into the
     parent's shared-memory segment.  Returns ``(rows solved, seconds)``
     for the parent's ``campaign.rows`` span."""
@@ -469,8 +507,8 @@ def _run_chunk(
 ) -> Tuple[str, Dict[str, Any], float, int]:
     """One shard's columns, delivered through shared memory.
 
-    The shard is traced into a :class:`ColumnWriter`, packed into a
-    named segment as raw array bytes, and only ``(segment name, array
+    The shard's columns are drawn in batches, packed into a named
+    segment as raw array bytes, and only ``(segment name, array
     manifest, wall time, templates built)`` crosses the
     ``ProcessPoolExecutor`` result pipe — no pickling of records, no
     copy of the columns.  The wall time and the number of hop
@@ -533,7 +571,6 @@ def run_campaign(
         ):
             if engine is None:
                 engine = ProbeEngine(topology, seed=config.seed + 1)
-            engine.prepare_destinations(plan.dest_nodes)
             columns = _shard_columns(
                 engine, plan, config, 0, config.num_traces
             )
@@ -565,14 +602,12 @@ def _run_sharded(
 ) -> TraceColumns:
     """Run every shard to completion, surviving worker-process deaths.
 
-    Under contract v2 one pool runs two phases.  Rows tasks come first:
+    One pool runs two phases.  Rows tasks come first:
     task ``k`` solves destinations ``k::n_workers`` of ``plan.dest_nodes``
     in one batched Dijkstra and writes their predecessor rows into the
     campaign's ``(n_dest, n_nodes)`` stack, a shared-memory segment the
     parent creates but never fills, so the parent runs no Dijkstra.
-    Once every row is in, the shard tasks trace over the stack.  (Under
-    contract v1 there is no rows phase: each worker's initializer fills
-    its own routing core's row cache.)
+    Once every row is in, the shard tasks trace over the stack.
 
     A dead worker breaks the whole ``ProcessPoolExecutor``; rows and
     shard segments harvested before the break are kept, the pool is
@@ -602,23 +637,20 @@ def _run_sharded(
     results: Dict[Tuple[int, int], TraceColumns] = {}
     parts: List[TraceColumns] = []
     pending = list(bounds)
-    v2_tables: Optional[tuple] = None
-    row_parts: List[int] = []
+    row_parts = list(range(n_workers))
     restarts = 0
     backoff = max(0.0, config.retry_backoff_s)
     pool: Optional[ProcessPoolExecutor] = None
     try:
-        if config.rng_contract == 2:
-            # Built once here rather than in every worker's initializer.
-            shape = (len(plan.dest_nodes), topology.routing_core().num_nodes)
-            stack = segments.create(
-                _pred_segment_name(token), 4 * shape[0] * shape[1]
-            )
-            v2_tables = build_v2_tables(
-                topology, schema, plan,
-                np.ndarray(shape, dtype=np.int32, buffer=stack.buf),
-            )
-            row_parts = list(range(n_workers))
+        # Built once here rather than in every worker's initializer.
+        shape = (len(plan.dest_nodes), topology.routing_core().num_nodes)
+        stack = segments.create(
+            _pred_segment_name(token), 4 * shape[0] * shape[1]
+        )
+        tables = build_v2_tables(
+            topology, schema, plan,
+            np.ndarray(shape, dtype=np.int32, buffer=stack.buf),
+        )
         while row_parts or pending:
             harvested = 0
             try:
@@ -629,7 +661,7 @@ def _run_sharded(
                     mp_context=multiprocessing.get_context("fork"),
                     initializer=_init_worker,
                     initargs=(
-                        topology, config, plan, v2_tables, injector, token,
+                        topology, config, plan, tables, injector, token,
                     ),
                 ) as pool:
                     futures = {
@@ -678,7 +710,7 @@ def _run_sharded(
                     )
                     _run_serial_fallback(
                         topology, plan, config, pending, results,
-                        v2_tables, row_parts, n_workers,
+                        tables, row_parts, n_workers,
                     )
                     break
                 tracer.event(
@@ -694,10 +726,10 @@ def _run_sharded(
                 )
             else:
                 pending = [b for b in pending if b not in results]
-        # The executor keeps its initargs; drop it and the v2 tables
+        # The executor keeps its initargs; drop it and the tables
         # (whose row stack views a segment) before stitching, so they
         # do not add to the peak footprint.
-        del pool, v2_tables
+        del pool, tables
         parts.extend(results[b] for b in bounds)
         return TraceColumns.concatenate(schema, parts)
     finally:
@@ -714,7 +746,7 @@ def _run_serial_fallback(
     config: CampaignConfig,
     pending: List[Tuple[int, int]],
     results: Dict[Tuple[int, int], TraceColumns],
-    v2_tables: Optional[tuple],
+    tables: Tuple[_PlanTables, _CoreTables],
     row_parts: List[int],
     n_parts: int,
 ) -> None:
@@ -722,17 +754,14 @@ def _run_serial_fallback(
     in-process (same bytes as any worker)."""
     engine = ProbeEngine(topology, seed=config.seed + 1)
     tracer = get_tracer()
-    if v2_tables is None:
-        engine.prepare_destinations(plan.dest_nodes)
-    else:
-        for part in row_parts:
-            started = time.perf_counter()
-            solved = v2_tables[1].solve_rows(part, n_parts)
-            tracer.record_span(
-                "campaign.rows", time.perf_counter() - started,
-                part=part, rows_solved=solved, degraded=True,
-            )
-        _v2_state(engine, plan, v2_tables)
+    for part in row_parts:
+        started = time.perf_counter()
+        solved = tables[1].solve_rows(part, n_parts)
+        tracer.record_span(
+            "campaign.rows", time.perf_counter() - started,
+            part=part, rows_solved=solved, degraded=True,
+        )
+    _v2_state(engine, plan, tables)
     for start, stop in pending:
         held = _templates_held(engine)
         started = time.perf_counter()

@@ -469,93 +469,6 @@ def unpack_shard(
 
 
 # ----------------------------------------------------------------------
-# Builder
-# ----------------------------------------------------------------------
-class ColumnWriter:
-    """Accumulates one shard's traces and finishes into columns.
-
-    ``append`` stays allocation-light on purpose: per-hop router ids and
-    precomputed doubled cumulative latencies arrive as small arrays
-    (shared hop-template rows — appended by reference, not copied), and
-    the per-hop queueing noise arrives as raw unit draws.  ``finish``
-    performs the only vectorized work: one concatenate per hop column
-    and a single fused scale-and-add for the RTTs (*noise_scale* maps
-    unit draws onto milliseconds; ``scale * r`` is bit-identical to the
-    scalar path's ``uniform(0.0, scale)``).
-    """
-
-    __slots__ = ("schema", "_rows", "_counts", "_router_parts",
-                 "_cum_parts", "_noise", "_noise_scale")
-
-    def __init__(
-        self,
-        schema: ColumnSchema,
-        expected_traces: int = 0,
-        noise_scale: float = 1.0,
-    ):
-        self.schema = schema
-        self._noise_scale = noise_scale
-        self._rows: List[Tuple[int, int, int, int]] = []
-        self._counts: List[int] = []
-        self._router_parts: List[np.ndarray] = []
-        self._cum_parts: List[np.ndarray] = []
-        self._noise: List[float] = []
-
-    def append(
-        self,
-        src_city: int,
-        src_isp: int,
-        dst_city: int,
-        dst_isp: int,
-        router_ids: np.ndarray,
-        double_cum: np.ndarray,
-        noise: List[float],
-    ) -> None:
-        """One reached trace: endpoint ids, its hop-template rows, and
-        the per-hop unit noise draws from the trace's private RNG
-        stream (scaled by ``noise_scale`` at :meth:`finish`)."""
-        self._rows.append((src_city, src_isp, dst_city, dst_isp))
-        self._counts.append(len(router_ids))
-        self._router_parts.append(router_ids)
-        self._cum_parts.append(double_cum)
-        self._noise.extend(noise)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def finish(self) -> TraceColumns:
-        n = len(self._rows)
-        traces = np.zeros(n, dtype=TRACE_DTYPE)
-        if n:
-            rows = np.array(self._rows, dtype=np.int32)
-            traces["src_city"] = rows[:, 0]
-            traces["src_isp"] = rows[:, 1]
-            traces["dst_city"] = rows[:, 2]
-            traces["dst_isp"] = rows[:, 3]
-            traces["reached"] = True
-        hop_offsets = np.zeros(n + 1, dtype=np.int64)
-        if n:
-            np.cumsum(self._counts, out=hop_offsets[1:])
-        if self._router_parts:
-            hop_router = np.concatenate(self._router_parts).astype(
-                np.int32, copy=False
-            )
-            # rtt = 2*one_way + noise, hop by hop: the doubled cumulative
-            # latencies come from the templates, the noise from each
-            # trace's own RNG stream — one fused vector op per shard.
-            hop_rtt = np.concatenate(self._cum_parts) + (
-                self._noise_scale
-                * np.asarray(self._noise, dtype=np.float64)
-            )
-        else:
-            hop_router = np.zeros(0, dtype=np.int32)
-            hop_rtt = np.zeros(0, dtype=np.float64)
-        return TraceColumns(
-            self.schema, traces, hop_offsets, hop_router, hop_rtt
-        )
-
-
-# ----------------------------------------------------------------------
 # Pickle-free disk serialization (np.save-style, used by the artifact
 # cache: a campaign artifact must never round-trip through pickle).
 # ----------------------------------------------------------------------

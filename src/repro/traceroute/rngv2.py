@@ -30,10 +30,11 @@ calls.  The stream specification (normative; see DESIGN §14):
 * The **NOISE** stream (``purpose=2``, ``sub=0``): trace index ``i``
   owns blocks ``[i * 16, (i + 1) * 16)`` — ``HOP_NOISE_BUDGET = 64``
   unit uniforms, of which visible hop ``j`` consumes slot ``j``.  The
-  RTT of hop ``j`` is ``double_cum[j] + QUEUE_NOISE_MS * u_j`` exactly
-  as in v1's vectorized finish.  A path with more than 64 visible hops
-  is a contract violation (raised, never truncated); the deepest path
-  in any shipped topology is far below the budget.
+  RTT of hop ``j`` is ``double_cum[j] + QUEUE_NOISE_MS * u_j``, the
+  same float expression as under v1.  A path with more than 64 visible
+  hops is a contract violation (raised by the v2 draw, never
+  truncated; v1 has no such limit); the deepest path in any shipped
+  topology is far below the budget.
 * The **GEO** stream (``purpose=3``, ``sub=0``): enumeration index
   ``i`` of the geolocation build (sorted providers, each provider's
   sorted routers) owns block ``i``; slot 0 picks the near-miss city as
@@ -43,6 +44,15 @@ Because positions are absolute, serial and sharded campaigns are
 byte-identical at every worker count and batch size by construction —
 the property the fault-tolerance ladder (shard replay) and the sweep
 layer rely on.
+
+The batch machinery here serves both contracts: the plan's sampling
+tables (:class:`_PlanTables`), the routing core's arrays and the
+destination-row stack (:class:`_CoreTables`), the hop-template store
+(:class:`_TemplateStore`), the column gather (:func:`_gather_columns`)
+and the batch loop (:func:`generate_columns`).  A contract is one
+batch draw over them: :func:`_batch_columns` for v2,
+``campaign._v1_batch_columns`` for v1 — so both run the same pool
+protocol, rows phase included.
 
 Versioning rules: a change to any stream definition, draw order, pick
 semantics, or budget above is a **new contract version**, never an
@@ -54,7 +64,7 @@ manifests, and npz payloads.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -322,13 +332,6 @@ class _TemplateStore:
                          "hop_router", "cum")
         )
 
-    def _check_budget(self, max_hops: int) -> None:
-        if max_hops > HOP_NOISE_BUDGET:
-            raise RuntimeError(
-                f"a path has {max_hops} visible hops; RNG contract v2 "
-                f"budgets {HOP_NOISE_BUDGET} noise slots per trace"
-            )
-
     def append(
         self,
         codes: np.ndarray,
@@ -410,7 +413,6 @@ class _TemplateStore:
             | next_differs
         )
         counts[ridx] = visible.sum(axis=1)
-        self._check_budget(int(counts.max(initial=0)))
         # Row-major nonzero lists the visible hops template by template,
         # which is the flat store's layout.
         vr, vc = np.nonzero(visible)
@@ -476,6 +478,41 @@ def _v2_state(
     return state[1], state[2], state[3]
 
 
+def _gather_columns(
+    store: _TemplateStore,
+    schema: ColumnSchema,
+    rows: np.ndarray,
+    noise: np.ndarray,
+    rng_contract: int,
+) -> TraceColumns:
+    """The columns of traces whose endpoint pairs resolved to template
+    ids *rows*, under either contract.  *noise* holds one unit draw per
+    visible hop, trace by trace."""
+    n = len(rows)
+    counts = store.counts[rows]
+    hop_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=hop_offsets[1:])
+    # One flat gather: hop ``k`` of trace ``t`` reads its template's
+    # entry ``start + k``.
+    position = np.arange(int(hop_offsets[-1]), dtype=np.int64)
+    at = np.repeat(store.start[rows] - hop_offsets[:-1], counts) + position
+    # rtt = 2*one_way + noise, hop by hop: float64-identical to the
+    # scalar path's ``double_one_way + uniform(0.0, QUEUE_NOISE_MS)``.
+    hop_rtt = store.cum[at] + QUEUE_NOISE_MS * noise
+    hop_router = store.hop_router[at]
+    traces = np.zeros(n, dtype=TRACE_DTYPE)
+    endpoints = store.endpoints[rows]
+    traces["src_city"] = endpoints[:, 0]
+    traces["src_isp"] = endpoints[:, 1]
+    traces["dst_city"] = endpoints[:, 2]
+    traces["dst_isp"] = endpoints[:, 3]
+    traces["reached"] = True
+    return TraceColumns(
+        schema, traces, hop_offsets, hop_router, hop_rtt,
+        rng_contract=rng_contract,
+    )
+
+
 def _batch_columns(
     tables: _PlanTables,
     core_tables: _CoreTables,
@@ -485,7 +522,7 @@ def _batch_columns(
     b0: int,
     b1: int,
 ) -> TraceColumns:
-    """The columns of traces ``[b0, b1)``, fully vectorized."""
+    """The contract-v2 columns of traces ``[b0, b1)``, fully vectorized."""
     n = b1 - b0
     seed = config.seed
     rows = np.full(n, -1, dtype=np.int64)
@@ -527,55 +564,49 @@ def _batch_columns(
             f"{MAX_ATTEMPTS_PER_TRACE} draws; topology too disconnected"
         )
     counts = store.counts[rows]
-    hop_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=hop_offsets[1:])
-    # One flat gather: hop ``k`` of trace ``t`` reads its template's
-    # entry ``start + k`` and noise slot ``t * 64 + k`` of the block the
-    # stream draws (every trace owns all 64 slots, whatever it reads).
-    position = np.arange(int(hop_offsets[-1]), dtype=np.int64)
-    first = hop_offsets[:-1]
-    at = np.repeat(store.start[rows] - first, counts) + position
+    # The budget is v2's alone (v1 draws noise without a hop limit): a
+    # trace with more visible hops than it owns slots is a contract
+    # violation, raised, never truncated.
+    max_hops = int(counts.max(initial=0))
+    if max_hops > HOP_NOISE_BUDGET:
+        raise RuntimeError(
+            f"a path has {max_hops} visible hops; RNG contract v2 "
+            f"budgets {HOP_NOISE_BUDGET} noise slots per trace"
+        )
+    # Visible hop ``k`` of trace ``t`` reads noise slot ``t * 64 + k``
+    # of the block the stream draws (every trace owns all 64 slots,
+    # whatever it reads).
+    first = np.cumsum(counts) - counts
     slot = np.repeat(
         np.arange(0, n * HOP_NOISE_BUDGET, HOP_NOISE_BUDGET) - first, counts
-    ) + position
+    ) + np.arange(int(counts.sum()), dtype=np.int64)
     noise = _stream(
         seed, _PURPOSE_NOISE, 0, b0 * HOP_NOISE_BLOCKS
     ).random(n * HOP_NOISE_BUDGET)
-    # rtt = 2*one_way + noise, hop by hop — float64-identical to the
-    # v1 writer's fused ``cum + scale * noise``.
-    hop_rtt = store.cum[at] + QUEUE_NOISE_MS * noise[slot]
-    hop_router = store.hop_router[at]
-    traces = np.zeros(n, dtype=TRACE_DTYPE)
-    endpoints = store.endpoints[rows]
-    traces["src_city"] = endpoints[:, 0]
-    traces["src_isp"] = endpoints[:, 1]
-    traces["dst_city"] = endpoints[:, 2]
-    traces["dst_isp"] = endpoints[:, 3]
-    traces["reached"] = True
-    return TraceColumns(
-        schema, traces, hop_offsets, hop_router, hop_rtt,
-        rng_contract=RNG_CONTRACT_V2,
-    )
+    return _gather_columns(store, schema, rows, noise[slot], RNG_CONTRACT_V2)
 
 
-def generate_columns_v2(
+def generate_columns(
     engine: ProbeEngine,
     plan: "_CampaignPlan",
     config: "CampaignConfig",
     start: int,
     stop: int,
+    draw_batch: Callable[..., TraceColumns],
 ) -> TraceColumns:
-    """Trace indices ``[start, stop)`` as columns under contract v2.
+    """Trace indices ``[start, stop)`` as columns, ``config.batch_size``
+    traces per call of a contract's batch draw: *draw_batch* takes
+    :func:`_batch_columns`' arguments and returns its columns.
 
-    The vectorized twin of the v1 per-index writer loop: identical
-    output for any split into shards or batches, because every stream
-    position derives from the absolute trace index.
+    Either contract's draw gives identical output for any split into
+    shards or batches, because every trace's streams derive from its
+    absolute index alone.
     """
     tables, core_tables, store = _v2_state(engine, plan)
     schema = engine.column_schema()
     batch = max(1, config.batch_size)
     parts = [
-        _batch_columns(
+        draw_batch(
             tables, core_tables, store, config, schema,
             b0, min(b0 + batch, stop),
         )
@@ -590,9 +621,22 @@ def generate_columns_v2(
             np.zeros(1, dtype=np.int64),
             np.zeros(0, dtype=np.int32),
             np.zeros(0, dtype=np.float64),
-            rng_contract=RNG_CONTRACT_V2,
+            rng_contract=config.rng_contract,
         )
     return TraceColumns.concatenate(schema, parts)
+
+
+def generate_columns_v2(
+    engine: ProbeEngine,
+    plan: "_CampaignPlan",
+    config: "CampaignConfig",
+    start: int,
+    stop: int,
+) -> TraceColumns:
+    """Trace indices ``[start, stop)`` as columns under contract v2."""
+    return generate_columns(
+        engine, plan, config, start, stop, _batch_columns
+    )
 
 
 def geo_unit_draws(seed: int, count: int) -> np.ndarray:

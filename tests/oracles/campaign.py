@@ -1,21 +1,25 @@
 """Per-trace record generators the columnar campaign replaced.
 
-The package generates campaigns only as columns: the contract-v1
-per-index writer (``campaign._columns_for_index``) and the contract-v2
-vectorized batches (``rngv2.generate_columns_v2``).  The object
+The package generates campaigns only as columns, batch by batch: each
+contract's draw (``campaign._v1_batch_columns`` for v1,
+``rngv2._batch_columns`` for v2) resolves its endpoint pairs through
+the vectorized template store and gathers the columns.  The object
 generators below are their references: :func:`trace_for_index` builds
 one :class:`TracerouteRecord` per trace index under either contract,
-draw for draw, so the parity suites can require every column to
-reconstruct exactly the record it builds.  :func:`build_rows_scalar`
-likewise fills a contract-v2 template store one engine template per
-pair, the reference of its vectorized template builder.
+draw for draw (:func:`v1_endpoints` is v1's endpoint-draw loop), so
+the parity suites can require every column to reconstruct exactly the
+record it builds.  :func:`hop_template` is the scalar hop-template
+builder, one endpoint pair at a time over the engine's visible-hop
+walk, and :func:`build_rows_scalar` fills a template store with its
+templates: the reference of the vectorized template builder.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect
-from typing import List
+from dataclasses import dataclass
+from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -25,7 +29,6 @@ from repro.traceroute.campaign import (
     _CampaignPlan,
     _trace_seed,
     _unreachable,
-    _v1_endpoints,
 )
 from repro.traceroute.probe import (
     QUEUE_NOISE_MS,
@@ -62,6 +65,74 @@ def _pick_index(cum: List[float], u: float) -> int:
     return bisect(cum, u * cum[-1], 0, len(cum) - 1)
 
 
+def _pick(rng: random.Random, values: List[str], cum: List[float]) -> str:
+    """One weighted draw; same semantics as ``rng.choices`` with
+    ``cum_weights``."""
+    return values[_pick_index(cum, rng.random())]
+
+
+def v1_endpoints(
+    plan: _CampaignPlan, rng: random.Random
+) -> Iterator[Tuple[str, str, str, str]]:
+    """Contract-v1 endpoint draws ``(src_city, src_isp, dst_city,
+    dst_isp)`` from one trace's stream, skipping degenerate pairs, for
+    at most :data:`MAX_ATTEMPTS_PER_TRACE` draws.  The caller's noise
+    draws for a candidate happen before the next candidate is drawn."""
+    for _ in range(MAX_ATTEMPTS_PER_TRACE):
+        src_isp = _pick(rng, plan.client_names, plan.client_cum)
+        dst_isp = _pick(rng, plan.dest_names, plan.dest_cum)
+        cities, cum = plan.client_cities[src_isp]
+        src_city = _pick(rng, cities, cum)
+        cities, cum = plan.dest_cities[dst_isp]
+        dst_city = _pick(rng, cities, cum)
+        if src_city != dst_city or src_isp != dst_isp:
+            yield src_city, src_isp, dst_city, dst_isp
+
+
+@dataclass(frozen=True)
+class HopTemplate:
+    """The deterministic part of every trace between one endpoint pair:
+    its schema endpoint ids, the router ids of its *visible* hops, and
+    ``2.0 * one_way`` at each of them (float64)."""
+
+    src_city_id: int
+    src_isp_id: int
+    dst_city_id: int
+    dst_isp_id: int
+    router_ids: np.ndarray
+    double_cum: np.ndarray
+
+
+def hop_template(
+    engine: ProbeEngine,
+    src_node: Tuple[str, str],
+    dst_node: Tuple[str, str],
+) -> Union[HopTemplate, bool]:
+    """One endpoint pair's template (``False`` = unreachable), from
+    :meth:`ProbeEngine.trace`'s visible-hop walk, so ``double_cum[j] +
+    noise_j`` is bit-for-bit the scalar RTT."""
+    src_isp, src_city = src_node
+    dst_isp, dst_city = dst_node
+    path = engine.router_path(src_city, src_isp, dst_city, dst_isp)
+    if path is None:
+        return False
+    schema = engine.column_schema()
+    visible = list(engine._visible_hops(path))
+    return HopTemplate(
+        src_city_id=schema.city_index[src_city],
+        src_isp_id=schema.isp_index[src_isp],
+        dst_city_id=schema.city_index[dst_city],
+        dst_isp_id=schema.isp_index[dst_isp],
+        router_ids=np.asarray(
+            [schema.router_index[node] for node, _ in visible],
+            dtype=np.int32,
+        ),
+        double_cum=np.asarray(
+            [double for _, double in visible], dtype=np.float64
+        ),
+    )
+
+
 def trace_for_index(
     engine: ProbeEngine,
     plan: _CampaignPlan,
@@ -71,13 +142,13 @@ def trace_for_index(
     """The record for one trace index, independent of all other traces.
 
     Dispatches on ``config.rng_contract``; under v1 this is the object
-    path whose RNG stream ``campaign._columns_for_index`` consumes draw
+    path whose RNG stream ``campaign._v1_batch_columns`` consumes draw
     for draw, under v2 it delegates to :func:`trace_record_v2`.
     """
     if config.rng_contract == 2:
         return trace_record_v2(engine, plan, config, index)
     rng = random.Random(_trace_seed(config.seed, index))
-    for endpoints in _v1_endpoints(plan, rng):
+    for endpoints in v1_endpoints(plan, rng):
         record = engine.trace(*endpoints, rng=rng)
         if record.reached:
             return record
@@ -103,8 +174,8 @@ def trace_record_v2(
         dst_city = cities[_pick_index(cum, u[3])]
         if src_city == dst_city and src_isp == dst_isp:
             continue
-        template = engine._hop_template(
-            (src_isp, src_city), (dst_isp, dst_city)
+        template = hop_template(
+            engine, (src_isp, src_city), (dst_isp, dst_city)
         )
         if template is False:
             continue
@@ -139,7 +210,7 @@ def build_rows_scalar(
     tables: _PlanTables,
     codes: np.ndarray,
 ) -> None:
-    """Fill *store* with one engine template per pair: the scalar
+    """Fill *store* with one :func:`hop_template` per pair: the scalar
     reference of ``_TemplateStore._build``."""
     counts: List[int] = []
     routers: List[np.ndarray] = [np.zeros(0, dtype=np.int32)]
@@ -147,16 +218,14 @@ def build_rows_scalar(
     endpoints: List[tuple] = []
     for code in codes.tolist():
         cn, dn = divmod(code, tables.n_dest_nodes)
-        template = engine._hop_template(
-            tables.client_nodes[cn], tables.dest_nodes[dn]
+        template = hop_template(
+            engine, tables.client_nodes[cn], tables.dest_nodes[dn]
         )
         if template is False:
             counts.append(-1)
             endpoints.append((0, 0, 0, 0))
             continue
-        k = len(template.router_ids)
-        store._check_budget(k)
-        counts.append(k)
+        counts.append(len(template.router_ids))
         routers.append(template.router_ids)
         cums.append(template.double_cum)
         endpoints.append((

@@ -95,7 +95,7 @@ class TestRecordsView:
     ):
         engine = ProbeEngine(topology, seed=campaign_config.seed + 1)
         plan = _CampaignPlan(topology, campaign_config)
-        engine.prepare_destinations(plan.dest_nodes)
+        topology.routing_core().prepare(plan.dest_nodes)
         for index in range(len(serial_columns)):
             legacy = trace_for_index(engine, plan, campaign_config, index)
             rebuilt = serial_columns.record(index)

@@ -130,15 +130,6 @@ class TestResolution:
         assert graph.peek("b") == ("b", (("a", ()),))
         assert graph.materialized() == ("a", "b")
 
-    def test_materialize_many_parallel_matches_serial(self):
-        calls, stages = _diamond()
-        graph = StageGraph(stages)
-        graph.materialize_many(["d", "c"], max_workers=4)
-        assert sorted(calls) == ["a", "b", "c", "d"]
-        serial = StageGraph(_diamond()[1])
-        serial.materialize_many(["d", "c"])
-        assert graph.peek("d") == serial.peek("d")
-
     def test_concurrent_materialize_is_single_flight(self):
         calls = []
 

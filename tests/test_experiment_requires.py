@@ -15,7 +15,8 @@ from repro.experiments import (
     UndeclaredStageAccessError,
     run_experiment,
 )
-from repro.scenario import STAGE_OF_ATTRIBUTE, Scenario
+from repro.families.stages import STAGE_OF_ATTRIBUTE
+from repro.scenario import Scenario
 
 ALL_IDS = sorted(EXPERIMENTS)
 

@@ -151,11 +151,11 @@ class TestCampaignCrashRecovery:
 
 
 class TestRowsPhaseRecovery:
-    """Worker deaths while the pool solves the destination rows."""
+    """Worker deaths while the pool solves the destination rows, under
+    the RNG contract :attr:`CONTRACT` (a subclass reruns every case
+    under the other contract: both run the same rows phase)."""
 
-    CONFIG = CampaignConfig(
-        num_traces=600, seed=47, retry_backoff_s=0.01, rng_contract=2
-    )
+    CONTRACT = 2
 
     @staticmethod
     def _same_bytes(a, b):
@@ -168,11 +168,15 @@ class TestRowsPhaseRecovery:
         )
 
     def test_killed_rows_task_is_replayed(self, topology):
-        reference = run_campaign(topology, self.CONFIG, workers=1)
+        config = CampaignConfig(
+            num_traces=600, seed=47, retry_backoff_s=0.01,
+            rng_contract=self.CONTRACT,
+        )
+        reference = run_campaign(topology, config, workers=1)
         before = _repro_shm_entries()
         with fault_injection(FaultPlan(seed=1, crash_rows=(1,))):
             with tracing() as tracer:
-                survived = run_campaign(topology, self.CONFIG, workers=2)
+                survived = run_campaign(topology, config, workers=2)
         assert self._same_bytes(survived, reference)
         names = [span.name for span in tracer.walk()]
         assert names.count("campaign.retry") >= 1
@@ -185,7 +189,7 @@ class TestRowsPhaseRecovery:
     def test_serial_fallback_solves_the_missing_rows(self, topology):
         config = CampaignConfig(
             num_traces=600, seed=47, max_pool_restarts=0,
-            retry_backoff_s=0.01, rng_contract=2,
+            retry_backoff_s=0.01, rng_contract=self.CONTRACT,
         )
         reference = run_campaign(topology, config, workers=1)
         before = _repro_shm_entries()
@@ -200,6 +204,10 @@ class TestRowsPhaseRecovery:
         assert sorted(s.attrs["part"] for s in rows) == [0, 1]
         assert all(s.attrs.get("degraded") for s in rows)
         assert _repro_shm_entries() == before
+
+
+class TestRowsPhaseRecoveryV1(TestRowsPhaseRecovery):
+    CONTRACT = 1
 
 
 def _repro_shm_entries():

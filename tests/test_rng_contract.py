@@ -241,15 +241,16 @@ class TestPoolTables:
         distinct = rngv2._v2_state(engine, plan)[2].size
         assert distinct <= sum(built) <= 2 * distinct
 
+    @pytest.mark.parametrize("contract", [1, 2])
     def test_the_pool_solves_each_destination_row_once(
-        self, topology, monkeypatch
+        self, topology, monkeypatch, contract
     ):
         # The rows tasks split the destinations between the workers, so
         # the parent runs no Dijkstra and each reachable destination's
-        # row is solved exactly once.  A pickled copy of the topology
-        # starts with an empty row cache.
+        # row is solved exactly once, under either contract.  A pickled
+        # copy of the topology starts with an empty row cache.
         fresh = pickle.loads(pickle.dumps(topology))
-        config = _config(num_traces=900, workers=2, rng_contract=2)
+        config = _config(num_traces=900, workers=2, rng_contract=contract)
         parent_solves = []
         solve = GraphView.dijkstra
 
@@ -274,9 +275,26 @@ class TestPoolTables:
         solved = sum(s.attrs["rows_solved"] for s in spans)
         assert solved == len(reachable) > 0
         serial = run_campaign(
-            topology, _config(num_traces=900, workers=1, rng_contract=2)
+            topology,
+            _config(num_traces=900, workers=1, rng_contract=contract),
         )
         assert _columns_equal(columns, serial)
+
+
+def test_only_v2_has_a_hop_noise_budget(topology, monkeypatch):
+    # The 64-slot limit belongs to v2's noise stream, not to the shared
+    # template store: with the budget shrunk below the deepest path, a
+    # v2 campaign raises and a v1 campaign draws the same bytes.
+    configs = {
+        contract: _config(num_traces=300, rng_contract=contract)
+        for contract in (1, 2)
+    }
+    v1 = run_campaign(topology, configs[1])
+    assert int(np.diff(v1.hop_offsets).max()) > 3
+    monkeypatch.setattr(rngv2, "HOP_NOISE_BUDGET", 3)
+    with pytest.raises(RuntimeError, match="budgets 3 noise slots"):
+        run_campaign(topology, configs[2])
+    assert _columns_equal(run_campaign(topology, configs[1]), v1)
 
 
 class TestScalarReference:
