@@ -30,7 +30,6 @@ def run(scenario: Scenario, top: int = 12) -> Fig10Result:
             scenario.constructed_map,
             scenario.risk_matrix,
             top=top,
-            workers=scenario.workers,
         )
     )
 

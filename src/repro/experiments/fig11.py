@@ -48,7 +48,6 @@ def run(
         chosen,
         max_k=max_k,
         candidates=candidates,
-        workers=scenario.workers,
         driver=driver,
         driver_seed=driver_seed,
     )

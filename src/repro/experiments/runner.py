@@ -42,10 +42,12 @@ from repro.experiments import (  # noqa: F401 (re-export convenience)
     table4,
     table5,
 )
-from repro.families.stages import STAGE_OF_ATTRIBUTE
-from repro.scenario import STAGES, Scenario, us2015
+from repro.families.stages import STAGE_OF_ATTRIBUTE, build_stage_table
+from repro.scenario import Scenario, us2015
 
-_STAGE_NAMES: FrozenSet[str] = frozenset(s.name for s in STAGES)
+_STAGE_NAMES: FrozenSet[str] = frozenset(
+    s.name for s in build_stage_table()
+)
 
 
 class UndeclaredStageAccessError(StageGraphError):

@@ -13,9 +13,10 @@ new family needs *only* a registration here is the proof the engine
 generalizes (ROADMAP, "intercontinental + submarine extension").
 
 The default family is :data:`DEFAULT_FAMILY` (``"us2015"``) — the
-paper's US long-haul map.  Its stage table, seed derivations, and cache
-keys are byte-identical to the pre-registry code path, so goldens and
-warmed artifact caches carry over unchanged.
+paper's US long-haul map.  Every family runs the one stage table of
+:func:`repro.families.stages.build_stage_table`; the ``family`` graph
+parameter selects what its ``ground_truth`` stage synthesizes and keys
+every persisted artifact.
 """
 
 from __future__ import annotations
@@ -102,17 +103,6 @@ class MapFamily:
         """Run the family's dataset preparation hook (idempotent)."""
         if self.prepare is not None:
             self.prepare()
-
-    def stage_table(self, rng_contract: int = 1) -> Tuple[Any, ...]:
-        """This family's stage-graph table (see
-        :func:`repro.families.stages.build_stage_table`).
-
-        *rng_contract* only widens draw-dependent cache keys under v2;
-        the default keeps the historical (contract v1) keys.
-        """
-        from repro.families.stages import build_stage_table
-
-        return build_stage_table(self, rng_contract=rng_contract)
 
     def describe(self) -> Dict[str, Any]:
         """JSON-safe summary (CLI ``families`` listing, service info)."""

@@ -13,11 +13,11 @@ not a stage: :func:`repro.perf.substrate.substrate_for` compiles it from
 the constructed map on first use, in milliseconds, so there is nothing
 worth persisting.
 
-:func:`build_stage_table` keeps, for the default family, every stage's
-pre-registry name, dependency list, seed offset, persistence flag,
-cache parameters and doc, so cache keys and goldens are byte-identical.  Non-default families qualify persisted
-stages' cache keys with the family name, keeping their artifacts from
-ever colliding with (or shadowing) the default family's.
+:func:`build_stage_table` gives every family the same stage names,
+dependencies and seed offsets, and every persisted stage one cache-key
+rule: ``family`` and ``seed``, plus ``traces`` and ``rng_contract`` for
+the draw-dependent stages.  Two families' or two contracts' artifacts
+therefore never collide.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.engine import StageContext, StageDef
-from repro.families.base import DEFAULT_FAMILY, MapFamily, get_family
+from repro.families.base import MapFamily, get_family
 from repro.fibermap.elements import FiberMap
 from repro.fibermap.pipeline import ConstructionReport, MapConstructionPipeline
 from repro.fibermap.publish import ProviderMap, publish_provider_maps
@@ -37,12 +37,11 @@ from repro.traceroute.columns import TraceColumns
 from repro.traceroute.geolocate import GeolocationDatabase
 from repro.traceroute.overlay import TrafficOverlay
 from repro.traceroute.probe import ProbeEngine
-from repro.traceroute.rngv2 import RNG_CONTRACT_V1, default_rng_contract
 from repro.traceroute.topology import InternetTopology
 
 
 def _family_of(ctx: StageContext) -> MapFamily:
-    family = get_family(ctx.params.get("family", DEFAULT_FAMILY))
+    family = get_family(ctx.params["family"])
     family.ensure_ready()
     return family
 
@@ -79,7 +78,7 @@ def _build_probe_engine(ctx: StageContext) -> ProbeEngine:
 
 
 def _rng_contract_of(ctx: StageContext) -> int:
-    return ctx.params.get("rng_contract", default_rng_contract())
+    return ctx.params["rng_contract"]
 
 
 def _build_campaign(ctx: StageContext) -> TraceColumns:
@@ -148,39 +147,23 @@ STAGE_OF_ATTRIBUTE: Dict[str, str] = {
 }
 
 
-def build_stage_table(
-    family: MapFamily, rng_contract: int = RNG_CONTRACT_V1
-) -> Tuple[StageDef, ...]:
-    """The declared dataflow of one scenario of *family*, in paper order.
+def build_stage_table() -> Tuple[StageDef, ...]:
+    """The declared dataflow of one scenario of any family, in paper
+    order.
 
-    Seed offsets are the historical per-stage derivations (previously
-    scattered as ``seed + 1`` ... ``seed + 6`` literals); for the default
-    family the cache keys are the historical ``(stage, params)`` pairs,
-    so a cache warmed before the family registry still serves.  Other
-    families prepend ``family`` to every persisted stage's cache key.
-    The campaign's worker count shards the build without changing its
-    records, so it stays out of the cache key everywhere.
-
-    Under RNG contract v2 the draw-dependent persisted stages (campaign,
-    overlay) append ``rng_contract`` to their cache keys; contract-v1
-    artifacts keep their historical keys, so the two contracts' cached
-    artifacts never collide and a pre-v2 warm cache still serves v1.
+    Seed offsets are the per-stage derivations (previously scattered as
+    ``seed + 1`` ... ``seed + 6`` literals).  Every persisted stage keys
+    on ``family`` and ``seed``; the draw-dependent ones (campaign,
+    overlay) add ``traces`` and ``rng_contract``.  The campaign's worker
+    count shards the build without changing its records, so it stays
+    out of every key.
     """
-
-    def keyed(*params: str) -> Tuple[str, ...]:
-        if family.name != DEFAULT_FAMILY:
-            params = ("family",) + params
-        return params
-
-    def draw_keyed(*params: str) -> Tuple[str, ...]:
-        if rng_contract != RNG_CONTRACT_V1:
-            params = params + ("rng_contract",)
-        return keyed(*params)
-
+    keys = ("family", "seed")
+    draw_keys = keys + ("traces", "rng_contract")
     return (
         StageDef(
             "ground_truth", _build_ground_truth, seed_offset=0,
-            persist=True, cache_params=keyed("seed"),
+            persist=True, cache_params=keys,
             doc="the synthesized world: actual conduits, tenancy, substrates",
         ),
         StageDef(
@@ -196,7 +179,7 @@ def build_stage_table(
         StageDef(
             "constructed_map", _build_constructed_map,
             deps=("ground_truth", "provider_maps", "records"),
-            persist=True, cache_params=keyed("seed"),
+            persist=True, cache_params=keys,
             doc="the §2 four-step constructed map (+ construction report)",
         ),
         StageDef(
@@ -212,7 +195,7 @@ def build_stage_table(
         StageDef(
             "campaign", _build_campaign,
             deps=("topology", "probe_engine"), seed_offset=5,
-            persist=True, cache_params=draw_keyed("seed", "traces"),
+            persist=True, cache_params=draw_keys,
             doc="the §4.3 traceroute campaign (columnar record store)",
         ),
         StageDef(
@@ -223,7 +206,7 @@ def build_stage_table(
         StageDef(
             "overlay", _build_overlay,
             deps=("constructed_map", "topology", "geolocation", "campaign"),
-            persist=True, cache_params=draw_keyed("seed", "traces"),
+            persist=True, cache_params=draw_keys,
             doc="the §4.3 traffic overlay on the constructed map",
         ),
         StageDef(

@@ -2,8 +2,7 @@
 
 A thin registration around :func:`repro.fibermap.synthesis.
 synthesize_ground_truth` — the synthesis, datasets, and stage behavior
-are exactly the pre-registry code path, and the family's stage table
-keeps the historical cache keys, so goldens and warmed caches are
+are exactly the pre-registry code path, so the goldens are
 byte-identical through the registry.
 """
 

@@ -19,7 +19,6 @@ of that exposure, ``1 - after/before``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -217,18 +216,15 @@ def improvement_curves(
     isps: Sequence[str],
     max_k: int = 10,
     candidates: Optional[List[Tuple[EdgeKey, float]]] = None,
-    workers: Optional[int] = None,
     driver="greedy",
     driver_seed: int = 0,
     **driver_params,
 ) -> Dict[str, AugmentationResult]:
-    """Figure 11 fan-out: the improvement curve for every provider.
+    """Figure 11: the improvement curve for every provider.
 
-    The candidate set is computed once and shared; *workers* > 1 runs
-    the per-provider searches on a thread pool (the batched CSR
-    Dijkstras release the GIL).  Results keep first-seen *isps* order;
-    duplicate provider names collapse to one entry instead of silently
-    dropping the extra work.
+    The candidate set is computed once and shared.  Results keep
+    first-seen *isps* order; duplicate provider names collapse to one
+    entry instead of silently dropping the extra work.
     """
     if not isinstance(driver, str):
         # A driver instance carries search state; sharing one across
@@ -239,10 +235,8 @@ def improvement_curves(
         )
     if candidates is None:
         candidates = candidate_new_edges(fiber_map, network)
-    unique_isps = list(dict.fromkeys(isps))
-
-    def one(isp: str) -> AugmentationResult:
-        return improvement_curve(
+    return {
+        isp: improvement_curve(
             fiber_map,
             network,
             isp,
@@ -252,9 +246,5 @@ def improvement_curves(
             driver_seed=driver_seed,
             **driver_params,
         )
-
-    if workers and workers > 1 and len(unique_isps) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, unique_isps))
-        return dict(zip(unique_isps, results))
-    return {isp: one(isp) for isp in unique_isps}
+        for isp in dict.fromkeys(isps)
+    }

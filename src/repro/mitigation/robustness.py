@@ -18,14 +18,11 @@ conduit is a property of the conduit graph alone — so each conduit's
 optimum is solved once per map on the shared routing substrate (see
 :mod:`repro.perf.substrate`), with the conduit's exclusion as an edge
 mask and weight override over the cached conduit view, and kept there
-for every tenant, Figure 10 and every ``audit``;
-:func:`optimize_all_isps` optionally fans the solves out over a thread
-pool.
+for every tenant, Figure 10 and every ``audit``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -156,21 +153,12 @@ def _suggestion_for_isp(
 def _solve_conduits(
     fiber_map: FiberMap,
     conduit_ids: Sequence[str],
-    workers: Optional[int] = None,
 ) -> Dict[str, Optional[Tuple[Tuple[str, ...], int]]]:
-    """Each conduit's optimum, solved once (optionally thread-fanned —
-    the CSR Dijkstras release the GIL)."""
-    unique = list(dict.fromkeys(conduit_ids))
-    if workers and workers > 1 and len(unique) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda cid: _optimized_path(fiber_map, cid),
-                    unique,
-                )
-            )
-        return dict(zip(unique, results))
-    return {cid: _optimized_path(fiber_map, cid) for cid in unique}
+    """Each conduit's optimum, solved once."""
+    return {
+        cid: _optimized_path(fiber_map, cid)
+        for cid in dict.fromkeys(conduit_ids)
+    }
 
 
 def optimize_isp_around_conduits(
@@ -200,18 +188,16 @@ def optimize_all_isps(
     fiber_map: FiberMap,
     matrix: RiskMatrix,
     top: int = 12,
-    workers: Optional[int] = None,
 ) -> Dict[str, RobustnessSuggestion]:
     """Figure 10: the framework applied to every provider.
 
     Each target conduit is solved exactly once and the result shared
     across all its tenants (the per-(ISP, conduit) rebuild of the old
     implementation did ``len(isps)`` times the work for identical
-    answers).  *workers* > 1 fans the per-conduit solves out over
-    threads.
+    answers).
     """
     shared = [cid for cid, _ in most_shared_conduits(matrix, top=top)]
-    solved = _solve_conduits(fiber_map, shared, workers=workers)
+    solved = _solve_conduits(fiber_map, shared)
     return {
         isp: _suggestion_for_isp(fiber_map, isp, shared, solved)
         for isp in matrix.isps

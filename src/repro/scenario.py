@@ -16,19 +16,17 @@ Since PR 4 the dataflow itself is declarative: a table of
 derived-seed offset, and cache policy — and a
 :class:`repro.engine.StageGraph` owns all execution policy
 (memoization, artifact-cache fetch/store with degraded-store recovery,
-tracer spans, thread fan-out).  ``Scenario`` is a thin facade over
-that graph: the public properties below are unchanged, and
-``scenario.graph`` exposes the engine for inspection
-(``python -m repro graph show``), targeted cache eviction
-(``graph invalidate``), and concurrent stage materialization.
+tracer spans).  ``Scenario`` is a thin facade over that graph: the
+public properties below are unchanged, and ``scenario.graph`` exposes
+the engine for inspection (``python -m repro graph show``) and
+targeted cache eviction (``graph invalidate``).
 
-The stage table is produced per **map family**
-(:mod:`repro.families`): ``ScenarioConfig.family`` selects which map
-universe the stages build — ``"us2015"`` (the paper's US long-haul
-map, the default) or any other registered family (``"global2023"``,
-the submarine-cable extension).  :func:`us2015` remains the canonical
-spelling of the default scenario; :func:`load_scenario` is the
-family-generic equivalent.
+Every **map family** (:mod:`repro.families`) runs the same stage table:
+``ScenarioConfig.family`` selects which map universe the stages build —
+``"us2015"`` (the paper's US long-haul map, the default) or any other
+registered family (``"global2023"``, the submarine-cable extension).
+:func:`us2015` remains the canonical spelling of the default scenario;
+:func:`load_scenario` is the family-generic equivalent.
 
 Configuration lives in one frozen :class:`ScenarioConfig` value
 (``Scenario(config=...)`` / ``us2015(config=...)``); the individual
@@ -42,10 +40,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple
 
-from repro.engine import StageDef, StageGraph
+from repro.engine import StageGraph
 from repro.families import (
     DEFAULT_FAMILY,
     MapFamily,
+    build_stage_table,
     get_family,
 )
 from repro.fibermap.elements import FiberMap
@@ -121,29 +120,20 @@ class ScenarioConfig:
         }
 
 
-#: The default family's stage table, as a module-level tuple for
-#: compatibility (the experiment runner and engine tests consume it).
-#: Family-aware callers should use ``get_family(name).stage_table()``.
-STAGES: Tuple[StageDef, ...] = get_family(DEFAULT_FAMILY).stage_table()
-
-
 def build_stage_graph(
     config: ScenarioConfig, cache: Any = None
 ) -> StageGraph:
     """A fresh :class:`StageGraph` wired for *config*'s family.
 
     The ``family`` graph parameter reaches the family-generic stage
-    builders; for the default family it is **not** part of any cache
-    key (preserving pre-registry keys), while other families' persisted
-    stages are keyed on it.  ``rng_contract`` likewise reaches the
-    campaign/geolocation builders, and joins the draw-dependent stages'
-    cache keys only under contract v2 — v1 artifacts keep their
-    historical keys, and v1/v2 artifacts can never collide.
+    builders and keys every persisted stage; ``rng_contract`` reaches
+    the campaign/geolocation builders and keys the draw-dependent
+    stages (campaign, overlay), so no two families' or contracts'
+    artifacts can collide.
     """
-    family = get_family(config.family)
-    family.ensure_ready()
+    get_family(config.family).ensure_ready()
     return StageGraph(
-        family.stage_table(rng_contract=config.rng_contract),
+        build_stage_table(),
         base_seed=config.seed,
         params={
             "seed": config.seed,
@@ -174,9 +164,10 @@ class Scenario:
     cache: ``None`` defers to the ``REPRO_CACHE``/``REPRO_CACHE_DIR``
     environment (off by default), ``True``/``False`` force it, a path
     selects a specific cache root.  Persisted stages (ground truth,
-    constructed map, campaign, overlay) are keyed by seed, campaign
-    size, family (for non-default families), and a hash of the package
-    source, so a warm cache can never serve stale artifacts.
+    constructed map, campaign, overlay) are keyed by family, seed, the
+    campaign size and RNG contract where they depend on the draws, and
+    a hash of the package source, so a warm cache can never serve stale
+    artifacts.
     """
 
     def __init__(

@@ -36,19 +36,19 @@ objects; the columns still behave as a sequence of
 consumer.
 
 The pool path runs in two phases on one forked pool, under either
-contract.  The parent creates a shared-memory stack with one
+contract.  The parent maps an anonymous shared stack with one
 predecessor row per campaign destination and forks before any Dijkstra
-runs; first, rows task ``k`` solves destinations ``k::n_workers`` in
-one batched call and writes their rows into the stack (a
-``campaign.rows`` span each).  Then the shard tasks trace over the
-filled stack: each worker fills a named
+runs; the workers inherit the mapping.  First, rows task ``k`` solves
+destinations ``k::n_workers`` in one batched call and writes their rows
+into the stack (a ``campaign.rows`` span each).  Then the shard tasks
+trace over the filled stack: each worker fills a named
 ``multiprocessing.shared_memory`` segment with its shard's raw column
 bytes and returns only the segment name and an array manifest (a
 ``campaign.shard`` span each); the parent maps each segment, stitches
 all shards into the final columns with one pass, and unlinks every
-segment, the row stack included (a finally-scoped sweep also covers
-segments orphaned by crashed workers or a KeyboardInterrupt, so
-``/dev/shm`` never accumulates).
+segment (a finally-scoped sweep also covers segments orphaned by
+crashed workers or a KeyboardInterrupt, so ``/dev/shm`` never
+accumulates).
 
 That same per-index property makes the pool path *fault-tolerant for
 free*: when a worker process dies (OOM kill, segfault, injected crash)
@@ -68,6 +68,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import itertools
+import mmap
 import multiprocessing
 import os
 import random
@@ -367,11 +368,6 @@ def _segment_name(token: str, start: int) -> str:
     return f"repro-{token}-{start:x}"
 
 
-def _pred_segment_name(token: str) -> str:
-    """The campaign's destination-row stack (parent-owned)."""
-    return f"repro-{token}-pred"
-
-
 def _unlink_stale_segment(name: str) -> None:
     """Remove a leftover segment that may not be attachable.
 
@@ -430,13 +426,6 @@ class _ShardSegments:
     def expect(self, start: int) -> None:
         self._expected.add(_segment_name(self.token, start))
 
-    def create(self, name: str, size: int) -> shared_memory.SharedMemory:
-        """A segment the parent itself owns, swept with the rest."""
-        segment = _create_segment(name, max(1, size))
-        self._expected.add(name)
-        self._attached.append(segment)
-        return segment
-
     def attach(self, name: str) -> shared_memory.SharedMemory:
         segment = shared_memory.SharedMemory(name=name)
         self._expected.add(name)
@@ -462,7 +451,7 @@ class _ShardSegments:
 # initializer; the pool forks, so the topology (and its compiled
 # routing core), the plan and the sampling and core tables the parent
 # built are inherited copy-on-write — all but the tables'
-# destination-row stack, a shared-memory mapping every worker writes
+# destination-row stack, a shared anonymous mapping every worker writes
 # through.
 _WORKER_STATE: Optional[
     Tuple[ProbeEngine, _CampaignPlan, CampaignConfig, str]
@@ -605,8 +594,9 @@ def _run_sharded(
     One pool runs two phases.  Rows tasks come first:
     task ``k`` solves destinations ``k::n_workers`` of ``plan.dest_nodes``
     in one batched Dijkstra and writes their predecessor rows into the
-    campaign's ``(n_dest, n_nodes)`` stack, a shared-memory segment the
-    parent creates but never fills, so the parent runs no Dijkstra.
+    campaign's ``(n_dest, n_nodes)`` stack, an anonymous shared mapping
+    the parent creates but never fills and the forked workers inherit,
+    so the parent runs no Dijkstra.
     Once every row is in, the shard tasks trace over the stack.
 
     A dead worker breaks the whole ``ProcessPoolExecutor``; rows and
@@ -621,9 +611,9 @@ def _run_sharded(
     OOM — must not make the campaign unfinishable).
 
     Every shared-memory segment the campaign can have created is closed
-    and unlinked in the ``finally`` sweep, including the row stack,
-    segments orphaned by crashed workers and segments in flight when a
-    KeyboardInterrupt lands.
+    and unlinked in the ``finally`` sweep, including segments orphaned
+    by crashed workers and segments in flight when a KeyboardInterrupt
+    lands.
     """
     tracer = get_tracer()
     injector = get_fault_injector()
@@ -641,15 +631,13 @@ def _run_sharded(
     restarts = 0
     backoff = max(0.0, config.retry_backoff_s)
     pool: Optional[ProcessPoolExecutor] = None
+    shape = (len(plan.dest_nodes), topology.routing_core().num_nodes)
+    stack = mmap.mmap(-1, max(1, 4 * shape[0] * shape[1]))
     try:
         # Built once here rather than in every worker's initializer.
-        shape = (len(plan.dest_nodes), topology.routing_core().num_nodes)
-        stack = segments.create(
-            _pred_segment_name(token), 4 * shape[0] * shape[1]
-        )
         tables = build_v2_tables(
             topology, schema, plan,
-            np.ndarray(shape, dtype=np.int32, buffer=stack.buf),
+            np.ndarray(shape, dtype=np.int32, buffer=stack),
         )
         while row_parts or pending:
             harvested = 0
@@ -727,7 +715,7 @@ def _run_sharded(
             else:
                 pending = [b for b in pending if b not in results]
         # The executor keeps its initargs; drop it and the tables
-        # (whose row stack views a segment) before stitching, so they
+        # (whose row stack views the mapping) before stitching, so they
         # do not add to the peak footprint.
         del pool, tables
         parts.extend(results[b] for b in bounds)
@@ -738,6 +726,8 @@ def _run_sharded(
         results.clear()
         parts.clear()
         segments.cleanup()
+        with contextlib.suppress(BufferError):
+            stack.close()
 
 
 def _run_serial_fallback(

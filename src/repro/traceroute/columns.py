@@ -21,9 +21,8 @@ hop, i.e. a few hundred MB instead of tens of GB of objects.
 
 Everything downstream keeps working because :class:`TraceColumns` *is*
 a sequence of :class:`TracerouteRecord`: indexing, slicing, and
-iteration reconstruct records lazily (:meth:`TraceColumns.record`), and
-:meth:`TraceColumns.records` exposes that view explicitly.  Columnar
-consumers (the §4.3 overlay, benchmarks) instead stream
+iteration reconstruct records lazily (:meth:`TraceColumns.record`).
+Columnar consumers (the §4.3 overlay, benchmarks) instead stream
 :meth:`TraceColumns.iter_batches` and never materialize objects.
 
 The layout is deliberately pickle-free on disk: :meth:`to_npz_bytes` /
@@ -67,11 +66,8 @@ TRACE_DTYPE = np.dtype(
     ]
 )
 
-#: Serialization format version (stored in npz payloads).  Version 1 is
-#: the historical RNG-contract-v1 layout; version 2 adds the
-#: ``rng_contract`` field.  Contract-v1 columns still serialize as
-#: version 1, so artifacts cached before the contract existed remain
-#: byte-compatible with artifacts written today.
+#: Serialization format version (stored in npz payloads; a payload of any
+#: other version is rejected).
 COLUMNS_FORMAT_VERSION = 2
 
 
@@ -189,28 +185,6 @@ class TraceBatch:
         return len(self.traces)
 
 
-class _RecordsView(Sequence):
-    """Lazy ``Sequence[TracerouteRecord]`` over a :class:`TraceColumns`.
-
-    The legacy object API: every access reconstructs records on the
-    fly, so holding the view costs nothing beyond the columns.
-    """
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, columns: "TraceColumns"):
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return len(self._columns)
-
-    def __getitem__(self, item):
-        return self._columns[item]
-
-    def __iter__(self):
-        return self._columns.__iter__()
-
-
 class TraceColumns:
     """A whole campaign as columns; also a lazy sequence of records."""
 
@@ -221,7 +195,8 @@ class TraceColumns:
         hop_offsets: np.ndarray,
         hop_router: np.ndarray,
         hop_rtt: np.ndarray,
-        rng_contract: int = 1,
+        *,
+        rng_contract: int,
     ):
         if traces.dtype != TRACE_DTYPE:
             raise ValueError(f"traces dtype must be {TRACE_DTYPE}")
@@ -283,10 +258,6 @@ class TraceColumns:
             reached=bool(row["reached"]),
         )
 
-    def records(self) -> _RecordsView:
-        """The lazy legacy view: a ``Sequence[TracerouteRecord]``."""
-        return _RecordsView(self)
-
     def __getitem__(self, item):
         if isinstance(item, slice):
             return [self.record(i) for i in range(*item.indices(len(self)))]
@@ -345,14 +316,16 @@ class TraceColumns:
     def concatenate(
         cls, schema: ColumnSchema, parts: Sequence["TraceColumns"]
     ) -> "TraceColumns":
-        """Stitch shard columns (in shard order) into one campaign."""
+        """Stitch shard columns (in shard order) into one campaign.
+
+        The parts must all carry one RNG contract, the result's."""
         contracts = {p.rng_contract for p in parts}
-        if len(contracts) > 1:
+        if len(contracts) != 1:
             raise ValueError(
-                f"cannot concatenate columns of mixed RNG contracts "
-                f"{sorted(contracts)}"
+                f"cannot concatenate columns of RNG contracts "
+                f"{sorted(contracts)}: need parts of exactly one"
             )
-        rng_contract = contracts.pop() if contracts else 1
+        (rng_contract,) = contracts
         n = sum(len(p) for p in parts)
         h = sum(p.num_hops for p in parts)
         traces = np.empty(n, dtype=TRACE_DTYPE)
@@ -412,7 +385,6 @@ class TraceColumns:
             )
             offset += array.nbytes
         return {
-            "format": COLUMNS_FORMAT_VERSION,
             "num_traces": len(self),
             "num_hops": self.num_hops,
             "rng_contract": self.rng_contract,
@@ -438,7 +410,7 @@ def unpack_shard(
     is stitching it (a worker/parent disagreement that must never be
     silently absorbed).
     """
-    shard_contract = int(manifest.get("rng_contract", 1))
+    shard_contract = int(manifest["rng_contract"])
     if (
         expect_rng_contract is not None
         and shard_contract != expect_rng_contract
@@ -473,26 +445,13 @@ def unpack_shard(
 # cache: a campaign artifact must never round-trip through pickle).
 # ----------------------------------------------------------------------
 def columns_to_npz_bytes(columns: TraceColumns) -> bytes:
-    """Serialize columns (and their string tables) as an npz payload.
-
-    Contract-v1 columns write the historical version-1 layout (no
-    ``rng_contract`` field), so artifacts cached before the RNG
-    contract existed read back — and hash — identically to artifacts
-    written today.  Contract-v2 columns write version 2 with an
-    explicit ``rng_contract`` field.
-    """
+    """Serialize columns (their RNG contract and string tables
+    included) as an npz payload."""
     buf = io.BytesIO()
-    extra: Dict[str, np.ndarray] = {}
-    version = 1
-    if columns.rng_contract != 1:
-        version = COLUMNS_FORMAT_VERSION
-        extra["rng_contract"] = np.array(
-            [columns.rng_contract], dtype=np.int64
-        )
     np.savez(
         buf,
-        version=np.array([version], dtype=np.int64),
-        **extra,
+        version=np.array([COLUMNS_FORMAT_VERSION], dtype=np.int64),
+        rng_contract=np.array([columns.rng_contract], dtype=np.int64),
         traces=columns.traces,
         hop_offsets=columns.hop_offsets,
         hop_router=columns.hop_router,
@@ -515,11 +474,8 @@ def columns_from_npz_bytes(payload: bytes) -> TraceColumns:
     """Inverse of :func:`columns_to_npz_bytes` (``allow_pickle=False``)."""
     with np.load(io.BytesIO(payload), allow_pickle=False) as data:
         version = int(data["version"][0])
-        if version not in (1, COLUMNS_FORMAT_VERSION):
+        if version != COLUMNS_FORMAT_VERSION:
             raise ValueError(f"unsupported columns format {version}")
-        rng_contract = (
-            int(data["rng_contract"][0]) if "rng_contract" in data else 1
-        )
         schema = ColumnSchema(
             cities=data["cities"].tolist(),
             isps=data["isps"].tolist(),
@@ -536,5 +492,5 @@ def columns_from_npz_bytes(payload: bytes) -> TraceColumns:
             hop_offsets=data["hop_offsets"],
             hop_router=data["hop_router"],
             hop_rtt=data["hop_rtt"],
-            rng_contract=rng_contract,
+            rng_contract=int(data["rng_contract"][0]),
         )

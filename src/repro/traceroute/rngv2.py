@@ -199,8 +199,8 @@ class _CoreTables:
     ``pred`` is the caller's ``(len(tables.dest_nodes), n_nodes)`` int32
     stack, row ``d`` for destination ``d``; construction never reads it.
     The serial path fills it from the core's row cache
-    (:meth:`fill_from_core`); a pool hands in a shared-memory stack that
-    its workers fill slice by slice (:meth:`solve_rows`).
+    (:meth:`fill_from_core`); a pool hands in a shared anonymous mapping
+    that its forked workers fill slice by slice (:meth:`solve_rows`).
     """
 
     def __init__(

@@ -5,8 +5,9 @@ The invariants the columnar pipeline must hold:
 * the column arrays are byte-identical whether a campaign runs serially
   or sharded over any number of workers (the shared-memory transport
   and stitch add nothing and lose nothing);
-* the lazy ``records()`` view reconstructs exactly the records the
-  legacy object path produces (same strings, same float64 RTTs), so
+* the columns' lazy record view (:meth:`TraceColumns.record`, indexing
+  and iteration) reconstructs exactly the records the legacy object
+  path produces (same strings, same float64 RTTs), so
   every golden hash pinned on record reprs still holds;
 * the streaming overlay consumes columns batch-by-batch and lands on
   the same full state (conduit traffic in insertion order, counters,
@@ -81,6 +82,7 @@ class TestShardedByteIdentity:
                 batch.hop_offsets,
                 batch.hop_router,
                 batch.hop_rtt,
+                rng_contract=serial_columns.rng_contract,
             )
             for batch in serial_columns.iter_batches(batch_size=150)
         ]
@@ -109,9 +111,9 @@ class TestRecordsView:
         sliced = serial_columns[10:13]
         assert isinstance(sliced, list) and len(sliced) == 3
         assert sliced[0] == serial_columns.record(10)
-        records = serial_columns.records()
+        records = list(serial_columns)
         assert len(records) == 600
-        assert list(records[:2]) == [serial_columns.record(i) for i in (0, 1)]
+        assert records[:2] == [serial_columns.record(i) for i in (0, 1)]
 
     def test_record_fields_are_plain_python(self, serial_columns):
         record = serial_columns.record(0)
@@ -142,7 +144,7 @@ class TestBatchStreaming:
         ):
             args = (world.constructed_map, world.topology, world.geolocation)
             by_records = ReferenceTrafficOverlay(*args)
-            for record in columns.records():
+            for record in columns:
                 by_records.add_trace(record)
             expected = overlay_state(by_records)
             assert expected[0], "the campaign must credit some conduit"

@@ -250,21 +250,6 @@ class TestImprovementCurvesDedupe:
         assert list(duplicated) == ["AlphaNet", "BetaCom"]
         assert duplicated == unique
 
-    def test_duplicate_providers_collapse_threaded(self):
-        fiber_map = _random_fiber_map(23)
-        candidates = _synthetic_candidates(fiber_map, 13)
-        isps = ["AlphaNet", "BetaCom", "AlphaNet", "GammaLink", "BetaCom"]
-        threaded = improvement_curves(
-            fiber_map, None, isps, max_k=2,
-            candidates=candidates, workers=3,
-        )
-        serial = improvement_curves(
-            fiber_map, None, isps, max_k=2,
-            candidates=candidates,
-        )
-        assert list(threaded) == ["AlphaNet", "BetaCom", "GammaLink"]
-        assert threaded == serial
-
     def test_driver_instance_rejected(self):
         fiber_map = _random_fiber_map(7)
         with pytest.raises(TypeError, match="driver"):
@@ -398,7 +383,6 @@ class TestDriversOnSeedMap:
             scenario.network,
             ["TeliaSonera"],
             max_k=2,
-            workers=scenario.workers,
         )
         assert result.results == direct
         assert result.results["TeliaSonera"].driver == "greedy"

@@ -198,9 +198,9 @@ class TestScenarioSeedRegression:
     SEEDLESS = ("constructed_map", "overlay", "risk_matrix")
 
     def test_declared_offsets_match_history(self):
-        from repro.scenario import STAGES
+        from repro.families import build_stage_table
 
-        offsets = {s.name: s.seed_offset for s in STAGES}
+        offsets = {s.name: s.seed_offset for s in build_stage_table()}
         for name, offset in self.HISTORICAL_OFFSETS.items():
             assert offsets[name] == offset, name
         for name in self.SEEDLESS:

@@ -128,7 +128,7 @@ def test_threads_get_serial_answers_and_one_memo_entry_per_conduit(scenario):
 
     def work(fiber_map, i):
         if i % 2 == 0:
-            return optimize_all_isps(fiber_map, matrix, workers=4)
+            return optimize_all_isps(fiber_map, matrix)
         return optimize_isp_around_conduits(fiber_map, matrix, isps[i // 2])
 
     serial_map = copy.deepcopy(scenario.constructed_map)

@@ -23,9 +23,11 @@ import pytest
 from repro.analysis.geography import geography_report
 from repro.analysis.report import format_table
 from repro.experiments.runner import run_experiment
-from repro.families import DEFAULT_FAMILY, get_family
+from repro.families import (
+    DEFAULT_FAMILY, build_stage_table, family_names, get_family,
+)
 from repro.scenario import (
-    STAGES, Scenario, ScenarioConfig, load_scenario, us2015,
+    Scenario, ScenarioConfig, build_stage_graph, load_scenario, us2015,
 )
 
 from tests.test_golden_hashes import (
@@ -167,7 +169,11 @@ class TestAliasEquivalence:
     """``us2015()`` and ``load_scenario()`` share one memoized path."""
 
     def test_stage_table_matches_family(self):
-        assert STAGES == get_family(DEFAULT_FAMILY).stage_table()
+        # Every family's graph runs the one stage table.
+        table = build_stage_table()
+        for family in family_names():
+            graph = build_stage_graph(ScenarioConfig(family=family))
+            assert tuple(graph.stage(n) for n in graph.names()) == table
 
     def test_us2015_is_load_scenario_default(self):
         config = ScenarioConfig(seed=2015, campaign_traces=50)

@@ -32,6 +32,7 @@ from repro.traceroute import overlay as overlay_module
 from repro.traceroute.campaign import run_campaign
 from repro.traceroute.columns import TRACE_DTYPE, ColumnSchema, TraceColumns
 from repro.traceroute.overlay import TrafficOverlay
+from repro.traceroute.rngv2 import RNG_CONTRACT_V2
 from repro.traceroute.topology import _slug
 from tests.oracles.campaign import family_campaign_config
 from tests.oracles.overlay import LoopTrafficOverlay, overlay_state
@@ -53,6 +54,7 @@ def window(columns, start, stop):
         columns.hop_offsets[start:stop + 1] - lo,
         columns.hop_router[lo:hi],
         columns.hop_rtt[lo:hi],
+        rng_contract=columns.rng_contract,
     )
 
 
@@ -109,6 +111,7 @@ def hand_columns(schema, router, traces):
     return TraceColumns(
         schema, rows, offsets, np.array(hops, dtype=np.int32),
         np.ones(len(hops), dtype=np.float64),
+        rng_contract=RNG_CONTRACT_V2,
     )
 
 

@@ -185,6 +185,20 @@ class TestArtifactCache:
         assert code_version() == code_version()
         assert len(code_version()) == 16
 
+    def test_other_code_version_is_a_plain_miss(self, tmp_path, monkeypatch):
+        # Every key hashes the source, so an artifact written by another
+        # source tree is never fetched (nor quarantined).
+        from repro.perf import cache as cache_module
+
+        cache = ArtifactCache(tmp_path)
+        monkeypatch.setattr(cache_module, "_code_version", "0" * 16)
+        cache.store("stage", {"seed": 1}, "old")
+        monkeypatch.setattr(cache_module, "_code_version", "1" * 16)
+        assert cache.fetch("stage", {"seed": 1}) == (False, None)
+        assert cache.quarantined_count == 0
+        monkeypatch.setattr(cache_module, "_code_version", "0" * 16)
+        assert cache.fetch("stage", {"seed": 1}) == (True, "old")
+
     def test_cold_then_warm_scenario_identical(self, tmp_path):
         cold = Scenario(seed=77, campaign_traces=120, cache=tmp_path)
         cold_campaign = cold.campaign

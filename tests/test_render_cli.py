@@ -339,7 +339,7 @@ class TestCliGraph:
                      "ground_truth"]) == 0
         info = json.loads(capsys.readouterr().out)
         assert info["cache_entry"] is True
-        assert info["cache_key"] == {"seed": 2015}
+        assert info["cache_key"] == {"family": "us2015", "seed": 2015}
         assert main([*cache, "--json", "graph", "invalidate",
                      "ground_truth"]) == 0
         payload = json.loads(capsys.readouterr().out)

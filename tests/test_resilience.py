@@ -367,7 +367,7 @@ class TestSelectiveRetrace:
         copy = TraceColumns(
             campaign.schema, campaign.traces.copy(),
             campaign.hop_offsets, campaign.hop_router, campaign.hop_rtt,
-            campaign.rng_contract,
+            rng_contract=campaign.rng_contract,
         )
         for kwargs in (
             dict(campaign=copy, max_traces=300),

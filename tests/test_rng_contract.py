@@ -401,20 +401,31 @@ class TestContractThreading:
             parse_grid(["rng_contract=3"])
 
     def test_stage_cache_keys_separate_contracts(self):
-        from repro.families import DEFAULT_FAMILY, get_family
+        from repro.families import family_names
+        from repro.scenario import ScenarioConfig, build_stage_graph
 
-        family = get_family(DEFAULT_FAMILY)
-        v1 = {s.name: s.cache_params for s in family.stage_table()}
-        v2 = {
-            s.name: s.cache_params
-            for s in family.stage_table(rng_contract=2)
-        }
-        for stage in ("campaign", "overlay"):
-            assert "rng_contract" not in v1[stage]  # historical keys
-            assert "rng_contract" in v2[stage]
-        # Draw-independent stages keep identical keys either way.
-        assert v1["ground_truth"] == v2["ground_truth"]
-        assert v1["constructed_map"] == v2["constructed_map"]
+        def persisted_keys(family, contract):
+            graph = build_stage_graph(
+                ScenarioConfig(family=family, rng_contract=contract)
+            )
+            return {
+                name: graph.cache_key(name)
+                for name in graph.names()
+                if graph.stage(name).persist
+            }
+
+        for family in family_names():
+            v1 = persisted_keys(family, 1)
+            v2 = persisted_keys(family, 2)
+            assert sorted(v1) == [
+                "campaign", "constructed_map", "ground_truth", "overlay",
+            ]
+            for key in (*v1.values(), *v2.values()):
+                assert key["family"] == family
+            # The contracts differ exactly on the draw-dependent stages.
+            assert sorted(
+                name for name in v1 if v1[name] != v2[name]
+            ) == ["campaign", "overlay"]
 
 
 class TestGeolocation:

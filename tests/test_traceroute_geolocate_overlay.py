@@ -11,6 +11,7 @@ from repro.traceroute.geolocate import (
     resolve_hop_city,
 )
 from repro.traceroute.overlay import EAST_TO_WEST, WEST_TO_EAST, TrafficOverlay
+from repro.traceroute.rngv2 import RNG_CONTRACT_V2
 from repro.traceroute.topology import PHANTOM_PROVIDERS
 from tests.oracles.overlay import ReferenceTrafficOverlay
 
@@ -141,6 +142,7 @@ class TestOverlay:
             np.array([0, 2], dtype=np.int64),
             np.array([0, 1], dtype=np.int32),
             np.array([1.0, 2.0], dtype=np.float64),
+            rng_contract=RNG_CONTRACT_V2,
         )
         before = overlay.traces_processed
         overlay.add_traces(unreached)
