@@ -7,8 +7,10 @@ vectorized streams, the default and the gated headline) and v1 (the
 legacy per-trace Mersenne streams, kept for golden compatibility) —
 then the same base tier through the two-worker process pool under
 each contract (timed, not gated), then a larger tier as a stepping
-stone toward the paper's 4.9M-trace scale.  Knobs, all environment variables so CI can run a reduced smoke
-pass:
+stone toward the paper's 4.9M-trace scale: serially in this process,
+and through the two-worker pool in a fresh interpreter, so the pool
+run's parent-side RSS high-water mark is that campaign's own.  Knobs,
+all environment variables so CI can run a reduced smoke pass:
 
 ``REPRO_BENCH_TRACES``        base-tier size (default 20000)
 ``REPRO_BENCH_TRACES_LARGE``  large-tier size (default 200000; 0 skips)
@@ -17,14 +19,20 @@ pass:
                               gate)
 ``REPRO_BENCH_MAX_RSS_PER_100K_MB``
                               peak-RSS growth budget per 100k traces on
-                              the large tier (default 192 MB)
+                              the large tier, serial and pooled
+                              (default 192 MB)
 """
 
 from __future__ import annotations
 
+import json
 import os
+import pickle
 import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from repro.traceroute.campaign import CampaignConfig, run_campaign
 from repro.traceroute.columns import TraceColumns
@@ -35,8 +43,46 @@ LARGE_TRACES = int(os.environ.get("REPRO_BENCH_TRACES_LARGE", "200000"))
 MAX_RSS_PER_100K_MB = float(
     os.environ.get("REPRO_BENCH_MAX_RSS_PER_100K_MB", "192")
 )
-#: Worker processes of the base tier's pool runs.
+#: Worker processes of the pool runs.
 POOL_WORKERS = 2
+
+#: The large tier through the pool, run by a fresh interpreter
+#: (``python -c SCRIPT TRACES WORKERS TOPOLOGY_PICKLE``): it loads the
+#: benchmark topology (building the world would set a high-water mark
+#: above a 200k-trace campaign's), then reports the campaign's wall
+#: time and the growth of its own RSS high-water mark (the parent's;
+#: workers are not counted).  The mark is the memory map's ``VmHWM``:
+#: ``ru_maxrss`` would also count the RSS of the process that started
+#: this one, which it inherits across fork and exec.
+_POOL_LARGE_SCRIPT = """
+import json, pickle, sys, time
+from repro.traceroute.campaign import CampaignConfig, run_campaign
+from repro.traceroute.rngv2 import RNG_CONTRACT_V2
+
+def peak_rss_mb():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("no VmHWM in /proc/self/status")
+
+traces, workers = int(sys.argv[1]), int(sys.argv[2])
+with open(sys.argv[3], "rb") as f:
+    topology = pickle.load(f)
+topology.routing_core()
+before = peak_rss_mb()
+started = time.perf_counter()
+columns = run_campaign(topology, CampaignConfig(
+    num_traces=traces, seed=2020, workers=workers,
+    rng_contract=RNG_CONTRACT_V2,
+))
+elapsed = time.perf_counter() - started
+print(json.dumps({
+    "traces": len(columns),
+    "wall_time_s": elapsed,
+    "peak_rss_growth_mb": max(0.0, peak_rss_mb() - before),
+}))
+"""
 
 
 def _peak_rss_mb() -> float:
@@ -57,10 +103,31 @@ def _timed_run(topology, traces: int, workers: int, contract: int):
     return columns, elapsed
 
 
-def test_campaign_scale(benchmark, scenario, report_output):
+def _pool_large_tier(pickled: Path, traces: int) -> dict:
+    """Run :data:`_POOL_LARGE_SCRIPT` on this checkout's ``src``, over
+    the topology pickled at *pickled*."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _POOL_LARGE_SCRIPT, str(traces),
+         str(POOL_WORKERS), str(pickled)],
+        env=env, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_campaign_scale(benchmark, scenario, report_output, tmp_path):
     traces = int(os.environ.get("REPRO_BENCH_TRACES", "20000"))
     workers = 1
     topology = scenario.topology
+    # Pickled before any campaign here fills the routing core's row
+    # cache, which would swell the pool run's load (and its baseline).
+    pickled = tmp_path / "topology.pkl"
+    with open(pickled, "wb") as f:
+        pickle.dump(topology, f)
 
     # The routing core's Dijkstra rows are cached on the (shared)
     # topology object, so whichever contract ran first would pay that
@@ -125,6 +192,16 @@ def test_campaign_scale(benchmark, scenario, report_output):
         _, v1_large_elapsed = _timed_run(
             topology, LARGE_TRACES, workers, RNG_CONTRACT_V1
         )
+        pooled = _pool_large_tier(pickled, LARGE_TRACES)
+        assert pooled["traces"] == LARGE_TRACES
+        pool_per_100k = pooled["peak_rss_growth_mb"] / (
+            LARGE_TRACES / 100_000
+        )
+        assert pool_per_100k <= MAX_RSS_PER_100K_MB, (
+            f"the {POOL_WORKERS}-worker pool's parent grew its peak RSS "
+            f"{pool_per_100k:.1f} MB per 100k traces "
+            f"(budget {MAX_RSS_PER_100K_MB} MB)"
+        )
         large = {
             "large_traces": LARGE_TRACES,
             "large_wall_time_s": elapsed,
@@ -134,6 +211,9 @@ def test_campaign_scale(benchmark, scenario, report_output):
             "large_columnar_bytes": large_bytes,
             "large_peak_rss_growth_mb": rss_grown,
             "large_rss_growth_per_100k_mb": per_100k,
+            "large_pool_wall_time_s": pooled["wall_time_s"],
+            "large_pool_peak_rss_growth_mb": pooled["peak_rss_growth_mb"],
+            "large_pool_rss_growth_per_100k_mb": pool_per_100k,
         }
 
     # The base tier through the pool, per contract, after the large

@@ -44,11 +44,13 @@ into the stack (a ``campaign.rows`` span each).  Then the shard tasks
 trace over the filled stack: each worker fills a named
 ``multiprocessing.shared_memory`` segment with its shard's raw column
 bytes and returns only the segment name and an array manifest (a
-``campaign.shard`` span each); the parent maps each segment, stitches
-all shards into the final columns with one pass, and unlinks every
-segment (a finally-scoped sweep also covers segments orphaned by
-crashed workers or a KeyboardInterrupt, so ``/dev/shm`` never
-accumulates).
+``campaign.shard`` span each).  Once every shard is in, the parent
+sizes the final columns from the manifests and stitches the shards one
+at a time, closing and unlinking each segment as soon as it is copied,
+so the stitch holds the output plus one shard, never every shard twice
+(a finally-scoped sweep also covers segments the stitch never reached,
+segments orphaned by crashed workers, and a KeyboardInterrupt, so
+``/dev/shm`` never accumulates).
 
 That same per-index property makes the pool path *fault-tolerant for
 free*: when a worker process dies (OOM kill, segfault, injected crash)
@@ -66,6 +68,7 @@ fallback emits ``campaign.degraded``, both visible in run manifests.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import mmap
@@ -156,6 +159,11 @@ _RETRY_BACKOFF_CAP_S = 2.0
 
 #: Distinguishes segment names across campaigns within one process.
 _SEGMENT_SEQ = itertools.count()
+
+#: Contract-v1 streams (~2.5 kB of Mersenne state each) a batch holds
+#: at once: every this many traces it draws their hop noise and drops
+#: them, instead of holding one per trace until the batch ends.
+_V1_MAX_STREAMS = 1024
 
 
 @dataclass(frozen=True)
@@ -271,10 +279,12 @@ def _v1_batch_columns(
     ``bisect`` over the cumulative weights), and a degenerate pair (the
     same router node) or an unreachable one (no predecessor in the
     shared destination-row stack) is redrawn, for at most
-    :data:`MAX_ATTEMPTS_PER_TRACE` attempts.  Once the batch's
-    templates are resolved in one lookup, each trace draws one
+    :data:`MAX_ATTEMPTS_PER_TRACE` attempts.  Each trace then draws one
     ``random()`` per visible hop from the same stream — the object
-    reference in ``tests/oracles/campaign.py`` draw for draw.
+    reference in ``tests/oracles/campaign.py`` draw for draw.  The
+    noise is drawn every :data:`_V1_MAX_STREAMS` traces, after one
+    template lookup for their pairs, so a batch never holds more
+    streams than that.
     """
     client_cum = tables.client_cum.tolist()
     dest_cum = tables.dest_cum.tolist()
@@ -292,6 +302,19 @@ def _v1_batch_columns(
     pred = core_tables.pred
     streams: List[random.Random] = []
     codes: List[int] = []
+    noise: List[float] = []
+
+    def draw_noise() -> None:
+        # The held streams belong to the last len(streams) traces.
+        rows = store.rows_for(
+            tables, core_tables,
+            np.asarray(codes[len(codes) - len(streams):], dtype=np.int64),
+        )
+        for rng, hops in zip(streams, store.counts[rows].tolist()):
+            draw = rng.random
+            noise.extend([draw() for _ in range(hops)])
+        streams.clear()
+
     for index in range(b0, b1):
         rng = random.Random(_trace_seed(config.seed, index))
         draw = rng.random
@@ -314,13 +337,13 @@ def _v1_batch_columns(
             raise _unreachable(index)
         streams.append(rng)
         codes.append(cn * tables.n_dest_nodes + dn)
+        if len(streams) == _V1_MAX_STREAMS:
+            draw_noise()
+    if streams:
+        draw_noise()
     rows = store.rows_for(
         tables, core_tables, np.asarray(codes, dtype=np.int64)
     )
-    noise: List[float] = []
-    for rng, hops in zip(streams, store.counts[rows].tolist()):
-        draw = rng.random
-        noise += [draw() for _ in range(hops)]
     return _gather_columns(
         store, schema, rows, np.asarray(noise, dtype=np.float64),
         RNG_CONTRACT_V1,
@@ -421,7 +444,7 @@ class _ShardSegments:
     def __init__(self, token: str):
         self.token = token
         self._expected: set = set()
-        self._attached: List[shared_memory.SharedMemory] = []
+        self._attached: Dict[str, shared_memory.SharedMemory] = {}
 
     def expect(self, start: int) -> None:
         self._expected.add(_segment_name(self.token, start))
@@ -429,11 +452,21 @@ class _ShardSegments:
     def attach(self, name: str) -> shared_memory.SharedMemory:
         segment = shared_memory.SharedMemory(name=name)
         self._expected.add(name)
-        self._attached.append(segment)
+        self._attached[name] = segment
         return segment
 
+    def release(self, name: str) -> None:
+        """Close and unlink one harvested segment, which frees its
+        memory; raises ``BufferError`` (leaving the segment to
+        :meth:`cleanup`) while a view into it is still alive."""
+        segment = self._attached[name]
+        segment.close()
+        segment.unlink()
+        del self._attached[name]
+        self._expected.discard(name)
+
     def cleanup(self) -> None:
-        for segment in self._attached:
+        for segment in self._attached.values():
             # A close can fail only while numpy views into the buffer
             # are still alive (error paths); the unlink sweep below
             # still removes the name, and the mapping dies with the
@@ -449,10 +482,10 @@ class _ShardSegments:
 # ----------------------------------------------------------------------
 # Worker-process state.  Populated once per worker by the pool
 # initializer; the pool forks, so the topology (and its compiled
-# routing core), the plan and the sampling and core tables the parent
-# built are inherited copy-on-write — all but the tables'
-# destination-row stack, a shared anonymous mapping every worker writes
-# through.
+# routing core), the column schema, the plan and the sampling and core
+# tables the parent built are inherited copy-on-write — all but the
+# tables' destination-row stack, a shared anonymous mapping every
+# worker writes through.
 _WORKER_STATE: Optional[
     Tuple[ProbeEngine, _CampaignPlan, CampaignConfig, str]
 ] = None
@@ -463,6 +496,7 @@ def _init_worker(
     config: CampaignConfig,
     plan: _CampaignPlan,
     tables: Tuple[_PlanTables, _CoreTables],
+    schema: ColumnSchema,
     fault_injector: Optional[FaultInjector] = None,
     segment_token: str = "",
 ) -> None:
@@ -471,9 +505,19 @@ def _init_worker(
     # inheritance) keeps injection working under any start method and
     # across pool respawns.
     set_fault_injector(fault_injector)
-    engine = ProbeEngine(topology, seed=config.seed + 1)
+    engine = _engine_with_schema(topology, config, schema)
     _v2_state(engine, plan, tables)
     _WORKER_STATE = (engine, plan, config, segment_token)
+
+
+def _engine_with_schema(
+    topology: InternetTopology, config: CampaignConfig, schema: ColumnSchema
+) -> ProbeEngine:
+    """A campaign engine that adopts the parent's column schema instead
+    of rebuilding it from the topology on its first shard."""
+    engine = ProbeEngine(topology, seed=config.seed + 1)
+    engine._schema = schema
+    return engine
 
 
 def _run_rows(part_of: Tuple[int, int]) -> Tuple[int, float]:
@@ -610,10 +654,15 @@ def _run_sharded(
     that cannot hold workers — fork bomb protection, rlimits, cgroup
     OOM — must not make the campaign unfinishable).
 
-    Every shared-memory segment the campaign can have created is closed
-    and unlinked in the ``finally`` sweep, including segments orphaned
-    by crashed workers and segments in flight when a KeyboardInterrupt
-    lands.
+    Harvesting a shard checks its contract and schema digest and maps
+    its segment without reading it.  Once every shard is harvested,
+    :meth:`TraceColumns.concatenate` sizes the output from the shards'
+    manifests and copies the shards in order, releasing each one (its
+    views dropped, its segment closed and unlinked) before the next is
+    read: the parent's peak is the output plus one shard.  Every
+    segment the stitch never reached is closed and unlinked in the
+    ``finally`` sweep, including segments orphaned by crashed workers
+    and segments in flight when a KeyboardInterrupt lands.
     """
     tracer = get_tracer()
     injector = get_fault_injector()
@@ -649,7 +698,8 @@ def _run_sharded(
                     mp_context=multiprocessing.get_context("fork"),
                     initializer=_init_worker,
                     initargs=(
-                        topology, config, plan, tables, injector, token,
+                        topology, config, plan, tables, schema,
+                        injector, token,
                     ),
                 ) as pool:
                     futures = {
@@ -673,11 +723,12 @@ def _run_sharded(
                         name, manifest, elapsed, built = future.result()
                         # No local binding of the unpacked shard: its
                         # arrays view the segment buffer, and every
-                        # view must be droppable (results.clear) before
-                        # the cleanup sweep closes the mappings.
+                        # view must be droppable (its release, or
+                        # results.clear) before the segment is closed.
                         results[(start, stop)] = unpack_shard(
                             schema, segments.attach(name).buf, manifest,
-                            expect_rng_contract=config.rng_contract,
+                            config.rng_contract,
+                            functools.partial(segments.release, name),
                         )
                         harvested += 1
                         tracer.record_span(
@@ -698,7 +749,7 @@ def _run_sharded(
                     )
                     _run_serial_fallback(
                         topology, plan, config, pending, results,
-                        tables, row_parts, n_workers,
+                        tables, schema, row_parts, n_workers,
                     )
                     break
                 tracer.event(
@@ -716,7 +767,8 @@ def _run_sharded(
                 pending = [b for b in pending if b not in results]
         # The executor keeps its initargs; drop it and the tables
         # (whose row stack views the mapping) before stitching, so they
-        # do not add to the peak footprint.
+        # do not add to the peak footprint.  The stitch releases each
+        # shard's segment as soon as it has copied it.
         del pool, tables
         parts.extend(results[b] for b in bounds)
         return TraceColumns.concatenate(schema, parts)
@@ -737,12 +789,13 @@ def _run_serial_fallback(
     pending: List[Tuple[int, int]],
     results: Dict[Tuple[int, int], TraceColumns],
     tables: Tuple[_PlanTables, _CoreTables],
+    schema: ColumnSchema,
     row_parts: List[int],
     n_parts: int,
 ) -> None:
     """Finish the rows tasks in *row_parts* and the *pending* shards
     in-process (same bytes as any worker)."""
-    engine = ProbeEngine(topology, seed=config.seed + 1)
+    engine = _engine_with_schema(topology, config, schema)
     tracer = get_tracer()
     for part in row_parts:
         started = time.perf_counter()

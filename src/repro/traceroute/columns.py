@@ -39,6 +39,7 @@ import io
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -110,7 +111,7 @@ class ColumnSchema:
         self.router_index: Dict[Tuple[str, str], int] = {
             node: i for i, node in enumerate(self.router_nodes)
         }
-        self._digests: Dict[Optional[int], str] = {}
+        self._digests: Dict[int, str] = {}
 
     @classmethod
     def from_topology(cls, topology: "InternetTopology") -> "ColumnSchema":
@@ -134,21 +135,21 @@ class ColumnSchema:
             router_nodes=nodes,
         )
 
-    def digest(self, rng_contract: Optional[int] = None) -> str:
+    def digest(self, rng_contract: int) -> str:
         """Content hash used to cross-check worker/parent agreement.
 
         *rng_contract* mixes the campaign's RNG contract version into
         the hash so v1 and v2 shard manifests can never be confused for
-        one another; contract 1 (and ``None``) reproduce the historical
-        pure-schema digest.  Memoized per contract: every shard a
-        campaign packs and unpacks asks for it.
+        one another; contract 1 hashes the string tables alone.
+        Memoized per contract: every shard a campaign packs and unpacks
+        asks for it.
         """
         digest = self._digests.get(rng_contract)
         if digest is None:
             digest = self._digests[rng_contract] = self._digest(rng_contract)
         return digest
 
-    def _digest(self, rng_contract: Optional[int]) -> str:
+    def _digest(self, rng_contract: int) -> str:
         h = hashlib.blake2b(digest_size=8)
         for table in (self.cities, self.isps, self.router_ips,
                       self.router_dns):
@@ -156,7 +157,7 @@ class ColumnSchema:
                 h.update(item.encode())
                 h.update(b"\0")
             h.update(b"\1")
-        if rng_contract is not None and rng_contract != 1:
+        if rng_contract != 1:
             h.update(b"rng%d" % rng_contract)
         return h.hexdigest()
 
@@ -211,6 +212,9 @@ class TraceColumns:
         #: threaded through shard manifests and npz payloads so v1 and
         #: v2 columns can never be silently mixed or mislabeled).
         self.rng_contract = int(rng_contract)
+        #: Frees the storage the arrays view (see :meth:`release`);
+        #: ``None`` while the columns own their arrays.
+        self._release: Optional[Callable[[], None]] = None
 
     # -- sizing --------------------------------------------------------
     def __len__(self) -> int:
@@ -227,6 +231,23 @@ class TraceColumns:
             self.traces.nbytes + self.hop_offsets.nbytes
             + self.hop_router.nbytes + self.hop_rtt.nbytes
         )
+
+    def release(self) -> None:
+        """Free the storage these columns view, leaving them empty.
+
+        Only shard columns mapped by :func:`unpack_shard` view storage
+        they do not own (a shared-memory segment): their views are
+        dropped first, then the segment is closed and unlinked.  Columns
+        that own their arrays are left as they are.
+        """
+        release, self._release = self._release, None
+        if release is None:
+            return
+        self.traces = np.zeros(0, dtype=TRACE_DTYPE)
+        self.hop_offsets = np.zeros(1, dtype=np.int64)
+        self.hop_router = np.zeros(0, dtype=np.int32)
+        self.hop_rtt = np.zeros(0, dtype=np.float64)
+        release()
 
     # -- the legacy record view ----------------------------------------
     def record(self, index: int) -> "TracerouteRecord":
@@ -318,7 +339,12 @@ class TraceColumns:
     ) -> "TraceColumns":
         """Stitch shard columns (in shard order) into one campaign.
 
-        The parts must all carry one RNG contract, the result's."""
+        The parts must all carry one RNG contract, the result's.  The
+        output is sized from the parts' lengths up front, and each part
+        is released (:meth:`release`) as soon as it is copied: a shard
+        that views a shared-memory segment frees it before the next
+        part is read, so the stitch holds the output plus one shard
+        rather than every shard twice."""
         contracts = {p.rng_contract for p in parts}
         if len(contracts) != 1:
             raise ValueError(
@@ -341,6 +367,7 @@ class TraceColumns:
             hop_offsets[t + 1:t + pn + 1] = part.hop_offsets[1:] + k
             hop_router[k:k + ph] = part.hop_router
             hop_rtt[k:k + ph] = part.hop_rtt
+            part.release()
             t += pn
             k += ph
         return cls(
@@ -399,22 +426,22 @@ def unpack_shard(
     schema: ColumnSchema,
     buffer,
     manifest: Dict[str, Any],
-    expect_rng_contract: Optional[int] = None,
+    expect_rng_contract: int,
+    release: Callable[[], None],
 ) -> TraceColumns:
     """Map a shard's columns out of a shared-memory *buffer*.
 
-    The returned arrays are **views into the segment** (zero-copy); the
-    caller must copy (e.g. via :meth:`TraceColumns.concatenate`) before
-    the segment is closed and unlinked.  *expect_rng_contract* rejects
-    a shard drawn under a different RNG contract than the campaign that
-    is stitching it (a worker/parent disagreement that must never be
-    silently absorbed).
+    The returned arrays are **views into the segment** (zero-copy), so
+    mapping a shard reads none of its pages.  *release* closes and
+    unlinks the segment: the columns' :meth:`~TraceColumns.release`
+    calls it once their views are dropped, which
+    :meth:`TraceColumns.concatenate` does as soon as it has copied the
+    shard.  *expect_rng_contract* rejects a shard drawn under a
+    different RNG contract than the campaign that is stitching it (a
+    worker/parent disagreement that must never be silently absorbed).
     """
     shard_contract = int(manifest["rng_contract"])
-    if (
-        expect_rng_contract is not None
-        and shard_contract != expect_rng_contract
-    ):
+    if shard_contract != expect_rng_contract:
         raise ValueError(
             f"shard was drawn under RNG contract {shard_contract}, "
             f"campaign expects contract {expect_rng_contract}"
@@ -430,7 +457,7 @@ def unpack_shard(
         arrays[spec["name"]] = np.frombuffer(
             buffer, dtype=dtype, count=spec["count"], offset=spec["offset"]
         )
-    return TraceColumns(
+    columns = TraceColumns(
         schema,
         traces=arrays["traces"],
         hop_offsets=arrays["hop_offsets"],
@@ -438,6 +465,8 @@ def unpack_shard(
         hop_rtt=arrays["hop_rtt"],
         rng_contract=shard_contract,
     )
+    columns._release = release
+    return columns
 
 
 # ----------------------------------------------------------------------

@@ -122,6 +122,13 @@ class InternetTopology:
             for name in PHANTOM_PROVIDERS:
                 self._add_phantom(name, fiber_map)
         self._add_peerings()
+        # Each provider's routers sorted by city, built once: no router
+        # is added after construction.
+        self._routers_by_isp: Dict[str, List[Router]] = {}
+        for node in sorted(self._routers):
+            self._routers_by_isp.setdefault(node[0], []).append(
+                self._routers[node]
+            )
 
     # ------------------------------------------------------------------
     # Construction
@@ -263,12 +270,12 @@ class InternetTopology:
         return self._routers[(isp, city_key)]
 
     def routers_of(self, isp: str) -> List[Router]:
-        return [
-            r for (i, _), r in sorted(self._routers.items()) if i == isp
-        ]
+        """*isp*'s routers, sorted by city."""
+        return list(self._routers_by_isp.get(isp, ()))
 
     def cities_of(self, isp: str) -> List[str]:
-        return sorted(city for (i, city) in self._routers if i == isp)
+        """*isp*'s router cities, sorted."""
+        return [r.city_key for r in self._routers_by_isp.get(isp, ())]
 
     def has_router(self, isp: str, city_key: str) -> bool:
         return (isp, city_key) in self._routers

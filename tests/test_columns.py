@@ -176,7 +176,10 @@ class TestNpzSerialization:
         payload = columns_to_npz_bytes(serial_columns)
         rebuilt = columns_from_npz_bytes(payload)
         assert rebuilt == serial_columns
-        assert rebuilt.schema.digest() == serial_columns.schema.digest()
+        contract = serial_columns.rng_contract
+        assert rebuilt.schema.digest(contract) == (
+            serial_columns.schema.digest(contract)
+        )
 
     def test_cache_stores_columns_as_npz(self, tmp_path, serial_columns):
         cache = ArtifactCache(tmp_path)

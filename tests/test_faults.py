@@ -287,6 +287,89 @@ class TestSharedMemoryHygiene:
             run_campaign(topology, config, workers=2)
         assert _repro_shm_entries() == before
 
+    def test_each_segment_unlinked_before_the_next_shard_is_copied(
+        self, topology, monkeypatch
+    ):
+        # The stitch reads a shard's hop_offsets only while copying it;
+        # a spy on that read snapshots /dev/shm, which must already have
+        # lost the segment of every shard copied before.
+        from repro.traceroute import campaign as campaign_mod
+        from repro.traceroute.columns import TraceColumns
+
+        reads = []
+
+        class _CopySpy(TraceColumns):
+            @property
+            def hop_offsets(self):
+                reads.append(_repro_shm_entries())
+                return self.__dict__["hop_offsets"]
+
+            @hop_offsets.setter
+            def hop_offsets(self, value):
+                self.__dict__["hop_offsets"] = value
+
+        real_unpack = campaign_mod.unpack_shard
+
+        def spy_unpack(*args):
+            columns = real_unpack(*args)
+            columns.__class__ = _CopySpy
+            return columns
+
+        before = _repro_shm_entries()
+        monkeypatch.setattr(campaign_mod, "unpack_shard", spy_unpack)
+        config = CampaignConfig(num_traces=1000, seed=47)
+        columns = run_campaign(topology, config, workers=2)
+        assert len(columns) == 1000
+        shards = sorted(
+            set(reads[0]) - set(before),
+            key=lambda name: int(name.rsplit("-", 1)[1], 16),
+        )
+        assert len(reads) == len(shards) == 4
+        for k, entries in enumerate(reads):
+            assert set(entries) - set(before) == set(shards[k:]), (
+                f"shard {k} copied while earlier segments were still linked"
+            )
+        assert _repro_shm_entries() == before
+
+    def test_stitch_failing_after_its_first_release_leaves_no_segment(
+        self, topology, monkeypatch
+    ):
+        from repro.traceroute import campaign as campaign_mod
+
+        real_release = campaign_mod._ShardSegments.release
+        released = []
+
+        def release_then_fail(self, name):
+            real_release(self, name)
+            released.append(name)
+            raise RuntimeError("injected failure after a release")
+
+        before = _repro_shm_entries()
+        monkeypatch.setattr(
+            campaign_mod._ShardSegments, "release", release_then_fail
+        )
+        config = CampaignConfig(num_traces=1000, seed=47)
+        with pytest.raises(RuntimeError, match="after a release"):
+            run_campaign(topology, config, workers=2)
+        assert len(released) == 1
+        assert _repro_shm_entries() == before
+
+    @pytest.mark.parametrize("contract", [1, 2])
+    def test_stitched_columns_match_serial_at_every_worker_count(
+        self, topology, contract
+    ):
+        before = _repro_shm_entries()
+        config = CampaignConfig(
+            num_traces=1000, seed=47, rng_contract=contract
+        )
+        serial = run_campaign(topology, config, workers=1)
+        for workers in (2, 3, 16):
+            sharded = run_campaign(topology, config, workers=workers)
+            assert sharded == serial, f"workers={workers} changed the bytes"
+            assert sharded.traces.tobytes() == serial.traces.tobytes()
+            assert sharded.hop_rtt.tobytes() == serial.hop_rtt.tobytes()
+        assert _repro_shm_entries() == before
+
 
 class TestConcurrentCacheWriters:
     def test_two_writers_on_one_key_never_corrupt(self, tmp_path):

@@ -125,6 +125,19 @@ class TestWorkerInvariance:
                 f"batch_size={batch_size} changed the column bytes"
             )
 
+    def test_v1_stream_cap_never_changes_bytes(self, topology, monkeypatch):
+        # A v1 batch draws its hop noise every _V1_MAX_STREAMS traces;
+        # with a cap of 7 a 900-trace batch does so 129 times (the last
+        # one ragged), yet every trace draws the same noise.
+        reference = run_campaign(
+            topology, _config(num_traces=900, rng_contract=1)
+        )
+        monkeypatch.setattr(campaign_module, "_V1_MAX_STREAMS", 7)
+        capped = run_campaign(
+            topology, _config(num_traces=900, rng_contract=1)
+        )
+        assert _columns_equal(reference, capped)
+
     def test_shards_not_divisible_by_batch_size(self, topology):
         # 3 workers × 300-trace shards with batch 128: every shard has
         # a ragged final batch, and shard starts are not batch-aligned.
@@ -201,19 +214,20 @@ def test_v2_columns_ignore_batch_trace_and_worker_counts(
 class TestPoolTables:
     def test_workers_inherit_the_parents_v2_tables(self, topology):
         # The pool initializer adopts the tables the parent built
-        # instead of building its own.
+        # instead of building its own ...
         config = _config(num_traces=600, rng_contract=2)
         plan = _CampaignPlan(topology, config)
         pred = np.empty(
             (len(plan.dest_nodes), topology.routing_core().num_nodes),
             dtype=np.int32,
         )
-        shared = rngv2.build_v2_tables(
-            topology, ColumnSchema.from_topology(topology), plan, pred
-        )
+        schema = ColumnSchema.from_topology(topology)
+        shared = rngv2.build_v2_tables(topology, schema, plan, pred)
         saved = campaign_module._WORKER_STATE
         try:
-            campaign_module._init_worker(topology, config, plan, shared)
+            campaign_module._init_worker(
+                topology, config, plan, shared, schema
+            )
             engine, worker_plan, _config_, _token = (
                 campaign_module._WORKER_STATE
             )
@@ -223,6 +237,8 @@ class TestPoolTables:
         tables, core_tables, store = rngv2._v2_state(engine, plan)
         assert tables is shared[0] and core_tables is shared[1]
         assert store.size == 0
+        # ... and the parent's column schema instead of rebuilding it.
+        assert engine.column_schema() is schema
 
     def test_shard_spans_report_templates_built(self, topology):
         config = _config(num_traces=900, workers=2, rng_contract=2)
@@ -368,7 +384,8 @@ class TestContractThreading:
         schema = ColumnSchema.from_topology(topology)
         v1 = schema.digest(rng_contract=1)
         v2 = schema.digest(rng_contract=2)
-        assert v1 == schema.digest()  # v1 keeps the historical digest
+        # v1 keeps the historical pure-schema digest of the seed-2015 map.
+        assert v1 == "cd2297c7ea425bf0"
         assert v1 != v2
 
     def test_npz_round_trip_carries_contract(self, topology):
