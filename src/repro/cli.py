@@ -161,12 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="listen port (0 binds an ephemeral port; default 8310)",
     )
     serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0, metavar="MS",
-        help="micro-batching window: how long the first concurrent "
-             "latency query waits for stragglers before one batched "
-             "Dijkstra solve (default 2 ms)",
-    )
-    serve.add_argument(
         "--scenario", action="append",
         metavar="NAME=[FAMILY:]SEED[:TRACES]",
         default=None,
@@ -611,9 +605,7 @@ def _cmd_serve(scenario: Scenario, args: argparse.Namespace, tracer) -> int:
     from repro.service.registry import ScenarioRegistry
     from repro.service.server import ServiceApp, make_server
 
-    registry = ScenarioRegistry(
-        batch_window_s=max(0.0, args.batch_window_ms) / 1000.0
-    )
+    registry = ScenarioRegistry()
     registry.add("default", scenario=scenario)
     base = scenario.config
     for spec in args.scenario or []:

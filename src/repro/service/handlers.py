@@ -10,17 +10,16 @@ substrate's multi-source Dijkstra answers every source of a batch in
 one scipy call, so :func:`solve_latency_batch` takes N latency
 requests, deduplicates their source cities, runs one solve, and walks
 each request's path out of the shared predecessor matrix.  The
-:class:`LatencyBatcher` wraps that in a leader/follower window for
-concurrent server threads: the first thread in collects stragglers for
-a few milliseconds, solves the combined batch, and hands each waiter
-its slot — with answers identical to N serial solves, because Dijkstra
+:class:`LatencyBatcher` wraps that in group commit for concurrent
+server threads: a query that finds the solver free is solved at once,
+and queries that arrive while a batch is being solved fold into the
+next one — with answers identical to N serial solves, because Dijkstra
 rows are independent.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.geo.coords import fiber_delay_ms
@@ -430,35 +429,54 @@ def handle_query(scenario, request: QueryRequest) -> QueryResponse:
 # The micro-batcher
 # ----------------------------------------------------------------------
 class _Batch:
-    __slots__ = ("requests", "outcomes", "error", "closed", "done")
+    __slots__ = ("requests", "outcomes", "error", "done")
 
     def __init__(self):
         self.requests: List[LatencyRequest] = []
         self.outcomes: Optional[List[LatencyOutcome]] = None
         self.error: Optional[BaseException] = None
-        self.closed = False
         self.done = threading.Event()
 
 
 class LatencyBatcher:
-    """Leader/follower micro-batching of concurrent latency queries.
+    """Group-commit batching of concurrent latency queries.
 
-    The first thread to submit into an open batch becomes its leader:
-    it waits ``window_s`` for concurrent threads to pile in, closes the
+    The first thread to submit into an open batch becomes its leader.
+    The leader waits only for the solver: it takes the solve lock,
+    which is held while the previous batch is solved, then closes its
     batch, runs :func:`solve_latency_batch` once, and wakes every
-    follower with its slot.  Because each Dijkstra row is independent,
-    the batched answers are identical to serial ones — batching changes
-    latency and throughput, never results.
+    follower with its slot.  A lone query is therefore solved at once,
+    and queries that arrive during a solve fold into the next batch.
+    Because each Dijkstra row is independent, the batched answers are
+    identical to serial ones — batching changes latency and
+    throughput, never results.
     """
 
-    def __init__(self, scenario, window_s: float = 0.002):
+    def __init__(self, scenario):
         self._scenario = scenario
-        self.window_s = window_s
+        #: Guards the open batch and the counters.
         self._lock = threading.Lock()
+        #: Held while a batch is solved.  Re-entrant because a leader
+        #: closes its batch under it and then calls :meth:`solve`.
+        self._solve_lock = threading.RLock()
         self._open: Optional[_Batch] = None
         #: Lifetime counters (served by the manifest endpoint).
         self.batches = 0
         self.requests = 0
+
+    def solve(
+        self, requests: Sequence[LatencyRequest]
+    ) -> List[LatencyOutcome]:
+        """Count and solve one explicit batch, after any solve in
+        progress; slot *i* is request *i*'s outcome."""
+        with self._solve_lock:
+            with self._lock:
+                self.batches += 1
+                self.requests += len(requests)
+            with get_tracer().span(
+                "service.latency_batch", size=len(requests)
+            ):
+                return solve_latency_batch(self._scenario, requests)
 
     def submit(self, request: LatencyRequest) -> LatencyResponse:
         """Answer one request, possibly batched with concurrent ones."""
@@ -470,29 +488,18 @@ class LatencyBatcher:
             slot = len(batch.requests)
             batch.requests.append(request)
         if leader:
-            if self.window_s > 0:
-                time.sleep(self.window_s)
-            with self._lock:
-                batch.closed = True
-                if self._open is batch:
-                    self._open = None
-                self.batches += 1
-                self.requests += len(batch.requests)
-            tracer = get_tracer()
             try:
-                with tracer.span(
-                    "service.latency_batch", size=len(batch.requests)
-                ):
-                    batch.outcomes = solve_latency_batch(
-                        self._scenario, batch.requests
-                    )
-            except BaseException as error:  # pragma: no cover - defensive
+                with self._solve_lock:
+                    with self._lock:
+                        self._open = None
+                    batch.outcomes = self.solve(batch.requests)
+            except BaseException as error:
                 batch.error = error
             finally:
                 batch.done.set()
         else:
             batch.done.wait()
-        if batch.error is not None:  # pragma: no cover - defensive
+        if batch.error is not None:
             raise batch.error
         outcome = batch.outcomes[slot]
         if isinstance(outcome, QueryError):

@@ -7,8 +7,9 @@ names.  Each entry carries:
 * its own re-entrant lock, serializing non-batchable queries per
   scenario (the stage graph is itself single-flight per stage, but
   handlers that compose several stages should not interleave);
-* its own :class:`~repro.service.handlers.LatencyBatcher`, so
-  micro-batching never mixes scenarios;
+* its own :class:`~repro.service.handlers.LatencyBatcher` (group
+  commit: a lone latency query is solved at once, concurrent ones
+  share a solve), so batches never mix scenarios;
 * a warm-up state machine (``cold -> warming -> ready | failed``):
   :meth:`ScenarioRegistry.warm_all_async` materializes each entry's
   warm stages on a background thread, and ``/healthz`` reports 503
@@ -48,7 +49,6 @@ class ScenarioEntry:
         name: str,
         scenario: Scenario,
         warm_stages: Tuple[str, ...] = DEFAULT_WARM_STAGES,
-        batch_window_s: float = 0.002,
     ):
         self.name = name
         self.scenario = scenario
@@ -56,7 +56,7 @@ class ScenarioEntry:
             s for s in warm_stages if s in scenario.graph
         )
         self.lock = threading.RLock()
-        self.batcher = LatencyBatcher(scenario, window_s=batch_window_s)
+        self.batcher = LatencyBatcher(scenario)
         self.state = COLD
         self.error: Optional[str] = None
         #: Queries answered for this scenario (all kinds).
@@ -94,8 +94,7 @@ class ScenarioEntry:
 class ScenarioRegistry:
     """The named-scenario table the server dispatches against."""
 
-    def __init__(self, batch_window_s: float = 0.002):
-        self.batch_window_s = batch_window_s
+    def __init__(self):
         self._entries: Dict[str, ScenarioEntry] = {}
         self._threads: List[threading.Thread] = []
 
@@ -111,12 +110,7 @@ class ScenarioRegistry:
             raise ValueError(f"scenario {name!r} already registered")
         if scenario is None:
             scenario = Scenario(config=config or ScenarioConfig())
-        entry = ScenarioEntry(
-            name,
-            scenario,
-            warm_stages=warm_stages,
-            batch_window_s=self.batch_window_s,
-        )
+        entry = ScenarioEntry(name, scenario, warm_stages=warm_stages)
         self._entries[name] = entry
         return entry
 

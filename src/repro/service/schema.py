@@ -17,18 +17,19 @@ fail loudly instead of silently misparsing.
 Validation
 ----------
 :func:`parse_request` checks the envelope (version, kind), field
-presence, field types, and rejects unknown fields; semantic checks
-(positive counts, known cities/ISPs) live in the handlers.  All
-failures raise :class:`QueryError`, which carries a machine-readable
-``code``, the offending ``field`` when there is one, and an HTTP status
-— the server renders it as a structured 4xx payload, the CLI as a
-stderr line.
+presence, field types (a float field takes only a finite number), and
+rejects unknown fields; semantic checks (positive counts, known
+cities/ISPs) live in the handlers.  All failures raise
+:class:`QueryError`, which carries a machine-readable ``code``, the
+offending ``field`` when there is one, and an HTTP status — the server
+renders it as a structured 4xx payload, the CLI as a stderr line.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type
 
@@ -196,6 +197,19 @@ def _check_field(name: str, value: Any, annotation: str) -> Any:
             f"got {type(value).__name__}",
             field=name,
         )
+    if "float" in annotation and value is not None:
+        # json.loads reads NaN, Infinity and 1e400 (inf); a huge
+        # integer does not fit a float at all.
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise QueryError(
+                "invalid_field",
+                f"field {name!r} must be a finite number",
+                field=name,
+            )
     return value
 
 

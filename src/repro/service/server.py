@@ -32,7 +32,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.tracer import Tracer
-from repro.service.handlers import handle_query, solve_latency_batch
+from repro.service.handlers import handle_query
 from repro.service.registry import ScenarioRegistry
 from repro.service.schema import (
     SCHEMA_VERSION,
@@ -166,11 +166,7 @@ class ServiceApp:
                 self._count_queries(entry)
         for name, slots in sorted(latency.items()):
             entry = self.registry.get(name)
-            requests = [parsed[i] for i in slots]
-            with entry.batcher._lock:
-                entry.batcher.batches += 1
-                entry.batcher.requests += len(requests)
-            outcomes = solve_latency_batch(entry.scenario, requests)
+            outcomes = entry.batcher.solve([parsed[i] for i in slots])
             for slot, outcome in zip(slots, outcomes):
                 results[slot] = outcome.to_json()
             self._count_queries(entry, len(slots))
@@ -248,10 +244,13 @@ class _Handler(BaseHTTPRequestHandler):
     app: ServiceApp  # injected by make_server
     quiet = True
     protocol_version = "HTTP/1.1"
-    # TCP_NODELAY.  A response leaves in two writes (end_headers()
-    # flushes the headers, then the body); with Nagle's algorithm on,
-    # the body waits for the ACK of the header segment, which a
-    # keep-alive client delays by ~40 ms — a stall on every answer.
+    # A buffered wfile: end_headers() and the body write land in one
+    # buffer that handle_one_request() flushes, so a response leaves
+    # in one write instead of two.
+    wbufsize = -1
+    # TCP_NODELAY.  A body larger than the buffer still leaves in two
+    # writes; with Nagle's algorithm on, the second waits for the ACK
+    # of the first, which a keep-alive client delays by ~40 ms.
     disable_nagle_algorithm = True
 
     def _respond(self, status: int, payload: Dict[str, Any]) -> None:

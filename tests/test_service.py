@@ -25,6 +25,7 @@ from repro.service import (
     parse_request,
     solve_latency_batch,
 )
+from repro.service import handlers
 from repro.service.handlers import LatencyBatcher
 from repro.service.registry import READY, WARMING, ScenarioEntry
 from repro.service.render import render_response
@@ -107,6 +108,18 @@ class TestSchemaValidation:
         })
         assert error.code == "invalid_field"
         assert "bool" in error.message
+
+    @pytest.mark.parametrize(
+        "length_km", [float("inf"), float("-inf"), float("nan"), 10**400],
+        ids=["inf", "-inf", "nan", "huge_int"],
+    )
+    def test_float_field_must_be_finite(self, length_km):
+        error = self.err({
+            "v": 1, "kind": "add", "city_a": "A", "city_b": "B",
+            "length_km": length_km,
+        })
+        assert error.code == "invalid_field"
+        assert error.field == "length_km"
 
     def test_error_payload_golden(self):
         error = self.err({"v": 1, "kind": "cut", "city_a": "A"})
@@ -218,42 +231,167 @@ class TestMicroBatching:
         for request, answer in zip(requests, batched):
             assert answer == _nx_latency(scenario, request), request
 
-    def test_concurrent_submits_coalesce(self, scenario):
-        requests = [
-            LatencyRequest(city_a=a, city_b=b)
-            for a, b in self.PAIRS if "XX" not in b
-        ]
-        serial = {
-            r: handle_query(scenario, r) for r in requests
-        }
-        batcher = LatencyBatcher(scenario, window_s=0.05)
-        results = {}
-        errors = []
-        barrier = threading.Barrier(len(requests))
+    def _hold_first_solve(self, monkeypatch, fail_second=False):
+        """Patch the batch solver so the first solve blocks until
+        ``release`` is set (``entered`` fires once it is inside), and
+        optionally the second solve raises.  Returns the events and the
+        list of solved batch sizes."""
+        entered, release = threading.Event(), threading.Event()
+        sizes = []
+        solve = handlers.solve_latency_batch
+
+        def held_solve(scenario, requests):
+            sizes.append(len(requests))
+            if len(sizes) == 1:
+                entered.set()
+                assert release.wait(60)
+            elif len(sizes) == 2 and fail_second:
+                raise RuntimeError("solver failed")
+            return solve(scenario, requests)
+
+        monkeypatch.setattr(handlers, "solve_latency_batch", held_solve)
+        return entered, release, sizes
+
+    @staticmethod
+    def _submit_all(batcher, requests, results):
+        """Start one submitting thread per request; each stores its
+        answer (or the exception it raised) in *results*."""
 
         def worker(request):
-            barrier.wait()
             try:
                 results[request] = batcher.submit(request)
-            except BaseException as error:  # pragma: no cover
-                errors.append(error)
+            except BaseException as error:
+                results[request] = error
 
         threads = [
             threading.Thread(target=worker, args=(r,)) for r in requests
         ]
         for t in threads:
             t.start()
+        return threads
+
+    @staticmethod
+    def _wait_for_open_batch(batcher, size):
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            with batcher._lock:
+                batch = batcher._open
+                if batch is not None and len(batch.requests) == size:
+                    return
+            time.sleep(0.001)
+        raise AssertionError(f"no open batch of {size} requests")
+
+    def test_concurrent_submits_coalesce(self, scenario, monkeypatch):
+        requests = [
+            LatencyRequest(city_a=a, city_b=b)
+            for a, b in self.PAIRS if "XX" not in b
+        ]
+        serial = {r: handle_query(scenario, r) for r in requests}
+        entered, release, sizes = self._hold_first_solve(monkeypatch)
+        batcher = LatencyBatcher(scenario)
+        results = {}
+        # The first request finds the solver free and is solved alone;
+        # the rest arrive while that solve runs and join one batch.
+        threads = self._submit_all(batcher, requests[:1], results)
+        assert entered.wait(60)
+        rest = requests[1:]
+        threads += self._submit_all(batcher, rest, results)
+        self._wait_for_open_batch(batcher, len(rest))
+        release.set()
         for t in threads:
             t.join(timeout=60)
-        assert not errors
-        # Fewer solves than requests: concurrency actually coalesced.
-        assert batcher.batches < len(requests)
-        assert batcher.requests == len(requests)
+        assert sizes == [1, len(rest)]
+        assert batcher.batches == 2
+        assert batcher.requests == len(rest) + 1
         # And batching never changes an answer.
         assert results == serial
 
+    def test_lone_submit_never_sleeps(self, scenario, monkeypatch):
+        def no_sleep(seconds):
+            raise AssertionError(f"slept {seconds} s")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        request = LatencyRequest(city_a="Denver, CO", city_b="Chicago, IL")
+        batcher = LatencyBatcher(scenario)
+        assert batcher.submit(request) == handle_query(scenario, request)
+        assert (batcher.batches, batcher.requests) == (1, 1)
+
+    def test_failed_solve_fails_its_whole_batch_only(
+        self, scenario, monkeypatch
+    ):
+        requests = [
+            LatencyRequest(city_a=a, city_b=b)
+            for a, b in self.PAIRS if "XX" not in b
+        ]
+        serial = {r: handle_query(scenario, r) for r in requests}
+        entered, release, sizes = self._hold_first_solve(
+            monkeypatch, fail_second=True
+        )
+        batcher = LatencyBatcher(scenario)
+        results = {}
+        threads = self._submit_all(batcher, requests[:1], results)
+        assert entered.wait(60)
+        rest = requests[1:]
+        threads += self._submit_all(batcher, rest, results)
+        self._wait_for_open_batch(batcher, len(rest))
+        release.set()
+        for t in threads:
+            t.join(timeout=60)
+        assert sizes == [1, len(rest)]
+        assert results[requests[0]] == serial[requests[0]]
+        # Every waiter of the failed batch gets the solver's error ...
+        for request in rest:
+            assert isinstance(results[request], RuntimeError)
+            assert str(results[request]) == "solver failed"
+        # ... and the batcher is not left wedged: the next batch solves.
+        assert batcher.submit(rest[0]) == serial[rest[0]]
+        assert sizes == [1, len(rest), 1]
+        assert batcher.batches == 3
+
+    def test_submit_stress_answers_every_request(self, scenario):
+        """Eight threads (more than cores) submit back to back with a
+        tiny switch interval: no request is lost, counted twice or
+        answered with another's slot."""
+        rng = random.Random(11)
+        cities = sorted(scenario.constructed_map.nodes)
+        pools = [
+            [
+                LatencyRequest(city_a=a, city_b=b)
+                for a, b in (rng.sample(cities, 2) for _ in range(20))
+            ]
+            for _ in range(8)
+        ]
+        serial = {
+            r: handle_query(scenario, r) for pool in pools for r in pool
+        }
+        batcher = LatencyBatcher(scenario)
+        answers = [[] for _ in pools]
+
+        def worker(pool, out):
+            for request in pool:
+                out.append(batcher.submit(request))
+
+        threads = [
+            threading.Thread(target=worker, args=(pool, out))
+            for pool, out in zip(pools, answers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for pool, out in zip(pools, answers):
+            assert out == [serial[r] for r in pool]
+        assert batcher.requests == 8 * 20
+        assert 1 <= batcher.batches <= 8 * 20
+
     def test_batched_error_slot_raises_only_for_its_owner(self, scenario):
-        batcher = LatencyBatcher(scenario, window_s=0.0)
+        batcher = LatencyBatcher(scenario)
         good = batcher.submit(
             LatencyRequest(city_a="Denver, CO", city_b="Chicago, IL")
         )
