@@ -4,10 +4,16 @@ The §4.3 campaign and overlay answer shortest-path queries toward a few
 hundred destinations, thousands of times each.  :class:`RoutingCore`
 adopts one of the package's compiled graphs,
 :class:`~repro.perf.substrate.GraphView`, and adds only a cache of
-per-destination Dijkstra rows: every solve is a
-:meth:`GraphView.dijkstra` call (batched across destinations by
-:meth:`RoutingCore.prepare`), and every path is a
-:meth:`GraphView.walk` over a cached predecessor row.
+per-destination predecessor rows: every solve is a
+:meth:`GraphView.dijkstra` call over at most :data:`SOLVE_CHUNK_ROWS`
+destinations (:meth:`RoutingCore.solve_into`), and every path is a
+:meth:`GraphView.walk` over a cached predecessor row.  No distance row
+is kept: a chunk's distances are dropped as soon as its predecessors
+are written, so a solve's temporary distance matrix is bounded by the
+chunk, not by the number of destinations.  A caller that keeps its own
+stack of rows (the campaign's destination-row stack) fills it through
+:meth:`RoutingCore.share_into`, which leaves the cache holding views of
+that stack: one copy of each row, not two.
 
 A cut re-trace starts from :meth:`RoutingCore.routes` (a pair sample's
 intact paths and the edge ids they ride) and asks
@@ -29,7 +35,16 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -41,6 +56,12 @@ BASELINE_MEMO_SIZE = 4
 
 #: Guards every core's baseline memo.
 _BASELINE_LOCK = threading.Lock()
+
+#: Destinations one batched Dijkstra solves at a time.  The solve's
+#: temporary distance matrix holds this many float64 rows (2 MiB on
+#: the 2,008-node us2015 router graph), however many destinations a
+#: caller asks for.
+SOLVE_CHUNK_ROWS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +82,11 @@ class PairRoutes:
 
 
 class RoutingCore(GraphView):
-    """A :class:`GraphView` plus a per-destination cache of
-    ``(dist, pred)`` rows, so a campaign pays one Dijkstra per distinct
-    destination and an array walk per trace."""
+    """A :class:`GraphView` plus a per-destination cache of predecessor
+    rows, so a campaign pays one Dijkstra per distinct destination and
+    an array walk per trace.  A cached row may be a view into a block
+    the core allocated (:meth:`prepare`) or into a caller's stack
+    (:meth:`share_into`); the core never writes a row it has cached."""
 
     def __init__(self, view: GraphView, weight: str):
         # Adopt the view as it is, like ``clone`` without the copies: its
@@ -79,7 +102,7 @@ class RoutingCore(GraphView):
         self._incident = view._incident
         self._structs = view._structs
         self.weight = weight
-        self._rows: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {}
+        self._rows: Dict[int, "np.ndarray"] = {}
         self._baselines: "OrderedDict[Hashable, object]" = OrderedDict()
 
     def __getstate__(self):
@@ -94,7 +117,8 @@ class RoutingCore(GraphView):
 
     # ------------------------------------------------------------------
     def prepare(self, destinations: Iterable[Hashable]) -> int:
-        """Batch-compute the rows of every new destination in one solve.
+        """Solve and cache the row of every new destination, in chunks
+        of :data:`SOLVE_CHUNK_ROWS` (see :meth:`solve_into`).
 
         Returns the number of destinations actually computed.  Unknown
         nodes are ignored (queries against them return ``None``).
@@ -109,23 +133,77 @@ class RoutingCore(GraphView):
         )
         if not wanted:
             return 0
-        dist, pred, row_of = self.dijkstra(wanted, self.weight)
-        for node, row in row_of.items():
-            self._rows[index[node]] = (dist[row], pred[row])
-        return len(row_of)
+        block = np.empty((len(wanted), self.num_nodes), dtype=np.int32)
+        return self.share_into(wanted, block, range(len(wanted)))
 
-    def _row(self, dst_index: int) -> Tuple["np.ndarray", "np.ndarray"]:
-        rows = self._rows.get(dst_index)
-        if rows is None:
+    def solve_into(
+        self,
+        keys: Sequence[Hashable],
+        out: "np.ndarray",
+        at: Sequence[int],
+    ) -> None:
+        """Write the predecessor row of the Dijkstra tree rooted at
+        ``keys[i]`` into ``out[at[i]]``, bypassing the row cache.
+
+        The keys are solved :data:`SOLVE_CHUNK_ROWS` at a time, so the
+        only temporaries are one chunk's distance and predecessor
+        matrices.  Every key must be a distinct node of the graph.
+        """
+        at = np.asarray(at, dtype=np.int64)
+        for lo in range(0, len(keys), SOLVE_CHUNK_ROWS):
+            chunk = keys[lo:lo + SOLVE_CHUNK_ROWS]
+            _dist, pred, row_of = self.dijkstra(chunk, self.weight)
+            if len(row_of) != len(chunk):
+                raise ValueError("solve_into needs distinct, known keys")
+            out[at[lo:lo + len(chunk)]] = pred
+            # Free this chunk's matrices before the next is solved.
+            del _dist, pred
+
+    def share_into(
+        self,
+        keys: Sequence[Hashable],
+        out: "np.ndarray",
+        at: Iterable[int],
+    ) -> int:
+        """Write the row of every destination in *keys* into
+        ``out[at[i]]`` and cache those rows of *out* as views.
+
+        A row the cache already holds is copied; the others are solved
+        straight into *out* (:meth:`solve_into`).  Afterwards the cache
+        and the caller share one copy of every row, so *out* must never
+        be rewritten, nor view a mapping that is closed while the core
+        lives (a pool's stack goes through :meth:`solve_into` instead).
+        Every key must be a distinct node of the graph.  Returns the
+        number of rows solved.
+        """
+        index, rows = self.index, self._rows
+        at = list(at)
+        solve_keys: List[Hashable] = []
+        solve_at: List[int] = []
+        for key, i in zip(keys, at):
+            row = rows.get(index[key])
+            if row is None:
+                solve_keys.append(key)
+                solve_at.append(i)
+            else:
+                out[i] = row
+        self.solve_into(solve_keys, out, solve_at)
+        for key, i in zip(keys, at):
+            rows[index[key]] = out[i]
+        return len(solve_keys)
+
+    def _row(self, dst_index: int) -> "np.ndarray":
+        row = self._rows.get(dst_index)
+        if row is None:
             self.prepare([self.nodes[dst_index]])
-            rows = self._rows[dst_index]
-        return rows
+            row = self._rows[dst_index]
+        return row
 
     def predecessors(self, dst: Hashable) -> Optional["np.ndarray"]:
         """The predecessor row of the Dijkstra tree rooted at *dst*
         (``None`` for an unknown node)."""
         d = self.index.get(dst)
-        return None if d is None else self._row(d)[1]
+        return None if d is None else self._row(d)
 
     # ------------------------------------------------------------------
     def path(self, src: Hashable, dst: Hashable) -> Optional[List[Hashable]]:
@@ -140,7 +218,7 @@ class RoutingCore(GraphView):
             return None
         if s == d:
             return [src]
-        return self._key_path(self._row(d)[1], s, d)
+        return self._key_path(self._row(d), s, d)
 
     def _key_path(
         self, pred_row: "np.ndarray", s: int, d: int
@@ -167,7 +245,7 @@ class RoutingCore(GraphView):
             s = index.get(src)
             d = index.get(dst)
             walked = None if s is None or d is None else self.walk(
-                self._row(d)[1], d, s
+                self._row(d), d, s
             )
             if walked is None:
                 paths.append(None)
@@ -234,9 +312,14 @@ class RoutingCore(GraphView):
         return value
 
     def distance(self, src: Hashable, dst: Hashable) -> float:
-        """Shortest-path cost, ``inf`` when unreachable or unknown."""
+        """Shortest-path cost, ``inf`` when unreachable or unknown.
+
+        The core caches no distances: each call solves one uncached
+        row rooted at *dst*, the same row (and float) a batched solve
+        would give.
+        """
         s = self.index.get(src)
-        d = self.index.get(dst)
-        if s is None or d is None:
+        if s is None or dst not in self.index:
             return float("inf")
-        return float(self._row(d)[0][s])
+        dist, _pred, _row_of = self.dijkstra([dst], self.weight)
+        return float(dist[0, s])

@@ -227,7 +227,9 @@ def parse_request(payload: Any) -> QueryRequest:
             f"request must be a JSON object, got {type(payload).__name__}",
         )
     version = payload.get("v", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    # Typed like a field (:func:`_check_field`): ``true`` and ``1.0``
+    # compare equal to 1 but are not the integer version.
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise QueryError(
             "unsupported_version",
             f"schema version {version!r} not supported "

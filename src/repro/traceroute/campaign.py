@@ -26,8 +26,9 @@ traces the same way: draw each trace's endpoint pair (redrawing
 degenerate and unreachable pairs), resolve the batch's pairs to hop
 templates in one lookup (:class:`~repro.traceroute.rngv2._TemplateStore`,
 built against the routing core's destination rows), draw one noise
-value per visible hop, and gather the columns.  Contract v1's draw is
-the one function :func:`_v1_batch_columns`.
+value per visible hop, and gather the columns straight into the
+campaign's presized output.  Contract v1's draw is the one function
+:func:`_v1_batch_rows`.
 
 A campaign materializes as :class:`~repro.traceroute.columns.TraceColumns`
 — numpy columns plus interned string tables — not a list of record
@@ -82,7 +83,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from itertools import accumulate
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -100,10 +101,8 @@ from repro.traceroute.probe import ProbeEngine
 from repro.traceroute.rngv2 import (
     DEFAULT_BATCH_SIZE,
     MAX_ATTEMPTS_PER_TRACE,
-    RNG_CONTRACT_V1,
     SUPPORTED_RNG_CONTRACTS,
     _CoreTables,
-    _gather_columns,
     _PlanTables,
     _TemplateStore,
     _v2_state,
@@ -262,16 +261,16 @@ def _unreachable(index: int) -> RuntimeError:
     )
 
 
-def _v1_batch_columns(
+def _v1_batch_rows(
     tables: _PlanTables,
     core_tables: _CoreTables,
     store: _TemplateStore,
     config: CampaignConfig,
-    schema: ColumnSchema,
     b0: int,
     b1: int,
-) -> TraceColumns:
-    """The contract-v1 columns of traces ``[b0, b1)``.
+) -> Tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """The contract-v1 template rows of traces ``[b0, b1)`` and their
+    noise (see :data:`~repro.traceroute.rngv2.BatchDraw`).
 
     Trace ``i`` draws from its private ``random.Random(_trace_seed(seed,
     i))``: each attempt picks the client ISP, the destination ISP, the
@@ -284,7 +283,9 @@ def _v1_batch_columns(
     reference in ``tests/oracles/campaign.py`` draw for draw.  The
     noise is drawn every :data:`_V1_MAX_STREAMS` traces, after one
     template lookup for their pairs, so a batch never holds more
-    streams than that.
+    streams than that.  A trace's noise follows its endpoint draws in
+    its one stream, so unlike v2's it is drawn here and held (8 B per
+    hop) until the gather.
     """
     client_cum = tables.client_cum.tolist()
     dest_cum = tables.dest_cum.tolist()
@@ -344,10 +345,8 @@ def _v1_batch_columns(
     rows = store.rows_for(
         tables, core_tables, np.asarray(codes, dtype=np.int64)
     )
-    return _gather_columns(
-        store, schema, rows, np.asarray(noise, dtype=np.float64),
-        RNG_CONTRACT_V1,
-    )
+    held = np.asarray(noise, dtype=np.float64)
+    return rows, lambda: held
 
 
 def _shard_columns(
@@ -364,7 +363,7 @@ def _shard_columns(
     if config.rng_contract == 2:
         return generate_columns_v2(engine, plan, config, start, stop)
     return generate_columns(
-        engine, plan, config, start, stop, _v1_batch_columns
+        engine, plan, config, start, stop, _v1_batch_rows
     )
 
 

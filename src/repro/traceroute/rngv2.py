@@ -48,11 +48,12 @@ layer rely on.
 The batch machinery here serves both contracts: the plan's sampling
 tables (:class:`_PlanTables`), the routing core's arrays and the
 destination-row stack (:class:`_CoreTables`), the hop-template store
-(:class:`_TemplateStore`), the column gather (:func:`_gather_columns`)
+(:class:`_TemplateStore`), the column gather (:func:`_gather_into`)
 and the batch loop (:func:`generate_columns`).  A contract is one
-batch draw over them: :func:`_batch_columns` for v2,
-``campaign._v1_batch_columns`` for v1 — so both run the same pool
-protocol, rows phase included.
+batch draw over them (:data:`BatchDraw`): :func:`_batch_rows` for v2,
+``campaign._v1_batch_rows`` for v1 — so both run the same pool
+protocol, rows phase included, and both gather straight into one
+presized output.
 
 Versioning rules: a change to any stream definition, draw order, pick
 semantics, or budget above is a **new contract version**, never an
@@ -63,6 +64,7 @@ manifests, and npz payloads.
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -198,9 +200,11 @@ class _CoreTables:
 
     ``pred`` is the caller's ``(len(tables.dest_nodes), n_nodes)`` int32
     stack, row ``d`` for destination ``d``; construction never reads it.
-    The serial path fills it from the core's row cache
-    (:meth:`fill_from_core`); a pool hands in a shared anonymous mapping
-    that its forked workers fill slice by slice (:meth:`solve_rows`).
+    The serial path fills it through the core's row cache, which then
+    views its rows (:meth:`fill_from_core`): the campaign and the core
+    share one copy.  A pool hands in a shared anonymous mapping that its
+    forked workers fill slice by slice (:meth:`solve_rows`).  Either way
+    rows are solved in the core's bounded chunks, never all at once.
     """
 
     def __init__(
@@ -252,31 +256,37 @@ class _CoreTables:
         self.edge_w = np.tile(core.weights[core.weight], 2)[order]
 
     def fill_from_core(self) -> None:
-        """Copy every destination's row out of the core's row cache,
-        which solves the rows it lacks in one batched call and keeps
-        them for later path queries on the same topology."""
+        """Fill the stack through the core's row cache
+        (:meth:`RoutingCore.share_into`): a row the core already holds
+        is copied, the others are solved straight into the stack, and
+        the core then caches the stack's rows as views.  Later path
+        queries on the same topology (a traffic shift's routes) read the
+        campaign's copy of each row instead of a second one.  Only the
+        serial path calls this; a pool's stack is a mapping closed after
+        the campaign, which the core must never view."""
         nodes = self.core.nodes
         live = np.flatnonzero(self.dest_core >= 0)
-        keys = [nodes[ci] for ci in self.dest_core[live].tolist()]
-        self.core.prepare(keys)
         self.pred[self.dest_core < 0] = _NO_PREDECESSOR
-        for d, key in zip(live.tolist(), keys):
-            self.pred[d] = self.core.predecessors(key)
+        self.core.share_into(
+            [nodes[ci] for ci in self.dest_core[live].tolist()],
+            self.pred, live.tolist(),
+        )
 
     def solve_rows(self, part: int, parts: int) -> int:
-        """Solve destination rows ``part::parts`` in one batched
-        Dijkstra and write them into the stack, bypassing the core's
-        row cache; returns the rows solved.  A part owns fixed rows, so
-        solving it again rewrites the same bytes."""
+        """Solve destination rows ``part::parts`` straight into the
+        stack, in the core's bounded chunks but bypassing its row cache
+        (:meth:`RoutingCore.solve_into`); returns the rows solved.  A
+        part owns fixed rows, so solving it again rewrites the same
+        bytes."""
         rows = np.arange(part, len(self.dest_core), parts)
         cores = self.dest_core[rows]
         self.pred[rows[cores < 0]] = _NO_PREDECESSOR
         live = rows[cores >= 0]
-        if live.size:
-            nodes = self.core.nodes
-            keys = [nodes[ci] for ci in self.dest_core[live].tolist()]
-            _, pred, row_of = self.core.dijkstra(keys, self.core.weight)
-            self.pred[live] = pred[[row_of[key] for key in keys]]
+        nodes = self.core.nodes
+        self.core.solve_into(
+            [nodes[ci] for ci in cores[cores >= 0].tolist()],
+            self.pred, live,
+        )
         return int(live.size)
 
 
@@ -478,51 +488,61 @@ def _v2_state(
     return state[1], state[2], state[3]
 
 
-def _gather_columns(
+#: A contract's batch draw, :func:`_batch_rows` or
+#: ``campaign._v1_batch_rows``: ``(tables, core_tables, store, config,
+#: b0, b1) -> (rows, noise)``, the template id of every trace in
+#: ``[b0, b1)`` and a callable that returns the batch's unit noise
+#: draws, one per visible hop, trace by trace.
+BatchDraw = Callable[..., Tuple[np.ndarray, Callable[[], np.ndarray]]]
+
+
+def _gather_into(
+    out: TraceColumns,
+    t: int,
     store: _TemplateStore,
-    schema: ColumnSchema,
     rows: np.ndarray,
     noise: np.ndarray,
-    rng_contract: int,
-) -> TraceColumns:
-    """The columns of traces whose endpoint pairs resolved to template
-    ids *rows*, under either contract.  *noise* holds one unit draw per
-    visible hop, trace by trace."""
+) -> None:
+    """Write the columns of traces whose endpoint pairs resolved to
+    template ids *rows* into *out*, from trace ``t`` on, under either
+    contract (``out.hop_offsets[t]`` already holds the first hop's
+    position).  *noise* holds one unit draw per visible hop, trace by
+    trace."""
     n = len(rows)
     counts = store.counts[rows]
-    hop_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=hop_offsets[1:])
-    # One flat gather: hop ``k`` of trace ``t`` reads its template's
-    # entry ``start + k``.
-    position = np.arange(int(hop_offsets[-1]), dtype=np.int64)
-    at = np.repeat(store.start[rows] - hop_offsets[:-1], counts) + position
+    offsets = out.hop_offsets[t:t + n + 1]
+    k = int(offsets[0])
+    np.cumsum(counts, out=offsets[1:])
+    offsets[1:] += k
+    h = int(offsets[-1]) - k
+    # One flat gather: hop ``j`` of trace ``i`` reads its template's
+    # entry ``start + j``.
+    position = np.arange(h, dtype=np.int64)
+    at = np.repeat(store.start[rows] - (offsets[:-1] - k), counts) + position
     # rtt = 2*one_way + noise, hop by hop: float64-identical to the
     # scalar path's ``double_one_way + uniform(0.0, QUEUE_NOISE_MS)``.
-    hop_rtt = store.cum[at] + QUEUE_NOISE_MS * noise
-    hop_router = store.hop_router[at]
-    traces = np.zeros(n, dtype=TRACE_DTYPE)
+    np.add(store.cum[at], QUEUE_NOISE_MS * noise, out=out.hop_rtt[k:k + h])
+    out.hop_router[k:k + h] = store.hop_router[at]
+    traces = out.traces[t:t + n]
     endpoints = store.endpoints[rows]
     traces["src_city"] = endpoints[:, 0]
     traces["src_isp"] = endpoints[:, 1]
     traces["dst_city"] = endpoints[:, 2]
     traces["dst_isp"] = endpoints[:, 3]
     traces["reached"] = True
-    return TraceColumns(
-        schema, traces, hop_offsets, hop_router, hop_rtt,
-        rng_contract=rng_contract,
-    )
 
 
-def _batch_columns(
+def _batch_rows(
     tables: _PlanTables,
     core_tables: _CoreTables,
     store: _TemplateStore,
     config: "CampaignConfig",
-    schema: ColumnSchema,
     b0: int,
     b1: int,
-) -> TraceColumns:
-    """The contract-v2 columns of traces ``[b0, b1)``, fully vectorized."""
+) -> Tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """The contract-v2 template rows of traces ``[b0, b1)``, fully
+    vectorized, and their noise draw (:func:`_batch_noise`), which the
+    NOISE stream's absolute positions let the caller make later."""
     n = b1 - b0
     seed = config.seed
     rows = np.full(n, -1, dtype=np.int64)
@@ -563,6 +583,15 @@ def _batch_columns(
             f"traces {b0}..{b1}: no reachable (src, dst) pair after "
             f"{MAX_ATTEMPTS_PER_TRACE} draws; topology too disconnected"
         )
+    return rows, functools.partial(_batch_noise, store, rows, seed, b0)
+
+
+def _batch_noise(
+    store: _TemplateStore, rows: np.ndarray, seed: int, b0: int
+) -> np.ndarray:
+    """The contract-v2 unit noise of the traces ``b0, b0 + 1, ...`` that
+    resolved to template ids *rows*: one draw per visible hop."""
+    n = len(rows)
     counts = store.counts[rows]
     # The budget is v2's alone (v1 draws noise without a hop limit): a
     # trace with more visible hops than it owns slots is a contract
@@ -583,7 +612,7 @@ def _batch_columns(
     noise = _stream(
         seed, _PURPOSE_NOISE, 0, b0 * HOP_NOISE_BLOCKS
     ).random(n * HOP_NOISE_BUDGET)
-    return _gather_columns(store, schema, rows, noise[slot], RNG_CONTRACT_V2)
+    return noise[slot]
 
 
 def generate_columns(
@@ -592,38 +621,46 @@ def generate_columns(
     config: "CampaignConfig",
     start: int,
     stop: int,
-    draw_batch: Callable[..., TraceColumns],
+    draw_batch: BatchDraw,
 ) -> TraceColumns:
     """Trace indices ``[start, stop)`` as columns, ``config.batch_size``
-    traces per call of a contract's batch draw: *draw_batch* takes
-    :func:`_batch_columns`' arguments and returns its columns.
+    traces per call of a contract's batch draw (:data:`BatchDraw`).
+
+    Two passes over the batches.  The first resolves every batch's
+    template rows (8 B per trace, plus whatever noise its contract
+    cannot draw later: v1's, 8 B per hop), which sizes the output from
+    the store's hop counts.  The second gathers each batch straight
+    into its slice of the output and drops its draws.  The campaign
+    never holds its batches' columns beside their concatenation.
 
     Either contract's draw gives identical output for any split into
     shards or batches, because every trace's streams derive from its
     absolute index alone.
     """
     tables, core_tables, store = _v2_state(engine, plan)
-    schema = engine.column_schema()
     batch = max(1, config.batch_size)
-    parts = [
+    drawn: List[Optional[Tuple[np.ndarray, Callable[[], np.ndarray]]]] = [
         draw_batch(
-            tables, core_tables, store, config, schema,
-            b0, min(b0 + batch, stop),
+            tables, core_tables, store, config, b0, min(b0 + batch, stop)
         )
         for b0 in range(start, stop, batch)
     ]
-    if len(parts) == 1:
-        return parts[0]
-    if not parts:
-        return TraceColumns(
-            schema,
-            np.zeros(0, dtype=TRACE_DTYPE),
-            np.zeros(1, dtype=np.int64),
-            np.zeros(0, dtype=np.int32),
-            np.zeros(0, dtype=np.float64),
-            rng_contract=config.rng_contract,
-        )
-    return TraceColumns.concatenate(schema, parts)
+    n = sum(len(rows) for rows, _noise in drawn)
+    h = sum(int(store.counts[rows].sum()) for rows, _noise in drawn)
+    out = TraceColumns(
+        engine.column_schema(),
+        np.zeros(n, dtype=TRACE_DTYPE),
+        np.zeros(n + 1, dtype=np.int64),
+        np.empty(h, dtype=np.int32),
+        np.empty(h, dtype=np.float64),
+        rng_contract=config.rng_contract,
+    )
+    t = 0
+    for i, (rows, noise) in enumerate(drawn):
+        drawn[i] = None
+        _gather_into(out, t, store, rows, noise())
+        t += len(rows)
+    return out
 
 
 def generate_columns_v2(
@@ -634,9 +671,7 @@ def generate_columns_v2(
     stop: int,
 ) -> TraceColumns:
     """Trace indices ``[start, stop)`` as columns under contract v2."""
-    return generate_columns(
-        engine, plan, config, start, stop, _batch_columns
-    )
+    return generate_columns(engine, plan, config, start, stop, _batch_rows)
 
 
 def geo_unit_draws(seed: int, count: int) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Per-trace record generators the columnar campaign replaced.
 
 The package generates campaigns only as columns, batch by batch: each
-contract's draw (``campaign._v1_batch_columns`` for v1,
-``rngv2._batch_columns`` for v2) resolves its endpoint pairs through
+contract's draw (``campaign._v1_batch_rows`` for v1,
+``rngv2._batch_rows`` for v2) resolves its endpoint pairs through
 the vectorized template store and gathers the columns.  The object
 generators below are their references: :func:`trace_for_index` builds
 one :class:`TracerouteRecord` per trace index under either contract,
@@ -142,7 +142,7 @@ def trace_for_index(
     """The record for one trace index, independent of all other traces.
 
     Dispatches on ``config.rng_contract``; under v1 this is the object
-    path whose RNG stream ``campaign._v1_batch_columns`` consumes draw
+    path whose RNG stream ``campaign._v1_batch_rows`` consumes draw
     for draw, under v2 it delegates to :func:`trace_record_v2`.
     """
     if config.rng_contract == 2:

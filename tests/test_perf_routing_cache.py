@@ -3,12 +3,18 @@ persistent artifact cache, and their CLI/environment plumbing."""
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from repro.perf.cache import ArtifactCache, code_version, resolve_cache
+from repro.perf.routing import SOLVE_CHUNK_ROWS
+from repro.perf.substrate import GraphView
 from repro.scenario import Scenario
 from repro.traceroute.campaign import (
     CampaignConfig,
@@ -39,8 +45,6 @@ def _assert_distances_match_networkx(graph, seed):
 
 
 def _assert_pickle_drops_rows(graph):
-    import pickle
-
     core = core_from_networkx(graph)
     core.prepare(sorted(graph.nodes)[:3])
     assert len(core._rows) == 3 and core._structs
@@ -119,6 +123,60 @@ class TestRoutingCoreFamilies:
 
     def test_pickle_carries_no_rows_or_solver_cache(self, family_scenario):
         _assert_pickle_drops_rows(topology_graph(family_scenario.topology))
+
+    def test_prepare_in_chunks_equals_one_solve(
+        self, family_scenario, monkeypatch
+    ):
+        # More destinations than one chunk: every solve stays within
+        # SOLVE_CHUNK_ROWS, and every cached row is the one-shot
+        # solve's row, byte for byte.
+        core = pickle.loads(
+            pickle.dumps(family_scenario.topology)
+        ).routing_core()
+        nodes = list(core.nodes[: 2 * SOLVE_CHUNK_ROWS + 3])
+        assert len(nodes) > SOLVE_CHUNK_ROWS
+        solves = []
+        solve = GraphView.dijkstra
+
+        def spy(view, sources, *args, **kwargs):
+            solves.append(len(sources))
+            return solve(view, sources, *args, **kwargs)
+
+        monkeypatch.setattr(GraphView, "dijkstra", spy)
+        assert core.prepare(nodes) == len(nodes)
+        monkeypatch.undo()
+        assert len(solves) > 1 and max(solves) <= SOLVE_CHUNK_ROWS
+        assert sum(solves) == len(nodes)
+        _dist, pred, row_of = core.dijkstra(nodes, core.weight)
+        for node in nodes:
+            assert (
+                core.predecessors(node).tobytes()
+                == pred[row_of[node]].tobytes()
+            )
+
+    def test_distance_equals_scipy_and_caches_nothing(self, family_scenario):
+        core = pickle.loads(
+            pickle.dumps(family_scenario.topology)
+        ).routing_core()
+        n, w = core.num_nodes, core.weights[core.weight]
+        matrix = csr_matrix(
+            (
+                np.concatenate([w, w]),
+                (
+                    np.concatenate([core.eu, core.ev]),
+                    np.concatenate([core.ev, core.eu]),
+                ),
+            ),
+            shape=(n, n),
+        )
+        rng = random.Random(31)
+        dsts = rng.sample(range(n), 12)
+        reference = scipy_dijkstra(matrix, directed=True, indices=dsts)
+        for row, d in enumerate(dsts):
+            for s in rng.sample(range(n), 20):
+                got = core.distance(core.nodes[s], core.nodes[d])
+                assert got == float(reference[row, s])
+        assert core._rows == {}
 
 
 class TestParallelCampaign:

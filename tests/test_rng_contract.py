@@ -17,14 +17,17 @@ rng-compat CI job can run this file under either contract.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.obs import tracing
+from repro.obs import FaultPlan, fault_injection, tracing
+from repro.perf.routing import SOLVE_CHUNK_ROWS
 from repro.perf.substrate import GraphView
 from repro.traceroute import campaign as campaign_module
 from repro.traceroute.campaign import (
@@ -152,6 +155,35 @@ class TestWorkerInvariance:
             ),
         )
         assert _columns_equal(serial, sharded)
+
+
+#: The first 16 hex digits of the SHA-256 of a 2001-trace global2023
+#: campaign's four column arrays (seed 2020), per contract: the bytes
+#: every batch size must reproduce.  The global2023 router graph does
+#: not depend on the interpreter's hash seed, so these hold in any
+#: process.
+PRESIZED_GOLDENS = {1: "3302b33e848d8958", 2: "451c5fbf1c9d1789"}
+
+
+@pytest.mark.parametrize("contract", [1, 2])
+@pytest.mark.parametrize("batch_size", [1, 7, 8192])
+def test_presized_output_keeps_the_concatenated_bytes(
+    global_scenario, contract, batch_size
+):
+    # 2001 traces: one trace per batch, a ragged last batch of 7, and
+    # one batch larger than the campaign.
+    columns = run_campaign(
+        global_scenario.topology,
+        family_campaign_config(
+            global_scenario, num_traces=2001, seed=2020,
+            rng_contract=contract, batch_size=batch_size,
+        ),
+    )
+    digest = hashlib.sha256()
+    for array in (columns.traces, columns.hop_offsets, columns.hop_router,
+                  columns.hop_rtt):
+        digest.update(array.tobytes())
+    assert digest.hexdigest()[:16] == PRESIZED_GOLDENS[contract]
 
 
 #: Traces of the reference campaign the property reads prefixes of.
@@ -311,6 +343,96 @@ def test_only_v2_has_a_hop_noise_budget(topology, monkeypatch):
     with pytest.raises(RuntimeError, match="budgets 3 noise slots"):
         run_campaign(topology, configs[2])
     assert _columns_equal(run_campaign(topology, configs[1]), v1)
+
+
+class TestOneRowStack:
+    """A serial campaign and the topology's routing core share one copy
+    of the destination rows, under either contract (both draw against
+    the same stack)."""
+
+    @pytest.mark.parametrize("contract", [1, 2])
+    def test_the_core_caches_views_of_the_serial_stack(
+        self, family_scenario, contract
+    ):
+        # A pickled copy starts with an empty row cache; three rows
+        # cached beforehand take the copy path, the rest are solved
+        # straight into the stack.
+        fresh = pickle.loads(pickle.dumps(family_scenario.topology))
+        config = family_campaign_config(
+            family_scenario, num_traces=300, seed=2020,
+            rng_contract=contract,
+        )
+        plan = _CampaignPlan(fresh, config)
+        core = fresh.routing_core()
+        live = [node for node in plan.dest_nodes
+                if fresh.has_router(*node) and node in core.index]
+        assert core.prepare(live[:3]) == 3
+        engine = ProbeEngine(fresh, seed=config.seed + 1)
+        columns = campaign_module._shard_columns(engine, plan, config, 0, 300)
+        assert _columns_equal(columns, run_campaign(
+            family_scenario.topology, config
+        ))
+        stack = rngv2._v2_state(engine, plan)[1].pred
+        assert len(core._rows) == len(live) > 3
+        for row in core._rows.values():
+            # A predecessor row, no (dist, pred) pair, in the stack.
+            assert isinstance(row, np.ndarray) and row.dtype == np.int32
+            assert np.shares_memory(row, stack)
+        # Later readers reuse the rows: no solve, no second copy.
+        cached = dict(core._rows)
+        routes = core.routes([(live[0], live[-1]), (live[1], live[2])])
+        assert routes.paths[0] is not None
+        assert all(core._rows[k] is row for k, row in cached.items())
+        assert len(core._rows) == len(cached)
+
+    @pytest.mark.parametrize("contract", [1, 2])
+    def test_the_pools_fallback_rows_stay_out_of_the_core(
+        self, topology, contract
+    ):
+        # Every rows task dies, so the parent solves the whole stack
+        # itself; the stack is a mapping the pool closes, so the
+        # parent's core must not cache views of it.
+        fresh = pickle.loads(pickle.dumps(topology))
+        config = _config(
+            num_traces=600, workers=2, max_pool_restarts=0,
+            retry_backoff_s=0.01, rng_contract=contract,
+        )
+        with fault_injection(
+            FaultPlan(seed=1, crash_rows=(0, 1), repeats=100)
+        ):
+            columns = run_campaign(fresh, config)
+        assert _columns_equal(columns, run_campaign(
+            topology, _config(num_traces=600, rng_contract=contract)
+        ))
+        assert fresh.routing_core()._rows == {}
+
+    def test_filling_the_stack_allocates_one_chunk(self, family_scenario):
+        # fill_from_core's peak beyond the stack it fills is one
+        # chunk's distance and predecessor matrices, and all it keeps is
+        # the row views (a few hundred bytes per destination).
+        fresh = pickle.loads(pickle.dumps(family_scenario.topology))
+        config = family_campaign_config(
+            family_scenario, num_traces=300, seed=2020
+        )
+        plan = _CampaignPlan(fresh, config)
+        core = fresh.routing_core()
+        stack = np.empty(
+            (len(plan.dest_nodes), core.num_nodes), dtype=np.int32
+        )
+        _tables, core_tables = rngv2.build_v2_tables(
+            fresh, ColumnSchema.from_topology(fresh), plan, stack
+        )
+        core.dijkstra(core.nodes[:1], core.weight)  # the solver matrix
+        tracemalloc.start()
+        try:
+            core_tables.fill_from_core()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        chunk = SOLVE_CHUNK_ROWS * core.num_nodes * (8 + 4)
+        views = 256 * len(plan.dest_nodes)
+        assert kept <= views
+        assert peak <= chunk + views
 
 
 class TestScalarReference:

@@ -1,5 +1,6 @@
 """Tests for the what-if service: schema, handlers, batching, server."""
 
+import dataclasses
 import json
 import random
 import sys
@@ -7,6 +8,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenario import Scenario
 from repro.service import (
@@ -29,7 +32,20 @@ from repro.service import handlers
 from repro.service.handlers import LatencyBatcher
 from repro.service.registry import READY, WARMING, ScenarioEntry
 from repro.service.render import render_response
+from repro.service.schema import REQUEST_TYPES
 from tests.oracles.service import _nx_latency
+
+
+#: A well-typed value per request field annotation (see
+#: ``schema._FIELD_TYPES``).
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_FIELD_VALUES = {
+    "str": st.text(max_size=12),
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "float": _FINITE | st.integers(-(10**6), 10**6),
+    "Optional[str]": st.none() | st.text(max_size=12),
+    "Optional[float]": st.none() | _FINITE,
+}
 
 
 class TestSchemaRoundTrip:
@@ -48,6 +64,19 @@ class TestSchemaRoundTrip:
     def test_encode_parse_round_trips(self, request_obj):
         payload = json.loads(json.dumps(request_obj.to_json()))
         assert payload["v"] == 1
+        assert parse_request(payload) == request_obj
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(sorted(REQUEST_TYPES)))
+    def test_every_kind_round_trips_through_json(self, data, kind):
+        # Any well-typed request of any kind survives encoding, the JSON
+        # text and parsing unchanged.
+        request_type = REQUEST_TYPES[kind]
+        request_obj = data.draw(st.builds(request_type, **{
+            field.name: _FIELD_VALUES[field.type]
+            for field in dataclasses.fields(request_type)
+        }))
+        payload = json.loads(json.dumps(request_obj.to_json()))
         assert parse_request(payload) == request_obj
 
     def test_scenario_key_is_reserved_not_a_field(self):
@@ -74,6 +103,15 @@ class TestSchemaValidation:
 
     def test_wrong_version(self):
         error = self.err({"v": 2, "kind": "audit", "isp": "X"})
+        assert error.code == "unsupported_version"
+        assert error.field == "v"
+
+    @pytest.mark.parametrize(
+        "version", [True, 1.0, "1", None], ids=["true", "float", "str", "null"]
+    )
+    def test_version_is_the_integer_one(self, version):
+        # ``true`` and ``1.0`` compare equal to 1, yet are not it.
+        error = self.err({"v": version, "kind": "risk"})
         assert error.code == "unsupported_version"
         assert error.field == "v"
 

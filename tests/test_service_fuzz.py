@@ -3,7 +3,8 @@
 A fuzz property over the service's two POST routes, driven in-process
 through :meth:`ServiceApp.handle`: arbitrary JSON bodies, and valid
 requests with one field swapped for an odd value, must come back as a
-structured 4xx (or a 200), and the payload must still render.  In
+structured 4xx (or a 200), and the payload must still render; an odd
+schema version ``v`` is always ``unsupported_version``.  In
 ``/v1/batch`` a malformed member must leave every other member's
 answer equal to its single-query answer.
 """
@@ -11,7 +12,7 @@ answer equal to its single-query answer.
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.service import ScenarioRegistry, ServiceApp, encode_json
@@ -56,7 +57,7 @@ SWAPPABLE = sorted(
 ODD_VALUES = st.sampled_from([
     -1, 0, -(2**63), 2**63, 10**400,
     float("inf"), float("-inf"), float("nan"), 1e308,
-    "", [], [1, "a"], {}, None, True,
+    "", [], [1, "a"], {}, None, True, 1.0,
 ])
 
 JSON_VALUES = st.recursive(
@@ -124,10 +125,16 @@ def test_arbitrary_bodies_are_never_a_5xx(app, body, path):
 
 @FUZZ
 @given(swap=st.sampled_from(SWAPPABLE), odd=ODD_VALUES)
+@example(swap=("risk", "v"), odd=True)
+@example(swap=("risk", "v"), odd=1.0)
 def test_one_odd_field_is_never_a_5xx(app, single_answers, swap, odd):
     kind, key = swap
     request = dict(VALID[kind], **{key: odd})
-    _post(app, "/v1/query", json.dumps(request).encode())
+    status, payload = _post(app, "/v1/query", json.dumps(request).encode())
+    if key == "v":
+        # No odd value is the schema version, not even true or 1.0.
+        assert status == 400
+        assert payload["error"]["code"] == "unsupported_version"
     members = [MATES[0], request, *MATES[1:]]
     status, payload = _post(
         app, "/v1/batch", json.dumps({"requests": members}).encode()
